@@ -12,7 +12,7 @@ outputs and targets at the best found inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -115,30 +115,20 @@ def _run_recipe(recipe: Recipe, partitioned: PartitionedDataset,
         from .payloads import RegressionProblem
         node = ForestModelNode("pool", recipe.config)
         problem = RegressionProblem(X_train, y_train, X_val, y_val, names)
-        result = _with_label(
+        result = replace(
             node.fit_problem(problem, substream(seed, "pool-forest")),
-            recipe.label)
+            label=recipe.label)
     elif isinstance(recipe, FeatureSelectionRecipe):
         net: NetworkResult = feature_selection_network(
             partitioned, recipe.params, recipe.fitness, recipe.model,
             seed=seed, compute_test_mae=False)
-        result = _with_label(net.best_model, recipe.label)
+        result = replace(net.best_model, label=recipe.label)
     else:
         raise InvalidConfigError(f"unknown recipe {recipe!r}")
     # final scoring only; searches above never saw these rows
     X_test, y_test = partitioned.test_xy()
-    return _with_test(result, _masked_test_mae(result, recipe, partitioned,
-                                               X_test, y_test))
-
-
-def _with_label(result: ModelWithQuality, label: str) -> ModelWithQuality:
-    from dataclasses import replace
-    return replace(result, label=label)
-
-
-def _with_test(result: ModelWithQuality, test_mae: float) -> ModelWithQuality:
-    from dataclasses import replace
-    return replace(result, test_mae=test_mae)
+    return replace(result, test_mae=_masked_test_mae(
+        result, recipe, partitioned, X_test, y_test))
 
 
 def _masked_test_mae(result, recipe, partitioned, X_test, y_test) -> float:

@@ -122,10 +122,9 @@ class ResultTable:
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":
         reader = _csv.reader(io.StringIO(text))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigFileError("table CSV is empty") from None
+        header = next(reader, None)
+        if header is None:
+            raise ConfigFileError("table CSV is empty")
         if tuple(header) != cls.COLUMNS:
             raise ConfigFileError(f"unexpected table header {header!r}")
         table = cls()

@@ -340,10 +340,9 @@ def load_csv(path, target_column: str = "y") -> Dataset:
     path = Path(path)
     with path.open("r", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError("file is empty", path=str(path)) from None
+        header = next(reader, None)
+        if header is None:
+            raise CsvParseError("file is empty", path=str(path))
         header = [h.strip() for h in header]
         if target_column not in header:
             raise MissingTargetError(

@@ -316,7 +316,9 @@ class NetworkRun:
     sink_outputs maps each unconnected output port to the payloads
     emitted there, in emission order. Message conservation holds:
     entry_count + messages_produced == messages_handled +
-    messages_remaining + total sink payloads.
+    messages_remaining + total sink payloads. rngs maps each node id to
+    the random stream its handlers drew from, left where the run ended,
+    so follow-up work can continue a node's stream.
     """
 
     sink_outputs: dict[tuple[str, str], list]
@@ -327,6 +329,7 @@ class NetworkRun:
     entry_count: int
     stopped_by: str  # "budget" or "sinks"
     node_message_counts: dict[str, int]
+    rngs: dict[str, np.random.Generator]
     trace: list[TraceEvent] = field(default_factory=list)
 
     def sink(self, node_id: str, port_name: str) -> list:
@@ -418,7 +421,7 @@ def run_network(topology: Topology, termination,
             if reason is not None:
                 return NetworkRun(net.sink_outputs, rounds, handled, produced,
                                   net.pending(), entry_count, reason,
-                                  node_counts, events)
+                                  node_counts, rngs, events)
 
             # pick at most one message per node, in canonical order
             batch: list[tuple[Node, str | None, Message | None, object]] = []

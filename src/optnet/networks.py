@@ -11,7 +11,9 @@ hyperparameter tuning.
 
 A plain-loop twin of the feature-selection network (same nodes, no
 engine) is provided as an oracle: both paths share one search stream and
-must produce bit-identical results.
+must produce bit-identical results. The final refit continues the model
+node's own stream from where the search left it, so the twin property
+holds for any model node, including ones users supply.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .osga import (
     OsgaParams,
     RealGenomeSpec,
     RunResult,
+    advance,
+    drive,
     osga_stream,
 )
 from .payloads import ModelWithQuality, ParameterVector, RegressionProblem
@@ -64,7 +68,7 @@ class FitnessConfig:
         return 0.01 * base / max(n_features, 1)
 
 
-@dataclass(eq=False)
+@dataclass
 class NetworkResult:
     """Outcome of a feature-selection run (network or direct loop).
 
@@ -83,20 +87,6 @@ class NetworkResult:
     best_history: tuple[float, ...]
     pressure_history: tuple[float, ...]
     wall_time: float = field(compare=False, default=0.0)
-
-    def __eq__(self, other):
-        if not isinstance(other, NetworkResult):
-            return NotImplemented
-        return (self.best_mask == other.best_mask
-                and self.best_model == other.best_model
-                and self.best_fitness == other.best_fitness
-                and self.evaluations == other.evaluations
-                and self.generations == other.generations
-                and self.terminated_by == other.terminated_by
-                and self.penalty_per_feature == other.penalty_per_feature
-                and self.seed == other.seed
-                and self.best_history == other.best_history
-                and self.pressure_history == other.pressure_history)
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +115,14 @@ class FeatureSelectionNode(Node):
         self._advance(ctx, None)
 
     def handle(self, port_name: str, payload, ctx) -> None:
-        self._advance(ctx, float(payload))
+        self._advance(ctx, payload)
 
-    def _advance(self, ctx, fitness: float | None) -> None:
-        try:
-            if fitness is None:
-                genome = next(self._stream)
-            else:
-                genome = self._stream.send(fitness)
-        except StopIteration as fin:
-            ctx.emit("result", fin.value)
-            return
-        ctx.emit("mask", FeatureMask(genome))
+    def _advance(self, ctx, fitness) -> None:
+        genome, result = advance(self._stream, fitness)
+        if genome is None:
+            ctx.emit("result", result)
+        else:
+            ctx.emit("mask", FeatureMask(genome))
 
 
 class RegressionOrchestratorNode(Node):
@@ -323,29 +309,9 @@ def feature_selection_network(
     run = run_network(topo, SinksEmitted((("selector", "result"),)),
                       entry=("selector", None), seed=seed, workers=workers)
     ga_result: RunResult = run.sink("selector", "result")[0]
-    orchestrator = topo.node("orchestrator")
-    model_node = topo.node("model")
-    # the model node's stream continues from where the search left it
-    model_rng = _node_rng_after_run(seed, model_node, run)
-    return _final_result(ga_result, orchestrator, model_node, model_rng,
-                         partitioned, compute_test_mae, seed, started)
-
-
-def _node_rng_after_run(seed, model_node, run) -> np.random.Generator:
-    rng = substream(seed, "node", model_node.id)
-    consumed = run.node_message_counts.get(model_node.id, 0)
-    _burn_model_rng(model_node, rng, consumed)
-    return rng
-
-
-def _burn_model_rng(model_node, rng, n_fits: int) -> None:
-    # advance the stream past the draws the node made during the search
-    if isinstance(model_node, ForestModelNode):
-        for _ in range(n_fits):
-            rng.integers(np.iinfo(np.int64).max)
-    elif isinstance(model_node, InnerTuningModelNode):
-        for _ in range(n_fits):
-            rng.integers(np.iinfo(np.int64).max)
+    return _final_result(ga_result, topo.node("orchestrator"),
+                         topo.node("model"), run.rngs["model"], partitioned,
+                         compute_test_mae, seed, started)
 
 
 def feature_selection_direct(
@@ -369,15 +335,12 @@ def feature_selection_direct(
                                               fitness)
     model_node = _make_model_node(model)
 
-    stream = osga_stream(genome_spec, params, selector_rng)
-    try:
-        genome = next(stream)
-        while True:
-            problem = orchestrator.make_problem(FeatureMask(genome))
-            fitted = model_node.fit_problem(problem, model_rng)
-            genome = stream.send(orchestrator.score(fitted))
-    except StopIteration as fin:
-        ga_result: RunResult = fin.value
+    def evaluate(genome) -> float:
+        problem = orchestrator.make_problem(FeatureMask(genome))
+        return orchestrator.score(model_node.fit_problem(problem, model_rng))
+
+    ga_result: RunResult = drive(
+        osga_stream(genome_spec, params, selector_rng), evaluate)
     return _final_result(ga_result, orchestrator, model_node, model_rng,
                          partitioned, compute_test_mae, seed, started)
 
@@ -412,6 +375,12 @@ class InnerGridSearch:
                 for t in self.n_trees_options:
                     yield (float(r), float(m), int(t))
 
+    def stream(self, rng: np.random.Generator):
+        cells = list(self.cells())
+        for r, m, t in cells[:self.budget]:
+            yield np.array([r, m, float(t)])
+        return len(cells) > self.budget
+
 
 @dataclass
 class InnerOsgaSearch:
@@ -435,10 +404,26 @@ class InnerOsgaSearch:
         if self.budget < 1:
             raise InvalidConfigError("inner budget must be at least 1")
 
+    def stream(self, rng: np.random.Generator):
+        bounds = np.array([self.sample_ratio_bounds,
+                           self.feature_ratio_bounds,
+                           [float(b) for b in self.n_trees_bounds]])
+        spec = RealGenomeSpec(bounds, sigma_fraction=0.2)
+        params = replace(self.params, max_evaluations=min(
+            self.budget, self.params.max_evaluations))
+        run = yield from osga_stream(spec, params, rng)
+        return run.terminated_by == "budget"
+
 
 class ForestParamSearchNode(Node):
     """Inner-network search node: proposes forest settings, receives the
-    fitted candidates back, and finally emits the best one."""
+    fitted candidates back, and finally emits the best one.
+
+    The settings come from search.stream(rng), an evaluation stream
+    stepped with osga.advance: it yields (sample_ratio, feature_ratio,
+    n_trees) value arrays, takes each candidate's validation MAE back,
+    and finishes with whether its budget cut it short.
+    """
 
     input_ports = (Port("candidate", "model-with-quality"),)
     output_ports = (Port("params", "parameter-vector"),
@@ -453,52 +438,11 @@ class ForestParamSearchNode(Node):
         self.best_params: ParameterVector | None = None
         self.evaluations = 0
         self._pending: ParameterVector | None = None
-        self._truncated = False
-        self._cells = None
         self._stream = None
 
     def handle_entry(self, payload, ctx) -> None:
-        if isinstance(self.search, InnerGridSearch):
-            all_cells = list(self.search.cells())
-            if len(all_cells) > self.search.budget:
-                all_cells = all_cells[:self.search.budget]
-                self._truncated = True
-            self._cells = iter(all_cells)
-            self._emit_next_cell(ctx)
-        else:
-            bounds = np.array([self.search.sample_ratio_bounds,
-                               self.search.feature_ratio_bounds,
-                               [float(b) for b in self.search.n_trees_bounds]])
-            spec = RealGenomeSpec(bounds, sigma_fraction=0.2)
-            params = self.search.params
-            budget = min(self.search.budget, params.max_evaluations)
-            params = replace(params, max_evaluations=budget)
-            self._stream = osga_stream(spec, params, ctx.rng)
-            self._advance_stream(ctx, None)
-
-    def _emit_next_cell(self, ctx) -> None:
-        try:
-            r, m, t = next(self._cells)
-        except StopIteration:
-            self._finish(ctx)
-            return
-        self._pending = ParameterVector(np.array([r, m, float(t)]),
-                                        self._NAMES)
-        ctx.emit("params", self._pending)
-
-    def _advance_stream(self, ctx, fitness: float | None) -> None:
-        try:
-            if fitness is None:
-                genome = next(self._stream)
-            else:
-                genome = self._stream.send(fitness)
-        except StopIteration as fin:
-            if fin.value.terminated_by == "budget":
-                self._truncated = True
-            self._finish(ctx)
-            return
-        self._pending = ParameterVector(genome, self._NAMES)
-        ctx.emit("params", self._pending)
+        self._stream = self.search.stream(ctx.rng)
+        self._advance(ctx, None)
 
     def handle(self, port_name: str, payload, ctx) -> None:
         self.evaluations += 1
@@ -506,18 +450,22 @@ class ForestParamSearchNode(Node):
                 or payload.validation_mae < self.best.validation_mae:
             self.best = payload
             self.best_params = self._pending
-        if self._cells is not None:
-            self._emit_next_cell(ctx)
-        else:
-            self._advance_stream(ctx, payload.validation_mae)
+        self._advance(ctx, payload.validation_mae)
 
-    def _finish(self, ctx) -> None:
-        flags = ("budget-exhausted",) if self._truncated else ()
+    def _advance(self, ctx, fitness: float | None) -> None:
+        values, truncated = advance(self._stream, fitness)
+        if values is None:
+            self._finish(ctx, truncated)
+        else:
+            self._pending = ParameterVector(values, self._NAMES)
+            ctx.emit("params", self._pending)
+
+    def _finish(self, ctx, truncated: bool) -> None:
+        flags = ("budget-exhausted",) if truncated else ()
         best = replace(self.best, flags=self.best.flags + flags,
                        label=_forest_label(self.best_params))
         ctx.emit("result", InnerSearchResult(best, self.best_params,
-                                             self.evaluations,
-                                             self._truncated))
+                                             self.evaluations, truncated))
 
 
 def _forest_label(params: ParameterVector | None) -> str:

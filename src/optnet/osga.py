@@ -10,17 +10,20 @@ worse). Slots not owed to successful children are filled by the
 remaining offspring in creation order. The ratio of offspring created to
 population size is the selection pressure; runs stop when it exceeds a
 cap, when the evaluation budget runs out, or when a target fitness is
-reached. Fitness is minimized throughout.
+reached. Fitness is minimized throughout; a non-finite fitness (NaN or
+an infinity) counts as +inf, the worst possible value.
 
-The engine is exposed in three forms: osga_minimize drives a fitness
-callable to completion, offspring_selection_step advances one generation
-eagerly, and osga_stream is a generator that yields genomes and receives
-fitnesses via send(), which lets a message-passing network evaluate
-candidates remotely while sharing this exact code path.
+The search is a generator, osga_stream, that yields genomes and takes
+their fitnesses back, and advance is the one function that steps it.
+drive runs a stream against a fitness callable; osga_minimize and
+offspring_selection_step (one generation) are built on it, while network
+nodes call advance once per message, so a message-passing network
+evaluates candidates remotely on this exact code path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,6 +260,11 @@ class StepStats:
 # ---------------------------------------------------------------------------
 # Core engine
 
+def _as_fitness(value) -> float:
+    fitness = float(value)
+    return fitness if math.isfinite(fitness) else math.inf
+
+
 def _tournament(population, rng) -> Individual:
     # binary tournament: two uniform draws, fitter one wins, tie to the
     # first drawn
@@ -296,14 +304,17 @@ def _generation(population, genome_spec, params, mutation_rate, rng,
         genome = genome_spec.crossover(p1.genome, p2.genome,
                                        params.crossover_kind, rng)
         genome = genome_spec.mutate(genome, mutation_rate, rng)
-        fitness = float((yield genome))
+        fitness = _as_fitness((yield genome))
         evals += 1
         created += 1
         child = Individual(genome, fitness)
         better = min(p1.fitness, p2.fitness)
         worse = max(p1.fitness, p2.fitness)
-        threshold = params.comparison_factor * better \
-            + (1.0 - params.comparison_factor) * worse
+        cf = params.comparison_factor
+        # the endpoints are taken exactly: 0 * inf would make the
+        # threshold NaN and fail every child of an infinite-fitness parent
+        threshold = better if cf == 1.0 else worse if cf == 0.0 \
+            else cf * better + (1.0 - cf) * worse
         if fitness < threshold and len(accepted) < target_success:
             accepted.append(child)
         else:
@@ -335,7 +346,7 @@ def _stream(genome_spec, params, mutation_rate, rng):
     stop = None
     for _ in range(params.population_size):
         genome = genome_spec.random(rng)
-        fitness = float((yield genome))
+        fitness = _as_fitness((yield genome))
         evaluations += 1
         ind = Individual(genome, fitness)
         population.append(ind)
@@ -380,9 +391,9 @@ def resolve_mutation_rate(genome_spec, params: OsgaParams) -> float:
 def osga_stream(genome_spec, params: OsgaParams, rng: np.random.Generator):
     """Create the evaluation-request generator for one run.
 
-    The caller pulls a genome with next(), answers with
-    send(fitness), and receives the next genome, until StopIteration
-    delivers the RunResult as its value.
+    Step it with advance: each call answers the previous genome with its
+    fitness and gets the next genome, until the stream finishes with the
+    RunResult.
     """
     params.validate()
     genome_spec.validate()
@@ -394,14 +405,27 @@ def osga_stream(genome_spec, params: OsgaParams, rng: np.random.Generator):
                                                               params), rng)
 
 
-def drive(stream, evaluator) -> RunResult:
-    """Run an evaluation stream to completion against a fitness callable."""
+def advance(stream, fitness=None):
+    """Step an evaluation stream by one request.
+
+    fitness answers the genome the stream yielded last; pass None to
+    start a fresh stream. Returns (genome, None) while the stream wants
+    another evaluation and (None, result) once it has finished with
+    result. A stream never yields None.
+    """
     try:
-        genome = next(stream)
-        while True:
-            genome = stream.send(evaluator(genome))
+        return stream.send(fitness), None
     except StopIteration as fin:
-        return fin.value
+        return None, fin.value
+
+
+def drive(stream, evaluator):
+    """Run an evaluation stream to completion against a fitness callable
+    and return its result."""
+    genome, result = advance(stream)
+    while genome is not None:
+        genome, result = advance(stream, evaluator(genome))
+    return result
 
 
 def osga_minimize(evaluator, genome_spec, params: OsgaParams | None = None,
@@ -437,10 +461,5 @@ def offspring_selection_step(population, genome_spec, params: OsgaParams,
                       resolve_mutation_rate(genome_spec, params), rng,
                       float("inf"),
                       min(population, key=lambda ind: ind.fitness))
-    try:
-        genome = next(gen)
-        while True:
-            genome = gen.send(evaluator(genome))
-    except StopIteration as fin:
-        next_population, stats, _ = fin.value
-        return next_population, stats
+    next_population, stats, _ = drive(gen, evaluator)
+    return next_population, stats

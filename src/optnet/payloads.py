@@ -8,7 +8,7 @@ inside a downstream handler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class RegressionProblem:
     mask: FeatureMask | None = None
 
 
-@dataclass(eq=False)
+@dataclass
 class ModelWithQuality:
     """A fitted model bundled with its error measurements.
 
@@ -44,17 +44,6 @@ class ModelWithQuality:
     n_features: int = 0
     flags: tuple[str, ...] = ()
     label: str = ""
-
-    def __eq__(self, other):
-        if not isinstance(other, ModelWithQuality):
-            return NotImplemented
-        return (self.model == other.model
-                and self.train_mae == other.train_mae
-                and self.validation_mae == other.validation_mae
-                and self.test_mae == other.test_mae
-                and self.n_features == other.n_features
-                and self.flags == other.flags
-                and self.label == other.label)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
 """Feature-selection network, its plain-loop twin, and nested tuning."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,42 @@ def test_network_matches_direct_loop_forest(small_partitioned):
     assert net.best_model.label == "random-forest"
 
 
+class JitteredOlsNode(OlsModelNode):
+    """A user model node whose fit draws from its stream: it breaks
+    validation ties with a tiny random jitter."""
+
+    def fit_problem(self, problem, rng):
+        fitted = super().fit_problem(problem, rng)
+        return replace(fitted, validation_mae=fitted.validation_mae
+                       + 1e-9 * rng.random())
+
+
+class ExtraDrawForestNode(ForestModelNode):
+    """A user forest node that makes one more draw per fit than the
+    built-in one."""
+
+    def fit_problem(self, problem, rng):
+        rng.random()
+        return super().fit_problem(problem, rng)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("make_node", [
+    lambda: JitteredOlsNode("model"),
+    lambda: ExtraDrawForestNode("model", ForestConfig(n_trees=3)),
+], ids=["ols-subclass", "forest-subclass"])
+def test_user_model_node_drawing_randomness_matches_twin(
+        small_partitioned, make_node, workers):
+    """The refit continues the model node's live stream, so the twin
+    property holds for nodes the network knows nothing about."""
+    net = feature_selection_network(small_partitioned, TINY_PARAMS,
+                                    model=make_node(), seed=3,
+                                    workers=workers)
+    direct = feature_selection_direct(small_partitioned, TINY_PARAMS,
+                                      model=make_node(), seed=3)
+    assert net == direct
+
+
 def test_worker_count_invariance(small_partitioned):
     solo = feature_selection_network(small_partitioned, SMALL_PARAMS, seed=4,
                                      workers=1)
@@ -251,6 +289,20 @@ def test_inner_grid_budget_exhaustion_flagged(small_partitioned):
     assert fitted.label.startswith("tuned-forest(")
 
 
+def test_inner_osga_budget_exhaustion_flagged(small_partitioned):
+    orchestrator = RegressionOrchestratorNode("o", small_partitioned)
+    problem = orchestrator.make_problem(FeatureMask.from_indices((0, 1, 2), 8))
+    search = InnerOsgaSearch(
+        params=OsgaParams(population_size=4, max_evaluations=30,
+                          crossover_kind="arithmetic",
+                          max_selection_pressure=50.0),
+        n_trees_bounds=(2, 6), budget=6)  # stops 2 children into gen 1
+    fitted = InnerTuningModelNode("model", search).fit_problem(
+        problem, substream(7, "x"))
+    assert "budget-exhausted" in fitted.flags
+    assert fitted.label.startswith("tuned-forest(")
+
+
 def test_inner_grid_within_budget_not_flagged(small_partitioned):
     orchestrator = RegressionOrchestratorNode("o", small_partitioned)
     problem = orchestrator.make_problem(FeatureMask.from_indices((0, 1), 8))
@@ -296,17 +348,23 @@ def test_forest_builder_clamps_parameters(small_partitioned):
 
 
 def test_nested_network_matches_direct_twin(small_partitioned):
-    inner = InnerGridSearch(sample_ratios=(0.7,), feature_ratios=(0.5,),
-                            n_trees_options=(3, 5), budget=4)
+    grid = InnerGridSearch(sample_ratios=(0.7,), feature_ratios=(0.5,),
+                           n_trees_options=(3, 5), budget=4)
+    osga = InnerOsgaSearch(
+        params=OsgaParams(population_size=4, max_evaluations=8,
+                          crossover_kind="arithmetic",
+                          max_selection_pressure=10.0),
+        n_trees_bounds=(2, 6), budget=8)
     params = OsgaParams(population_size=6, max_evaluations=60,
                         max_selection_pressure=15.0)
-    net = nested_tuning_network(small_partitioned, params, inner=inner,
-                                seed=2)
-    direct = feature_selection_direct(
-        small_partitioned, params,
-        model=InnerTuningModelNode("model", inner), seed=2)
-    assert net == direct
-    assert net.best_model.label.startswith("tuned-forest(")
+    for inner in (grid, osga):
+        net = nested_tuning_network(small_partitioned, params, inner=inner,
+                                    seed=2)
+        direct = feature_selection_direct(
+            small_partitioned, params,
+            model=InnerTuningModelNode("model", inner), seed=2)
+        assert net == direct, type(inner).__name__
+        assert net.best_model.label.startswith("tuned-forest(")
 
 
 def test_nested_network_reports_search_shape(small_partitioned):

@@ -8,8 +8,12 @@ behavior, plus a counterexample documenting why the stronger form is
 not universal.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optnet.errors import (
     BudgetTooSmallError,
@@ -340,6 +344,103 @@ def test_population_is_reported():
     assert len(result.population) == BINARY_PARAMS.population_size
     fitnesses = [ind.fitness for ind in result.population]
     assert min(fitnesses) == result.best_history[-1]
+
+
+# ---------------------------------------------------------------------------
+# Non-finite fitness
+
+NONFINITE_PARAMS = OsgaParams(population_size=10, max_evaluations=300,
+                              max_selection_pressure=20.0)
+
+
+def _poisoned(bad, positions):
+    """zeros_count, except that the calls numbered in positions (from 0)
+    return bad."""
+    calls = []
+
+    def evaluator(genome):
+        calls.append(None)
+        return bad if len(calls) - 1 in positions else zeros_count(genome)
+
+    return evaluator
+
+
+def _summary(result):
+    return (result.best.fitness, result.best.genome.tobytes(),
+            result.evaluations, result.generations, result.terminated_by,
+            result.best_history, result.pressure_history,
+            tuple(ind.fitness for ind in result.population))
+
+
+def _assert_no_nan(result):
+    fitnesses = [result.best.fitness, *result.best_history,
+                 *(ind.fitness for ind in result.population)]
+    assert not any(math.isnan(f) for f in fitnesses)
+
+
+def test_nan_first_fitness_counts_as_worst():
+    result = osga_minimize(_poisoned(math.nan, {0}), BinaryGenomeSpec(12),
+                           NONFINITE_PARAMS, seed=0)
+    _assert_no_nan(result)
+    assert math.isfinite(result.best.fitness)
+    assert result.evaluations == 300
+    reference = osga_minimize(_poisoned(math.inf, {0}), BinaryGenomeSpec(12),
+                              NONFINITE_PARAMS, seed=0)
+    assert _summary(result) == _summary(reference)
+
+
+def test_nan_mid_run_fitness_counts_as_worst():
+    mid = set(range(100, 300, 2))  # every other child from call 100 on
+    result = osga_minimize(_poisoned(math.nan, mid), BinaryGenomeSpec(12),
+                           NONFINITE_PARAMS, seed=1)
+    _assert_no_nan(result)
+    assert result.evaluations > max(mid)
+    reference = osga_minimize(_poisoned(math.inf, mid), BinaryGenomeSpec(12),
+                              NONFINITE_PARAMS, seed=1)
+    assert _summary(result) == _summary(reference)
+
+
+def test_all_nan_fitness_stalls_into_pressure_cap():
+    result = osga_minimize(lambda g: math.nan, BinaryGenomeSpec(12),
+                           NONFINITE_PARAMS, seed=0)
+    assert result.best.fitness == math.inf
+    assert all(f == math.inf for f in result.best_history)
+    assert all(ind.fitness == math.inf for ind in result.population)
+    assert result.terminated_by == "pressure"
+    assert result.generations == 0
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.5, 1.0])
+def test_child_of_infinite_fitness_parents_can_succeed(factor):
+    """A finite child beats any blend of two +inf parents, whatever the
+    comparison factor."""
+    population = [Individual(np.array([1.0]), math.inf),
+                  Individual(np.array([2.0]), math.inf)]
+    params = OsgaParams(population_size=2, comparison_factor=factor,
+                        success_ratio=1.0, max_selection_pressure=5.0,
+                        crossover_kind="arithmetic")
+    next_pop, stats = offspring_selection_step(
+        population, RealGenomeSpec(np.array([[0.0, 10.0]])), params,
+        lambda g: 0.0, substream(0, "inf-parents"))
+    assert stats.completed
+    assert stats.n_successful == 1
+    assert next_pop[1].fitness == 0.0
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(positions=st.sets(st.integers(0, 299)),
+       bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       seed=st.integers(0, 3))
+def test_nonfinite_fitness_runs_like_plus_inf(positions, bad, seed):
+    """Whatever evaluations come back non-finite, the run is the one in
+    which they came back +inf, and no NaN reaches the result."""
+    result = osga_minimize(_poisoned(bad, positions), BinaryGenomeSpec(12),
+                           NONFINITE_PARAMS, seed=seed)
+    reference = osga_minimize(_poisoned(math.inf, positions),
+                              BinaryGenomeSpec(12), NONFINITE_PARAMS,
+                              seed=seed)
+    _assert_no_nan(result)
+    assert _summary(result) == _summary(reference)
 
 
 # ---------------------------------------------------------------------------
