@@ -5,6 +5,16 @@ so growing a larger forest with the same seed reproduces the smaller
 forest's trees as a prefix. Bootstrap rows are drawn with replacement;
 each split considers a random subset of feature columns and picks the
 threshold minimizing the summed squared error of the two children.
+
+Split rule: a node splits only if it is shallower than max_depth, holds
+at least 2 * min_leaf_size rows and its targets are not all equal. It
+then draws its candidate columns with one rng.choice (nodes draw in
+preorder, left child first, after the tree's bootstrap draw). A cut
+between two sorted neighbours is allowed when their x values differ
+and each side keeps min_leaf_size rows; the threshold is their
+midpoint, and rows with x <= threshold go left. Among equal costs the
+earliest drawn candidate wins, then the smallest cut. A node with no
+allowed cut stays a leaf.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import seed_sequence
+from ._rng import substream
 from .errors import EmptyInputError, InvalidConfigError, ShapeMismatchError
 
 
@@ -133,7 +143,8 @@ class _TreeGrower:
     def grow(self, root_rows: np.ndarray) -> None:
         # preorder worklist, left child first, so random draws happen in
         # the same order a recursive implementation would make them
-        cfg = self.config
+        max_depth = self.config.max_depth
+        min_rows = 2 * self.config.min_leaf_size
         stack: list[tuple[np.ndarray, int, int, bool]] = [
             (root_rows, 0, -1, False)]
         while stack:
@@ -145,10 +156,11 @@ class _TreeGrower:
                 else:
                     self.left[parent] = node
             y = self.y[rows]
-            self.value[node] = float(y.mean())
-            if (cfg.max_depth is not None and depth >= cfg.max_depth) \
-                    or rows.size < 2 * cfg.min_leaf_size \
-                    or np.all(y == y[0]):
+            # the pairwise sum and the one division of y.mean(), without
+            # its dispatch overhead
+            self.value[node] = float(y.sum() / y.size)
+            if (max_depth is not None and depth >= max_depth) \
+                    or rows.size < min_rows or (y == y[0]).all():
                 continue
             split = self._best_split(rows, y)
             if split is None:
@@ -161,38 +173,42 @@ class _TreeGrower:
             stack.append((rows[go_left], depth + 1, node, False))
 
     def _best_split(self, rows, y):
+        """Score every cut of every drawn candidate column in one pass;
+        return (column, threshold) or None when no cut is allowed."""
         d = self.X.shape[1]
         candidates = self.rng.choice(d, size=min(self.n_candidates, d),
                                      replace=False)
-        best_cost = np.inf
-        best = None
         min_leaf = self.config.min_leaf_size
         n = rows.size
-        for feat in candidates:
-            x = self.X[rows, feat]
-            order = np.argsort(x, kind="stable")
-            xs = x[order]
-            ys = y[order]
-            # summed squared error of every prefix/suffix in one pass
-            csum = np.cumsum(ys)
-            csq = np.cumsum(ys * ys)
-            total_sum = csum[-1]
-            total_sq = csq[-1]
-            sizes = np.arange(1, n)
-            left_sse = csq[:-1] - csum[:-1] ** 2 / sizes
-            right_sum = total_sum - csum[:-1]
-            right_sse = (total_sq - csq[:-1]) - right_sum ** 2 / (n - sizes)
-            cost = left_sse + right_sse
-            valid = (xs[:-1] < xs[1:]) \
-                & (sizes >= min_leaf) & (n - sizes >= min_leaf)
-            if not np.any(valid):
-                continue
-            cost = np.where(valid, cost, np.inf)
-            k = int(np.argmin(cost))
-            if cost[k] < best_cost:
-                best_cost = cost[k]
-                best = (int(feat), float((xs[k] + xs[k + 1]) / 2.0))
-        return best
+        x = self.X[rows[:, None], candidates]
+        order = x.argsort(axis=0, kind="stable")
+        xs = x[order, np.arange(x.shape[1])]
+        ys = y[order]
+        # summed squared error of every prefix/suffix; cumsum adds in
+        # sequence along each column, so every cost has the bits the
+        # one-column scan gives
+        csum = ys.cumsum(axis=0)
+        csq = (ys * ys).cumsum(axis=0)
+        # cut k puts sorted rows 0..k left; keep only the cuts that
+        # leave min_leaf rows on each side
+        lo, hi = min_leaf - 1, n - min_leaf
+        sizes = np.arange(min_leaf, hi + 1)[:, None]
+        left_sum = csum[lo:hi]
+        left_sq = csq[lo:hi]
+        left_sse = left_sq - left_sum ** 2 / sizes
+        right_sum = csum[-1] - left_sum
+        right_sse = (csq[-1] - left_sq) - right_sum ** 2 / (n - sizes)
+        cost = (left_sse + right_sse).T
+        # no threshold separates tied x values
+        cost[(xs[lo:hi] == xs[lo + 1:hi + 1]).T] = np.inf
+        # row-major argmin: the earliest drawn candidate, then the
+        # smallest cut
+        best = int(cost.argmin())
+        j, k = divmod(best, cost.shape[1])
+        if not cost[j, k] < np.inf:
+            return None
+        k += lo
+        return int(candidates[j]), float((xs[k, j] + xs[k + 1, j]) / 2.0)
 
     def build(self) -> RegressionTree:
         n = self.X.shape[0]
@@ -219,6 +235,8 @@ def fit_random_forest(features: np.ndarray, target: np.ndarray,
     y = np.asarray(target, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeMismatchError("features must be 2-d")
+    if y.ndim != 1:
+        raise ShapeMismatchError("target must be 1-d")
     if X.shape[0] != y.shape[0]:
         raise ShapeMismatchError(
             f"{X.shape[0]} feature rows vs {y.shape[0]} targets")
@@ -226,15 +244,16 @@ def fit_random_forest(features: np.ndarray, target: np.ndarray,
         raise EmptyInputError("cannot fit on zero rows")
     if X.shape[1] == 0:
         raise EmptyInputError("forest needs at least one feature column")
+    if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
+        raise InvalidConfigError("forest features and target must be finite")
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
     if len(feature_names) != X.shape[1]:
         raise ShapeMismatchError("feature_names length mismatch")
     trees = []
     for i in range(config.n_trees):
-        rng = np.random.Generator(
-            np.random.Philox(seed_sequence(seed, "tree", i)))
-        trees.append(_TreeGrower(X, y, config, rng).build())
+        trees.append(
+            _TreeGrower(X, y, config, substream(seed, "tree", i)).build())
     return ForestModel(tuple(trees), config, tuple(feature_names))
 
 

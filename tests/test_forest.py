@@ -1,8 +1,13 @@
 """Bagged regression trees: determinism, split behavior, oracle checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from optnet._rng import substream
 from optnet.errors import (
     EmptyInputError,
     InvalidConfigError,
@@ -11,6 +16,7 @@ from optnet.errors import (
 from optnet.forest import (
     ForestConfig,
     ForestModel,
+    _TreeGrower,
     fit_random_forest,
     predict_forest,
 )
@@ -118,6 +124,8 @@ def test_fit_input_errors():
         fit_random_forest(np.zeros(5), np.zeros(5))
     with pytest.raises(ShapeMismatchError):
         fit_random_forest(np.zeros((5, 2)), np.zeros(4))
+    with pytest.raises(ShapeMismatchError):
+        fit_random_forest(np.zeros((5, 2)), np.zeros((5, 1)))
     with pytest.raises(EmptyInputError):
         fit_random_forest(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(EmptyInputError):
@@ -165,3 +173,131 @@ def test_feature_ratio_limits_candidates():
                              seed=0)
     root_features = {int(t.feature[0]) for t in full.trees}
     assert root_features == {2}
+
+
+@pytest.mark.parametrize("where", ["features", "target"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_are_rejected(where, bad):
+    X, y = _step_data(seed=4, n=30)
+    if where == "features":
+        X[7, 0] = bad
+    else:
+        y[7] = bad
+    with pytest.raises(InvalidConfigError):
+        fit_random_forest(X, y, ForestConfig(n_trees=2), seed=0)
+
+
+class _LoopGrower(_TreeGrower):
+    """The split scan as one Python loop over the candidate columns: the
+    reference the vectorized scan must match bit for bit."""
+
+    def _best_split(self, rows, y):
+        d = self.X.shape[1]
+        candidates = self.rng.choice(d, size=min(self.n_candidates, d),
+                                     replace=False)
+        best_cost = np.inf
+        best = None
+        min_leaf = self.config.min_leaf_size
+        n = rows.size
+        for feat in candidates:
+            x = self.X[rows, feat]
+            order = np.argsort(x, kind="stable")
+            xs = x[order]
+            ys = y[order]
+            # summed squared error of every prefix/suffix in one pass
+            csum = np.cumsum(ys)
+            csq = np.cumsum(ys * ys)
+            total_sum = csum[-1]
+            total_sq = csq[-1]
+            sizes = np.arange(1, n)
+            left_sse = csq[:-1] - csum[:-1] ** 2 / sizes
+            right_sum = total_sum - csum[:-1]
+            right_sse = (total_sq - csq[:-1]) - right_sum ** 2 / (n - sizes)
+            cost = left_sse + right_sse
+            valid = (xs[:-1] < xs[1:]) \
+                & (sizes >= min_leaf) & (n - sizes >= min_leaf)
+            if not np.any(valid):
+                continue
+            cost = np.where(valid, cost, np.inf)
+            k = int(np.argmin(cost))
+            if cost[k] < best_cost:
+                best_cost = cost[k]
+                best = (int(feat), float((xs[k] + xs[k + 1]) / 2.0))
+        return best
+
+
+@st.composite
+def _small_integer_problems(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 6))
+    cells = st.integers(0, 3)
+    X = np.array(draw(st.lists(cells, min_size=n * d, max_size=n * d)),
+                 dtype=np.float64).reshape(n, d)
+    y = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+                 dtype=np.float64)
+    config = ForestConfig(
+        n_trees=draw(st.integers(1, 3)),
+        sample_ratio=draw(st.sampled_from([0.5, 0.8, 1.0])),
+        feature_ratio=draw(st.sampled_from([0.2, 0.5, 0.7, 1.0])),
+        max_depth=draw(st.one_of(st.none(), st.integers(0, 5))),
+        min_leaf_size=draw(st.integers(1, 4)))
+    return X, y, config, draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_small_integer_problems())
+def test_vectorized_split_matches_loop_reference(problem):
+    """Small integer X and y make tied x values and cost ties across
+    candidates common, so the tie order is exercised too."""
+    X, y, config, seed = problem
+    model = fit_random_forest(X, y, config, seed=seed)
+    reference = tuple(
+        _LoopGrower(X, y, config, substream(seed, "tree", i)).build()
+        for i in range(config.n_trees))
+    assert model.trees == reference
+
+
+def _golden_cases():
+    rng = np.random.default_rng(20)
+    X = rng.standard_normal((150, 6))
+    y = X[:, 0] - 2.0 * X[:, 3] ** 2 + 0.3 * rng.standard_normal(150)
+    yield X, y, ForestConfig(n_trees=6), 1
+    base = rng.integers(0, 5, size=(120, 3)).astype(float)
+    yield (base[:, [0, 0, 1, 2, 2, 1]],
+           base[:, 0] * base[:, 2] + rng.integers(0, 3, size=120),
+           ForestConfig(n_trees=6, feature_ratio=0.7, sample_ratio=1.0,
+                        min_leaf_size=1), 2)
+    Xi = rng.integers(-3, 4, size=(200, 5)).astype(float)
+    yield (Xi, np.abs(Xi[:, 1]) + Xi[:, 4] + rng.integers(0, 2, size=200),
+           ForestConfig(n_trees=6, min_leaf_size=5, max_depth=7), 3)
+    Xs = rng.uniform(-1, 1, size=(90, 2))
+    yield (Xs, np.where(Xs[:, 1] > 0.2, 3.0, -1.0),
+           ForestConfig(n_trees=4, feature_ratio=1.0, max_depth=2), 4)
+
+
+# SHA-256 over every tree's arrays for the _golden_cases above, in order:
+# Gaussian features, duplicate integer columns, min_leaf_size=5 on
+# integer features, and a depth-2 step. A change to the draw order, the
+# tie order or the cost arithmetic changes them.
+_GOLDEN = (
+    "e21c624120a59c88dc7ed38cf5df14b35c2bbec86f6b3dbc4c160afaf2c2d510",
+    "40e81222888d84baebfd9eaaf1e732b64afd5cb4eff4532795001436bed1cfa1",
+    "b3dce59a3839525f39d2db7edb6e14d087a2cdd39c12d54d95dc535cae1de896",
+    "ac6d5ce2ec9541e448e0ebbb0aeb1763fb45193e809850df6f868d9ab7c8d00c",
+)
+
+
+def _forest_digest(model):
+    h = hashlib.sha256()
+    for tree in model.trees:
+        for array, dtype in ((tree.feature, "<i8"), (tree.threshold, "<f8"),
+                             (tree.left, "<i8"), (tree.right, "<i8"),
+                             (tree.value, "<f8")):
+            h.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+def test_forests_match_golden_digests():
+    digests = tuple(_forest_digest(fit_random_forest(X, y, config, seed=seed))
+                    for X, y, config, seed in _golden_cases())
+    assert digests == _GOLDEN
