@@ -248,6 +248,10 @@ class Network:
         self.queues: dict[tuple[str, str], deque[Message]] = {
             (n.id, p.name): deque() for n in topology.nodes
             for p in n.input_ports}
+        # node id -> {port name: Port}, so emits skip the port scan
+        self.output_ports: dict[str, dict[str, Port]] = {
+            n.id: {p.name: p for p in n.output_ports}
+            for n in topology.nodes}
         self.sink_ports = [
             (n.id, p.name) for n in topology.nodes
             for p in n.output_ports if (n.id, p.name) not in self.route]
@@ -267,12 +271,10 @@ class Network:
         Raises UnconnectedPortError when that port has no connection;
         external sends to sink ports make no sense.
         """
-        try:
-            node = self.topology.node(source_node)
-        except KeyError:
-            raise UnconnectedPortError(
-                f"unknown node {source_node!r}") from None
-        port = node.output_port(source_port)
+        ports = self.output_ports.get(source_node)
+        if ports is None:
+            raise UnconnectedPortError(f"unknown node {source_node!r}")
+        port = ports.get(source_port)
         if port is None:
             raise UnconnectedPortError(
                 f"node {source_node!r} has no output port {source_port!r}")
@@ -295,7 +297,7 @@ class Network:
     def emit_from(self, node: Node, port_name: str, payload) -> None:
         """Route one handler emission: connected ports enqueue, sinks
         collect. Used by the engine's merge step."""
-        port = node.output_port(port_name)
+        port = self.output_ports[node.id][port_name]
         msg = Message(node.id, port_name,
                       self._next_correlation((node.id, port_name)),
                       port.kind, payload)
@@ -337,15 +339,23 @@ class NetworkRun:
 
 
 class NodeContext:
-    """Hands a handler its node's random stream and an emit buffer."""
+    """Hands a handler its node's random stream and an emit buffer.
 
-    def __init__(self, node: Node, rng: np.random.Generator):
+    ports maps the node's output port names to their Port; the engine
+    passes the table its Network built, and it is derived from the node
+    when omitted.
+    """
+
+    def __init__(self, node: Node, rng: np.random.Generator,
+                 ports: dict[str, Port] | None = None):
         self._node = node
+        self._ports = ports if ports is not None \
+            else {p.name: p for p in node.output_ports}
         self.rng = rng
         self.emitted: list[tuple[str, object]] = []
 
     def emit(self, port_name: str, payload) -> None:
-        port = self._node.output_port(port_name)
+        port = self._ports.get(port_name)
         if port is None:
             raise InvalidConfigError(
                 f"node {self._node.id!r} has no output port {port_name!r}")
@@ -378,14 +388,20 @@ def run_network(topology: Topology, termination,
     if not isinstance(termination, (MessageBudget, SinksEmitted)):
         raise InvalidConfigError(
             "termination must be MessageBudget or SinksEmitted")
-    if isinstance(termination, MessageBudget) and termination.limit < 1:
-        raise InvalidConfigError("message budget must be at least 1")
-    if isinstance(termination, SinksEmitted):
+    # resolve the rule once: a message limit, or the sink lists to watch
+    limit: int | None = None
+    watched: list[list] = []
+    if isinstance(termination, MessageBudget):
+        limit = termination.limit
+        if limit < 1:
+            raise InvalidConfigError("message budget must be at least 1")
+    else:
         for want in termination.ports:
             if tuple(want) not in net.sink_outputs:
                 raise UnconnectedPortError(
                     f"termination waits on {want[0]}.{want[1]}, which is "
                     f"not an unconnected output port")
+            watched.append(net.sink_outputs[tuple(want)])
 
     handled = 0
     produced = 0
@@ -407,12 +423,13 @@ def run_network(topology: Topology, termination,
         entry_count = 1
 
     def met() -> str | None:
-        if isinstance(termination, MessageBudget):
-            return "budget" if handled >= termination.limit else None
-        if all(len(net.sink_outputs[tuple(p)]) > 0
-               for p in termination.ports):
-            return "sinks"
-        return None
+        if limit is not None:
+            return "budget" if handled >= limit else None
+        return "sinks" if all(watched) else None
+
+    # each node with its input queues in declaration order
+    inboxes = [(n, [(p.name, net.queues[(n.id, p.name)])
+                    for p in n.input_ports]) for n in topology.nodes]
 
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
@@ -425,23 +442,22 @@ def run_network(topology: Topology, termination,
 
             # pick at most one message per node, in canonical order
             batch: list[tuple[Node, str | None, Message | None, object]] = []
-            for n in topology.nodes:
+            for n, inbox in inboxes:
                 if pending_entry is not None and pending_entry[0] == n.id:
                     batch.append((n, None, None, pending_entry[1]))
                     pending_entry = None
                     continue
-                for p in n.input_ports:
-                    q = net.queues[(n.id, p.name)]
+                for port_name, q in inbox:
                     if q:
                         msg = q.popleft()
-                        batch.append((n, p.name, msg, msg.payload))
+                        batch.append((n, port_name, msg, msg.payload))
                         break
             if not batch:
                 raise DeadlockError(
                     "network drained before the termination rule was met")
-            if isinstance(termination, MessageBudget):
+            if limit is not None:
                 # deliver exactly limit messages: put the overflow back
-                room = termination.limit - handled
+                room = limit - handled
                 if len(batch) > room:
                     for n, port_name, msg, payload in batch[room:]:
                         if port_name is None:
@@ -452,7 +468,8 @@ def run_network(topology: Topology, termination,
 
             contexts = []
             for node, port_name, msg, payload in batch:
-                ctx = NodeContext(node, rngs[node.id])
+                ctx = NodeContext(node, rngs[node.id],
+                                  net.output_ports[node.id])
                 contexts.append(ctx)
                 if trace:
                     if port_name is None:
@@ -489,7 +506,7 @@ def run_network(topology: Topology, termination,
                     if trace:
                         events.append(TraceEvent(
                             rounds, "emit", node.id, port_name,
-                            node.output_port(port_name).kind,
+                            net.output_ports[node.id][port_name].kind,
                             net._correlation.get((node.id, port_name), 0)))
                     net.emit_from(node, port_name, payload)
             rounds += 1

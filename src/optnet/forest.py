@@ -246,6 +246,12 @@ def fit_random_forest(features: np.ndarray, target: np.ndarray,
         raise EmptyInputError("forest needs at least one feature column")
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise InvalidConfigError("forest features and target must be finite")
+    # a bootstrap sample has at most n rows, so (n * max|y|)^2 bounds
+    # every sum of squares and squared sum the split scan forms
+    peak = X.shape[0] * float(np.abs(y).max())
+    if not math.isfinite(peak * peak):
+        raise InvalidConfigError(
+            "forest target too large: its sums of squares overflow")
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
     if len(feature_names) != X.shape[1]:

@@ -102,7 +102,9 @@ def fit_ols(features: np.ndarray, target: np.ndarray,
 
     Solved through an orthogonal decomposition, which handles more
     columns than rows by returning the minimum-norm solution; the model
-    is flagged rank_deficient in that case rather than raising.
+    is flagged rank_deficient in that case rather than raising. NaN or
+    infinite features or targets raise InvalidConfigError before the
+    solve.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(target, dtype=np.float64)
@@ -113,6 +115,8 @@ def fit_ols(features: np.ndarray, target: np.ndarray,
             f"{X.shape[0]} feature rows vs {y.shape[0]} targets")
     if X.shape[0] == 0:
         raise EmptyInputError("cannot fit on zero rows")
+    if not np.isfinite(X).all() or not np.isfinite(y).all():
+        raise InvalidConfigError("OLS features and target must be finite")
     n, d = X.shape
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(d))

@@ -18,7 +18,15 @@ from .errors import ShapeMismatchError
 
 @dataclass(frozen=True, eq=False)
 class RegressionProblem:
-    """A concrete fit request: projected train and validation splits."""
+    """A concrete fit request: projected train and validation splits.
+
+    mask, when set, is the selection the features were projected with.
+    Model nodes may reuse a fit for a later problem with equal mask bits
+    and the very same (identical, not merely equal) target arrays, so
+    such problems must carry the same features; an orchestrator's
+    projections share its target arrays and keep this. Problems built by
+    hand without a mask are always fitted afresh.
+    """
 
     train_features: np.ndarray
     train_target: np.ndarray

@@ -1,5 +1,7 @@
 """Message-passing engine: validation, routing, scheduling, accounting."""
 
+import hashlib
+
 import pytest
 
 from optnet.engine import (
@@ -20,6 +22,8 @@ from optnet.errors import (
     InvalidConfigError,
     UnconnectedPortError,
 )
+from optnet.networks import build_feature_selection_topology
+from optnet.osga import OsgaParams
 from optnet._rng import substream
 
 
@@ -459,3 +463,66 @@ def test_first_nonempty_input_port_wins():
     assert received == [("high", 10.0), ("high", 20.0), ("low", 1.0),
                         ("low", 2.0)]
     assert run.sink("t", "seen") == [10.0, 20.0, 1.0, 2.0]
+
+
+# ---------------------------------------------------------------------------
+# Pinned behaviour of the routing and termination tables
+
+def _run_digest(run):
+    """SHA-256 over every trace event and the run's counters."""
+    h = hashlib.sha256()
+    for e in run.trace:
+        h.update(repr((e.round_index, e.event, e.node, e.port, e.kind,
+                       e.correlation_id)).encode())
+    h.update(repr((run.rounds, run.messages_handled, run.messages_produced,
+                   run.messages_remaining, run.entry_count, run.stopped_by,
+                   sorted(run.node_message_counts.items()))).encode())
+    return h.hexdigest()
+
+
+# digests of the engine before its port, inbox and termination tables
+PINNED_RUN_DIGESTS = {
+    "sinks": "d35a4172084de0d5c173462d779f59298ac192ac542c3492064f2b4769b2c202",
+    "budget":
+        "05293be6a64067dde625b4cbe6a667cccd7f47d4a493195a1adaa0265a0bfe50",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("rule, termination", [
+    ("sinks", SinksEmitted((("selector", "result"),))),
+    ("budget", MessageBudget(37)),
+])
+def test_feature_selection_trace_is_pinned(small_partitioned, rule,
+                                           termination, workers):
+    params = OsgaParams(population_size=8, max_evaluations=120,
+                        max_selection_pressure=20.0)
+    run = run_network(build_feature_selection_topology(small_partitioned,
+                                                       params),
+                      termination, entry=("selector", None), seed=5,
+                      workers=workers, trace=True)
+    assert run.stopped_by == rule
+    assert _run_digest(run) == PINNED_RUN_DIGESTS[rule]
+
+
+@pytest.mark.parametrize("port, payload, message", [
+    ("missing", 1.0, "node 'p' has no output port 'missing'"),
+    ("out", "text", "payload str does not match kind 'scalar-quality' "
+                    "of p.out"),
+])
+def test_bad_emit_messages_in_a_run(port, payload, message):
+    class BadEmitter(Node):
+        output_ports = (Port("out", "scalar-quality"),)
+
+        def handle_entry(self, entry, ctx):
+            ctx.emit(port, payload)
+
+    with pytest.raises(InvalidConfigError) as direct:
+        NodeContext(BadEmitter("p"), substream(0, "t")).emit(port, payload)
+    assert str(direct.value) == message
+    topo = Topology()
+    topo.add(BadEmitter("p"))
+    with pytest.raises(HandlerFailureError) as info:
+        run_network(topo, MessageBudget(1), entry=("p", None))
+    assert isinstance(info.value.original, InvalidConfigError)
+    assert str(info.value.original) == message

@@ -1,6 +1,7 @@
 """Bagged regression trees: determinism, split behavior, oracle checks."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,26 @@ def test_non_finite_inputs_are_rejected(where, bad):
         y[7] = bad
     with pytest.raises(InvalidConfigError):
         fit_random_forest(X, y, ForestConfig(n_trees=2), seed=0)
+
+
+@pytest.mark.parametrize("scale, rejected", [(1e150, False), (1e155, True)])
+def test_targets_whose_squares_overflow_are_rejected(scale, rejected):
+    """At 1e155 the split scan's sums of squares would overflow and every
+    tree would stay one leaf; at 1e150 the forest grows without a
+    warning."""
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((80, 4))
+    y = X[:, 0] + rng.standard_normal(80)
+    y[rng.choice(80, size=16, replace=False)] *= scale
+    config = ForestConfig(n_trees=5, min_leaf_size=1)
+    if rejected:
+        with pytest.raises(InvalidConfigError, match="overflow"):
+            fit_random_forest(X, y, config, seed=0)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forest = fit_random_forest(X, y, config, seed=0)
+    assert all(tree.feature.size > 1 for tree in forest.trees)
 
 
 class _LoopGrower(_TreeGrower):

@@ -99,6 +99,26 @@ def test_ols_input_errors():
         fit_ols(np.zeros(3), np.zeros(3))
 
 
+@pytest.mark.parametrize("where", ["features", "target"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ols_non_finite_inputs_are_rejected(regression_case, where, bad,
+                                            capfd):
+    """Raised before the solve: LAPACK never sees the value (a NaN used
+    to make it print to stderr), and an inf target no longer gives an
+    all-NaN model."""
+    X, y = (a.copy() for a in regression_case)
+    if where == "features":
+        X[7, 2] = bad
+    else:
+        y[7] = bad
+    with pytest.raises(InvalidConfigError, match="finite"):
+        fit_ols(X, y)
+    if where == "target":  # the intercept-only path checks it too
+        with pytest.raises(InvalidConfigError, match="finite"):
+            fit_ols(X[:, :0], y)
+    assert capfd.readouterr().err == ""
+
+
 def test_predict_shape_check(regression_case):
     X, y = regression_case
     model = fit_ols(X, y)

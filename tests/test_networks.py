@@ -1,11 +1,20 @@
 """Feature-selection network, its plain-loop twin, and nested tuning."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from optnet.data import FeatureMask, partition
+from optnet import networks
+from optnet.data import (
+    BenchmarkConfig,
+    FeatureMask,
+    generate_benchmark,
+    partition,
+)
 from optnet.engine import Node, NodeContext
 from optnet.errors import InvalidConfigError
 from optnet.forest import ForestConfig, ForestModel
@@ -193,6 +202,130 @@ def test_user_model_node_drawing_randomness_matches_twin(
     direct = feature_selection_direct(small_partitioned, TINY_PARAMS,
                                       model=make_node(), seed=3)
     assert net == direct
+
+
+# ---------------------------------------------------------------------------
+# OLS fit memo
+
+def _fresh_fit(problem):
+    return OlsModelNode("fresh").fit_problem(problem, substream(0, "x"))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(bound=st.integers(1, 6),
+       pool=st.lists(st.integers(0, 255), min_size=2, max_size=12,
+                     unique=True),
+       picks=st.lists(st.integers(0, 11), min_size=1, max_size=60))
+def test_memo_returns_what_a_fresh_fit_returns(small_partitioned, bound,
+                                               pool, picks):
+    """Any mask sequence, with repeats and evictions, gets the fits a
+    fresh node would make, and hits follow a least-recently-used memo."""
+    orchestrator = RegressionOrchestratorNode("o", small_partitioned)
+    node = OlsModelNode("model")
+    recent: list[bytes] = []  # oracle: most recently used last
+    with mock.patch.object(networks, "OLS_MEMO_SIZE", bound):
+        for pick in picks:
+            code = pool[pick % len(pool)]
+            mask = FeatureMask(np.array([(code >> b) & 1 for b in range(8)]))
+            problem = orchestrator.make_problem(mask)
+            key = mask.bits.tobytes()
+            hits = node.hits
+            assert node.fit_problem(problem, None) == _fresh_fit(problem)
+            assert node.hits - hits == (key in recent)
+            if key in recent:
+                recent.remove(key)
+            recent = (recent + [key])[-bound:]
+    assert node.hits + node.fits == len(picks)
+
+
+def test_memo_evicts_past_its_bound():
+    dataset, _ = generate_benchmark(
+        BenchmarkConfig(n_observations=40, n_features=11, n_relevant=2),
+        seed=2)
+    orchestrator = RegressionOrchestratorNode("o", partition(dataset, seed=2))
+    node = OlsModelNode("model")
+    masks = [FeatureMask(np.array([(i >> b) & 1 for b in range(11)]))
+             for i in range(networks.OLS_MEMO_SIZE + 1)]
+    for mask in masks:
+        node.fit_problem(orchestrator.make_problem(mask), None)
+    assert (node.fits, node.hits) == (len(masks), 0)
+    node.fit_problem(orchestrator.make_problem(masks[-1]), None)
+    assert (node.fits, node.hits) == (len(masks), 1)
+    oldest = orchestrator.make_problem(masks[0])
+    assert node.fit_problem(oldest, None) == _fresh_fit(oldest)
+    assert (node.fits, node.hits) == (len(masks) + 1, 1)
+
+
+def test_memo_keeps_datasets_apart(small_benchmark):
+    """Two orchestrators on different partitions project equal masks onto
+    different target arrays; one node must not mix their fits."""
+    dataset, _ = small_benchmark
+    first = RegressionOrchestratorNode("a", partition(dataset, seed=0))
+    second = RegressionOrchestratorNode("b", partition(dataset, seed=1))
+    node = OlsModelNode("model")
+    masks = (FeatureMask.from_indices((0, 3), 8),
+             FeatureMask.from_indices((1,), 8))
+    for orchestrator in (first, second, first, first):
+        for mask in masks:
+            problem = orchestrator.make_problem(mask)
+            assert node.fit_problem(problem, None) == _fresh_fit(problem)
+    assert (node.fits, node.hits) == (6, 2)
+    assert node.fit_problem(first.make_problem(masks[0]), None) \
+        != node.fit_problem(second.make_problem(masks[0]), None)
+
+
+def test_memo_fits_problems_without_a_mask(small_partitioned):
+    orchestrator = RegressionOrchestratorNode("o", small_partitioned)
+    node = OlsModelNode("model")
+    masked = orchestrator.make_problem(FeatureMask.from_indices((1, 2), 8))
+    bare = replace(masked, mask=None)
+    for problem in (masked, bare, bare, masked):
+        assert node.fit_problem(problem, None) == _fresh_fit(problem)
+    # the unmasked fits neither hit nor empty the memo
+    assert (node.fits, node.hits) == (3, 1)
+
+
+def test_memo_stores_nothing_for_a_fit_that_raises(small_partitioned):
+    orchestrator = RegressionOrchestratorNode("o", small_partitioned)
+    node = OlsModelNode("model")
+    good = orchestrator.make_problem(FeatureMask.from_indices((1, 2), 8))
+    features = good.train_features.copy()
+    features[0, 0] = np.nan
+    bad = replace(good, train_features=features)
+    for _ in range(2):
+        with pytest.raises(InvalidConfigError, match="finite"):
+            node.fit_problem(bad, None)
+    assert (node.fits, node.hits) == (0, 0)
+    assert node.fit_problem(good, None) == _fresh_fit(good)
+    assert (node.fits, node.hits) == (1, 0)
+
+
+class MaskRecordingOlsNode(OlsModelNode):
+    def __init__(self, node_id):
+        super().__init__(node_id)
+        self.seen: list[bytes] = []
+        self.hit_flags: list[bool] = []
+
+    def fit_problem(self, problem, rng):
+        hits = self.hits
+        fitted = super().fit_problem(problem, rng)
+        self.seen.append(problem.mask.bits.tobytes())
+        self.hit_flags.append(self.hits > hits)
+        return fitted
+
+
+def test_memo_counters_on_a_network_run(small_partitioned):
+    node = MaskRecordingOlsNode("model")
+    result = feature_selection_network(small_partitioned, TINY_PARAMS,
+                                       model=node, seed=3)
+    assert len(set(node.seen)) < networks.OLS_MEMO_SIZE
+    # every evaluation plus the final refit
+    assert node.hits + node.fits == result.evaluations + 1 == len(node.seen)
+    assert node.fits == len(set(node.seen))
+    assert node.hits > 0
+    assert node.hit_flags[-1]  # the refit of the winner
+    assert result == feature_selection_direct(small_partitioned, TINY_PARAMS,
+                                              seed=3)
 
 
 def test_worker_count_invariance(small_partitioned):
