@@ -12,49 +12,33 @@ from __future__ import annotations
 import argparse
 import csv as _csv
 import io
-import json
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .analysis import (
-    AnalysisTask,
-    ElasticNetRecipe,
-    FeatureSelectionRecipe,
-    ForestRecipe,
-    OlsRecipe,
-    optimization_analysis_network,
-)
+from .analysis import optimization_analysis_network
 from .data import (
-    DEFAULT_PARTITION_RATIOS,
     BenchmarkConfig,
     FeatureMask,
     GroundTruth,
-    PartitionedDataset,
     generate_benchmark,
     partition,
     save_csv,
     save_ground_truth,
 )
 from .errors import ConfigFileError, InvalidConfigError, OptnetError
-from .forest import ForestConfig
 from .linear import LinearModel, fit_ols, grid_search_elastic_net, mae, predict
 from .netconfig import (
-    _BENCH_KEYS,
-    _FOREST_KEYS,
-    _OSGA_KEYS,
-    _check_keys,
-    _mapping,
-    _osga_params,
-    _pick,
-    data_spec_from_doc,
-    inner_search_from_options,
-    load_experiment_data,
+    DEFAULT_RECIPES,
+    ExperimentConfig,
+    experiment_config_from_doc,
+    load_config_doc,
     load_run_config_file,
+    run_analysis,
     run_configured,
 )
 from .networks import (
@@ -62,13 +46,6 @@ from .networks import (
     feature_selection_network,
     nested_tuning_network,
 )
-from .osga import OsgaParams
-
-METHOD_NAMES = ("full-ols", "oracle-ols", "elastic-net-grid",
-                "fs-network-ols", "fs-network-rf", "nested-rf",
-                "optimization-analysis")
-DEFAULT_METHODS = ("full-ols", "oracle-ols", "elastic-net-grid",
-                   "fs-network-ols")
 
 
 # ---------------------------------------------------------------------------
@@ -183,180 +160,6 @@ class ResultTable:
 
 
 # ---------------------------------------------------------------------------
-# Experiment config
-
-@dataclass
-class AnalysisBlock:
-    """Settings for the optimization-analysis method and subcommand."""
-
-    targets: tuple[float, ...] | None = None
-    subset_size: int = 1
-    recipes: tuple = ()
-    search: OsgaParams | None = None
-    free_inputs: object = "true"  # "true" | "all" | list of names
-
-
-@dataclass
-class ExperimentConfig:
-    """Everything cmd_benchmark needs: seeds, methods, and their knobs."""
-
-    seeds: tuple[int, ...] = (0,)
-    methods: tuple[str, ...] = DEFAULT_METHODS
-    benchmark: BenchmarkConfig = field(default_factory=BenchmarkConfig)
-    ratios: tuple[float, float, float] = DEFAULT_PARTITION_RATIOS
-    workers: int = 1
-    fs_params: OsgaParams = field(default_factory=OsgaParams)
-    penalty_per_feature: float | None = None
-    init_one_probability: float = 0.1
-    en_penalties: tuple[float, ...] | None = None
-    en_l1_ratios: tuple[float, ...] | None = None
-    forest: ForestConfig = field(
-        default_factory=lambda: ForestConfig(n_trees=25))
-    inner_search: object = None
-    analysis: AnalysisBlock = field(default_factory=AnalysisBlock)
-
-    def validate(self) -> None:
-        if not self.seeds:
-            raise ConfigFileError("at least one seed required", field="seeds")
-        if not self.methods:
-            raise ConfigFileError("at least one method required",
-                                  field="methods")
-        for m in self.methods:
-            if m not in METHOD_NAMES:
-                raise ConfigFileError(
-                    f"unknown method {m!r}; known: {list(METHOD_NAMES)}",
-                    field="methods")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigFileError("seeds must be unique", field="seeds")
-        self.benchmark.validate()
-
-
-_TOP_KEYS = ("seeds", "methods", "benchmark", "partition", "workers",
-             "fs-network", "elastic-net", "forest", "nested", "analysis")
-
-
-def experiment_config_from_doc(doc) -> ExperimentConfig:
-    doc = _mapping(doc, "config")
-    _check_keys(doc, _TOP_KEYS, "config")
-    cfg = ExperimentConfig()
-    if "seeds" in doc:
-        seeds = doc["seeds"]
-        if not isinstance(seeds, list):
-            raise ConfigFileError("must be a list", field="seeds")
-        cfg.seeds = tuple(int(s) for s in seeds)
-    if "methods" in doc:
-        methods = doc["methods"]
-        if not isinstance(methods, list):
-            raise ConfigFileError("must be a list", field="methods")
-        cfg.methods = tuple(str(m) for m in methods)
-    if "benchmark" in doc:
-        b = _mapping(doc["benchmark"], "benchmark")
-        _check_keys(b, _BENCH_KEYS, "benchmark")
-        cfg.benchmark = BenchmarkConfig(**_pick(b, _BENCH_KEYS))
-    if "partition" in doc:
-        p = _mapping(doc["partition"], "partition")
-        _check_keys(p, ("ratios",), "partition")
-        if "ratios" in p:
-            ratios = p["ratios"]
-            if not isinstance(ratios, list) or len(ratios) != 3:
-                raise ConfigFileError("ratios must be a 3-item list",
-                                      field="partition")
-            cfg.ratios = tuple(float(x) for x in ratios)
-    if "workers" in doc:
-        cfg.workers = int(doc["workers"])
-    if "fs-network" in doc:
-        fs = _mapping(doc["fs-network"], "fs-network")
-        _check_keys(fs, _OSGA_KEYS + ("penalty_per_feature",
-                                      "init_one_probability"), "fs-network")
-        cfg.fs_params = _osga_params(fs)
-        cfg.penalty_per_feature = fs.get("penalty_per_feature")
-        cfg.init_one_probability = float(fs.get("init_one_probability", 0.1))
-    if "elastic-net" in doc:
-        en = _mapping(doc["elastic-net"], "elastic-net")
-        _check_keys(en, ("penalties", "l1_ratios"), "elastic-net")
-        if "penalties" in en:
-            cfg.en_penalties = tuple(float(x) for x in en["penalties"])
-        if "l1_ratios" in en:
-            cfg.en_l1_ratios = tuple(float(x) for x in en["l1_ratios"])
-    if "forest" in doc:
-        f = _mapping(doc["forest"], "forest")
-        _check_keys(f, _FOREST_KEYS, "forest")
-        cfg.forest = ForestConfig(**_pick(f, _FOREST_KEYS))
-    if "nested" in doc:
-        n = _mapping(doc["nested"], "nested")
-        _check_keys(n, ("search", "budget", "osga", "sample_ratios",
-                        "feature_ratios", "n_trees_options",
-                        "sample_ratio_bounds", "feature_ratio_bounds",
-                        "n_trees_bounds"), "nested")
-        cfg.inner_search = inner_search_from_options(n, "nested")
-    if "analysis" in doc:
-        cfg.analysis = _analysis_block_from_doc(doc["analysis"])
-    cfg.validate()
-    return cfg
-
-
-def _analysis_block_from_doc(doc) -> AnalysisBlock:
-    a = _mapping(doc, "analysis")
-    _check_keys(a, ("targets", "subset_size", "recipes", "search",
-                    "free_inputs"), "analysis")
-    block = AnalysisBlock()
-    if "targets" in a:
-        block.targets = tuple(float(t) for t in a["targets"])
-    if "subset_size" in a:
-        block.subset_size = int(a["subset_size"])
-    if "recipes" in a:
-        block.recipes = tuple(recipe_from_doc(r) for r in a["recipes"])
-    if "search" in a:
-        s = _mapping(a["search"], "analysis.search")
-        _check_keys(s, _OSGA_KEYS, "analysis.search")
-        block.search = _osga_params(s)
-    if "free_inputs" in a:
-        fi = a["free_inputs"]
-        if isinstance(fi, list):
-            block.free_inputs = tuple(str(n) for n in fi)
-        elif fi in ("true", "all"):
-            block.free_inputs = fi
-        else:
-            raise ConfigFileError(
-                "free_inputs must be 'true', 'all', or a name list",
-                field="analysis.free_inputs")
-    return block
-
-
-_RECIPE_KINDS = ("ols", "elastic-net", "random-forest", "feature-selection")
-
-
-def recipe_from_doc(doc):
-    """A recipe is a kind string or a mapping with a 'kind' key."""
-    if isinstance(doc, str):
-        doc = {"kind": doc}
-    doc = _mapping(doc, "recipe")
-    kind = doc.get("kind")
-    if kind == "ols":
-        _check_keys(doc, ("kind",), "recipe.ols")
-        return OlsRecipe()
-    if kind == "elastic-net":
-        _check_keys(doc, ("kind", "penalties", "l1_ratios"),
-                    "recipe.elastic-net")
-        pen = tuple(float(x) for x in doc["penalties"]) \
-            if "penalties" in doc else None
-        rat = tuple(float(x) for x in doc["l1_ratios"]) \
-            if "l1_ratios" in doc else None
-        return ElasticNetRecipe(pen, rat)
-    if kind == "random-forest":
-        _check_keys(doc, ("kind",) + _FOREST_KEYS, "recipe.random-forest")
-        return ForestRecipe(ForestConfig(**_pick(doc, _FOREST_KEYS)))
-    if kind == "feature-selection":
-        _check_keys(doc, ("kind",) + _OSGA_KEYS + ("penalty_per_feature",),
-                    "recipe.feature-selection")
-        return FeatureSelectionRecipe(
-            params=_osga_params(doc),
-            fitness=FitnessConfig(doc.get("penalty_per_feature")))
-    raise ConfigFileError(
-        f"recipe kind must be one of {list(_RECIPE_KINDS)}, got {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # Benchmark methods
 
 @dataclass
@@ -417,76 +220,30 @@ def _method_elastic_net(partitioned, truth, cfg, seed):
         sum(1 for c in result.cells if c.ok))
 
 
-def _fs_outcome(result, truth) -> MethodOutcome:
-    return MethodOutcome(result.best_model.test_mae,
-                         result.best_mask.n_selected,
-                         _correct_mask(result.best_mask, truth),
-                         result.evaluations)
-
-
-def _method_fs_ols(partitioned, truth, cfg, seed):
-    result = feature_selection_network(
-        partitioned, cfg.fs_params, FitnessConfig(cfg.penalty_per_feature),
-        model="ols", seed=seed, workers=cfg.workers,
-        init_one_probability=cfg.init_one_probability)
-    return _fs_outcome(result, truth)
-
-
-def _method_fs_rf(partitioned, truth, cfg, seed):
-    result = feature_selection_network(
-        partitioned, cfg.fs_params, FitnessConfig(cfg.penalty_per_feature),
-        model=cfg.forest, seed=seed, workers=cfg.workers,
-        init_one_probability=cfg.init_one_probability)
-    return _fs_outcome(result, truth)
-
-
-def _method_nested_rf(partitioned, truth, cfg, seed):
-    result = nested_tuning_network(
-        partitioned, cfg.fs_params, FitnessConfig(cfg.penalty_per_feature),
-        inner=cfg.inner_search, seed=seed, workers=cfg.workers,
-        init_one_probability=cfg.init_one_probability)
-    return _fs_outcome(result, truth)
-
-
-def _default_analysis_task(partitioned, truth,
-                           block: AnalysisBlock) -> AnalysisTask:
-    base = partitioned.base
-    names = base.feature_names
-    lo = base.features.min(axis=0)
-    hi = base.features.max(axis=0)
-    bounds = np.column_stack([lo, hi])
-    if block.targets is not None:
-        targets = block.targets
-    else:
-        _, y_train = partitioned.train_xy()
-        targets = (float(np.mean(y_train) + np.std(y_train)),)
-    if block.free_inputs == "all":
-        fixed = {}
-    elif block.free_inputs == "true":
-        if truth is None:
-            raise InvalidConfigError(
-                "free_inputs 'true' needs ground truth; pass a name list")
-        free = {names[i] for i in truth.true_indices}
-        fixed = {n: 0.0 for n in names if n not in free}
-    else:
-        free = set(block.free_inputs)
-        unknown = free - set(names)
-        if unknown:
-            raise ConfigFileError(
-                f"free_inputs {sorted(unknown)} not in the dataset")
-        fixed = {n: 0.0 for n in names if n not in free}
-    return AnalysisTask(names, bounds, targets, fixed)
+def _mask_search_method(network, model_options):
+    """A method that runs a mask-search network with the configured
+    search; model_options(cfg) picks its model node's settings."""
+    def method(partitioned, truth, cfg, seed):
+        result = network(
+            partitioned, cfg.fs_params,
+            FitnessConfig(cfg.penalty_per_feature), seed=seed,
+            workers=cfg.workers,
+            init_one_probability=cfg.init_one_probability,
+            **model_options(cfg))
+        return MethodOutcome(result.best_model.test_mae,
+                             result.best_mask.n_selected,
+                             _correct_mask(result.best_mask, truth),
+                             result.evaluations)
+    return method
 
 
 def _method_analysis(partitioned, truth, cfg, seed):
     block = cfg.analysis
-    recipes = block.recipes or (
-        OlsRecipe(), ForestRecipe(ForestConfig(n_trees=10, max_depth=8)))
-    task = _default_analysis_task(partitioned, truth, block)
+    task = block.task_for(partitioned, truth)
     report = optimization_analysis_network(
-        [partitioned] * len(task.target_outputs), recipes,
-        block.subset_size, task, block.search, seed=seed,
-        workers=cfg.workers)
+        [partitioned] * len(task.target_outputs),
+        block.recipes or DEFAULT_RECIPES, block.subset_size, task,
+        block.search, seed=seed, workers=cfg.workers)
     combo, best = report.ranked[0]
     first = combo[0].result
     test = float("nan") if first.test_mae is None else first.test_mae
@@ -497,9 +254,12 @@ METHODS = {
     "full-ols": _method_full_ols,
     "oracle-ols": _method_oracle_ols,
     "elastic-net-grid": _method_elastic_net,
-    "fs-network-ols": _method_fs_ols,
-    "fs-network-rf": _method_fs_rf,
-    "nested-rf": _method_nested_rf,
+    "fs-network-ols": _mask_search_method(
+        feature_selection_network, lambda cfg: {"model": "ols"}),
+    "fs-network-rf": _mask_search_method(
+        feature_selection_network, lambda cfg: {"model": cfg.forest}),
+    "nested-rf": _mask_search_method(
+        nested_tuning_network, lambda cfg: {"inner": cfg.inner_search}),
     "optimization-analysis": _method_analysis,
 }
 
@@ -526,8 +286,7 @@ def cmd_generate(config: ExperimentConfig | BenchmarkConfig, out_path,
     save_ground_truth(truth, truth_path, seed=seed, config=bench)
     echo = {
         "seed": seed,
-        "benchmark": {f.name: getattr(bench, f.name)
-                      for f in fields(BenchmarkConfig)},
+        "benchmark": asdict(bench),
     }
     echo_path.write_text(yaml.safe_dump(echo, sort_keys=False))
     return [csv_path, truth_path, echo_path]
@@ -555,6 +314,12 @@ def cmd_benchmark(config: ExperimentConfig) -> ResultTable:
     return table
 
 
+def _report_path(config_path, out_path) -> Path:
+    if out_path is not None:
+        return Path(out_path)
+    return Path(config_path).with_suffix(".report.json")
+
+
 def cmd_run(config_path, out_path=None, seed: int | None = None,
             workers: int | None = None) -> Path:
     """Execute a declarative network config and write its report."""
@@ -563,114 +328,23 @@ def cmd_run(config_path, out_path=None, seed: int | None = None,
         cfg.seed = seed
     if workers is not None:
         cfg.workers = workers
-    report = run_configured(cfg)
-    out = Path(out_path) if out_path is not None \
-        else Path(config_path).with_suffix(".report.json")
-    report.save(out)
+    out = _report_path(config_path, out_path)
+    run_configured(cfg).save(out)
     return out
-
-
-_ANALYZE_KEYS = ("seed", "workers", "subset_size", "datasets", "recipes",
-                 "task", "search")
-
-
-def analyze_from_doc(doc) -> dict:
-    """Run the analysis pipeline a config document describes.
-
-    Returns the full report document: embedded config, deterministic
-    result section, and timing.
-    """
-    started = time.perf_counter()
-    doc = _mapping(doc, "config")
-    _check_keys(doc, _ANALYZE_KEYS, "config")
-    seed = int(doc.get("seed", 0))
-    workers = int(doc.get("workers", 1))
-    subset_size = int(doc.get("subset_size", 1))
-    if "datasets" not in doc or not isinstance(doc["datasets"], list) \
-            or not doc["datasets"]:
-        raise ConfigFileError("datasets must be a non-empty list",
-                              field="datasets")
-    loaded = [load_experiment_data(data_spec_from_doc(d, f"datasets[{i}]"),
-                                   seed)
-              for i, d in enumerate(doc["datasets"])]
-    partitioned = [p for p, _ in loaded]
-    recipes = tuple(recipe_from_doc(r) for r in doc.get("recipes", []))
-    if not recipes:
-        recipes = (OlsRecipe(),
-                   ForestRecipe(ForestConfig(n_trees=10, max_depth=8)))
-
-    t = _mapping(doc.get("task"), "task")
-    _check_keys(t, ("input_names", "bounds", "targets", "fixed"), "task")
-    if "targets" not in t:
-        raise ConfigFileError("missing 'targets'", field="task")
-    targets = tuple(float(x) for x in t["targets"])
-    if "input_names" in t:
-        input_names = tuple(str(n) for n in t["input_names"])
-    else:
-        input_names = partitioned[0].base.feature_names
-    if "bounds" in t:
-        bounds = np.asarray(t["bounds"], dtype=np.float64)
-    else:
-        bounds = _observed_bounds(partitioned, input_names)
-    fixed = {str(k): float(v)
-             for k, v in _mapping(t.get("fixed"), "task.fixed").items()}
-    task = AnalysisTask(input_names, bounds, targets, fixed)
-
-    search = None
-    if "search" in doc:
-        s = _mapping(doc["search"], "search")
-        _check_keys(s, _OSGA_KEYS, "search")
-        search = _osga_params(s)
-
-    report = optimization_analysis_network(
-        partitioned, recipes, subset_size, task, search,
-        seed=seed, workers=workers)
-    return {
-        "config": doc,
-        "result": report.to_json_dict(),
-        "timing": {"wall_time": time.perf_counter() - started},
-    }
-
-
-def _observed_bounds(partitioned: list[PartitionedDataset],
-                     input_names) -> np.ndarray:
-    """Per-input [min, max] over every dataset that carries the input."""
-    bounds = np.empty((len(input_names), 2))
-    for i, name in enumerate(input_names):
-        lo, hi = np.inf, -np.inf
-        for p in partitioned:
-            names = p.base.feature_names
-            if name in names:
-                col = p.base.features[:, names.index(name)]
-                lo = min(lo, float(col.min()))
-                hi = max(hi, float(col.max()))
-        if not np.isfinite(lo):
-            raise ConfigFileError(
-                f"input {name!r} appears in no dataset; give explicit bounds",
-                field="task.bounds")
-        bounds[i] = (lo, hi)
-    return bounds
 
 
 def cmd_analyze(config_path, out_path=None, seed: int | None = None,
                 workers: int | None = None) -> Path:
-    try:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigFileError(f"cannot read config: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigFileError(f"invalid YAML: {exc}") from exc
-    doc = _mapping(doc, "config")
+    """Run the analysis an analyze config describes and write its
+    report."""
+    doc = load_config_doc(config_path)
     # overrides are baked into the embedded config so replays see them
     if seed is not None:
         doc["seed"] = seed
     if workers is not None:
         doc["workers"] = workers
-    report_doc = analyze_from_doc(doc)
-    out = Path(out_path) if out_path is not None \
-        else Path(config_path).with_suffix(".report.json")
-    out.write_text(json.dumps(report_doc, indent=2, sort_keys=True) + "\n")
+    out = _report_path(config_path, out_path)
+    run_analysis(doc).save(out)
     return out
 
 
@@ -705,12 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a network config")
     common(p_run, needs_config=True)
-    p_run.set_defaults(func=_main_run)
+    p_run.set_defaults(func=_main_report(cmd_run))
 
     p_an = sub.add_parser("analyze",
                           help="model pool + input optimization")
     common(p_an, needs_config=True)
-    p_an.set_defaults(func=_main_analyze)
+    p_an.set_defaults(func=_main_report(cmd_analyze))
     return parser
 
 
@@ -718,14 +392,7 @@ def _load_experiment_config(args) -> ExperimentConfig:
     if args.config is None:
         cfg = ExperimentConfig()
     else:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                doc = yaml.safe_load(fh)
-        except OSError as exc:
-            raise ConfigFileError(f"cannot read config: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigFileError(f"invalid YAML: {exc}") from exc
-        cfg = experiment_config_from_doc(doc)
+        cfg = experiment_config_from_doc(load_config_doc(args.config))
     if args.seed is not None:
         cfg = replace(cfg, seeds=(args.seed,))
     if args.workers is not None:
@@ -752,16 +419,11 @@ def _main_benchmark(args) -> int:
     return 0
 
 
-def _main_run(args) -> int:
-    out = cmd_run(args.config, args.out, args.seed, args.workers)
-    print(f"wrote {out}")
-    return 0
-
-
-def _main_analyze(args) -> int:
-    out = cmd_analyze(args.config, args.out, args.seed, args.workers)
-    print(f"wrote {out}")
-    return 0
+def _main_report(cmd):
+    def main_cmd(args) -> int:
+        print(f"wrote {cmd(args.config, args.out, args.seed, args.workers)}")
+        return 0
+    return main_cmd
 
 
 CONFIG_ERRORS = (ConfigFileError, InvalidConfigError)

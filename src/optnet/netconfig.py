@@ -1,6 +1,7 @@
-"""Declarative network configs.
+"""Config documents: run, experiment (benchmark) and analyze configs.
 
-A run config is a YAML key/value tree with four top-level sections:
+All three share the block readers here. A run config is a YAML
+key/value tree with four top-level sections:
 
     seed: 7                  # master seed, default 0
     workers: 1               # engine worker count, default 1
@@ -40,20 +41,31 @@ A run config is a YAML key/value tree with four top-level sections:
         sinks: [selector.result]
         # budget: 500
 
-Unknown keys anywhere are rejected. The parsed form converts back to
-the same document (canonical arrow spelling "->"), so configs survive a
-load/save round trip and reports can embed them for exact replay.
+Unknown keys, values of the wrong type and values a block's validate()
+rejects raise ConfigFileError naming the field, before anything runs.
+The parsed form converts back to the same document (canonical arrow
+spelling "->"), so configs survive a load/save round trip and reports
+can embed them for exact replay.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
+from .analysis import (
+    AnalysisTask,
+    ElasticNetRecipe,
+    FeatureSelectionRecipe,
+    ForestRecipe,
+    OlsRecipe,
+    optimization_analysis_network,
+)
 from .data import (
     DEFAULT_PARTITION_RATIOS,
     BenchmarkConfig,
@@ -66,7 +78,7 @@ from .data import (
     partition,
 )
 from .engine import MessageBudget, SinksEmitted, Topology, run_network
-from .errors import ConfigFileError
+from .errors import ConfigFileError, InvalidConfigError
 from .forest import ForestConfig, ForestModel
 from .linear import LinearModel
 from .networks import (
@@ -100,15 +112,8 @@ def parse_connection(text: str) -> tuple[str, str, str, str]:
             break
     else:
         raise ConfigFileError(f"connection {text!r} lacks an '->' arrow")
-    ends = []
-    for part, side in ((left, "source"), (right, "destination")):
-        part = part.strip()
-        node, dot, port = part.partition(".")
-        if not dot or not node or not port or "." in port:
-            raise ConfigFileError(
-                f"connection {side} {part!r} must be 'node.port'")
-        ends.extend((node, port))
-    return tuple(ends)
+    return (*_parse_endpoint(left.strip(), "connection source"),
+            *_parse_endpoint(right.strip(), "connection destination"))
 
 
 def format_connection(src_node: str, src_port: str,
@@ -124,24 +129,190 @@ def _parse_endpoint(text: str, where: str) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
+# YAML files
+
+def config_doc_from_yaml(text: str) -> dict:
+    """Parse YAML text into a config mapping (None parses to {})."""
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        loc = f" at line {mark.line + 1}" if mark is not None else ""
+        raise ConfigFileError(f"invalid YAML{loc}: {exc}") from exc
+    return _mapping(doc, "config")
+
+
+def load_config_doc(path) -> dict:
+    """Read and parse a YAML config file of any document type."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigFileError(f"cannot read config: {exc}") from exc
+    return config_doc_from_yaml(text)
+
+
+# ---------------------------------------------------------------------------
 # Schema helpers
 
-def _mapping(doc, where: str) -> dict:
+def _mapping(doc, where: str, allowed=None) -> dict:
+    """doc as a mapping (None reads as {}), its keys checked if allowed
+    is given."""
     if doc is None:
-        return {}
+        doc = {}
     if not isinstance(doc, dict):
         raise ConfigFileError("must be a mapping", field=where)
+    for key in doc if allowed is not None else ():
+        if key not in allowed:
+            raise ConfigFileError(f"unknown key {key!r}", field=where)
     return doc
 
 
-def _check_keys(doc: dict, allowed, where: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            raise ConfigFileError(f"unknown key {key!r}", field=where)
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
-def _pick(doc: dict, keys) -> dict:
-    return {k: doc[k] for k in keys if k in doc}
+_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+            str: ((str,), "a string")}
+
+
+def _typed(value, hint, where: str):
+    """Check a YAML value against a field annotation.
+
+    Handles int, float, str, tuples of those, and `X | None`. Lists
+    become tuples and the items of float lists become floats; scalars
+    come back as given. A bool is never a number.
+    """
+    args = get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        hint = next(a for a in args if a is not type(None))
+        args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigFileError("must be a list", field=where)
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            raise ConfigFileError(f"must be a {len(args)}-item list",
+                                  field=where)
+        items = tuple(_typed(v, args[0], f"{where}[{i}]")
+                      for i, v in enumerate(value))
+        return tuple(map(float, items)) if args[0] is float else items
+    types, name = _SCALARS[hint]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigFileError(f"must be {name}, got {value!r}", field=where)
+    return value
+
+
+def _values(cls, doc: dict, where: str, keys) -> dict:
+    """The doc's values for those of keys it has, each checked against
+    the annotation of the same-named field of cls."""
+    hints = get_type_hints(cls)
+    return {k: _typed(doc[k], hints[k], f"{where}.{k}" if where else k)
+            for k in keys if k in doc}
+
+
+def _read(cls, doc: dict, where: str, keys=None, **fixed):
+    """Build cls from the doc's values for keys (default: every field of
+    cls) plus fixed, and validate it; a failed check names where."""
+    obj = cls(**_values(cls, doc, where, keys or _field_names(cls)),
+              **fixed)
+    if hasattr(obj, "validate"):
+        try:
+            obj.validate()
+        except InvalidConfigError as exc:
+            raise ConfigFileError(str(exc), field=where) from exc
+    return obj
+
+
+def _read_block(cls, doc, where: str):
+    """A block that holds exactly the fields of cls."""
+    return _read(cls, _mapping(doc, where, _field_names(cls)), where)
+
+
+# ---------------------------------------------------------------------------
+# Block readers shared by the document types
+
+_BENCH_KEYS = _field_names(BenchmarkConfig)
+_FOREST_KEYS = _field_names(ForestConfig)
+_OSGA_KEYS = _field_names(OsgaParams)
+_FITNESS_KEYS = _field_names(FitnessConfig)
+_SELECTOR_KEYS = _OSGA_KEYS + ("init_one_probability",)
+_ENET_KEYS = ("penalties", "l1_ratios")
+_GRID_KEYS = ("sample_ratios", "feature_ratios", "n_trees_options")
+_BOUND_KEYS = ("sample_ratio_bounds", "feature_ratio_bounds",
+               "n_trees_bounds")
+_NESTED_KEYS = ("search", "budget", "osga") + _GRID_KEYS + _BOUND_KEYS
+_MODE_KEYS = {"grid": _GRID_KEYS, "osga": _BOUND_KEYS + ("osga",)}
+
+
+def _read_selector(options: dict, where: str) -> tuple[OsgaParams, float]:
+    """Search settings and initial one-bit probability of a mask search."""
+    # the genome length is the dataset's, known only once data is loaded
+    spec = _read(BinaryGenomeSpec, options, where, ("init_one_probability",),
+                 length=1)
+    return _read(OsgaParams, options, where), spec.init_one_probability
+
+
+def _partition_ratios(p: dict, where: str) -> tuple[float, float, float]:
+    ratios = p.get("ratios", list(DEFAULT_PARTITION_RATIOS))
+    if not isinstance(ratios, list) or len(ratios) != 3:
+        raise ConfigFileError("ratios must be a 3-item list", field=where)
+    return _typed(ratios, tuple[float, ...], f"{where}.ratios")
+
+
+def inner_search_from_options(options: dict, where: str
+                              ) -> InnerGridSearch | InnerOsgaSearch:
+    """Turn a config block into an inner forest-tuning search."""
+    mode = options.get("search", "grid")
+    if mode not in ("grid", "osga"):
+        raise ConfigFileError(
+            f"search must be 'grid' or 'osga', got {mode!r}", field=where)
+    other = "osga" if mode == "grid" else "grid"
+    bad = [k for k in _MODE_KEYS[other] if k in options]
+    if bad:
+        raise ConfigFileError(f"keys {bad} require search: {other}",
+                              field=where)
+    if mode == "grid":
+        return _read(InnerGridSearch, options, where)
+    sub = _mapping(options.get("osga"), f"{where}.osga", _OSGA_KEYS)
+    params = {"params": _read(OsgaParams, sub, f"{where}.osga")} if sub \
+        else {}
+    return _read(InnerOsgaSearch, options, where, _BOUND_KEYS + ("budget",),
+                 **params)
+
+
+_RECIPE_KEYS = {"ols": (), "elastic-net": _ENET_KEYS,
+                "random-forest": _FOREST_KEYS,
+                "feature-selection": _OSGA_KEYS + _FITNESS_KEYS}
+
+
+def recipe_from_doc(doc, where: str = "recipe"):
+    """A recipe is a kind string or a mapping with a 'kind' key."""
+    if isinstance(doc, str):
+        doc = {"kind": doc}
+    kind = _mapping(doc, where).get("kind")
+    if not isinstance(kind, str) or kind not in _RECIPE_KEYS:
+        raise ConfigFileError(f"recipe kind must be one of "
+                              f"{list(_RECIPE_KEYS)}, got {kind!r}",
+                              field=where)
+    where = f"{where}.{kind}"
+    _mapping(doc, where, ("kind",) + _RECIPE_KEYS[kind])
+    if kind == "ols":
+        return OlsRecipe()
+    if kind == "elastic-net":
+        return _read(ElasticNetRecipe, doc, where, _ENET_KEYS)
+    if kind == "random-forest":
+        return ForestRecipe(_read(ForestConfig, doc, where))
+    return FeatureSelectionRecipe(params=_read(OsgaParams, doc, where),
+                                  fitness=_read(FitnessConfig, doc, where))
+
+
+def _recipes(doc, where: str) -> tuple:
+    if not isinstance(doc, list):
+        raise ConfigFileError("must be a list", field=where)
+    return tuple(recipe_from_doc(r, f"{where}[{i}]")
+                 for i, r in enumerate(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +322,9 @@ def _pick(doc: dict, keys) -> dict:
 class NodeKind:
     """One entry of the node-type registry."""
 
-    name: str
-    option_keys: frozenset
-    build: object  # (node_id, options, BuildContext) -> Node
+    option_keys: tuple[str, ...]
+    read: object   # (options, where) -> settings, or ConfigFileError
+    build: object  # (node_id, settings, BuildContext) -> Node
 
 
 @dataclass
@@ -163,94 +334,34 @@ class BuildContext:
     partitioned: PartitionedDataset
 
 
-_OSGA_KEYS = ("population_size", "mutation_rate", "comparison_factor",
-              "success_ratio", "max_selection_pressure", "max_evaluations",
-              "crossover_kind", "elitism", "target_fitness")
-_FOREST_KEYS = ("n_trees", "sample_ratio", "feature_ratio", "max_depth",
-                "min_leaf_size")
+def _build_feature_selection(node_id, settings, ctx):
+    params, init_one_probability = settings
+    spec = BinaryGenomeSpec(ctx.partitioned.base.n_features,
+                            init_one_probability=init_one_probability)
+    return FeatureSelectionNode(node_id, spec, params)
 
 
-def _osga_params(options: dict) -> OsgaParams:
-    return OsgaParams(**_pick(options, _OSGA_KEYS))
-
-
-def _build_feature_selection(node_id, options, ctx):
-    spec = BinaryGenomeSpec(
-        ctx.partitioned.base.n_features,
-        init_one_probability=options.get("init_one_probability", 0.1))
-    return FeatureSelectionNode(node_id, spec, _osga_params(options))
-
-
-def _build_orchestrator(node_id, options, ctx):
-    fitness = FitnessConfig(options.get("penalty_per_feature"))
+def _build_orchestrator(node_id, fitness, ctx):
     return RegressionOrchestratorNode(node_id, ctx.partitioned, fitness)
-
-
-def _build_ols(node_id, options, ctx):
-    return OlsModelNode(node_id)
-
-
-def _build_forest(node_id, options, ctx):
-    return ForestModelNode(node_id, ForestConfig(**_pick(options,
-                                                         _FOREST_KEYS)))
-
-
-_GRID_KEYS = ("sample_ratios", "feature_ratios", "n_trees_options")
-_BOUND_KEYS = ("sample_ratio_bounds", "feature_ratio_bounds",
-               "n_trees_bounds")
-
-
-def inner_search_from_options(options: dict, where: str
-                              ) -> InnerGridSearch | InnerOsgaSearch:
-    """Turn a config block into an inner forest-tuning search."""
-    mode = options.get("search", "grid")
-    if mode == "grid":
-        bad = [k for k in _BOUND_KEYS + ("osga",) if k in options]
-        if bad:
-            raise ConfigFileError(
-                f"keys {bad} require search: osga", field=where)
-        kw = {k: tuple(options[k]) for k in _GRID_KEYS if k in options}
-        if "budget" in options:
-            kw["budget"] = int(options["budget"])
-        return InnerGridSearch(**kw)
-    if mode == "osga":
-        bad = [k for k in _GRID_KEYS if k in options]
-        if bad:
-            raise ConfigFileError(
-                f"keys {bad} require search: grid", field=where)
-        kw = {k: tuple(options[k]) for k in _BOUND_KEYS if k in options}
-        if "budget" in options:
-            kw["budget"] = int(options["budget"])
-        sub = _mapping(options.get("osga"), f"{where}.osga")
-        _check_keys(sub, _OSGA_KEYS, f"{where}.osga")
-        if sub:
-            kw["params"] = _osga_params(sub)
-        return InnerOsgaSearch(**kw)
-    raise ConfigFileError(f"search must be 'grid' or 'osga', got {mode!r}",
-                          field=where)
-
-
-def _build_nested(node_id, options, ctx):
-    return InnerTuningModelNode(node_id,
-                                inner_search_from_options(options, node_id))
 
 
 NODE_KINDS: dict[str, NodeKind] = {
     "feature-selection": NodeKind(
-        "feature-selection",
-        frozenset(_OSGA_KEYS) | {"init_one_probability"},
-        _build_feature_selection),
+        _SELECTOR_KEYS, _read_selector, _build_feature_selection),
     "regression-orchestrator": NodeKind(
-        "regression-orchestrator", frozenset({"penalty_per_feature"}),
+        _FITNESS_KEYS,
+        lambda options, where: _read(FitnessConfig, options, where),
         _build_orchestrator),
-    "ols-model": NodeKind("ols-model", frozenset(), _build_ols),
+    "ols-model": NodeKind(
+        (), lambda options, where: None,
+        lambda node_id, settings, ctx: OlsModelNode(node_id)),
     "random-forest-model": NodeKind(
-        "random-forest-model", frozenset(_FOREST_KEYS), _build_forest),
+        _FOREST_KEYS,
+        lambda options, where: _read(ForestConfig, options, where),
+        lambda node_id, config, ctx: ForestModelNode(node_id, config)),
     "nested-tuning-model": NodeKind(
-        "nested-tuning-model",
-        frozenset(_GRID_KEYS) | frozenset(_BOUND_KEYS)
-        | {"search", "budget", "osga"},
-        _build_nested),
+        _NESTED_KEYS, inner_search_from_options,
+        lambda node_id, search, ctx: InnerTuningModelNode(node_id, search)),
 }
 
 
@@ -272,8 +383,7 @@ class TopologySpec:
 
 
 def topology_spec_from_doc(doc, where: str = "network") -> TopologySpec:
-    doc = _mapping(doc, where)
-    _check_keys(doc, ("nodes", "connections"), where)
+    doc = _mapping(doc, where, ("nodes", "connections"))
     nodes_doc = _mapping(doc.get("nodes"), f"{where}.nodes")
     if not nodes_doc:
         raise ConfigFileError("at least one node required",
@@ -285,12 +395,13 @@ def topology_spec_from_doc(doc, where: str = "network") -> TopologySpec:
         if "kind" not in node_doc:
             raise ConfigFileError("missing 'kind'", field=node_where)
         kind = node_doc["kind"]
-        if kind not in NODE_KINDS:
+        if not isinstance(kind, str) or kind not in NODE_KINDS:
             raise ConfigFileError(
                 f"unknown node kind {kind!r}; known: "
                 f"{sorted(NODE_KINDS)}", field=node_where)
-        options = {k: v for k, v in node_doc.items() if k != "kind"}
-        _check_keys(options, NODE_KINDS[kind].option_keys, node_where)
+        options = _mapping({k: v for k, v in node_doc.items() if k != "kind"},
+                           node_where, NODE_KINDS[kind].option_keys)
+        NODE_KINDS[kind].read(options, node_where)
         nodes[str(name)] = NodeSpec(kind, options)
     raw_conns = doc.get("connections") or []
     if not isinstance(raw_conns, list):
@@ -312,7 +423,8 @@ def build_topology(spec: TopologySpec, ctx: BuildContext) -> Topology:
     """Instantiate nodes through the registry and wire them up."""
     topo = Topology()
     for name, ns in spec.nodes.items():
-        topo.add(NODE_KINDS[ns.kind].build(name, ns.options, ctx))
+        kind = NODE_KINDS[ns.kind]
+        topo.add(kind.build(name, kind.read(ns.options, name), ctx))
     for src_node, src_port, dst_node, dst_port in spec.connections:
         topo.connect(src_node, src_port, dst_node, dst_port)
     return topo
@@ -320,10 +432,6 @@ def build_topology(spec: TopologySpec, ctx: BuildContext) -> Topology:
 
 # ---------------------------------------------------------------------------
 # Data section
-
-_BENCH_KEYS = ("n_observations", "n_features", "n_relevant", "weight_low",
-               "weight_high", "noise_variance_fraction")
-
 
 @dataclass
 class DataSpec:
@@ -339,46 +447,38 @@ class DataSpec:
 
 
 def data_spec_from_doc(doc, where: str = "data") -> DataSpec:
-    doc = _mapping(doc, where)
-    _check_keys(doc, ("benchmark", "csv", "partition"), where)
+    doc = _mapping(doc, where, ("benchmark", "csv", "partition"))
     if ("benchmark" in doc) == ("csv" in doc):
         raise ConfigFileError("exactly one of benchmark/csv required",
                               field=where)
     spec = DataSpec()
     if "benchmark" in doc:
-        b = _mapping(doc["benchmark"], f"{where}.benchmark")
-        _check_keys(b, _BENCH_KEYS + ("seed",), f"{where}.benchmark")
-        spec.benchmark = BenchmarkConfig(**_pick(b, _BENCH_KEYS))
+        b_where = f"{where}.benchmark"
+        b = _mapping(doc["benchmark"], b_where, _BENCH_KEYS + ("seed",))
+        spec.benchmark = _read(BenchmarkConfig, b, b_where)
         if "seed" in b:
-            spec.benchmark_seed = int(b["seed"])
+            spec.benchmark_seed = _typed(b["seed"], int, f"{b_where}.seed")
     else:
-        c = _mapping(doc["csv"], f"{where}.csv")
-        _check_keys(c, ("path", "target_column", "ground_truth"),
-                    f"{where}.csv")
+        c = _mapping(doc["csv"], f"{where}.csv",
+                     ("path", "target_column", "ground_truth"))
         if "path" not in c:
             raise ConfigFileError("missing 'path'", field=f"{where}.csv")
         spec.csv_path = str(c["path"])
         spec.target_column = str(c.get("target_column", "y"))
         if "ground_truth" in c:
             spec.ground_truth_path = str(c["ground_truth"])
-    p = _mapping(doc.get("partition"), f"{where}.partition")
-    _check_keys(p, ("ratios", "seed"), f"{where}.partition")
-    if "ratios" in p:
-        ratios = p["ratios"]
-        if not isinstance(ratios, list) or len(ratios) != 3:
-            raise ConfigFileError("ratios must be a 3-item list",
-                                  field=f"{where}.partition")
-        spec.ratios = tuple(float(x) for x in ratios)
+    p_where = f"{where}.partition"
+    p = _mapping(doc.get("partition"), p_where, ("ratios", "seed"))
+    spec.ratios = _partition_ratios(p, p_where)
     if "seed" in p:
-        spec.partition_seed = int(p["seed"])
+        spec.partition_seed = _typed(p["seed"], int, f"{p_where}.seed")
     return spec
 
 
 def data_spec_to_doc(spec: DataSpec) -> dict:
     doc: dict = {}
     if spec.benchmark is not None:
-        b = {f.name: getattr(spec.benchmark, f.name)
-             for f in fields(BenchmarkConfig)}
+        b = asdict(spec.benchmark)
         if spec.benchmark_seed is not None:
             b["seed"] = spec.benchmark_seed
         doc["benchmark"] = b
@@ -430,21 +530,19 @@ class NetworkRunConfig:
 
 
 def run_config_from_doc(doc) -> NetworkRunConfig:
-    doc = _mapping(doc, "config")
-    _check_keys(doc, ("seed", "workers", "data", "network"), "config")
+    doc = _mapping(doc, "config", ("seed", "workers", "data", "network"))
     for key in ("data", "network"):
         if key not in doc:
             raise ConfigFileError(f"missing section {key!r}", field="config")
-    net = _mapping(doc["network"], "network")
-    _check_keys(net, ("nodes", "connections", "entry", "termination"),
-                "network")
+    net = _mapping(doc["network"], "network",
+                   ("nodes", "connections", "entry", "termination"))
     topo_spec = topology_spec_from_doc(
         {"nodes": net.get("nodes"), "connections": net.get("connections")})
     if "entry" not in net:
         raise ConfigFileError("missing 'entry'", field="network")
     entry = str(net["entry"])
-    term = _mapping(net.get("termination"), "network.termination")
-    _check_keys(term, ("sinks", "budget"), "network.termination")
+    term = _mapping(net.get("termination"), "network.termination",
+                    ("sinks", "budget"))
     if ("sinks" in term) == ("budget" in term):
         raise ConfigFileError("exactly one of sinks/budget required",
                               field="network.termination")
@@ -458,15 +556,14 @@ def run_config_from_doc(doc) -> NetworkRunConfig:
         sinks = tuple(_parse_endpoint(s, "network.termination.sinks")
                       for s in raw)
     else:
-        budget = int(term["budget"])
+        budget = _typed(term["budget"], int, "network.termination.budget")
     return NetworkRunConfig(
         data=data_spec_from_doc(doc["data"]),
         topology=topo_spec,
         entry=entry,
         sink_termination=sinks,
         budget_termination=budget,
-        seed=int(doc.get("seed", 0)),
-        workers=int(doc.get("workers", 1)))
+        **_values(NetworkRunConfig, doc, "", ("seed", "workers")))
 
 
 def run_config_to_doc(cfg: NetworkRunConfig) -> dict:
@@ -487,27 +584,243 @@ def run_config_to_doc(cfg: NetworkRunConfig) -> dict:
 
 def load_run_config(text: str) -> NetworkRunConfig:
     """Parse a YAML run config from a string."""
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        loc = f" at line {mark.line + 1}" if mark is not None else ""
-        raise ConfigFileError(f"invalid YAML{loc}: {exc}") from exc
-    return run_config_from_doc(doc)
+    return run_config_from_doc(config_doc_from_yaml(text))
 
 
 def load_run_config_file(path) -> NetworkRunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigFileError(f"cannot read config: {exc}") from exc
-    return load_run_config(text)
+    return run_config_from_doc(load_config_doc(path))
 
 
 def save_run_config(cfg: NetworkRunConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(run_config_to_doc(cfg), fh, sort_keys=False)
+
+
+# ---------------------------------------------------------------------------
+# Experiment configs (optnet benchmark / generate)
+
+METHOD_NAMES = ("full-ols", "oracle-ols", "elastic-net-grid",
+                "fs-network-ols", "fs-network-rf", "nested-rf",
+                "optimization-analysis")
+DEFAULT_METHODS = ("full-ols", "oracle-ols", "elastic-net-grid",
+                   "fs-network-ols")
+DEFAULT_RECIPES = (OlsRecipe(),
+                   ForestRecipe(ForestConfig(n_trees=10, max_depth=8)))
+
+
+def observed_bounds(partitioned: list[PartitionedDataset],
+                    input_names) -> np.ndarray:
+    """Per-input [min, max] over every dataset that carries the input."""
+    bounds = np.empty((len(input_names), 2))
+    for i, name in enumerate(input_names):
+        lo, hi = np.inf, -np.inf
+        for p in partitioned:
+            names = p.base.feature_names
+            if name in names:
+                col = p.base.features[:, names.index(name)]
+                lo = min(lo, float(col.min()))
+                hi = max(hi, float(col.max()))
+        if not np.isfinite(lo):
+            raise ConfigFileError(
+                f"input {name!r} appears in no dataset; give explicit bounds",
+                field="task.bounds")
+        bounds[i] = (lo, hi)
+    return bounds
+
+
+@dataclass
+class AnalysisBlock:
+    """Settings for the optimization-analysis method; empty recipes
+    means DEFAULT_RECIPES."""
+
+    targets: tuple[float, ...] | None = None
+    subset_size: int = 1
+    recipes: tuple = ()
+    search: OsgaParams | None = None
+    free_inputs: object = "true"  # "true" | "all" | tuple of names
+
+    def task_for(self, partitioned: PartitionedDataset,
+                 truth: GroundTruth | None) -> AnalysisTask:
+        """The input search on one dataset, within its observed bounds;
+        inputs left out of the search are fixed at 0."""
+        names = partitioned.base.feature_names
+        if self.targets is not None:
+            targets = self.targets
+        else:
+            _, y_train = partitioned.train_xy()
+            targets = (float(np.mean(y_train) + np.std(y_train)),)
+        if self.free_inputs == "all":
+            free = set(names)
+        elif self.free_inputs == "true":
+            if truth is None:
+                raise InvalidConfigError(
+                    "free_inputs 'true' needs ground truth; pass a name list")
+            free = {names[i] for i in truth.true_indices}
+        else:
+            free = set(self.free_inputs)
+            unknown = free - set(names)
+            if unknown:
+                raise ConfigFileError(
+                    f"free_inputs {sorted(unknown)} not in the dataset")
+        fixed = {n: 0.0 for n in names if n not in free}
+        return AnalysisTask(names, observed_bounds([partitioned], names),
+                            targets, fixed)
+
+
+@dataclass
+class ExperimentConfig:
+    """Everything cmd_benchmark needs: seeds, methods, and their knobs."""
+
+    seeds: tuple[int, ...] = (0,)
+    methods: tuple[str, ...] = DEFAULT_METHODS
+    benchmark: BenchmarkConfig = field(default_factory=BenchmarkConfig)
+    ratios: tuple[float, float, float] = DEFAULT_PARTITION_RATIOS
+    workers: int = 1
+    fs_params: OsgaParams = field(default_factory=OsgaParams)
+    penalty_per_feature: float | None = None
+    init_one_probability: float = 0.1
+    en_penalties: tuple[float, ...] | None = None
+    en_l1_ratios: tuple[float, ...] | None = None
+    forest: ForestConfig = field(
+        default_factory=lambda: ForestConfig(n_trees=25))
+    inner_search: object = None
+    analysis: AnalysisBlock = field(default_factory=AnalysisBlock)
+
+    def validate(self) -> None:
+        if not self.seeds:
+            raise ConfigFileError("at least one seed required", field="seeds")
+        if not self.methods:
+            raise ConfigFileError("at least one method required",
+                                  field="methods")
+        for m in self.methods:
+            if m not in METHOD_NAMES:
+                raise ConfigFileError(
+                    f"unknown method {m!r}; known: {list(METHOD_NAMES)}",
+                    field="methods")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigFileError("seeds must be unique", field="seeds")
+        self.benchmark.validate()
+
+
+_EXPERIMENT_KEYS = ("seeds", "methods", "benchmark", "partition", "workers",
+                    "fs-network", "elastic-net", "forest", "nested",
+                    "analysis")
+
+
+def experiment_config_from_doc(doc) -> ExperimentConfig:
+    doc = _mapping(doc, "config", _EXPERIMENT_KEYS)
+    fs = _mapping(doc.get("fs-network"), "fs-network",
+                  _SELECTOR_KEYS + _FITNESS_KEYS)
+    fs_params, init_one_probability = _read_selector(fs, "fs-network")
+    en = _read(ElasticNetRecipe,
+               _mapping(doc.get("elastic-net"), "elastic-net", _ENET_KEYS),
+               "elastic-net", _ENET_KEYS)
+    cfg = ExperimentConfig(
+        benchmark=_read_block(BenchmarkConfig, doc.get("benchmark"),
+                              "benchmark"),
+        ratios=_partition_ratios(
+            _mapping(doc.get("partition"), "partition", ("ratios",)),
+            "partition"),
+        fs_params=fs_params,
+        penalty_per_feature=_read(
+            FitnessConfig, fs, "fs-network").penalty_per_feature,
+        init_one_probability=init_one_probability,
+        en_penalties=en.penalties,
+        en_l1_ratios=en.l1_ratios,
+        **_values(ExperimentConfig, doc, "", ("seeds", "methods", "workers")))
+    if "forest" in doc:
+        cfg.forest = _read_block(ForestConfig, doc["forest"], "forest")
+    if "nested" in doc:
+        cfg.inner_search = inner_search_from_options(
+            _mapping(doc["nested"], "nested", _NESTED_KEYS), "nested")
+    if "analysis" in doc:
+        cfg.analysis = _analysis_block_from_doc(doc["analysis"])
+    cfg.validate()
+    return cfg
+
+
+def _analysis_block_from_doc(doc) -> AnalysisBlock:
+    a = _mapping(doc, "analysis", _field_names(AnalysisBlock))
+    block = AnalysisBlock(
+        recipes=_recipes(a.get("recipes", []), "analysis.recipes"),
+        **_values(AnalysisBlock, a, "analysis", ("targets", "subset_size")))
+    if "search" in a:
+        block.search = _read_block(OsgaParams, a["search"], "analysis.search")
+    if "free_inputs" in a:
+        fi = a["free_inputs"]
+        if isinstance(fi, list):
+            block.free_inputs = _typed(fi, tuple[str, ...],
+                                       "analysis.free_inputs")
+        elif fi in ("true", "all"):
+            block.free_inputs = fi
+        else:
+            raise ConfigFileError(
+                "free_inputs must be 'true', 'all', or a name list",
+                field="analysis.free_inputs")
+    return block
+
+
+# ---------------------------------------------------------------------------
+# Analyze configs (optnet analyze)
+
+@dataclass
+class AnalyzeConfig:
+    """A parsed analyze document: one dataset per target output.
+
+    input_names None takes the first dataset's feature names; bounds
+    None takes each input's observed [min, max] over the datasets.
+    """
+
+    datasets: tuple[DataSpec, ...]
+    targets: tuple[float, ...]
+    input_names: tuple[str, ...] | None = None
+    bounds: tuple[tuple[float, float], ...] | None = None
+    fixed: dict[str, float] = field(default_factory=dict)
+    recipes: tuple = DEFAULT_RECIPES
+    subset_size: int = 1
+    search: OsgaParams | None = None
+    seed: int = 0
+    workers: int = 1
+
+    def task_for(self, partitioned: list[PartitionedDataset]
+                 ) -> AnalysisTask:
+        names = self.input_names
+        if names is None:
+            names = partitioned[0].base.feature_names
+        if self.bounds is None:
+            bounds = observed_bounds(partitioned, names)
+        else:
+            bounds = np.asarray(self.bounds, dtype=np.float64)
+        return AnalysisTask(names, bounds, self.targets, dict(self.fixed))
+
+
+_ANALYZE_KEYS = ("seed", "workers", "subset_size", "datasets", "recipes",
+                 "task", "search")
+
+
+def analyze_config_from_doc(doc) -> AnalyzeConfig:
+    doc = _mapping(doc, "config", _ANALYZE_KEYS)
+    datasets = doc.get("datasets")
+    if not isinstance(datasets, list) or not datasets:
+        raise ConfigFileError("datasets must be a non-empty list",
+                              field="datasets")
+    task = _mapping(doc.get("task"), "task",
+                    ("input_names", "bounds", "targets", "fixed"))
+    if "targets" not in task:
+        raise ConfigFileError("missing 'targets'", field="task")
+    fixed = _mapping(task.get("fixed"), "task.fixed")
+    return AnalyzeConfig(
+        datasets=tuple(data_spec_from_doc(d, f"datasets[{i}]")
+                       for i, d in enumerate(datasets)),
+        fixed={str(k): float(_typed(v, float, f"task.fixed.{k}"))
+               for k, v in fixed.items()},
+        recipes=_recipes(doc.get("recipes", []), "recipes")
+        or DEFAULT_RECIPES,
+        search=_read_block(OsgaParams, doc["search"], "search")
+        if "search" in doc else None,
+        **_values(AnalyzeConfig, task, "task",
+                  ("targets", "input_names", "bounds")),
+        **_values(AnalyzeConfig, doc, "", ("seed", "workers", "subset_size")))
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +865,7 @@ def payload_doc(obj):
             "n_trees": len(obj.trees),
             "n_nodes": [t.n_nodes for t in obj.trees],
             "feature_names": list(obj.feature_names),
-            "config": {
-                "n_trees": obj.config.n_trees,
-                "sample_ratio": obj.config.sample_ratio,
-                "feature_ratio": obj.config.feature_ratio,
-                "max_depth": obj.config.max_depth,
-                "min_leaf_size": obj.config.min_leaf_size,
-            },
+            "config": asdict(obj.config),
         }
     if isinstance(obj, ModelWithQuality):
         return {
@@ -639,7 +946,8 @@ def network_result_doc(result: NetworkResult) -> dict:
 
 @dataclass
 class ConfiguredRunReport:
-    """Outcome of run_configured: embedded config, stable result, timing.
+    """Outcome of run_configured or run_analysis: embedded config,
+    stable result, timing.
 
     The result section is a pure function of the config, so replaying
     the embedded config reproduces it byte for byte; wall-clock timing
@@ -653,13 +961,15 @@ class ConfiguredRunReport:
     def result_json(self) -> str:
         return json.dumps(self.result_doc, indent=2, sort_keys=True)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        return {
             "config": self.config_doc,
             "result": self.result_doc,
             "timing": {"wall_time": self.wall_time},
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), indent=2, sort_keys=True)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -700,3 +1010,25 @@ def replay_report(report_doc: dict) -> ConfiguredRunReport:
     if "config" not in report_doc:
         raise ConfigFileError("report lacks an embedded config")
     return run_configured(run_config_from_doc(report_doc["config"]))
+
+
+def run_analysis(doc) -> ConfiguredRunReport:
+    """Run the analysis pipeline an analyze document describes.
+
+    The report embeds the document as given; its result section is a
+    pure function of it.
+    """
+    started = time.perf_counter()
+    cfg = analyze_config_from_doc(doc)
+    partitioned = [load_experiment_data(spec, cfg.seed)[0]
+                   for spec in cfg.datasets]
+    report = optimization_analysis_network(
+        partitioned, cfg.recipes, cfg.subset_size, cfg.task_for(partitioned),
+        cfg.search, seed=cfg.seed, workers=cfg.workers)
+    return ConfiguredRunReport(doc, report.to_json_dict(),
+                               time.perf_counter() - started)
+
+
+def analyze_from_doc(doc) -> dict:
+    """run_analysis as a report document: config, result and timing."""
+    return run_analysis(doc).to_doc()

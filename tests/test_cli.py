@@ -1,31 +1,45 @@
 """Command-line entry points, result tables, and experiment configs."""
 
+import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import optnet
 from optnet.analysis import ElasticNetRecipe, OlsRecipe
 from optnet.cli import (
-    AnalysisBlock,
+    METHODS,
     BenchmarkConfig,
-    ExperimentConfig,
     ResultRow,
     ResultTable,
-    analyze_from_doc,
     cmd_benchmark,
     cmd_generate,
     cmd_run,
-    experiment_config_from_doc,
     main,
-    recipe_from_doc,
 )
 from optnet.data import load_csv, load_ground_truth, generate_benchmark
 from optnet.errors import ConfigFileError, InvalidConfigError
 from optnet.forest import ForestConfig
-from optnet.netconfig import InnerGridSearch
+from optnet.netconfig import (
+    DEFAULT_METHODS,
+    METHOD_NAMES,
+    AnalysisBlock,
+    ExperimentConfig,
+    InnerGridSearch,
+    analyze_config_from_doc,
+    analyze_from_doc,
+    experiment_config_from_doc,
+    recipe_from_doc,
+    run_config_from_doc,
+)
 from optnet.osga import OsgaParams
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -120,26 +134,28 @@ def test_table_format_and_means():
 # ---------------------------------------------------------------------------
 # Experiment config documents
 
+FULL_EXPERIMENT_DOC = {
+    "seeds": [0, 1],
+    "methods": ["full-ols", "fs-network-rf", "nested-rf",
+                "optimization-analysis"],
+    "benchmark": TINY_BENCH,
+    "partition": {"ratios": [0.25, 0.375, 0.375]},
+    "workers": 2,
+    "fs-network": {**TINY_FS, "penalty_per_feature": 0.05,
+                   "init_one_probability": 0.2},
+    "elastic-net": {"penalties": [0.01, 0.1], "l1_ratios": [0.5]},
+    "forest": {"n_trees": 7, "sample_ratio": 0.8},
+    "nested": {"budget": 4, "n_trees_options": [3, 5]},
+    "analysis": {"targets": [12.0], "subset_size": 2,
+                 "recipes": ["ols", {"kind": "elastic-net",
+                                     "penalties": [0.01]}],
+                 "search": {"population_size": 10},
+                 "free_inputs": ["x0", "x1"]},
+}
+
+
 def test_experiment_config_full_doc():
-    doc = {
-        "seeds": [0, 1],
-        "methods": ["full-ols", "fs-network-rf", "nested-rf",
-                    "optimization-analysis"],
-        "benchmark": TINY_BENCH,
-        "partition": {"ratios": [0.25, 0.375, 0.375]},
-        "workers": 2,
-        "fs-network": {**TINY_FS, "penalty_per_feature": 0.05,
-                       "init_one_probability": 0.2},
-        "elastic-net": {"penalties": [0.01, 0.1], "l1_ratios": [0.5]},
-        "forest": {"n_trees": 7, "sample_ratio": 0.8},
-        "nested": {"budget": 4, "n_trees_options": [3, 5]},
-        "analysis": {"targets": [12.0], "subset_size": 2,
-                     "recipes": ["ols", {"kind": "elastic-net",
-                                         "penalties": [0.01]}],
-                     "search": {"population_size": 10},
-                     "free_inputs": ["x0", "x1"]},
-    }
-    cfg = experiment_config_from_doc(doc)
+    cfg = experiment_config_from_doc(FULL_EXPERIMENT_DOC)
     assert cfg.seeds == (0, 1)
     assert cfg.benchmark.n_features == 6
     assert cfg.workers == 2
@@ -422,3 +438,139 @@ def test_shipped_example_config_runs_to_report(tmp_path):
     best = results[0]["best"]["genome"]
     assert len(best) == 100
     assert doc["config"]["network"]["entry"] == "selector"
+
+
+# ---------------------------------------------------------------------------
+# One config schema for run, benchmark and analyze documents
+
+def _with(doc, path, value):
+    """A deep copy of doc with the value at path replaced."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(node, dict) \
+            else node[key]
+    node[path[-1]] = value
+    return doc
+
+
+BENCH_DOC = {"seeds": [0], "methods": ["full-ols"], "benchmark": TINY_BENCH}
+RUN_DOC = yaml.safe_load(RUN_CONFIG_YAML)
+
+BAD_VALUES = [
+    ("benchmark", BENCH_DOC, ("workers",), "abc", "workers"),
+    ("benchmark", BENCH_DOC, ("seeds",), ["a"], "seeds[0]"),
+    ("benchmark", BENCH_DOC, ("benchmark", "n_features"), "ten",
+     "benchmark.n_features"),
+    ("benchmark", BENCH_DOC, ("elastic-net", "penalties"), 0.5,
+     "elastic-net.penalties"),
+    ("benchmark", BENCH_DOC, ("nested", "sample_ratios"), 0.5,
+     "nested.sample_ratios"),
+    ("benchmark", BENCH_DOC, ("analysis", "targets"), 3.0,
+     "analysis.targets"),
+    ("benchmark", BENCH_DOC, ("analysis", "recipes"), "ols",
+     "analysis.recipes"),
+    ("benchmark", BENCH_DOC, ("analysis", "recipes"), {"kind": "ols"},
+     "analysis.recipes"),
+    ("analyze", ANALYZE_DOC, ("seed",), "x", "seed"),
+    ("analyze", ANALYZE_DOC, ("task", "targets"), 3.0, "task.targets"),
+    ("analyze", ANALYZE_DOC, ("recipes",), "ols", "recipes"),
+    ("analyze", ANALYZE_DOC, ("recipes",), {"kind": "ols"}, "recipes"),
+    ("run", RUN_DOC, ("workers",), "abc", "workers"),
+    ("run", RUN_DOC, ("data", "partition", "ratios"), ["a", "b", "c"],
+     "data.partition.ratios[0]"),
+    ("run", RUN_DOC, ("data", "benchmark", "n_features"), "ten",
+     "data.benchmark.n_features"),
+    ("run", RUN_DOC, ("network", "nodes", "selector", "population_size"),
+     "x", "network.nodes.selector.population_size"),
+    ("run", RUN_DOC,
+     ("network", "nodes", "orchestrator", "penalty_per_feature"), "x",
+     "network.nodes.orchestrator.penalty_per_feature"),
+]
+
+
+@pytest.mark.parametrize("command, base, path, value, field", BAD_VALUES)
+def test_wrong_typed_value_exits_2_naming_the_field(
+        tmp_path, capsys, command, base, path, value, field):
+    config_path = tmp_path / "bad.yaml"
+    config_path.write_text(yaml.safe_dump(_with(base, path, value)))
+    assert main([command, "--config", str(config_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"{field}: " in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("recipes", ["ols", {"kind": "ols"}])
+def test_recipes_must_be_a_list(recipes):
+    with pytest.raises(ConfigFileError, match="recipes: must be a list"):
+        experiment_config_from_doc({"analysis": {"recipes": recipes}})
+    with pytest.raises(ConfigFileError, match="recipes: must be a list"):
+        analyze_config_from_doc({**ANALYZE_DOC, "recipes": recipes})
+
+
+@pytest.mark.parametrize("command, doc", [("benchmark", BENCH_DOC),
+                                          ("analyze", ANALYZE_DOC),
+                                          ("run", RUN_DOC)])
+def test_truncated_yaml_reports_its_line(tmp_path, capsys, command, doc):
+    text = yaml.safe_dump(doc, default_flow_style=True, width=40)
+    assert text.count("\n") > 2
+    config_path = tmp_path / "cut.yaml"
+    config_path.write_text(text[:len(text) // 2])
+    assert main([command, "--config", str(config_path)]) == 2
+    assert "config error: invalid YAML at line" in capsys.readouterr().err
+
+
+def test_method_table_covers_every_method_name():
+    assert set(METHODS) == set(METHOD_NAMES)
+    assert set(DEFAULT_METHODS) <= set(METHOD_NAMES)
+
+
+def test_import_optnet_does_not_load_cli():
+    code = "import sys, optnet; print('optnet.cli' in sys.modules)"
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(optnet.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def _leaf_paths(doc, prefix=()):
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [prefix]
+    return [p for k, v in items for p in _leaf_paths(v, prefix + (k,))]
+
+
+_YAML_SCALARS = st.one_of(st.text(max_size=6), st.integers(), st.floats(),
+                          st.booleans(), st.none())
+YAML_VALUES = st.one_of(
+    _YAML_SCALARS, st.lists(_YAML_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=6), _YAML_SCALARS, max_size=3))
+
+KNOWN_GOOD = {
+    "run": (yaml.safe_load(
+        (REPO_ROOT / "demos" / "feature_selection_network.yaml").read_text()),
+        run_config_from_doc),
+    "benchmark": (FULL_EXPERIMENT_DOC, experiment_config_from_doc),
+    "analyze": (ANALYZE_DOC, analyze_config_from_doc),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KNOWN_GOOD))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_leaf_of_any_yaml_type_parses_or_is_a_config_error(kind, data):
+    """Parsing never runs anything, and a bad value is always a config
+    error, never a raw Python exception."""
+    doc, parse = KNOWN_GOOD[kind]
+    path = data.draw(st.sampled_from(_leaf_paths(doc)), label="path")
+    value = data.draw(YAML_VALUES, label="value")
+    try:
+        parse(_with(doc, path, value))
+    except (ConfigFileError, InvalidConfigError):
+        pass
