@@ -40,8 +40,6 @@ from .data import (
 )
 from .engine import (
     Connection,
-    DeliveryReceipt,
-    Message,
     MessageBudget,
     Network,
     NetworkRun,

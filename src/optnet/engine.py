@@ -10,9 +10,12 @@ per-node random streams are independent of scheduling, a run produces
 bit-identical results for any worker count.
 
 Output ports left unconnected are sinks; whatever is emitted there is
-collected and returned. An entry payload can be injected into one node
-before the first round to kick off networks whose flow starts from a
-stimulus rather than external input.
+collected and returned. run_network is the one way a message enters,
+moves through and leaves a network: an entry payload, when given, is the
+whole of round 0 (one node's handle_entry, before any queue holds a
+message), which kicks off networks whose flow starts from a stimulus
+rather than external input. Each node gets one context per run, holding
+its random stream and its emit buffer.
 """
 
 from __future__ import annotations
@@ -90,28 +93,6 @@ class Connection:
     def __str__(self):
         return (f"{self.src_node}.{self.src_port} -> "
                 f"{self.dst_node}.{self.dst_port}")
-
-
-@dataclass(frozen=True)
-class Message:
-    """A payload in flight, stamped with its origin.
-
-    correlation_id counts messages per source port starting at 0, so
-    request/response pairs can be matched and ordering audited.
-    """
-
-    source_node: str
-    source_port: str
-    correlation_id: int
-    kind: str
-    payload: object
-
-
-@dataclass(frozen=True)
-class DeliveryReceipt:
-    dest_node: str
-    dest_port: str
-    position: int  # FIFO position in the destination queue at enqueue time
 
 
 @dataclass(frozen=True)
@@ -228,12 +209,12 @@ class TraceEvent:
 
 
 class Network:
-    """A validated topology with live queues.
+    """A validated topology with its routing table and live queues.
 
-    Message injection from outside goes through send(), which stamps
-    correlation ids and returns where the message landed. run_network
-    drives a Network to termination; the class is exposed separately so
-    queue behavior is testable and external code can preload messages.
+    Queues hold (correlation_id, payload) pairs. Correlation ids count
+    messages per source port from 0, so request/response pairs can be
+    matched and ordering audited. run_network builds one Network per run
+    and drives it to termination.
     """
 
     def __init__(self, topology: Topology):
@@ -245,67 +226,26 @@ class Network:
         self.route: dict[tuple[str, str], tuple[str, str]] = {}
         for c in topology.connections:
             self.route[(c.src_node, c.src_port)] = (c.dst_node, c.dst_port)
-        self.queues: dict[tuple[str, str], deque[Message]] = {
+        self.queues: dict[tuple[str, str], deque[tuple[int, object]]] = {
             (n.id, p.name): deque() for n in topology.nodes
             for p in n.input_ports}
-        # node id -> {port name: Port}, so emits skip the port scan
-        self.output_ports: dict[str, dict[str, Port]] = {
-            n.id: {p.name: p for p in n.output_ports}
-            for n in topology.nodes}
-        self.sink_ports = [
-            (n.id, p.name) for n in topology.nodes
-            for p in n.output_ports if (n.id, p.name) not in self.route]
         self.sink_outputs: dict[tuple[str, str], list] = {
-            p: [] for p in self.sink_ports}
+            (n.id, p.name): [] for n in topology.nodes
+            for p in n.output_ports if (n.id, p.name) not in self.route}
         self._correlation: dict[tuple[str, str], int] = {}
 
-    def _next_correlation(self, source: tuple[str, str]) -> int:
+    def emit_from(self, node_id: str, port_name: str, payload) -> int:
+        """Route one handler emission and return its correlation id: a
+        connected port enqueues it, a sink collects it."""
+        source = (node_id, port_name)
         cid = self._correlation.get(source, 0)
         self._correlation[source] = cid + 1
-        return cid
-
-    def send(self, source_node: str, source_port: str,
-             payload) -> DeliveryReceipt:
-        """Inject a message as if source_node emitted it on source_port.
-
-        Raises UnconnectedPortError when that port has no connection;
-        external sends to sink ports make no sense.
-        """
-        ports = self.output_ports.get(source_node)
-        if ports is None:
-            raise UnconnectedPortError(f"unknown node {source_node!r}")
-        port = ports.get(source_port)
-        if port is None:
-            raise UnconnectedPortError(
-                f"node {source_node!r} has no output port {source_port!r}")
-        dst = self.route.get((source_node, source_port))
+        dst = self.route.get(source)
         if dst is None:
-            raise UnconnectedPortError(
-                f"output port {source_node}.{source_port} is not connected")
-        if not PAYLOAD_KINDS[port.kind](payload):
-            raise InvalidConfigError(
-                f"payload {type(payload).__name__} does not match kind "
-                f"{port.kind!r} of {source_node}.{source_port}")
-        msg = Message(source_node, source_port,
-                      self._next_correlation((source_node, source_port)),
-                      port.kind, payload)
-        q = self.queues[dst]
-        position = len(q)
-        q.append(msg)
-        return DeliveryReceipt(dst[0], dst[1], position)
-
-    def emit_from(self, node: Node, port_name: str, payload) -> None:
-        """Route one handler emission: connected ports enqueue, sinks
-        collect. Used by the engine's merge step."""
-        port = self.output_ports[node.id][port_name]
-        msg = Message(node.id, port_name,
-                      self._next_correlation((node.id, port_name)),
-                      port.kind, payload)
-        dst = self.route.get((node.id, port_name))
-        if dst is None:
-            self.sink_outputs[(node.id, port_name)].append(payload)
+            self.sink_outputs[source].append(payload)
         else:
-            self.queues[dst].append(msg)
+            self.queues[dst].append((cid, payload))
+        return cid
 
     def pending(self) -> int:
         return sum(len(q) for q in self.queues.values())
@@ -341,16 +281,13 @@ class NetworkRun:
 class NodeContext:
     """Hands a handler its node's random stream and an emit buffer.
 
-    ports maps the node's output port names to their Port; the engine
-    passes the table its Network built, and it is derived from the node
-    when omitted.
+    run_network builds one context per node per run and drains emitted
+    after every round.
     """
 
-    def __init__(self, node: Node, rng: np.random.Generator,
-                 ports: dict[str, Port] | None = None):
+    def __init__(self, node: Node, rng: np.random.Generator):
         self._node = node
-        self._ports = ports if ports is not None \
-            else {p.name: p for p in node.output_ports}
+        self._ports = {p.name: p for p in node.output_ports}
         self.rng = rng
         self.emitted: list[tuple[str, object]] = []
 
@@ -366,16 +303,29 @@ class NodeContext:
         self.emitted.append((port_name, payload))
 
 
+def _invoke(delivery) -> None:
+    """Run the handler of one (node, ctx, port name, (correlation id,
+    payload)) delivery; port name None marks the entry payload."""
+    node, ctx, port_name, (_, payload) = delivery
+    try:
+        if port_name is None:
+            node.handle_entry(payload, ctx)
+        else:
+            node.handle(port_name, payload, ctx)
+    except Exception as exc:
+        raise HandlerFailureError(node.id, exc) from exc
+
+
 def run_network(topology: Topology, termination,
                 entry: tuple[str, object] | None = None, seed: int = 0,
                 workers: int = 1, trace: bool = False) -> NetworkRun:
     """Execute a validated topology until the termination rule fires.
 
     termination is a MessageBudget or SinksEmitted instance. entry, when
-    given, is (node_id, payload) delivered to that node's handle_entry
-    before any other message. Each node draws randomness from its own
-    stream derived from (seed, node id), so results do not depend on
-    scheduling or worker count.
+    given, is (node_id, payload): round 0 is that node's handle_entry
+    alone, and later rounds move messages. Each node draws randomness
+    from its own stream derived from (seed, node id), so results do not
+    depend on scheduling or worker count.
 
     Raises InvalidConfigError for an invalid topology,
     UnconnectedPortError if SinksEmitted names a port that is not a
@@ -410,26 +360,30 @@ def run_network(topology: Topology, termination,
     events: list[TraceEvent] = []
     node_counts = {n.id: 0 for n in topology.nodes}
     rngs = {n.id: substream(seed, "node", n.id) for n in topology.nodes}
+    contexts = {n.id: NodeContext(n, rngs[n.id]) for n in topology.nodes}
+    # each node with its context and its input queues in declaration order
+    slots = [(n, contexts[n.id], [(p.name, net.queues[(n.id, p.name)])
+                                  for p in n.input_ports])
+             for n in topology.nodes]
+    kinds = {(n.id, p.name): p.kind for n in topology.nodes
+             for p in (*n.input_ports, *n.output_ports)}
 
-    pending_entry: tuple[str, object] | None = None
+    # round 0 is the entry delivery alone: every queue starts empty
+    batch: list = []
     if entry is not None:
         entry_node, entry_payload = entry
         try:
-            topology.node(entry_node)
+            node = topology.node(entry_node)
         except KeyError:
             raise InvalidConfigError(
                 f"entry node {entry_node!r} is not in the topology") from None
-        pending_entry = (entry_node, entry_payload)
+        batch.append((node, contexts[node.id], None, (0, entry_payload)))
         entry_count = 1
 
     def met() -> str | None:
         if limit is not None:
             return "budget" if handled >= limit else None
         return "sinks" if all(watched) else None
-
-    # each node with its input queues in declaration order
-    inboxes = [(n, [(p.name, net.queues[(n.id, p.name)])
-                    for p in n.input_ports]) for n in topology.nodes]
 
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
@@ -440,75 +394,52 @@ def run_network(topology: Topology, termination,
                                   net.pending(), entry_count, reason,
                                   node_counts, rngs, events)
 
-            # pick at most one message per node, in canonical order
-            batch: list[tuple[Node, str | None, Message | None, object]] = []
-            for n, inbox in inboxes:
-                if pending_entry is not None and pending_entry[0] == n.id:
-                    batch.append((n, None, None, pending_entry[1]))
-                    pending_entry = None
-                    continue
-                for port_name, q in inbox:
-                    if q:
-                        msg = q.popleft()
-                        batch.append((n, port_name, msg, msg.payload))
-                        break
+            if rounds:
+                # pick at most one message per node, in canonical order
+                batch = []
+                for node, ctx, inbox in slots:
+                    for port_name, q in inbox:
+                        if q:
+                            batch.append((node, ctx, port_name, q.popleft()))
+                            break
             if not batch:
                 raise DeadlockError(
                     "network drained before the termination rule was met")
-            if limit is not None:
+            if limit is not None and len(batch) > limit - handled:
                 # deliver exactly limit messages: put the overflow back
                 room = limit - handled
-                if len(batch) > room:
-                    for n, port_name, msg, payload in batch[room:]:
-                        if port_name is None:
-                            pending_entry = (n.id, payload)
-                        else:
-                            net.queues[(n.id, port_name)].appendleft(msg)
-                    batch = batch[:room]
+                for node, _, port_name, item in batch[room:]:
+                    net.queues[(node.id, port_name)].appendleft(item)
+                del batch[room:]
 
-            contexts = []
-            for node, port_name, msg, payload in batch:
-                ctx = NodeContext(node, rngs[node.id],
-                                  net.output_ports[node.id])
-                contexts.append(ctx)
-                if trace:
+            if trace:
+                for node, _, port_name, (cid, _) in batch:
                     if port_name is None:
                         events.append(TraceEvent(rounds, "deliver", node.id,
                                                  "<entry>", "entry", 0))
                     else:
                         events.append(TraceEvent(
-                            rounds, "deliver", node.id, port_name, msg.kind,
-                            msg.correlation_id))
-
-            def invoke(i: int) -> None:
-                node, port_name, _, payload = batch[i]
-                try:
-                    if port_name is None:
-                        node.handle_entry(payload, contexts[i])
-                    else:
-                        node.handle(port_name, payload, contexts[i])
-                except Exception as exc:
-                    raise HandlerFailureError(node.id, exc) from exc
+                            rounds, "deliver", node.id, port_name,
+                            kinds[(node.id, port_name)], cid))
 
             if pool is not None and len(batch) > 1:
-                list(pool.map(invoke, range(len(batch))))
+                list(pool.map(_invoke, batch))
             else:
-                for i in range(len(batch)):
-                    invoke(i)
+                for delivery in batch:
+                    _invoke(delivery)
             handled += len(batch)
-            for node, _, _, _ in batch:
-                node_counts[node.id] += 1
 
             # deterministic merge: canonical node order, emission order
-            for (node, _, _, _), ctx in zip(batch, contexts):
+            for node, ctx, _, _ in batch:
+                node_counts[node.id] += 1
                 for port_name, payload in ctx.emitted:
-                    produced += 1
+                    cid = net.emit_from(node.id, port_name, payload)
                     if trace:
                         events.append(TraceEvent(
                             rounds, "emit", node.id, port_name,
-                            net.output_ports[node.id][port_name].kind,
-                            net._correlation.get((node.id, port_name), 0)))
-                    net.emit_from(node, port_name, payload)
+                            kinds[(node.id, port_name)], cid))
+                produced += len(ctx.emitted)
+                ctx.emitted.clear()
             rounds += 1
     finally:
         if pool is not None:

@@ -51,6 +51,7 @@ can embed them for exact replay.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import get_args, get_origin, get_type_hints
@@ -93,7 +94,14 @@ from .networks import (
     OlsModelNode,
     RegressionOrchestratorNode,
 )
-from .osga import BinaryGenomeSpec, Individual, OsgaParams, RunResult
+from .osga import (
+    BinaryGenomeSpec,
+    Individual,
+    OsgaParams,
+    RealGenomeSpec,
+    RunResult,
+    check_crossover_kind,
+)
 from .payloads import ModelWithQuality, ParameterVector, RegressionProblem
 
 _ARROWS = ("->", "→")
@@ -230,6 +238,16 @@ def _read_block(cls, doc, where: str):
     return _read(cls, _mapping(doc, where, _field_names(cls)), where)
 
 
+def _read_osga(doc: dict, where: str, genome) -> OsgaParams:
+    """Search settings whose crossover kind the genome spec class takes."""
+    params = _read(OsgaParams, doc, where)
+    try:
+        check_crossover_kind(genome, params.crossover_kind)
+    except InvalidConfigError as exc:
+        raise ConfigFileError(str(exc), field=where) from exc
+    return params
+
+
 # ---------------------------------------------------------------------------
 # Block readers shared by the document types
 
@@ -251,7 +269,8 @@ def _read_selector(options: dict, where: str) -> tuple[OsgaParams, float]:
     # the genome length is the dataset's, known only once data is loaded
     spec = _read(BinaryGenomeSpec, options, where, ("init_one_probability",),
                  length=1)
-    return _read(OsgaParams, options, where), spec.init_one_probability
+    return (_read_osga(options, where, BinaryGenomeSpec),
+            spec.init_one_probability)
 
 
 def _partition_ratios(p: dict, where: str) -> tuple[float, float, float]:
@@ -276,8 +295,8 @@ def inner_search_from_options(options: dict, where: str
     if mode == "grid":
         return _read(InnerGridSearch, options, where)
     sub = _mapping(options.get("osga"), f"{where}.osga", _OSGA_KEYS)
-    params = {"params": _read(OsgaParams, sub, f"{where}.osga")} if sub \
-        else {}
+    params = {"params": _read_osga(sub, f"{where}.osga", RealGenomeSpec)} \
+        if sub else {}
     return _read(InnerOsgaSearch, options, where, _BOUND_KEYS + ("budget",),
                  **params)
 
@@ -304,7 +323,8 @@ def recipe_from_doc(doc, where: str = "recipe"):
         return _read(ElasticNetRecipe, doc, where, _ENET_KEYS)
     if kind == "random-forest":
         return ForestRecipe(_read(ForestConfig, doc, where))
-    return FeatureSelectionRecipe(params=_read(OsgaParams, doc, where),
+    return FeatureSelectionRecipe(params=_read_osga(doc, where,
+                                                    BinaryGenomeSpec),
                                   fitness=_read(FitnessConfig, doc, where))
 
 
@@ -608,6 +628,15 @@ DEFAULT_RECIPES = (OlsRecipe(),
                    ForestRecipe(ForestConfig(n_trees=10, max_depth=8)))
 
 
+def _check_subset_size(size: int, recipes: tuple, where: str) -> None:
+    """size must lie in [1, number of recipes]; no recipes means the
+    DEFAULT_RECIPES pair."""
+    n = len(recipes or DEFAULT_RECIPES)
+    if not 1 <= size <= n:
+        raise ConfigFileError(f"must lie in [1, {n}] for {n} recipes, "
+                              f"got {size}", field=where)
+
+
 def observed_bounds(partitioned: list[PartitionedDataset],
                     input_names) -> np.ndarray:
     """Per-input [min, max] over every dataset that carries the input."""
@@ -745,7 +774,9 @@ def _analysis_block_from_doc(doc) -> AnalysisBlock:
         recipes=_recipes(a.get("recipes", []), "analysis.recipes"),
         **_values(AnalysisBlock, a, "analysis", ("targets", "subset_size")))
     if "search" in a:
-        block.search = _read_block(OsgaParams, a["search"], "analysis.search")
+        block.search = _read_osga(
+            _mapping(a["search"], "analysis.search", _OSGA_KEYS),
+            "analysis.search", RealGenomeSpec)
     if "free_inputs" in a:
         fi = a["free_inputs"]
         if isinstance(fi, list):
@@ -757,6 +788,8 @@ def _analysis_block_from_doc(doc) -> AnalysisBlock:
             raise ConfigFileError(
                 "free_inputs must be 'true', 'all', or a name list",
                 field="analysis.free_inputs")
+    _check_subset_size(block.subset_size, block.recipes,
+                       "analysis.subset_size")
     return block
 
 
@@ -809,18 +842,25 @@ def analyze_config_from_doc(doc) -> AnalyzeConfig:
     if "targets" not in task:
         raise ConfigFileError("missing 'targets'", field="task")
     fixed = _mapping(task.get("fixed"), "task.fixed")
-    return AnalyzeConfig(
+    cfg = AnalyzeConfig(
         datasets=tuple(data_spec_from_doc(d, f"datasets[{i}]")
                        for i, d in enumerate(datasets)),
         fixed={str(k): float(_typed(v, float, f"task.fixed.{k}"))
                for k, v in fixed.items()},
         recipes=_recipes(doc.get("recipes", []), "recipes")
         or DEFAULT_RECIPES,
-        search=_read_block(OsgaParams, doc["search"], "search")
+        search=_read_osga(_mapping(doc["search"], "search", _OSGA_KEYS),
+                          "search", RealGenomeSpec)
         if "search" in doc else None,
         **_values(AnalyzeConfig, task, "task",
                   ("targets", "input_names", "bounds")),
         **_values(AnalyzeConfig, doc, "", ("seed", "workers", "subset_size")))
+    _check_subset_size(cfg.subset_size, cfg.recipes, "subset_size")
+    for i, (lo, hi) in enumerate(cfg.bounds or ()):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ConfigFileError(f"must be finite with lo < hi, got "
+                                  f"[{lo}, {hi}]", field=f"task.bounds[{i}]")
+    return cfg
 
 
 # ---------------------------------------------------------------------------

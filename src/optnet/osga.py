@@ -116,6 +116,8 @@ def gaussian_mutation(genome: np.ndarray, bounds: np.ndarray, rate: float,
 class BinaryGenomeSpec:
     """Fixed-length bit-vector genome."""
 
+    crossover_kinds = ("uniform", "single-point")
+
     length: int
     init_one_probability: float = 0.1
 
@@ -142,6 +144,8 @@ class BinaryGenomeSpec:
 @dataclass(frozen=True, eq=False)
 class RealGenomeSpec:
     """Real vector genome restricted to a box of per-component bounds."""
+
+    crossover_kinds = ("uniform", "arithmetic", "simulated-binary")
 
     bounds: np.ndarray
     sigma_fraction: float = 0.1
@@ -189,7 +193,6 @@ class RealGenomeSpec:
 class Individual:
     genome: np.ndarray
     fitness: float
-    evaluated: bool = True
 
 
 @dataclass(eq=False)
@@ -382,6 +385,15 @@ def _stream(genome_spec, params, mutation_rate, rng):
                      tuple(population))
 
 
+def check_crossover_kind(genome_spec, kind: str) -> None:
+    """Raise InvalidConfigError unless genome_spec, a genome spec or its
+    class, takes crossover kind."""
+    if kind not in genome_spec.crossover_kinds:
+        raise InvalidConfigError(
+            f"crossover_kind must be one of {list(genome_spec.crossover_kinds)}"
+            f", got {kind!r}")
+
+
 def resolve_mutation_rate(genome_spec, params: OsgaParams) -> float:
     if params.mutation_rate is not None:
         return params.mutation_rate
@@ -397,6 +409,7 @@ def osga_stream(genome_spec, params: OsgaParams, rng: np.random.Generator):
     """
     params.validate()
     genome_spec.validate()
+    check_crossover_kind(genome_spec, params.crossover_kind)
     if params.max_evaluations < params.population_size:
         raise BudgetTooSmallError(
             f"budget {params.max_evaluations} cannot evaluate the initial "
@@ -457,6 +470,7 @@ def offspring_selection_step(population, genome_spec, params: OsgaParams,
         raise InvalidConfigError(
             f"population has {len(population)} members, params say "
             f"{params.population_size}")
+    check_crossover_kind(genome_spec, params.crossover_kind)
     gen = _generation(population, genome_spec, params,
                       resolve_mutation_rate(genome_spec, params), rng,
                       float("inf"),

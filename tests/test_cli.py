@@ -486,6 +486,31 @@ BAD_VALUES = [
     ("run", RUN_DOC,
      ("network", "nodes", "orchestrator", "penalty_per_feature"), "x",
      "network.nodes.orchestrator.penalty_per_feature"),
+    # values of the right type that no run could use
+    ("run", RUN_DOC, ("network", "nodes", "selector", "crossover_kind"),
+     "bogus", "network.nodes.selector"),
+    ("benchmark", BENCH_DOC, ("fs-network", "crossover_kind"), "arithmetic",
+     "fs-network"),
+    ("benchmark", BENCH_DOC, ("analysis", "search", "crossover_kind"),
+     "single-point", "analysis.search"),
+    ("benchmark", BENCH_DOC, ("nested",),
+     {"search": "osga", "osga": {"crossover_kind": "single-point"}},
+     "nested.osga"),
+    ("benchmark", BENCH_DOC, ("analysis", "recipes"),
+     [{"kind": "feature-selection", "crossover_kind": "arithmetic"}],
+     "analysis.recipes[0].feature-selection"),
+    ("benchmark", BENCH_DOC, ("analysis", "subset_size"), 3,
+     "analysis.subset_size"),
+    ("analyze", ANALYZE_DOC, ("search", "crossover_kind"), "single-point",
+     "search"),
+    ("analyze", ANALYZE_DOC, ("subset_size",), 0, "subset_size"),
+    ("analyze", ANALYZE_DOC, ("subset_size",), 2, "subset_size"),
+    ("analyze", ANALYZE_DOC, ("task", "bounds"), [[1.0, 0.0]],
+     "task.bounds[0]"),
+    ("analyze", ANALYZE_DOC, ("task", "bounds"), [[0.0, 1.0], [2.0, 2.0]],
+     "task.bounds[1]"),
+    ("analyze", ANALYZE_DOC, ("task", "bounds"), [[0.0, float("inf")]],
+     "task.bounds[0]"),
 ]
 
 

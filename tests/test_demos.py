@@ -1,0 +1,29 @@
+"""Smoke test: the quick demos run as scripts, exit 0 and print nothing
+to stderr.
+
+05_forest_swap (about 39 s) and 06_nested_tuning (about 20 s) are left
+out to keep the suite fast; the forest, nested-tuning and network tests
+cover the code they run.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+QUICK_DEMOS = ["01_network_basics.py", "02_benchmark_data.py",
+               "03_linear_baselines.py", "04_feature_selection.py",
+               "07_optimization_analysis.py"]
+
+
+@pytest.mark.parametrize("demo", QUICK_DEMOS)
+def test_demo_runs_cleanly(demo, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""

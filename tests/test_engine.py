@@ -1,8 +1,11 @@
 """Message-passing engine: validation, routing, scheduling, accounting."""
 
 import hashlib
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optnet.engine import (
     Connection,
@@ -14,6 +17,7 @@ from optnet.engine import (
     SinksEmitted,
     Topology,
     TopologyError,
+    TraceEvent,
     run_network,
 )
 from optnet.errors import (
@@ -158,57 +162,7 @@ def test_connection_str():
 
 
 # ---------------------------------------------------------------------------
-# Network queue behavior
-
-def test_send_receipts_and_fifo_positions():
-    topo = Topology()
-    topo.add(Producer("p"))
-    topo.add(Consumer("c"))
-    topo.connect("p", "out", "c", "in")
-    net = Network(topo)
-    first = net.send("p", "out", 1.0)
-    second = net.send("p", "out", 2.0)
-    assert (first.dest_node, first.dest_port, first.position) == ("c", "in", 0)
-    assert second.position == 1
-    assert net.pending() == 2
-    queued = net.queues[("c", "in")]
-    assert [m.correlation_id for m in queued] == [0, 1]
-    assert [m.payload for m in queued] == [1.0, 2.0]
-
-
-def test_send_error_cases():
-    topo = Topology()
-    topo.add(Producer("p"))
-    topo.add(Consumer("c"))
-    topo.connect("p", "out", "c", "in")
-    net = Network(topo)
-    with pytest.raises(UnconnectedPortError, match="unknown node"):
-        net.send("ghost", "out", 1.0)
-    with pytest.raises(UnconnectedPortError, match="no output port"):
-        net.send("p", "sideways", 1.0)
-    with pytest.raises(UnconnectedPortError, match="no output port"):
-        net.send("c", "in", 1.0)  # input ports are not send sources
-
-
-def test_send_to_sink_port_rejected():
-    topo = Topology()
-    topo.add(Producer("p"))
-    net = Network(topo)  # p.out is a sink
-    with pytest.raises(UnconnectedPortError, match="not connected"):
-        net.send("p", "out", 1.0)
-
-
-def test_send_enforces_payload_kind():
-    topo = Topology()
-    topo.add(Producer("p"))
-    topo.add(Consumer("c"))
-    topo.connect("p", "out", "c", "in")
-    net = Network(topo)
-    with pytest.raises(InvalidConfigError, match="scalar-quality"):
-        net.send("p", "out", "not a number")
-    with pytest.raises(InvalidConfigError):
-        net.send("p", "out", True)  # bools are not qualities
-
+# Handler contexts
 
 def test_node_context_emit_validation():
     ctx = NodeContext(Producer("p"), substream(0, "t"))
@@ -526,3 +480,99 @@ def test_bad_emit_messages_in_a_run(port, payload, message):
         run_network(topo, MessageBudget(1), entry=("p", None))
     assert isinstance(info.value.original, InvalidConfigError)
     assert str(info.value.original) == message
+
+
+# ---------------------------------------------------------------------------
+# Scheduling invariants on random topologies
+
+MAX_HOPS = 8
+
+
+class Hub(Node):
+    """1-2 inputs, 1-2 outputs. The entry goes out on every output; each
+    later message is re-emitted fanout times (0 absorbs, 1 relays, 2
+    fans out) on outputs drawn from the node's stream, one hop further,
+    until MAX_HOPS, so every run ends."""
+
+    def __init__(self, node_id, n_in, n_out, fanout):
+        super().__init__(node_id)
+        self.input_ports = tuple(Port(f"in{i}", "scalar-quality")
+                                 for i in range(n_in))
+        self.output_ports = tuple(Port(f"out{i}", "scalar-quality")
+                                  for i in range(n_out))
+        self.fanout = fanout
+
+    def handle_entry(self, payload, ctx):
+        for port in self.output_ports:
+            ctx.emit(port.name, payload)
+
+    def handle(self, port_name, payload, ctx):
+        if payload >= MAX_HOPS:
+            return
+        for _ in range(self.fanout):
+            pick = int(ctx.rng.integers(len(self.output_ports)))
+            ctx.emit(self.output_ports[pick].name, payload + 1.0)
+
+
+@st.composite
+def random_networks(draw):
+    """A topology of 1-5 hubs wired at random (self-loops and rings
+    included, unwired outputs become sinks) plus a termination rule."""
+    topo = Topology()
+    free_inputs = []
+    for i in range(draw(st.integers(1, 5))):
+        hub = topo.add(Hub(f"h{i}", draw(st.integers(1, 2)),
+                           draw(st.integers(1, 2)),
+                           draw(st.sampled_from((0, 1, 2, 2)))))
+        free_inputs += [(hub.id, p.name) for p in hub.input_ports]
+    sinks = []
+    for hub in topo.nodes:
+        for port in hub.output_ports:
+            choice = draw(st.integers(-1, len(free_inputs) - 1))
+            if choice < 0:
+                sinks.append((hub.id, port.name))
+            else:
+                topo.connect(hub.id, port.name, *free_inputs.pop(choice))
+    if sinks and draw(st.booleans()):
+        watched = draw(st.lists(st.sampled_from(sinks), min_size=1,
+                                max_size=len(sinks), unique=True))
+        return topo, SinksEmitted(tuple(watched))
+    return topo, MessageBudget(draw(st.integers(1, 30)))
+
+
+def _run_or_deadlock(topo, termination, workers):
+    try:
+        return run_network(topo, termination, entry=("h0", 0.0), seed=3,
+                           workers=workers, trace=True)
+    except DeadlockError:
+        return None
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(random_networks())
+def test_random_topologies_keep_the_scheduling_invariants(network):
+    topo, termination = network
+    solo = _run_or_deadlock(topo, termination, workers=1)
+    pooled = _run_or_deadlock(topo, termination, workers=2)
+    if solo is None:
+        assert pooled is None
+        return
+    assert pooled.trace == solo.trace
+    for counter in ("rounds", "messages_handled", "messages_produced",
+                    "messages_remaining", "entry_count", "stopped_by",
+                    "node_message_counts", "sink_outputs"):
+        assert getattr(pooled, counter) == getattr(solo, counter)
+
+    sunk = sum(len(v) for v in solo.sink_outputs.values())
+    assert (solo.entry_count + solo.messages_produced
+            == solo.messages_handled + solo.messages_remaining + sunk)
+    deliveries = [e for e in solo.trace if e.event == "deliver"]
+    assert (sum(solo.node_message_counts.values()) == solo.messages_handled
+            == len(deliveries))
+    assert max(Counter((e.round_index, e.node)
+                       for e in deliveries).values()) == 1
+    # round 0 is the entry delivery and nothing else
+    assert [e for e in deliveries if e.round_index == 0] == [
+        TraceEvent(0, "deliver", "h0", "<entry>", "entry", 0)]
+    if isinstance(termination, MessageBudget):
+        assert solo.messages_handled == termination.limit

@@ -110,6 +110,29 @@ def test_crossover_errors():
         real_crossover(np.zeros(3), np.zeros(3), "nope", rng)
 
 
+@pytest.mark.parametrize("spec", [BINARY_SPEC, SPHERE_SPEC])
+def test_every_listed_crossover_kind_has_an_operator(spec):
+    rng = substream(4, "kinds")
+    a, b = spec.random(rng), spec.random(rng)
+    for kind in spec.crossover_kinds:
+        assert spec.crossover(a, b, kind, rng).shape == a.shape
+
+
+@pytest.mark.parametrize("spec, kind", [(BINARY_SPEC, "arithmetic"),
+                                        (BINARY_SPEC, "bogus"),
+                                        (SPHERE_SPEC, "single-point")])
+def test_kind_outside_the_genome_is_rejected_before_any_genome(spec, kind):
+    params = OsgaParams(population_size=4, max_evaluations=8,
+                        crossover_kind=kind)
+    rng = substream(4, "kinds")
+    with pytest.raises(InvalidConfigError,
+                       match=f"crossover_kind must be one of .*'{kind}'"):
+        osga_stream(spec, params, rng)
+    population = [Individual(spec.random(rng), 1.0) for _ in range(4)]
+    with pytest.raises(InvalidConfigError, match="crossover_kind"):
+        offspring_selection_step(population, spec, params, sphere, rng)
+
+
 def test_bitflip_mutation_rate_extremes():
     rng = substream(5, "t")
     g = np.array([True, False, True, False])
