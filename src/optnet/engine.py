@@ -327,7 +327,8 @@ def run_network(topology: Topology, termination,
     from its own stream derived from (seed, node id), so results do not
     depend on scheduling or worker count.
 
-    Raises InvalidConfigError for an invalid topology,
+    Raises InvalidConfigError for an invalid topology or a SinksEmitted
+    with no ports (it would stop before the entry is delivered),
     UnconnectedPortError if SinksEmitted names a port that is not a
     sink, DeadlockError if the network drains with the termination rule
     unmet, and HandlerFailureError if a handler raises.
@@ -346,6 +347,9 @@ def run_network(topology: Topology, termination,
         if limit < 1:
             raise InvalidConfigError("message budget must be at least 1")
     else:
+        if not termination.ports:
+            raise InvalidConfigError(
+                "sink termination needs at least one (node, port) sink")
         for want in termination.ports:
             if tuple(want) not in net.sink_outputs:
                 raise UnconnectedPortError(

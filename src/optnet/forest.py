@@ -20,7 +20,7 @@ allowed cut stays a leaf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,13 +59,15 @@ class ForestConfig:
 
 @dataclass(frozen=True, eq=False)
 class RegressionTree:
-    """Flattened binary tree. Node i is a leaf iff feature[i] < 0."""
+    """Flattened binary tree. Node i is a leaf iff feature[i] < 0; depth
+    is the depth of the deepest leaf, 0 for a one-leaf tree."""
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+    depth: int
 
     @property
     def n_nodes(self) -> int:
@@ -78,9 +80,12 @@ class RegressionTree:
                 and np.array_equal(self.threshold, other.threshold)
                 and np.array_equal(self.left, other.left)
                 and np.array_equal(self.right, other.right)
-                and np.array_equal(self.value, other.value))
+                and np.array_equal(self.value, other.value)
+                and self.depth == other.depth)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
+        """This tree's predictions, routed node by node: the reference
+        that predict_forest's all-trees routing matches bit for bit."""
         X = np.asarray(features, dtype=np.float64)
         out = np.empty(X.shape[0])
         # route row blocks down the tree instead of walking row by row
@@ -100,12 +105,54 @@ class RegressionTree:
 
 
 @dataclass(frozen=True, eq=False)
+class _Routing:
+    """Every tree's nodes in one set of arrays, tree after tree. roots
+    holds each tree's root index. child[2 * i] and child[2 * i + 1] are
+    node i's left and right child in these indices; a leaf's children
+    are the leaf itself, so depth steps take every row of every tree to
+    its leaf."""
+
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    child: np.ndarray
+    value: np.ndarray
+    depth: int
+
+    @classmethod
+    def of(cls, trees) -> _Routing:
+        sizes = [t.n_nodes for t in trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        feature = np.concatenate([t.feature for t in trees])
+        leaf = feature < 0
+        own = np.arange(feature.size)
+        shift = np.repeat(roots, sizes)
+        child = np.empty(2 * feature.size, dtype=np.int64)
+        child[0::2] = np.where(
+            leaf, own, np.concatenate([t.left for t in trees]) + shift)
+        child[1::2] = np.where(
+            leaf, own, np.concatenate([t.right for t in trees]) + shift)
+        return cls(roots,
+                   np.where(leaf, 0, feature),  # a leaf reads column 0
+                   np.concatenate([t.threshold for t in trees]),
+                   child,
+                   np.concatenate([t.value for t in trees]),
+                   max(t.depth for t in trees))
+
+
+@dataclass(frozen=True, eq=False)
 class ForestModel:
     """A tuple of trees whose predictions are averaged."""
 
     trees: tuple[RegressionTree, ...]
     config: ForestConfig
     feature_names: tuple[str, ...]
+    _routing: _Routing = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not self.trees:
+            raise EmptyInputError("a forest needs at least one tree")
+        object.__setattr__(self, "_routing", _Routing.of(self.trees))
 
     @property
     def n_features(self) -> int:
@@ -131,6 +178,7 @@ class _TreeGrower:
         self.left: list[int] = []
         self.right: list[int] = []
         self.value: list[float] = []
+        self.depth = 0
 
     def _new_node(self) -> int:
         self.feature.append(-1)
@@ -149,6 +197,7 @@ class _TreeGrower:
             (root_rows, 0, -1, False)]
         while stack:
             rows, depth, parent, is_right = stack.pop()
+            self.depth = max(self.depth, depth)
             node = self._new_node()
             if parent >= 0:
                 if is_right:
@@ -221,6 +270,7 @@ class _TreeGrower:
             np.asarray(self.left, dtype=np.int64),
             np.asarray(self.right, dtype=np.int64),
             np.asarray(self.value, dtype=np.float64),
+            self.depth,
         )
 
 
@@ -263,14 +313,38 @@ def fit_random_forest(features: np.ndarray, target: np.ndarray,
     return ForestModel(tuple(trees), config, tuple(feature_names))
 
 
+# predict_forest routes at most this many (tree, row) cells at once;
+# larger inputs go in row blocks, which bounds memory and keeps the index
+# matrices in cache
+_ROUTE_CELLS = 1 << 16
+
+
 def predict_forest(model: ForestModel, features: np.ndarray) -> np.ndarray:
+    """Mean of the trees' predictions. Routes every tree at once: a
+    trees x rows matrix of node indices moves one level per step."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ShapeMismatchError(
             f"expected (n, {model.n_features}) features, got {X.shape}")
     if X.shape[0] == 0:
         return np.zeros(0)
-    acc = np.zeros(X.shape[0])
-    for tree in model.trees:
-        acc += tree.predict(X)
-    return acc / len(model.trees)
+    r = model._routing
+    n_trees = len(model.trees)
+    out = np.empty(X.shape[0])
+    block = max(1, _ROUTE_CELLS // n_trees)
+    for start in range(0, X.shape[0], block):
+        Xb = X[start:start + block]
+        flat = Xb.ravel()
+        first = np.arange(Xb.shape[0]) * Xb.shape[1]  # each row's column 0
+        node = np.repeat(r.roots[:, None], Xb.shape[0], axis=1)
+        for _ in range(r.depth):
+            # NaN fails the test and goes right, as in RegressionTree
+            go_left = flat[first + r.feature[node]] <= r.threshold[node]
+            node = r.child[2 * node + ~go_left]
+        # sum in tree order from zero, then divide once: the bits of
+        # adding up RegressionTree.predict tree by tree
+        acc = np.zeros(Xb.shape[0])
+        for values in r.value[node]:
+            acc += values
+        out[start:start + block] = acc / n_trees
+    return out

@@ -639,7 +639,11 @@ def _check_subset_size(size: int, recipes: tuple, where: str) -> None:
 
 def observed_bounds(partitioned: list[PartitionedDataset],
                     input_names) -> np.ndarray:
-    """Per-input [min, max] over every dataset that carries the input."""
+    """Per-input [min, max] over every dataset that carries the input.
+
+    Raises ConfigFileError at task.bounds for an input that no dataset
+    carries or that takes one value only, since neither gives a range
+    to search."""
     bounds = np.empty((len(input_names), 2))
     for i, name in enumerate(input_names):
         lo, hi = np.inf, -np.inf
@@ -653,6 +657,10 @@ def observed_bounds(partitioned: list[PartitionedDataset],
             raise ConfigFileError(
                 f"input {name!r} appears in no dataset; give explicit bounds",
                 field="task.bounds")
+        if lo == hi:
+            raise ConfigFileError(
+                f"input {name!r} is constant in the data; give explicit "
+                f"bounds", field="task.bounds")
         bounds[i] = (lo, hi)
     return bounds
 

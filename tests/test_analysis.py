@@ -1,5 +1,6 @@
 """Model pools, subset selection, and inverse input optimization."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -246,6 +247,26 @@ def test_analysis_network_is_deterministic(small_partitioned):
     second = optimization_analysis_network(small_partitioned, recipes, 1,
                                            task, SMALL_SEARCH, seed=3)
     assert first.to_json() == second.to_json()
+
+
+# SHA-256 of AnalysisReport.to_json() for the OLS + forest run below. The
+# forest misses the target, so its input search scores all 2 000
+# evaluations through single-row forest predictions; a change to their
+# bits, to the search or to the report layout changes the digest.
+_OLS_FOREST_REPORT = (
+    "8211e870223819ab5a1b3ccd9ef58ce215c5ba2f8756c135d7184a2e40c55f9a")
+
+
+def test_ols_forest_analysis_matches_golden_digest(small_partitioned):
+    task, _ = analysis_setup(small_partitioned)
+    recipes = (OlsRecipe(), ForestRecipe(ForestConfig(n_trees=5,
+                                                      max_depth=4)))
+    report = optimization_analysis_network(small_partitioned, recipes, 2,
+                                           task, SMALL_SEARCH, seed=0)
+    assert [[e.label for e in combo] for combo, _ in report.ranked] == [
+        ["ols"], ["random-forest"]]
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == _OLS_FOREST_REPORT
 
 
 def test_analysis_network_mismatched_datasets(small_partitioned):

@@ -421,6 +421,23 @@ def test_analyze_via_main(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_analyze_constant_input_needs_explicit_bounds(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    x0 = rng.uniform(-1.0, 1.0, 80)
+    lines = ["x0,x1,y"] + [f"{a:.17g},2.0,{3.0 * a:.17g}" for a in x0]
+    csv_path = tmp_path / "constant.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    doc = {**ANALYZE_DOC, "datasets": [{"csv": {"path": str(csv_path)}}],
+           "task": {"targets": [1.0]}}
+    config_path = tmp_path / "analysis.yaml"
+    config_path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["analyze", "--config", str(config_path),
+                 "--out", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert "task.bounds" in err
+    assert "'x1' is constant" in err
+
+
 # ---------------------------------------------------------------------------
 # Shipped example config
 

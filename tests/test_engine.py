@@ -196,6 +196,26 @@ def test_sinks_termination_must_name_sinks():
                     entry=("echo", 0.0))
 
 
+def test_sinks_termination_needs_a_port():
+    """With no sinks to wait on, the entry would be counted nowhere; the
+    rule is refused before round 0 runs any handler."""
+    entered = []
+
+    class Recorder(Node):
+        output_ports = (Port("out", "scalar-quality"),)
+
+        def handle_entry(self, payload, ctx):
+            entered.append(payload)
+
+    topo = Topology()
+    topo.add(Recorder("r"))
+    with pytest.raises(InvalidConfigError, match="at least one"):
+        run_network(topo, SinksEmitted(()), entry=("r", 0.0))
+    with pytest.raises(InvalidConfigError, match="at least one"):
+        run_network(echo_loop(), SinksEmitted(()), entry=("echo", 0.0))
+    assert entered == []
+
+
 # ---------------------------------------------------------------------------
 # Execution semantics
 

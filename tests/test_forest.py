@@ -1,5 +1,6 @@
 """Bagged regression trees: determinism, split behavior, oracle checks."""
 
+import dataclasses
 import hashlib
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optnet import forest
 from optnet._rng import substream
 from optnet.errors import (
     EmptyInputError,
@@ -77,9 +79,10 @@ def test_split_threshold_is_midpoint():
     tree = model.trees[0]
     assert tree.feature[0] == 0
     assert tree.threshold[0] == 0.5
-    predictions = predict_forest(model, np.array([[0.2], [0.5], [0.8]]))
-    # x <= threshold goes left
-    assert np.array_equal(predictions, [0.0, 0.0, 10.0])
+    predictions = predict_forest(model,
+                                 np.array([[0.2], [0.5], [0.8], [np.nan]]))
+    # x <= threshold goes left; NaN fails the test and goes right
+    assert np.array_equal(predictions, [0.0, 0.0, 10.0, 10.0])
 
 
 def test_same_seed_same_forest():
@@ -142,6 +145,13 @@ def test_predict_shape_checks():
     with pytest.raises(ShapeMismatchError):
         predict_forest(model, np.zeros((3, 2)))
     assert predict_forest(model, np.zeros((0, 1))).shape == (0,)
+
+
+def test_forest_needs_a_tree():
+    X, y = _step_data(seed=1, n=30)
+    model = fit_random_forest(X, y, ForestConfig(n_trees=1), seed=0)
+    with pytest.raises(EmptyInputError):
+        ForestModel((), model.config, model.feature_names)
 
 
 def test_forest_model_equality():
@@ -322,3 +332,98 @@ def test_forests_match_golden_digests():
     digests = tuple(_forest_digest(fit_random_forest(X, y, config, seed=seed))
                     for X, y, config, seed in _golden_cases())
     assert digests == _GOLDEN
+
+
+# ---------------------------------------------------------------------------
+# Prediction: predict_forest routes every tree at once and must give the
+# bits of summing RegressionTree.predict tree by tree
+
+
+def _tree_by_tree(model, X):
+    acc = np.zeros(X.shape[0])
+    for tree in model.trees:
+        acc += tree.predict(X)
+    return acc / len(model.trees)
+
+
+def _deepest_leaf(tree):
+    deepest, stack = 0, [(0, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if tree.feature[node] < 0:
+            deepest = max(deepest, depth)
+        else:
+            stack += [(tree.left[node], depth + 1),
+                      (tree.right[node], depth + 1)]
+    return deepest
+
+
+@st.composite
+def _forests_and_rows(draw):
+    X, y, config, seed = draw(_small_integer_problems())
+    # up to 12 trees: past 8, numpy's pairwise sum over the trees of a
+    # single row differs from the sequential one
+    config = dataclasses.replace(config, n_trees=draw(st.integers(1, 12)))
+    if draw(st.booleans()):
+        y = np.full_like(y, y[0])  # one-leaf trees
+    else:
+        # leaf means with full mantissas, whose sums round
+        y = y + np.random.default_rng(seed).random(y.size)
+    model = fit_random_forest(X, y, config, seed=seed)
+    # cells on the trees' thresholds (ties go left), NaN (goes right),
+    # the training grid and values between and beyond it
+    thresholds = sorted({float(t) for tree in model.trees
+                         for t in tree.threshold[tree.feature >= 0]})
+    cell = st.one_of(st.sampled_from(thresholds or [0.5]),
+                     st.just(np.nan), st.integers(-1, 4).map(float),
+                     st.floats(-5.0, 5.0, allow_nan=False))
+    n_rows = draw(st.sampled_from([0, 1, 1, 2, 7, 20]))
+    d = X.shape[1]
+    cells = draw(st.lists(cell, min_size=n_rows * d, max_size=n_rows * d))
+    return model, np.array(cells, dtype=np.float64).reshape(n_rows, d)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_forests_and_rows())
+def test_predict_forest_matches_tree_by_tree(case):
+    model, rows = case
+    got = predict_forest(model, rows)
+    want = _tree_by_tree(model, rows)
+    assert got.shape == (rows.shape[0],)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+    assert all(tree.depth == _deepest_leaf(tree) for tree in model.trees)
+
+
+def test_predict_forest_row_blocks(monkeypatch):
+    """Rows are routed in blocks of _ROUTE_CELLS // n_trees; every block
+    size gives the same bits."""
+    X, y, config, seed = next(iter(_golden_cases()))
+    model = fit_random_forest(X, y, config, seed=seed)
+    whole = predict_forest(model, X)
+    monkeypatch.setattr(forest, "_ROUTE_CELLS", 7 * config.n_trees)
+    assert predict_forest(model, X).tobytes() == whole.tobytes()
+    monkeypatch.setattr(forest, "_ROUTE_CELLS", 1)
+    assert predict_forest(model, X).tobytes() == whole.tobytes()
+
+
+# SHA-256 of the little-endian float64 predictions of each _golden_cases
+# forest on its training rows and on those rows reversed and shifted by
+# 0.5, which puts the integer cases on their split thresholds.
+_GOLDEN_PREDICTIONS = (
+    "256920d7289455f07179c2048e7f3a18101ef8e55c2fc0af5e9560574447f96b",
+    "7239c98b0977c35a2134c3cb4aee93a930bb93fb0556132af9dd27c6541928d2",
+    "a9a1edc66b6e1e4a24026bb2529aeec28ffa0c232bbf05f30260b900b8a4942a",
+    "b13b181344f2ff35d24eda2664dd16e7c625d06c87a23c59d4181b81bd0614c6",
+)
+
+
+def test_predictions_match_golden_digests():
+    digests = []
+    for X, y, config, seed in _golden_cases():
+        model = fit_random_forest(X, y, config, seed=seed)
+        rows = np.vstack([X, X[::-1] + 0.5])
+        predictions = np.ascontiguousarray(predict_forest(model, rows),
+                                           dtype="<f8")
+        digests.append(hashlib.sha256(predictions.tobytes()).hexdigest())
+    assert tuple(digests) == _GOLDEN_PREDICTIONS
