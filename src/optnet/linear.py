@@ -4,6 +4,14 @@ Both fitters return a LinearModel operating on raw (unstandardized)
 inputs. The elastic net standardizes internally for the coordinate
 descent updates and maps the solution back, so its coefficients are
 directly comparable with the OLS ones.
+
+One coordinate-descent solver serves both elastic-net entry points: it
+fits a batch of configs on one design in lockstep, from a Gram matrix
+of the standardized features that holds d*d floats (more than the
+features themselves only when d exceeds the row count).
+fit_elastic_net is its one-cell call, and grid_search_elastic_net runs
+the whole grid as one batch; every grid cell has the same bits as
+fit_elastic_net on that cell alone.
 """
 
 from __future__ import annotations
@@ -96,6 +104,25 @@ def mae(predicted: np.ndarray, actual: np.ndarray) -> float:
     return float(np.mean(np.abs(p - a)))
 
 
+def _checked_xy(features, target, fitter: str):
+    """Features and target as float arrays, after the shape, size and
+    finiteness checks both fitters share."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(target, dtype=np.float64)
+    if X.ndim != 2:
+        raise ShapeMismatchError("features must be 2-d")
+    if y.ndim != 1:
+        raise ShapeMismatchError(f"target must be 1-d, got shape {y.shape}")
+    if X.shape[0] != y.shape[0]:
+        raise ShapeMismatchError(
+            f"{X.shape[0]} feature rows vs {y.shape[0]} targets")
+    if X.shape[0] == 0:
+        raise EmptyInputError("cannot fit on zero rows")
+    if not np.isfinite(X).all() or not np.isfinite(y).all():
+        raise InvalidConfigError(f"{fitter} features and target must be finite")
+    return X, y
+
+
 def fit_ols(features: np.ndarray, target: np.ndarray,
             feature_names: tuple[str, ...] | None = None) -> LinearModel:
     """Least-squares fit with an unpenalized intercept.
@@ -106,17 +133,7 @@ def fit_ols(features: np.ndarray, target: np.ndarray,
     infinite features or targets raise InvalidConfigError before the
     solve.
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(target, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeMismatchError("features must be 2-d")
-    if X.shape[0] != y.shape[0]:
-        raise ShapeMismatchError(
-            f"{X.shape[0]} feature rows vs {y.shape[0]} targets")
-    if X.shape[0] == 0:
-        raise EmptyInputError("cannot fit on zero rows")
-    if not np.isfinite(X).all() or not np.isfinite(y).all():
-        raise InvalidConfigError("OLS features and target must be finite")
+    X, y = _checked_xy(features, target, "OLS")
     n, d = X.shape
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(d))
@@ -152,14 +169,6 @@ class ElasticNetConfig:
             raise InvalidConfigError("max_sweeps must be at least 1")
 
 
-def _soft_threshold(v: float, t: float) -> float:
-    if v > t:
-        return v - t
-    if v < -t:
-        return v + t
-    return 0.0
-
-
 def elastic_net_objective(features, target, weights, intercept,
                           penalty: float, l1_ratio: float) -> float:
     """Penalized half mean squared error minimized by fit_elastic_net."""
@@ -171,6 +180,85 @@ def elastic_net_objective(features, target, weights, intercept,
     reg = penalty * (l1_ratio * float(np.sum(np.abs(w)))
                      + 0.5 * (1.0 - l1_ratio) * float(np.sum(w * w)))
     return loss + reg
+
+
+def _coordinate_descent(X, y, configs, feature_names,
+                        keep_history: bool) -> list[LinearModel]:
+    """One elastic net per (validated) config on the same checked X, y,
+    run in lockstep.
+
+    X is standardized once, and the Gram matrix G = Z'Z/n and c = Z'yc/n
+    are built once; G holds d*d floats, more than X only when d > n.
+    Cyclic coordinate descent then updates coordinate j of every live
+    cell at once from one product of the cells x features weights with
+    G[j] (covariance updates, Friedman, Hastie & Tibshirani, JSS 33(1),
+    2010, section 2.2). Each cell's products are reduced along its own
+    row by einsum, never by a BLAS product whose rounding depends on how
+    many cells share the call, so a cell's bits do not depend on the
+    other configs in the batch. A cell leaves the batch at its own
+    convergence or its own sweep limit.
+    """
+    n, d = X.shape
+    y_mean = float(y.mean())
+    x_mean = X.mean(axis=0)
+    # a constant column keeps a zero weight; its rounded std can be > 0
+    live = X.max(axis=0) > X.min(axis=0)
+    # ddof=0, so scaled columns have unit 2nd moment
+    x_scale = np.where(live, X.std(axis=0), 1.0)
+    Z = (X - x_mean) / x_scale
+    yc = y - y_mean
+    c = Z.T @ yc / n
+    # the Gram matrix without its unit diagonal: row j then gives the
+    # fit of the other coordinates, so rho needs no add-back of w_j
+    G = Z.T @ Z / n
+    np.fill_diagonal(G, 0.0)
+
+    l1 = np.array([cfg.penalty * cfg.l1_ratio for cfg in configs])
+    shrink = np.array([1.0 + cfg.penalty * (1.0 - cfg.l1_ratio)
+                       for cfg in configs])
+    tolerance = np.array([cfg.tolerance for cfg in configs])
+    sweep_limit = np.array([cfg.max_sweeps for cfg in configs])
+    W = np.zeros((len(configs), d))
+    converged = np.zeros(len(configs), dtype=bool)
+    n_sweeps = np.zeros(len(configs), dtype=np.int64)
+    history: list[list[float]] = [[] for _ in configs]
+    active = np.flatnonzero(live)
+    cells = np.arange(len(configs))
+    sweep = 0
+    while cells.size:
+        sweep += 1
+        start = W[cells]
+        w = start.copy()
+        hi = l1[cells]
+        lo = -hi
+        div = shrink[cells]
+        for j in active:
+            # rho is the coordinate-wise least-squares fit to the partial
+            # residual; with unit second moment columns the update is exact
+            rho = c[j] - np.einsum("ji,i->j", w, G[j])
+            w[:, j] = (rho - np.minimum(np.maximum(rho, lo), hi)) / div
+        W[cells] = w
+        if keep_history:
+            for i in cells:
+                history[i].append(elastic_net_objective(
+                    Z, yc, W[i], 0.0, configs[i].penalty,
+                    configs[i].l1_ratio))
+        # each coordinate moves once per sweep, so its step is end - start
+        settled = np.abs(w - start).max(axis=1, initial=0.0) \
+            <= tolerance[cells]
+        done = settled | (sweep >= sweep_limit[cells])
+        converged[cells[done]] = settled[done]
+        n_sweeps[cells[done]] = sweep
+        cells = cells[~done]
+
+    W_orig = W / x_scale
+    intercepts = y_mean - np.einsum("ji,i->j", W_orig, x_mean)
+    names = tuple(feature_names)
+    return [LinearModel(W_orig[i].copy(), intercepts[i], names,
+                        converged=bool(converged[i]),
+                        n_sweeps=int(n_sweeps[i]),
+                        objective_history=tuple(history[i]))
+            for i in range(len(configs))]
 
 
 def fit_elastic_net(features: np.ndarray, target: np.ndarray,
@@ -185,72 +273,24 @@ def fit_elastic_net(features: np.ndarray, target: np.ndarray,
     returned model is on the original scale. The intercept is never
     penalized. Convergence is declared when no coefficient moves more
     than config.tolerance in a sweep; hitting max_sweeps first yields the
-    last iterate with converged=False instead of an exception.
+    last iterate with converged=False instead of an exception. NaN or
+    infinite features or targets raise InvalidConfigError.
+
+    This is the one-cell case of the solver grid_search_elastic_net runs
+    on a whole grid at once, and gives the same bits as that grid's cell
+    for this config. The solver keeps a d x d Gram matrix of the
+    standardized features, which outweighs X itself only when d > n.
 
     With keep_history the model records the objective after every sweep,
     which decreases monotonically for this coordinate-wise scheme.
     """
     config = config or ElasticNetConfig()
     config.validate()
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(target, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeMismatchError("features must be 2-d")
-    if X.shape[0] != y.shape[0]:
-        raise ShapeMismatchError(
-            f"{X.shape[0]} feature rows vs {y.shape[0]} targets")
-    if X.shape[0] == 0:
-        raise EmptyInputError("cannot fit on zero rows")
-    n, d = X.shape
+    X, y = _checked_xy(features, target, "elastic-net")
     if feature_names is None:
-        feature_names = tuple(f"x{i}" for i in range(d))
-    if d == 0:
-        return LinearModel(np.zeros(0), float(np.mean(y)), ())
-
-    x_mean = X.mean(axis=0)
-    x_scale = X.std(axis=0)  # ddof=0, so scaled columns have unit 2nd moment
-    live = x_scale > 0
-    x_scale = np.where(live, x_scale, 1.0)
-    Z = (X - x_mean) / x_scale
-    y_mean = float(y.mean())
-    yc = y - y_mean
-
-    l1 = config.penalty * config.l1_ratio
-    l2 = config.penalty * (1.0 - config.l1_ratio)
-    w = np.zeros(d)
-    resid = yc.copy()
-    history: list[float] = []
-    active = np.flatnonzero(live)
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, config.max_sweeps + 1):
-        max_delta = 0.0
-        for j in active:
-            zj = Z[:, j]
-            wj = w[j]
-            # rho is the coordinate-wise least-squares fit to the partial
-            # residual; with unit second moment columns the update is exact
-            rho = (zj @ resid) / n + wj
-            w_new = _soft_threshold(rho, l1) / (1.0 + l2)
-            if w_new != wj:
-                resid += zj * (wj - w_new)
-                w[j] = w_new
-                max_delta = max(max_delta, abs(w_new - wj))
-        if keep_history:
-            history.append(
-                0.5 * float(resid @ resid) / n
-                + config.penalty * (config.l1_ratio * float(np.sum(np.abs(w)))
-                                    + 0.5 * (1.0 - config.l1_ratio)
-                                    * float(np.sum(w * w))))
-        if max_delta <= config.tolerance:
-            converged = True
-            break
-
-    w_orig = w / x_scale
-    intercept = y_mean - float(x_mean @ w_orig)
-    return LinearModel(w_orig, intercept, tuple(feature_names),
-                       converged=converged, n_sweeps=sweeps,
-                       objective_history=tuple(history))
+        feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
+    return _coordinate_descent(X, y, [config], feature_names,
+                               keep_history)[0]
 
 
 @dataclass(frozen=True)
@@ -294,6 +334,27 @@ class GridSearchResult:
         return "\n".join(lines) + "\n"
 
 
+def _fit_cells(features, target, configs,
+               feature_names) -> list[LinearModel | str]:
+    """Each config's model, or the text of the error that stopped it: the
+    config's own validation error, else the error of the one batched fit
+    of every valid config."""
+    errors = {}
+    for i, cfg in enumerate(configs):
+        try:
+            cfg.validate()
+        except InvalidConfigError as exc:
+            errors[i] = str(exc)
+    valid = [cfg for i, cfg in enumerate(configs) if i not in errors]
+    try:
+        X, y = _checked_xy(features, target, "elastic-net")
+        fits = iter(_coordinate_descent(X, y, valid, feature_names, False))
+    except (OptnetError, FloatingPointError) as exc:
+        return [errors.get(i, str(exc)) for i in range(len(configs))]
+    return [errors[i] if i in errors else next(fits)
+            for i in range(len(configs))]
+
+
 def grid_search_elastic_net(partitioned, penalty_grid=None, l1_ratio_grid=None,
                             tolerance: float = 1e-6, max_sweeps: int = 1000,
                             compute_test_mae: bool = True) -> GridSearchResult:
@@ -302,6 +363,14 @@ def grid_search_elastic_net(partitioned, penalty_grid=None, l1_ratio_grid=None,
 
     Ties prefer fewer selected features, then the smaller penalty, then
     the smaller l1_ratio. The winner is scored once on the test part.
+
+    The valid cells are fitted in lockstep by one call of the solver
+    behind fit_elastic_net, so the training features are standardized
+    and their d x d Gram matrix built once per grid. Each cell stops at
+    its own convergence or sweep limit, and its model has the same bits
+    as fit_elastic_net on that cell alone. A cell whose config fails
+    validation, or whose fit or validation scoring raises, is flagged
+    with the error text and an infinite validation MAE.
     """
     penalties = tuple(penalty_grid) if penalty_grid is not None \
         else DEFAULT_PENALTY_GRID
@@ -313,24 +382,27 @@ def grid_search_elastic_net(partitioned, penalty_grid=None, l1_ratio_grid=None,
     X_val, y_val = partitioned.validation_xy()
     names = partitioned.base.feature_names
 
+    configs = [ElasticNetConfig(penalty=float(penalty), l1_ratio=float(ratio),
+                                tolerance=tolerance, max_sweeps=max_sweeps)
+               for penalty in penalties for ratio in ratios]
     cells: list[GridCell] = []
     models: list[LinearModel | None] = []
-    for penalty in penalties:
-        for ratio in ratios:
-            cfg = ElasticNetConfig(penalty=penalty, l1_ratio=ratio,
-                                   tolerance=tolerance, max_sweeps=max_sweeps)
+    for cfg, fit in zip(configs, _fit_cells(X_train, y_train, configs,
+                                             names)):
+        if isinstance(fit, LinearModel):
             try:
-                model = fit_elastic_net(X_train, y_train, cfg, names)
-                val_mae = mae(predict(model, X_val), y_val)
+                val_mae = mae(predict(fit, X_val), y_val)
             except (OptnetError, FloatingPointError) as exc:
-                # flag the cell, keep scanning the grid
-                cells.append(GridCell(float(penalty), float(ratio),
-                                      float("inf"), 0, False, str(exc)))
-                models.append(None)
-                continue
-            cells.append(GridCell(float(penalty), float(ratio), val_mae,
-                                  model.n_selected, model.converged))
-            models.append(model)
+                fit = str(exc)
+        if isinstance(fit, str):
+            # flag the cell, keep scanning the grid
+            cells.append(GridCell(cfg.penalty, cfg.l1_ratio, float("inf"), 0,
+                                  False, fit))
+            models.append(None)
+            continue
+        cells.append(GridCell(cfg.penalty, cfg.l1_ratio, val_mae,
+                              fit.n_selected, fit.converged))
+        models.append(fit)
 
     if all(m is None for m in models):
         raise InvalidConfigError("every grid cell failed to fit")

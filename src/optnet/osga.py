@@ -97,13 +97,15 @@ def gaussian_mutation(genome: np.ndarray, bounds: np.ndarray, rate: float,
                       rng: np.random.Generator) -> np.ndarray:
     """Perturb each component with probability rate by Gaussian noise whose
     scale is sigma_fraction of that component's bound width, clipping the
-    result back into the bounds."""
+    result back into the bounds.
+
+    The bounds must be finite with lo <= hi; they are not checked here,
+    since they stay fixed for a whole search: RealGenomeSpec.validate
+    checks them once, and osga_stream and offspring_selection_step call
+    it before the first genome is drawn."""
     d = genome.shape[0]
     lo = bounds[:, 0]
     hi = bounds[:, 1]
-    if np.any(lo > hi) or not (np.all(np.isfinite(lo))
-                               and np.all(np.isfinite(hi))):
-        raise InfeasibleBoundsError("bounds must be finite with lo <= hi")
     hit = rng.random(d) < rate
     noise = rng.standard_normal(d) * (sigma_fraction * (hi - lo))
     return np.clip(np.where(hit, genome + noise, genome), lo, hi)
@@ -466,6 +468,7 @@ def offspring_selection_step(population, genome_spec, params: OsgaParams,
     unchanged and stats.stop_reason says why.
     """
     params.validate()
+    genome_spec.validate()
     if len(population) != params.population_size:
         raise InvalidConfigError(
             f"population has {len(population)} members, params say "

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optnet.data import Dataset, partition
 from optnet.errors import (
@@ -14,6 +16,7 @@ from optnet.linear import (
     DEFAULT_PENALTY_GRID,
     ElasticNetConfig,
     LinearModel,
+    _coordinate_descent,
     elastic_net_objective,
     fit_elastic_net,
     fit_ols,
@@ -117,6 +120,13 @@ def test_ols_non_finite_inputs_are_rejected(regression_case, where, bad,
         with pytest.raises(InvalidConfigError, match="finite"):
             fit_ols(X[:, :0], y)
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("fit", [fit_ols, fit_elastic_net])
+def test_fitters_reject_a_target_that_is_not_1d(regression_case, fit):
+    X, y = regression_case
+    with pytest.raises(ShapeMismatchError, match="target must be 1-d"):
+        fit(X, y[:, None])
 
 
 def test_predict_shape_check(regression_case):
@@ -244,10 +254,40 @@ def test_elastic_net_constant_column_stays_zero():
     assert model.weights[0] != 0.0
 
 
+def test_elastic_net_constant_column_with_inexact_mean_stays_zero():
+    """The mean of ten copies of 28.4625111 is not exactly that value,
+    so the column's std is about 7e-15 rather than 0; the column used to
+    be standardized to a constant and got a weight of about -0.25, with
+    the intercept making up for it."""
+    rng = np.random.default_rng(5)
+    X = np.column_stack([np.full(10, 28.4625111), rng.standard_normal(10)])
+    assert X[:, 0].std() > 0
+    y = X[:, 1] - 19.0 + 0.1 * rng.standard_normal(10)
+    model = fit_elastic_net(X, y, ElasticNetConfig(penalty=0.0))
+    assert model.weights[0] == 0.0
+    assert model.intercept == pytest.approx(
+        float(y.mean() - X[:, 1].mean() * model.weights[1]))
+
+
 def test_elastic_net_zero_features():
     y = np.array([2.0, 4.0])
     model = fit_elastic_net(np.zeros((2, 0)), y)
     assert model.intercept == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("where", ["features", "target"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_elastic_net_non_finite_inputs_are_rejected(regression_case, where,
+                                                    bad):
+    """A NaN column used to come back as a zero weight with a NaN
+    intercept and converged=True."""
+    X, y = (a.copy() for a in regression_case)
+    if where == "features":
+        X[7, 2] = bad
+    else:
+        y[7] = bad
+    with pytest.raises(InvalidConfigError, match="finite"):
+        fit_elastic_net(X, y)
 
 
 def test_elastic_net_config_validation():
@@ -348,3 +388,116 @@ def test_grid_search_never_reads_test_during_scan(toy_dataset):
     grid_search_elastic_net(p, penalty_grid=(0.1,), l1_ratio_grid=(0.5,),
                             compute_test_mae=False)
     assert p.access_counts["test"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Lockstep grid against single fits and the scalar reference loop
+
+def _soft_threshold(v, t):
+    if v > t:
+        return v - t
+    if v < -t:
+        return v + t
+    return 0.0
+
+
+def _scalar_reference(X, y, config):
+    """The one-cell, one-coordinate-at-a-time residual-update loop the
+    batched solver replaced; returns raw-scale weights, n_sweeps and
+    converged."""
+    n, d = X.shape
+    x_mean = X.mean(axis=0)
+    live = X.max(axis=0) > X.min(axis=0)
+    x_scale = np.where(live, X.std(axis=0), 1.0)
+    Z = (X - x_mean) / x_scale
+    resid = y - float(y.mean())
+    l1 = config.penalty * config.l1_ratio
+    l2 = config.penalty * (1.0 - config.l1_ratio)
+    w = np.zeros(d)
+    for sweeps in range(1, config.max_sweeps + 1):
+        max_delta = 0.0
+        for j in np.flatnonzero(live):
+            zj = Z[:, j]
+            wj = w[j]
+            w_new = _soft_threshold((zj @ resid) / n + wj, l1) / (1.0 + l2)
+            if w_new != wj:
+                resid += zj * (wj - w_new)
+                w[j] = w_new
+                max_delta = max(max_delta, abs(w_new - wj))
+        if max_delta <= config.tolerance:
+            return w / x_scale, sweeps, True
+    return w / x_scale, config.max_sweeps, False
+
+
+@st.composite
+def _grid_problems(draw):
+    """A small regression, sometimes with a constant column, and a grid
+    of 1-6 penalties (some negative) by 1-3 ratios, sometimes with a
+    sweep limit low enough to stop cells unconverged."""
+    n = draw(st.integers(10, 60))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-1, 1, size=d)
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = draw(
+            st.floats(-100.0, 100.0, allow_nan=False))
+    y = X @ rng.standard_normal(d) + rng.standard_normal(n)
+    penalties = draw(st.lists(
+        st.sampled_from([-0.5, 0.0, 1e-3, 0.03, 0.3, 1.0, 10.0])
+        | st.floats(1e-4, 10.0), min_size=1, max_size=6))
+    ratios = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0])
+                           | st.floats(0.0, 1.0), min_size=1, max_size=3))
+    max_sweeps = draw(st.sampled_from([1, 2, 5, 1000]))
+    return X, y, penalties, ratios, max_sweeps
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_grid_problems())
+def test_every_grid_cell_equals_its_single_fit(problem):
+    X, y, penalties, ratios, max_sweeps = problem
+    p = partition(Dataset(X, y, tuple(f"f{i}" for i in range(X.shape[1]))),
+                  seed=0)
+    if all(pen < 0 for pen in penalties):
+        with pytest.raises(InvalidConfigError, match="every grid cell"):
+            grid_search_elastic_net(p, penalties, ratios,
+                                    max_sweeps=max_sweeps)
+        return
+    result = grid_search_elastic_net(p, penalties, ratios,
+                                     max_sweeps=max_sweeps)
+    X_train, y_train = p.train_xy()
+    X_val, y_val = p.validation_xy()
+    assert len(result.cells) == len(penalties) * len(ratios)
+    for cell in result.cells:
+        if cell.penalty < 0:
+            assert cell.error == "penalty must be non-negative"
+            assert cell.validation_mae == float("inf")
+            assert (cell.n_selected, cell.converged) == (0, False)
+            continue
+        single = fit_elastic_net(
+            X_train, y_train,
+            ElasticNetConfig(cell.penalty, cell.l1_ratio,
+                             max_sweeps=max_sweeps),
+            p.base.feature_names)
+        assert cell.ok
+        assert (cell.validation_mae, cell.n_selected, cell.converged) == (
+            mae(predict(single, X_val), y_val), single.n_selected,
+            single.converged)
+        if cell is result.best_cell:
+            assert single == result.best_model
+            assert single.weights.tobytes() == \
+                result.best_model.weights.tobytes()
+            assert single.intercept == result.best_model.intercept
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_grid_problems())
+def test_lockstep_core_matches_scalar_loop(problem):
+    X, y, penalties, ratios, _ = problem
+    configs = [ElasticNetConfig(pen, ratio, tolerance=1e-12,
+                                max_sweeps=20000)
+               for pen in penalties if pen >= 0 for ratio in ratios]
+    names = tuple(f"f{i}" for i in range(X.shape[1]))
+    for cfg, model in zip(configs,
+                          _coordinate_descent(X, y, configs, names, False)):
+        weights, _, _ = _scalar_reference(X, y, cfg)
+        assert np.max(np.abs(model.weights - weights)) <= 1e-8

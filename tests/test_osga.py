@@ -183,14 +183,25 @@ def test_gaussian_mutation_clips_to_bounds():
         assert np.all(mutated >= -1.0) and np.all(mutated <= 1.0)
 
 
-def test_gaussian_mutation_bad_bounds():
-    rng = substream(11, "t")
-    with pytest.raises(InfeasibleBoundsError):
-        gaussian_mutation(np.zeros(2), np.array([[1.0, -1.0], [0.0, 1.0]]),
-                          0.5, 0.1, rng)
-    with pytest.raises(InfeasibleBoundsError):
-        gaussian_mutation(np.zeros(1), np.array([[0.0, np.inf]]), 0.5, 0.1,
-                          rng)
+@pytest.mark.parametrize("spec, error", [
+    (RealGenomeSpec(np.array([[1.0, -1.0], [0.0, 1.0]])),
+     InfeasibleBoundsError),
+    (RealGenomeSpec(np.array([[0.0, np.inf], [0.0, 1.0]])),
+     InfeasibleBoundsError),
+    (RealGenomeSpec(np.array([[0.0, 1.0], [0.0, 1.0]]), sigma_fraction=0.0),
+     InvalidConfigError),
+], ids=["lo-above-hi", "infinite-bound", "zero-sigma"])
+def test_step_checks_the_real_genome_before_any_evaluation(spec, error):
+    """gaussian_mutation trusts its bounds, so the step checks the spec
+    once, as osga_stream does; a zero sigma_fraction used to run."""
+    population = [Individual(np.array([0.5, 0.5]), 1.0) for _ in range(4)]
+    evaluated = []
+    with pytest.raises(error):
+        offspring_selection_step(population, spec,
+                                 OsgaParams(population_size=4),
+                                 lambda g: evaluated.append(g) or 0.0,
+                                 substream(11, "t"))
+    assert evaluated == []
 
 
 # ---------------------------------------------------------------------------
