@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -385,14 +385,7 @@ def save_ground_truth(truth: GroundTruth, path, *, seed: int | None = None,
     if seed is not None:
         doc["seed"] = int(seed)
     if config is not None:
-        doc["benchmark"] = {
-            "n_observations": config.n_observations,
-            "n_features": config.n_features,
-            "n_relevant": config.n_relevant,
-            "weight_low": config.weight_low,
-            "weight_high": config.weight_high,
-            "noise_variance_fraction": config.noise_variance_fraction,
-        }
+        doc["benchmark"] = asdict(config)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 

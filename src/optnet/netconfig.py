@@ -42,7 +42,8 @@ key/value tree with four top-level sections:
         # budget: 500
 
 Unknown keys, values of the wrong type and values a block's validate()
-rejects raise ConfigFileError naming the field, before anything runs.
+rejects (ratios that do not sum to 1, a search budget below its
+population) raise ConfigFileError naming the field, before anything runs.
 The parsed form converts back to the same document (canonical arrow
 spelling "->"), so configs survive a load/save round trip and reports
 can embed them for exact replay.
@@ -74,12 +75,13 @@ from .data import (
     GroundTruth,
     PartitionedDataset,
     generate_benchmark,
+    largest_remainder_counts,
     load_csv,
     load_ground_truth,
     partition,
 )
 from .engine import MessageBudget, SinksEmitted, Topology, run_network
-from .errors import ConfigFileError, InvalidConfigError
+from .errors import ConfigFileError, InvalidConfigError, UnconnectedPortError
 from .forest import ForestConfig, ForestModel
 from .linear import LinearModel
 from .networks import (
@@ -130,7 +132,7 @@ def format_connection(src_node: str, src_port: str,
 
 
 def _parse_endpoint(text: str, where: str) -> tuple[str, str]:
-    node, dot, port = str(text).partition(".")
+    node, dot, port = text.partition(".")
     if not dot or not node or not port or "." in port:
         raise ConfigFileError(f"{where}: {text!r} must be 'node.port'")
     return node, port
@@ -239,12 +241,17 @@ def _read_block(cls, doc, where: str):
 
 
 def _read_osga(doc: dict, where: str, genome) -> OsgaParams:
-    """Search settings whose crossover kind the genome spec class takes."""
+    """Search settings whose crossover kind the genome spec class takes
+    and whose budget covers the initial population."""
     params = _read(OsgaParams, doc, where)
     try:
         check_crossover_kind(genome, params.crossover_kind)
     except InvalidConfigError as exc:
         raise ConfigFileError(str(exc), field=where) from exc
+    if params.max_evaluations < params.population_size:
+        raise ConfigFileError(
+            f"max_evaluations {params.max_evaluations} cannot evaluate the "
+            f"initial population of {params.population_size}", field=where)
     return params
 
 
@@ -271,13 +278,6 @@ def _read_selector(options: dict, where: str) -> tuple[OsgaParams, float]:
                  length=1)
     return (_read_osga(options, where, BinaryGenomeSpec),
             spec.init_one_probability)
-
-
-def _partition_ratios(p: dict, where: str) -> tuple[float, float, float]:
-    ratios = p.get("ratios", list(DEFAULT_PARTITION_RATIOS))
-    if not isinstance(ratios, list) or len(ratios) != 3:
-        raise ConfigFileError("ratios must be a 3-item list", field=where)
-    return _typed(ratios, tuple[float, ...], f"{where}.ratios")
 
 
 def inner_search_from_options(options: dict, where: str
@@ -410,6 +410,7 @@ def topology_spec_from_doc(doc, where: str = "network") -> TopologySpec:
                               field=f"{where}.nodes")
     nodes: dict[str, NodeSpec] = {}
     for name, node_doc in nodes_doc.items():
+        _typed(name, str, f"{where}.nodes")
         node_where = f"{where}.nodes.{name}"
         node_doc = _mapping(node_doc, node_where)
         if "kind" not in node_doc:
@@ -422,7 +423,7 @@ def topology_spec_from_doc(doc, where: str = "network") -> TopologySpec:
         options = _mapping({k: v for k, v in node_doc.items() if k != "kind"},
                            node_where, NODE_KINDS[kind].option_keys)
         NODE_KINDS[kind].read(options, node_where)
-        nodes[str(name)] = NodeSpec(kind, options)
+        nodes[name] = NodeSpec(kind, options)
     raw_conns = doc.get("connections") or []
     if not isinstance(raw_conns, list):
         raise ConfigFileError("must be a list",
@@ -454,16 +455,37 @@ def build_topology(spec: TopologySpec, ctx: BuildContext) -> Topology:
 # Data section
 
 @dataclass
+class CsvSpec:
+    """A data.csv block; ground_truth is an optional sidecar path."""
+
+    path: str | None = None
+    target_column: str = "y"
+    ground_truth: str | None = None
+
+    def validate(self) -> None:
+        if self.path is None:
+            raise InvalidConfigError("missing 'path'")
+
+
+@dataclass
+class PartitionSpec:
+    """A data.partition block; seed None takes the master seed."""
+
+    ratios: tuple[float, float, float] = DEFAULT_PARTITION_RATIOS
+    seed: int | None = None
+
+    def validate(self) -> None:
+        largest_remainder_counts(0, self.ratios)
+
+
+@dataclass
 class DataSpec:
     """Where the dataset comes from and how it is partitioned."""
 
     benchmark: BenchmarkConfig | None = None
     benchmark_seed: int | None = None
-    csv_path: str | None = None
-    target_column: str = "y"
-    ground_truth_path: str | None = None
-    ratios: tuple[float, float, float] = DEFAULT_PARTITION_RATIOS
-    partition_seed: int | None = None
+    csv: CsvSpec | None = None
+    partition: PartitionSpec = field(default_factory=PartitionSpec)
 
 
 def data_spec_from_doc(doc, where: str = "data") -> DataSpec:
@@ -479,39 +501,26 @@ def data_spec_from_doc(doc, where: str = "data") -> DataSpec:
         if "seed" in b:
             spec.benchmark_seed = _typed(b["seed"], int, f"{b_where}.seed")
     else:
-        c = _mapping(doc["csv"], f"{where}.csv",
-                     ("path", "target_column", "ground_truth"))
-        if "path" not in c:
-            raise ConfigFileError("missing 'path'", field=f"{where}.csv")
-        spec.csv_path = str(c["path"])
-        spec.target_column = str(c.get("target_column", "y"))
-        if "ground_truth" in c:
-            spec.ground_truth_path = str(c["ground_truth"])
-    p_where = f"{where}.partition"
-    p = _mapping(doc.get("partition"), p_where, ("ratios", "seed"))
-    spec.ratios = _partition_ratios(p, p_where)
-    if "seed" in p:
-        spec.partition_seed = _typed(p["seed"], int, f"{p_where}.seed")
+        spec.csv = _read_block(CsvSpec, doc["csv"], f"{where}.csv")
+    spec.partition = _read_block(PartitionSpec, doc.get("partition"),
+                                 f"{where}.partition")
     return spec
 
 
+def _block_doc(block) -> dict:
+    """A block's fields that are set, tuples written as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(block).items() if v is not None}
+
+
 def data_spec_to_doc(spec: DataSpec) -> dict:
-    doc: dict = {}
-    if spec.benchmark is not None:
-        b = asdict(spec.benchmark)
-        if spec.benchmark_seed is not None:
-            b["seed"] = spec.benchmark_seed
-        doc["benchmark"] = b
+    if spec.benchmark is None:
+        doc = {"csv": _block_doc(spec.csv)}
     else:
-        c = {"path": spec.csv_path, "target_column": spec.target_column}
-        if spec.ground_truth_path is not None:
-            c["ground_truth"] = spec.ground_truth_path
-        doc["csv"] = c
-    part: dict = {"ratios": list(spec.ratios)}
-    if spec.partition_seed is not None:
-        part["seed"] = spec.partition_seed
-    doc["partition"] = part
-    return doc
+        doc = {"benchmark": asdict(spec.benchmark)}
+        if spec.benchmark_seed is not None:
+            doc["benchmark"]["seed"] = spec.benchmark_seed
+    return {**doc, "partition": _block_doc(spec.partition)}
 
 
 def load_experiment_data(spec: DataSpec, default_seed: int = 0
@@ -524,17 +533,31 @@ def load_experiment_data(spec: DataSpec, default_seed: int = 0
             ds_seed = default_seed
         dataset, truth = generate_benchmark(spec.benchmark, seed=ds_seed)
     else:
-        dataset = load_csv(spec.csv_path, spec.target_column)
-        if spec.ground_truth_path is not None:
-            truth = load_ground_truth(spec.ground_truth_path)
-    p_seed = spec.partition_seed
+        dataset = load_csv(spec.csv.path, spec.csv.target_column)
+        if spec.csv.ground_truth is not None:
+            truth = load_ground_truth(spec.csv.ground_truth)
+    p_seed = spec.partition.seed
     if p_seed is None:
         p_seed = default_seed
-    return partition(dataset, spec.ratios, seed=p_seed), truth
+    return partition(dataset, spec.partition.ratios, seed=p_seed), truth
 
 
 # ---------------------------------------------------------------------------
 # Whole run configs
+
+@dataclass
+class TerminationSpec:
+    """A network.termination block: exactly one of sinks / budget."""
+
+    sinks: tuple[str, ...] | None = None
+    budget: int | None = None
+
+    def validate(self) -> None:
+        if (self.sinks is None) == (self.budget is None):
+            raise InvalidConfigError("exactly one of sinks/budget required")
+        if self.sinks == ():
+            raise InvalidConfigError("sinks must be a non-empty list")
+
 
 @dataclass
 class NetworkRunConfig:
@@ -560,29 +583,16 @@ def run_config_from_doc(doc) -> NetworkRunConfig:
         {"nodes": net.get("nodes"), "connections": net.get("connections")})
     if "entry" not in net:
         raise ConfigFileError("missing 'entry'", field="network")
-    entry = str(net["entry"])
-    term = _mapping(net.get("termination"), "network.termination",
-                    ("sinks", "budget"))
-    if ("sinks" in term) == ("budget" in term):
-        raise ConfigFileError("exactly one of sinks/budget required",
-                              field="network.termination")
-    sinks = None
-    budget = None
-    if "sinks" in term:
-        raw = term["sinks"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigFileError("sinks must be a non-empty list",
-                                  field="network.termination")
-        sinks = tuple(_parse_endpoint(s, "network.termination.sinks")
-                      for s in raw)
-    else:
-        budget = _typed(term["budget"], int, "network.termination.budget")
+    term = _read_block(TerminationSpec, net.get("termination"),
+                       "network.termination")
     return NetworkRunConfig(
         data=data_spec_from_doc(doc["data"]),
         topology=topo_spec,
-        entry=entry,
-        sink_termination=sinks,
-        budget_termination=budget,
+        entry=_typed(net["entry"], str, "network.entry"),
+        sink_termination=None if term.sinks is None else tuple(
+            _parse_endpoint(s, "network.termination.sinks")
+            for s in term.sinks),
+        budget_termination=term.budget,
         **_values(NetworkRunConfig, doc, "", ("seed", "workers")))
 
 
@@ -755,9 +765,9 @@ def experiment_config_from_doc(doc) -> ExperimentConfig:
     cfg = ExperimentConfig(
         benchmark=_read_block(BenchmarkConfig, doc.get("benchmark"),
                               "benchmark"),
-        ratios=_partition_ratios(
-            _mapping(doc.get("partition"), "partition", ("ratios",)),
-            "partition"),
+        ratios=_read(PartitionSpec, _mapping(doc.get("partition"),
+                                             "partition", ("ratios",)),
+                     "partition").ratios,
         fs_params=fs_params,
         penalty_per_feature=_read(
             FitnessConfig, fs, "fs-network").penalty_per_feature,
@@ -853,7 +863,8 @@ def analyze_config_from_doc(doc) -> AnalyzeConfig:
     cfg = AnalyzeConfig(
         datasets=tuple(data_spec_from_doc(d, f"datasets[{i}]")
                        for i, d in enumerate(datasets)),
-        fixed={str(k): float(_typed(v, float, f"task.fixed.{k}"))
+        fixed={_typed(k, str, "task.fixed"):
+               float(_typed(v, float, f"task.fixed.{k}"))
                for k, v in fixed.items()},
         recipes=_recipes(doc.get("recipes", []), "recipes")
         or DEFAULT_RECIPES,
@@ -874,8 +885,35 @@ def analyze_config_from_doc(doc) -> AnalyzeConfig:
 # ---------------------------------------------------------------------------
 # Payload serialization
 
-def _float_list(values) -> list[float]:
-    return [float(v) for v in values]
+# type -> ("type" tag or None, rendered fields); a field is an attribute
+# name or a (name, getter) pair for a derived value. NetworkResult leaves
+# out wall_time, so every rendering is replay-stable.
+_DOC_FIELDS = {
+    LinearModel: ("linear-model", ("feature_names", "weights", "intercept",
+                                   "rank_deficient", "converged")),
+    ForestModel: ("forest-model", (
+        ("n_trees", lambda m: len(m.trees)),
+        ("n_nodes", lambda m: [t.n_nodes for t in m.trees]),
+        "feature_names", ("config", lambda m: asdict(m.config)))),
+    ModelWithQuality: ("model-with-quality", (
+        "label", "train_mae", "validation_mae", "test_mae", "n_features",
+        "flags", "model")),
+    ParameterVector: ("parameter-vector", ("names", "values")),
+    Individual: (None, ("genome", "fitness")),
+    RunResult: ("run-result", ("best", "evaluations", "generations",
+                               "terminated_by", "best_history",
+                               "pressure_history")),
+    InnerSearchResult: ("inner-search-result", (
+        "best", "best_params", "evaluations", "truncated")),
+    NetworkResult: ("network-result", (
+        "best_mask", "best_model", "best_fitness", "evaluations",
+        "generations", "terminated_by", "penalty_per_feature", "seed",
+        "best_history", "pressure_history")),
+    RegressionProblem: ("regression-problem", (
+        ("n_train", lambda p: p.train_features.shape[0]),
+        ("n_validation", lambda p: p.validation_features.shape[0]),
+        "feature_names", "mask")),
+}
 
 
 def payload_doc(obj):
@@ -898,95 +936,20 @@ def payload_doc(obj):
         if obj.dtype == bool:
             return "".join("1" if b else "0" for b in obj)
         return obj.tolist()
-    if isinstance(obj, LinearModel):
-        return {
-            "type": "linear-model",
-            "feature_names": list(obj.feature_names),
-            "weights": _float_list(obj.weights),
-            "intercept": float(obj.intercept),
-            "rank_deficient": bool(obj.rank_deficient),
-            "converged": bool(obj.converged),
-        }
-    if isinstance(obj, ForestModel):
-        return {
-            "type": "forest-model",
-            "n_trees": len(obj.trees),
-            "n_nodes": [t.n_nodes for t in obj.trees],
-            "feature_names": list(obj.feature_names),
-            "config": asdict(obj.config),
-        }
-    if isinstance(obj, ModelWithQuality):
-        return {
-            "type": "model-with-quality",
-            "label": obj.label,
-            "train_mae": obj.train_mae,
-            "validation_mae": obj.validation_mae,
-            "test_mae": obj.test_mae,
-            "n_features": obj.n_features,
-            "flags": list(obj.flags),
-            "model": payload_doc(obj.model),
-        }
-    if isinstance(obj, ParameterVector):
-        return {
-            "type": "parameter-vector",
-            "names": list(obj.names),
-            "values": _float_list(obj.values),
-        }
-    if isinstance(obj, Individual):
-        return {
-            "genome": payload_doc(obj.genome),
-            "fitness": obj.fitness,
-        }
-    if isinstance(obj, RunResult):
-        return {
-            "type": "run-result",
-            "best": payload_doc(obj.best),
-            "evaluations": obj.evaluations,
-            "generations": obj.generations,
-            "terminated_by": obj.terminated_by,
-            "best_history": _float_list(obj.best_history),
-            "pressure_history": _float_list(obj.pressure_history),
-        }
-    if isinstance(obj, InnerSearchResult):
-        return {
-            "type": "inner-search-result",
-            "best": payload_doc(obj.best),
-            "best_params": payload_doc(obj.best_params),
-            "evaluations": obj.evaluations,
-            "truncated": obj.truncated,
-        }
-    if isinstance(obj, NetworkResult):
-        return network_result_doc(obj)
-    if isinstance(obj, RegressionProblem):
-        return {
-            "type": "regression-problem",
-            "n_train": int(obj.train_features.shape[0]),
-            "n_validation": int(obj.validation_features.shape[0]),
-            "feature_names": list(obj.feature_names),
-            "mask": payload_doc(obj.mask),
-        }
+    for cls in type(obj).__mro__:
+        if cls in _DOC_FIELDS:
+            tag, entries = _DOC_FIELDS[cls]
+            doc = {} if tag is None else {"type": tag}
+            for entry in entries:
+                name, get = (entry, None) if isinstance(entry, str) else entry
+                doc[name] = payload_doc(
+                    getattr(obj, name) if get is None else get(obj))
+            return doc
     if isinstance(obj, dict):
         return {str(k): payload_doc(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [payload_doc(v) for v in obj]
     return repr(obj)
-
-
-def network_result_doc(result: NetworkResult) -> dict:
-    """Replay-stable rendering; wall_time deliberately left out."""
-    return {
-        "type": "network-result",
-        "best_mask": result.best_mask.to_string(),
-        "best_model": payload_doc(result.best_model),
-        "best_fitness": result.best_fitness,
-        "evaluations": result.evaluations,
-        "generations": result.generations,
-        "terminated_by": result.terminated_by,
-        "penalty_per_feature": result.penalty_per_feature,
-        "seed": result.seed,
-        "best_history": _float_list(result.best_history),
-        "pressure_history": _float_list(result.pressure_history),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1029,12 +992,14 @@ def run_configured(cfg: NetworkRunConfig) -> ConfiguredRunReport:
     started = time.perf_counter()
     partitioned, _ = load_experiment_data(cfg.data, cfg.seed)
     topo = build_topology(cfg.topology, BuildContext(partitioned))
-    if cfg.sink_termination is not None:
-        termination = SinksEmitted(cfg.sink_termination)
-    else:
-        termination = MessageBudget(cfg.budget_termination)
-    run = run_network(topo, termination, entry=(cfg.entry, None),
-                      seed=cfg.seed, workers=cfg.workers)
+    termination = MessageBudget(cfg.budget_termination) \
+        if cfg.sink_termination is None else SinksEmitted(cfg.sink_termination)
+    try:
+        run = run_network(topo, termination, entry=(cfg.entry, None),
+                          seed=cfg.seed, workers=cfg.workers)
+    except UnconnectedPortError as exc:
+        raise ConfigFileError(str(exc),
+                              field="network.termination.sinks") from exc
     result_doc = {
         "sinks": {
             f"{node}.{port}": [payload_doc(p) for p in payloads]

@@ -451,6 +451,11 @@ class InnerOsgaSearch:
         self.params.validate()
         if self.budget < 1:
             raise InvalidConfigError("inner budget must be at least 1")
+        budget = min(self.budget, self.params.max_evaluations)
+        if budget < self.params.population_size:
+            raise InvalidConfigError(
+                f"inner budget {budget} cannot evaluate the initial "
+                f"population of {self.params.population_size}")
 
     def stream(self, rng: np.random.Generator):
         bounds = np.array([self.sample_ratio_bounds,

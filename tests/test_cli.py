@@ -528,6 +528,20 @@ BAD_VALUES = [
      "task.bounds[1]"),
     ("analyze", ANALYZE_DOC, ("task", "bounds"), [[0.0, float("inf")]],
      "task.bounds[0]"),
+    ("run", RUN_DOC, ("data",), {"csv": {"path": [1, 2]}}, "data.csv.path"),
+    ("run", RUN_DOC, ("data", "partition", "ratios"), [0.5, 0.5, 0.5],
+     "data.partition"),
+    ("run", RUN_DOC, ("network", "entry"), 5, "network.entry"),
+    ("run", RUN_DOC, ("network", "termination", "sinks"),
+     ["orchestrator.problem"], "network.termination.sinks"),
+    # search budgets too small for the initial population
+    ("run", RUN_DOC, ("network", "nodes", "selector"),
+     {"kind": "feature-selection", "max_evaluations": 10,
+      "population_size": 20}, "network.nodes.selector"),
+    ("analyze", ANALYZE_DOC, ("search",),
+     {"population_size": 50, "max_evaluations": 10}, "search"),
+    ("benchmark", BENCH_DOC, ("nested",), {"search": "osga", "budget": 4},
+     "nested"),
 ]
 
 

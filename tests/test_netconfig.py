@@ -1,6 +1,8 @@
 """Declarative config parsing, round trips, reports, and replay."""
 
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from optnet.netconfig import (
     inner_search_from_options,
     load_run_config,
     load_run_config_file,
-    network_result_doc,
     parse_connection,
     payload_doc,
     replay_report,
@@ -31,9 +32,18 @@ from optnet.netconfig import (
     topology_spec_from_doc,
     topology_spec_to_doc,
 )
-from optnet.networks import feature_selection_network
-from optnet.osga import Individual, OsgaParams
-from optnet.payloads import ModelWithQuality, ParameterVector
+from optnet.linear import LinearModel
+from optnet.networks import (
+    InnerSearchResult,
+    NetworkResult,
+    feature_selection_network,
+)
+from optnet.osga import Individual, OsgaParams, RunResult
+from optnet.payloads import (
+    ModelWithQuality,
+    ParameterVector,
+    RegressionProblem,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +184,7 @@ def test_data_spec_benchmark_round_trip():
     spec = data_spec_from_doc(doc)
     assert spec.benchmark.n_observations == 48
     assert spec.benchmark_seed == 1
-    assert spec.partition_seed == 2
+    assert spec.partition.seed == 2
     assert data_spec_to_doc(spec) == doc
 
 
@@ -185,9 +195,9 @@ def test_data_spec_csv_round_trip():
         "partition": {"ratios": [0.5, 0.25, 0.25]},
     }
     spec = data_spec_from_doc(doc)
-    assert spec.csv_path == "d.csv"
-    assert spec.ground_truth_path == "d.truth.json"
-    assert spec.ratios == (0.5, 0.25, 0.25)
+    assert spec.csv.path == "d.csv"
+    assert spec.csv.ground_truth == "d.truth.json"
+    assert spec.partition.ratios == (0.5, 0.25, 0.25)
     assert data_spec_to_doc(spec) == doc
 
 
@@ -430,9 +440,57 @@ def test_network_result_doc_is_replay_stable(small_partitioned):
     params = OsgaParams(population_size=8, max_evaluations=80,
                         max_selection_pressure=15.0)
     result = feature_selection_network(small_partitioned, params, seed=0)
-    doc = network_result_doc(result)
+    doc = payload_doc(result)
     assert "wall_time" not in doc
     assert doc["best_mask"] == result.best_mask.to_string()
     again = feature_selection_network(small_partitioned, params, seed=0)
-    assert network_result_doc(again) == doc
+    assert payload_doc(again) == doc
     json.dumps(doc)
+
+
+def _rendering_samples() -> list:
+    """One instance of every rendered payload and result type, plus the
+    plain values payload_doc handles itself."""
+    linear = LinearModel(np.array([0.5, -1.25]), 0.125, ("a", "b"),
+                         rank_deficient=True, converged=False, n_sweeps=7)
+    X = np.random.default_rng(1).standard_normal((30, 2))
+    forest = fit_random_forest(X, X[:, 0], ForestConfig(n_trees=2,
+                                                        max_depth=3),
+                               0, ("a", "b"))
+    quality = ModelWithQuality(linear, train_mae=0.25, validation_mae=0.5,
+                               test_mae=0.75, n_features=2,
+                               flags=("budget-exhausted",), label="ols")
+    vector = ParameterVector(np.array([0.5, 0.25, 7.0]),
+                             ("sample_ratio", "feature_ratio", "n_trees"))
+    best = Individual(np.array([True, False, True]), 1.5)
+    real = Individual(np.array([0.25, 0.5]), math.inf)
+    run = RunResult(best, 12, 2, "pressure", (3.0, 2.0, 1.5), (1.5, 2.25),
+                    (best, best))
+    inner = InnerSearchResult(
+        ModelWithQuality(forest, 0.1, 0.2, label="tuned"), vector, 9, True)
+    network = NetworkResult(FeatureMask.from_string("101"), quality,
+                            np.float64(1.5), 12, 2, "budget", 0.05, 7,
+                            (3.0, 1.5), (2.0,), wall_time=9.9)
+    problem = RegressionProblem(np.zeros((4, 2)), np.zeros(4),
+                                np.zeros((3, 2)), np.zeros(3), ("a", "b"),
+                                FeatureMask.from_string("11"))
+    return [linear, forest, quality, vector, best, real, run, inner, network,
+            problem, FeatureMask.from_string("0110"),
+            np.array([True, False]), np.array([1.0, 2.5]),
+            np.array([[1, 2], [3, 4]]), np.float64(2.5), np.int64(3),
+            np.bool_(True), None, True, 4, 0.5, "s",
+            {"k": (1, 2.0, None, "s"), 3: [best, False]},
+            (vector, [problem.mask]), range(3)]
+
+
+# SHA-256 of the samples' rendering; any change to the JSON format of a
+# result moves it.
+PINNED_RENDERING_DIGEST = (
+    "4879b308b93d60945be318ef1e7b765b640e353a999af62112bca7dc26ab8a45")
+
+
+def test_rendering_of_every_payload_type_is_pinned():
+    text = json.dumps([payload_doc(o) for o in _rendering_samples()],
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == PINNED_RENDERING_DIGEST

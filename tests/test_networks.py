@@ -409,6 +409,8 @@ def test_inner_search_validation():
         InnerGridSearch(budget=0).validate()
     with pytest.raises(InvalidConfigError):
         InnerOsgaSearch(budget=0).validate()
+    with pytest.raises(InvalidConfigError, match="initial population"):
+        InnerOsgaSearch(budget=3).validate()
     with pytest.raises(InvalidConfigError):
         InnerTuningModelNode("m", InnerGridSearch(budget=0))
 

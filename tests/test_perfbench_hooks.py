@@ -1,0 +1,36 @@
+"""The benchmark harness's tracing hooks still fit the library.
+
+perfbench/tracing.py wraps optnet functions and node methods by name;
+a library refactor that renames or moves one of them would break
+`perfbench/run.py --trace 1` without failing anything else here.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("hook", ["Tracer", "FitnessWatch"])
+def test_every_patched_attribute_exists_and_is_restored(monkeypatch, hook):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    assert Path(tracing.__file__).parent == PERFBENCH
+    seen = []
+    patched = tracing.patched
+
+    def recording(replacements):
+        seen.extend(replacements)
+        return patched(replacements)
+
+    monkeypatch.setattr(tracing, "patched", recording)
+    installed = getattr(tracing, hook)().installed()
+    originals = [owner.__dict__[attr] for owner, attr, _ in seen]
+    assert seen
+    with installed:
+        for owner, attr, value in seen:
+            assert owner.__dict__[attr] is value
+    for (owner, attr, _), original in zip(seen, originals):
+        assert owner.__dict__[attr] is original
