@@ -39,7 +39,10 @@ from .networks import (
     feature_selection_network,
     predict_any,
 )
-from .osga import OsgaParams, RealGenomeSpec, osga_minimize
+from .osga import OsgaParams, RealGenomeSpec, drive, osga_stream
+# bound here as well, for code that wraps analysis.osga_minimize by name
+# (perfbench/tracing.py does); optimize_inputs drives the stream itself
+from .osga import osga_minimize  # noqa: F401
 from .payloads import ModelWithQuality
 
 
@@ -262,26 +265,29 @@ def optimize_inputs(models, task: AnalysisTask,
         raise InvalidConfigError("every input is fixed; nothing to search")
     free = np.array(free, dtype=np.intp)
 
-    def outputs_at(x_free: np.ndarray) -> np.ndarray:
-        x = full.copy()
-        x[free] = x_free
-        row = x.reshape(1, -1)
-        return np.array([float(predict_any(m, row[:, idx])[0])
-                         for m, idx in zip(models, pickers)])
+    def outputs_at(rows_free: np.ndarray) -> np.ndarray:
+        """Every model's output (columns) at every row of free inputs,
+        with the bits of scoring each row on its own."""
+        X = full[None, :].repeat(len(rows_free), axis=0)
+        X[:, free] = rows_free
+        outs = np.empty((len(rows_free), len(models)))
+        for j, (m, idx) in enumerate(zip(models, pickers)):
+            outs[:, j] = predict_any(m, X[:, idx], each_row=True)
+        return outs
 
-    def residual(x_free: np.ndarray) -> float:
-        d = outputs_at(x_free) - targets
-        return float(d @ d)
+    def residuals(batch) -> list[float]:
+        d = outputs_at(np.array(batch)) - targets
+        return (d[:, None, :] @ d[:, :, None])[:, 0, 0].tolist()
 
     search = search or OsgaParams(
         population_size=50, max_evaluations=20000,
         crossover_kind="simulated-binary", max_selection_pressure=50.0,
         target_fitness=1e-12)
     spec = RealGenomeSpec(bounds[free], sigma_fraction=0.05)
-    run = osga_minimize(residual, spec, search,
-                        rng=substream(seed, "input-search"))
+    run = drive(osga_stream(spec, search, substream(seed, "input-search")),
+                residuals)
     best_free = run.best.genome
-    outs = outputs_at(best_free)
+    outs = outputs_at(best_free[None, :])[0]
     inputs = {}
     for i, name in enumerate(task.input_names):
         if name in task.fixed_inputs:

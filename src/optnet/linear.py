@@ -85,12 +85,28 @@ class LinearModel:
         return hash((self.feature_names, self.intercept))
 
 
-def predict(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    X = np.asarray(features, dtype=np.float64)
+def _checked_features(model: LinearModel, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != model.weights.shape[0]:
         raise ShapeMismatchError(
             f"expected (n, {model.weights.shape[0]}) features, got {X.shape}")
+    return X
+
+
+def predict(model: LinearModel, features: np.ndarray) -> np.ndarray:
+    X = _checked_features(model, np.asarray(features, dtype=np.float64))
     return X @ model.weights + model.intercept
+
+
+def predict_each_row(model: LinearModel, features: np.ndarray) -> np.ndarray:
+    """predict, with every row getting the bits of predicting it alone.
+
+    A plain X @ weights may round a row's last bit differently from the
+    one-row product; one stacked 1 x k product per row, on a C-ordered
+    X, does not (an F-ordered X takes numpy's non-BLAS loop).
+    """
+    X = _checked_features(
+        model, np.ascontiguousarray(features, dtype=np.float64))
+    return (X[:, None, :] @ model.weights)[:, 0] + model.intercept
 
 
 def mae(predicted: np.ndarray, actual: np.ndarray) -> float:

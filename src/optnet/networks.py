@@ -30,7 +30,7 @@ from .engine import Node, Port, SinksEmitted, Topology, run_network
 from .errors import InvalidConfigError
 from .forest import ForestConfig, ForestModel, fit_random_forest, \
     predict_forest
-from .linear import fit_ols, mae, predict
+from .linear import fit_ols, mae, predict, predict_each_row
 from .osga import (
     BinaryGenomeSpec,
     OsgaParams,
@@ -38,7 +38,9 @@ from .osga import (
     RunResult,
     advance,
     drive,
+    one_by_one,
     osga_stream,
+    per_genome,
 )
 from .payloads import ModelWithQuality, ParameterVector, RegressionProblem
 
@@ -94,7 +96,8 @@ class NetworkResult:
 # Nodes
 
 class FeatureSelectionNode(Node):
-    """Runs the genetic mask search, one evaluation round-trip at a time.
+    """Runs the genetic mask search, one evaluation round-trip at a time:
+    each batch of the search stream goes out one mask per message.
 
     Emits masks on "mask", receives their fitness on "quality", and
     emits the final RunResult on "result" when the search terminates.
@@ -112,7 +115,8 @@ class FeatureSelectionNode(Node):
         self._stream = None
 
     def handle_entry(self, payload, ctx) -> None:
-        self._stream = osga_stream(self.genome_spec, self.params, ctx.rng)
+        self._stream = one_by_one(
+            osga_stream(self.genome_spec, self.params, ctx.rng))
         self._advance(ctx, None)
 
     def handle(self, port_name: str, payload, ctx) -> None:
@@ -312,11 +316,17 @@ def build_feature_selection_topology(
     return topo
 
 
-def predict_any(model, features: np.ndarray) -> np.ndarray:
-    """Predict with either model family."""
+def predict_any(model, features: np.ndarray,
+                each_row: bool = False) -> np.ndarray:
+    """Predict with either model family.
+
+    With each_row, every row has the bits of predicting it alone: a
+    forest's rows are independent anyway, and a linear model then uses
+    predict_each_row.
+    """
     if isinstance(model, ForestModel):
         return predict_forest(model, features)
-    return predict(model, features)
+    return (predict_each_row if each_row else predict)(model, features)
 
 
 def _final_result(run: RunResult, orchestrator: RegressionOrchestratorNode,
@@ -388,7 +398,7 @@ def feature_selection_direct(
         return orchestrator.score(model_node.fit_problem(problem, model_rng))
 
     ga_result: RunResult = drive(
-        osga_stream(genome_spec, params, selector_rng), evaluate)
+        osga_stream(genome_spec, params, selector_rng), per_genome(evaluate))
     return _final_result(ga_result, orchestrator, model_node, model_rng,
                          partitioned, compute_test_mae, seed, started)
 
@@ -425,8 +435,7 @@ class InnerGridSearch:
 
     def stream(self, rng: np.random.Generator):
         cells = list(self.cells())
-        for r, m, t in cells[:self.budget]:
-            yield np.array([r, m, float(t)])
+        yield [np.array([r, m, float(t)]) for r, m, t in cells[:self.budget]]
         return len(cells) > self.budget
 
 
@@ -473,9 +482,10 @@ class ForestParamSearchNode(Node):
     fitted candidates back, and finally emits the best one.
 
     The settings come from search.stream(rng), an evaluation stream
-    stepped with osga.advance: it yields (sample_ratio, feature_ratio,
-    n_trees) value arrays, takes each candidate's validation MAE back,
-    and finishes with whether its budget cut it short.
+    stepped one candidate at a time through osga.one_by_one: its batches
+    hold (sample_ratio, feature_ratio, n_trees) value arrays, it takes
+    each candidate's validation MAE back, and it finishes with whether
+    its budget cut it short.
     """
 
     input_ports = (Port("candidate", "model-with-quality"),)
@@ -494,7 +504,7 @@ class ForestParamSearchNode(Node):
         self._stream = None
 
     def handle_entry(self, payload, ctx) -> None:
-        self._stream = self.search.stream(ctx.rng)
+        self._stream = one_by_one(self.search.stream(ctx.rng))
         self._advance(ctx, None)
 
     def handle(self, port_name: str, payload, ctx) -> None:

@@ -13,12 +13,18 @@ cap, when the evaluation budget runs out, or when a target fitness is
 reached. Fitness is minimized throughout; a non-finite fitness (NaN or
 an infinity) counts as +inf, the worst possible value.
 
-The search is a generator, osga_stream, that yields genomes and takes
-their fitnesses back, and advance is the one function that steps it.
-drive runs a stream against a fitness callable; osga_minimize and
-offspring_selection_step (one generation) are built on it, while network
-nodes call advance once per message, so a message-passing network
-evaluates candidates remotely on this exact code path.
+The search is a generator, osga_stream, that yields batches of genomes
+and takes their fitnesses back, and advance is the one function that
+steps it. A child's genome depends only on the population it is bred
+from and the random stream, so each batch holds every child the
+sequential search would evaluate next in any outcome, drawn in the same
+order; a caller can score a batch in one vectorized call and still get
+the sequential run bit for bit. drive runs a stream against a batch
+fitness callable; osga_minimize and offspring_selection_step (one
+generation) are built on it with a per-genome evaluator (per_genome
+adapts one to drive), while network nodes step one_by_one(stream) once
+per message, so a message-passing network evaluates candidates remotely
+on this exact code path.
 """
 
 from __future__ import annotations
@@ -206,6 +212,8 @@ class RunResult:
     evaluation and after each completed generation; pressure_history
     holds the selection pressure of each completed generation plus, when
     the run stopped mid-generation, the partial generation's pressure.
+    nonfinite_fitness counts the evaluations that came back NaN or
+    infinite and were taken as +inf.
     """
 
     best: Individual
@@ -215,6 +223,7 @@ class RunResult:
     best_history: tuple[float, ...]
     pressure_history: tuple[float, ...]
     population: tuple[Individual, ...]
+    nonfinite_fitness: int = 0
 
 
 @dataclass
@@ -270,6 +279,17 @@ def _as_fitness(value) -> float:
     return fitness if math.isfinite(fitness) else math.inf
 
 
+def _fitnesses(answers, batch):
+    """The answers to a batch as fitness values in order, each
+    non-finite one as +inf; so a fitness of +inf marks a non-finite
+    answer."""
+    if len(answers) != len(batch):
+        raise ShapeMismatchError(
+            f"{len(answers)} fitness values for a batch of {len(batch)} "
+            f"genomes")
+    return map(_as_fitness, answers)
+
+
 def _tournament(population, rng) -> Individual:
     # binary tournament: two uniform draws, fitter one wins, tie to the
     # first drawn
@@ -282,10 +302,19 @@ def _generation(population, genome_spec, params, mutation_rate, rng,
                 evals_left, best_so_far):
     """Advance one generation as a sub-generator.
 
-    Yields genomes to evaluate and expects their fitness via send().
-    Returns (next_population, StepStats); when the run-level budget,
-    pressure cap, or target fires mid-generation, next_population is the
-    unchanged input population and stats.stop_reason says why.
+    Yields lists of genomes and expects one list of their fitnesses per
+    batch via send(). A batch holds the children created from the
+    current state in every outcome: the max(target_success - accepted,
+    new_slots - created) the loop still owes, capped by the evaluations
+    left and ending at the child at which the pressure cap fires, or a
+    single child when a target fitness is set, since any child might
+    then end the run. Children are drawn and answered in order, so the
+    draws are those of evaluating one child at a time.
+
+    Returns (next_population, StepStats, best_so_far, nonfinite); when
+    the run-level budget, pressure cap, or target fires mid-generation,
+    next_population is the unchanged input population and
+    stats.stop_reason says why.
     """
     pop_n = params.population_size
     order = sorted(range(len(population)),
@@ -293,74 +322,94 @@ def _generation(population, genome_spec, params, mutation_rate, rng,
     elites = [population[i] for i in order[:params.elitism]]
     new_slots = pop_n - params.elitism
     target_success = min(round(params.success_ratio * pop_n), new_slots)
+    cf = params.comparison_factor
+    # with a target set, any child might end the run
+    most = 1 if params.target_fitness is not None else evals_left
 
     accepted: list[Individual] = []
     fillers: list[Individual] = []
     created = 0
-    evals = 0
+    nonfinite = 0
     stop: str | None = None
-    while (len(accepted) < target_success
-           or len(accepted) + len(fillers) < new_slots):
-        if evals >= evals_left:
+    while len(accepted) < target_success or created < new_slots:
+        owed = min(max(target_success - len(accepted), new_slots - created),
+                   evals_left - created, most)
+        if owed <= 0:
             stop = "budget"
             break
-        p1 = _tournament(population, rng)
-        p2 = _tournament(population, rng)
-        genome = genome_spec.crossover(p1.genome, p2.genome,
-                                       params.crossover_kind, rng)
-        genome = genome_spec.mutate(genome, mutation_rate, rng)
-        fitness = _as_fitness((yield genome))
-        evals += 1
-        created += 1
-        child = Individual(genome, fitness)
-        better = min(p1.fitness, p2.fitness)
-        worse = max(p1.fitness, p2.fitness)
-        cf = params.comparison_factor
-        # the endpoints are taken exactly: 0 * inf would make the
-        # threshold NaN and fail every child of an infinite-fitness parent
-        threshold = better if cf == 1.0 else worse if cf == 0.0 \
-            else cf * better + (1.0 - cf) * worse
-        if fitness < threshold and len(accepted) < target_success:
-            accepted.append(child)
-        else:
-            fillers.append(child)
-        if fitness < best_so_far.fitness:
-            best_so_far = child
-        if params.target_fitness is not None \
-                and fitness <= params.target_fitness:
-            stop = "target"
-            break
-        if created / pop_n > params.max_selection_pressure:
-            stop = "pressure"
+        genomes = []
+        thresholds = []
+        for _ in range(owed):
+            p1 = _tournament(population, rng)
+            p2 = _tournament(population, rng)
+            genome = genome_spec.crossover(p1.genome, p2.genome,
+                                           params.crossover_kind, rng)
+            genomes.append(genome_spec.mutate(genome, mutation_rate, rng))
+            better = min(p1.fitness, p2.fitness)
+            worse = max(p1.fitness, p2.fitness)
+            # the endpoints are taken exactly: 0 * inf would make the
+            # threshold NaN and fail every child of an infinite-fitness
+            # parent
+            thresholds.append(
+                better if cf == 1.0 else worse if cf == 0.0
+                else cf * better + (1.0 - cf) * worse)
+            # the child at which the pressure cap fires is the last one
+            if (created + len(genomes)) / pop_n \
+                    > params.max_selection_pressure:
+                break
+        for genome, threshold, fitness in zip(
+                genomes, thresholds, _fitnesses((yield genomes), genomes)):
+            created += 1
+            nonfinite += fitness == math.inf
+            child = Individual(genome, fitness)
+            if fitness < threshold and len(accepted) < target_success:
+                accepted.append(child)
+            else:
+                fillers.append(child)
+            if fitness < best_so_far.fitness:
+                best_so_far = child
+            if params.target_fitness is not None \
+                    and fitness <= params.target_fitness:
+                stop = "target"
+                break
+            if created / pop_n > params.max_selection_pressure:
+                stop = "pressure"
+                break
+        if stop is not None:
             break
 
     pressure = created / pop_n
+    stats = StepStats(created, len(accepted), pressure, stop is None, stop)
     if stop is not None:
-        return population, StepStats(created, len(accepted), pressure,
-                                     False, stop), best_so_far
+        return population, stats, best_so_far, nonfinite
     next_population = elites + accepted \
         + fillers[:new_slots - len(accepted)]
-    return next_population, StepStats(created, len(accepted), pressure,
-                                      True, None), best_so_far
+    return next_population, stats, best_so_far, nonfinite
 
 
 def _stream(genome_spec, params, mutation_rate, rng):
+    pop_n = params.population_size
+    # with a target set, any genome might end the run
+    batch = 1 if params.target_fitness is not None else pop_n
     population: list[Individual] = []
-    evaluations = 0
     best = None
+    nonfinite = 0
     stop = None
-    for _ in range(params.population_size):
-        genome = genome_spec.random(rng)
-        fitness = _as_fitness((yield genome))
-        evaluations += 1
-        ind = Individual(genome, fitness)
-        population.append(ind)
-        if best is None or ind.fitness < best.fitness:
-            best = ind
-        if params.target_fitness is not None \
-                and ind.fitness <= params.target_fitness:
-            stop = "target"
-            break
+    while stop is None and len(population) < pop_n:
+        genomes = [genome_spec.random(rng)
+                   for _ in range(min(batch, pop_n - len(population)))]
+        for genome, fitness in zip(genomes,
+                                   _fitnesses((yield genomes), genomes)):
+            nonfinite += fitness == math.inf
+            ind = Individual(genome, fitness)
+            population.append(ind)
+            if best is None or ind.fitness < best.fitness:
+                best = ind
+            if params.target_fitness is not None \
+                    and ind.fitness <= params.target_fitness:
+                stop = "target"
+                break
+    evaluations = len(population)
 
     best_history = [best.fitness]
     pressure_history: list[float] = []
@@ -369,10 +418,11 @@ def _stream(genome_spec, params, mutation_rate, rng):
         if evaluations >= params.max_evaluations:
             stop = "budget"
             break
-        next_pop, stats, best = yield from _generation(
+        next_pop, stats, best, bad = yield from _generation(
             population, genome_spec, params, mutation_rate, rng,
             params.max_evaluations - evaluations, best)
         evaluations += stats.created
+        nonfinite += bad
         pressure_history.append(stats.pressure)
         if stats.completed:
             generations += 1
@@ -384,7 +434,7 @@ def _stream(genome_spec, params, mutation_rate, rng):
 
     return RunResult(best, evaluations, generations, stop,
                      tuple(best_history), tuple(pressure_history),
-                     tuple(population))
+                     tuple(population), nonfinite)
 
 
 def check_crossover_kind(genome_spec, kind: str) -> None:
@@ -405,9 +455,11 @@ def resolve_mutation_rate(genome_spec, params: OsgaParams) -> float:
 def osga_stream(genome_spec, params: OsgaParams, rng: np.random.Generator):
     """Create the evaluation-request generator for one run.
 
-    Step it with advance: each call answers the previous genome with its
-    fitness and gets the next genome, until the stream finishes with the
-    RunResult.
+    Step it with advance: each call answers the previous batch of
+    genomes with their fitnesses, in order, and gets the next batch,
+    until the stream finishes with the RunResult. The initial population
+    is one batch and each step of a generation one more (see
+    _generation); with a target fitness set, every batch is one genome.
     """
     params.validate()
     genome_spec.validate()
@@ -420,27 +472,51 @@ def osga_stream(genome_spec, params: OsgaParams, rng: np.random.Generator):
                                                               params), rng)
 
 
-def advance(stream, fitness=None):
+def advance(stream, answers=None):
     """Step an evaluation stream by one request.
 
-    fitness answers the genome the stream yielded last; pass None to
-    start a fresh stream. Returns (genome, None) while the stream wants
-    another evaluation and (None, result) once it has finished with
-    result. A stream never yields None.
+    answers holds the fitnesses of the batch the stream yielded last, in
+    order; pass None to start a fresh stream. Returns (batch, None) while
+    the stream wants another batch of genomes evaluated and
+    (None, result) once it has finished with result. A batch is a
+    non-empty list.
     """
     try:
-        return stream.send(fitness), None
+        return stream.send(answers), None
     except StopIteration as fin:
         return None, fin.value
 
 
-def drive(stream, evaluator):
-    """Run an evaluation stream to completion against a fitness callable
-    and return its result."""
-    genome, result = advance(stream)
-    while genome is not None:
-        genome, result = advance(stream, evaluator(genome))
+def drive(stream, evaluate_batch):
+    """Run an evaluation stream to completion and return its result.
+
+    evaluate_batch maps each batch, a list of genomes, to their
+    fitnesses in the same order."""
+    batch, result = advance(stream)
+    while batch is not None:
+        batch, result = advance(stream, evaluate_batch(batch))
     return result
+
+
+def one_by_one(stream):
+    """The stream as one request per genome: a generator that yields the
+    genomes of each batch singly, takes each fitness back, answers the
+    batch once all of it is answered, and returns the stream's result.
+    Nodes that evaluate remotely, one message per genome, step it with
+    advance."""
+    batch, result = advance(stream)
+    while batch is not None:
+        answers = []
+        for genome in batch:
+            answers.append((yield genome))
+        batch, result = advance(stream, answers)
+    return result
+
+
+def per_genome(evaluator):
+    """A batch evaluator for drive that calls evaluator(genome) on each
+    genome of the batch in order."""
+    return lambda batch: list(map(evaluator, batch))
 
 
 def osga_minimize(evaluator, genome_spec, params: OsgaParams | None = None,
@@ -448,14 +524,16 @@ def osga_minimize(evaluator, genome_spec, params: OsgaParams | None = None,
                   rng: np.random.Generator | None = None) -> RunResult:
     """Minimize evaluator(genome) over the genome space.
 
-    evaluator maps a genome array to a float fitness, lower better. All
-    randomness comes from one stream derived from the seed, so equal
-    seeds give equal runs.
+    evaluator maps a genome array to a float fitness, lower better; it
+    is called once per genome, in the search's order. All randomness
+    comes from one stream derived from the seed, so equal seeds give
+    equal runs.
     """
     params = params or OsgaParams()
     if rng is None:
         rng = substream(seed, "osga")
-    return drive(osga_stream(genome_spec, params, rng), evaluator)
+    return drive(osga_stream(genome_spec, params, rng),
+                 per_genome(evaluator))
 
 
 def offspring_selection_step(population, genome_spec, params: OsgaParams,
@@ -478,5 +556,5 @@ def offspring_selection_step(population, genome_spec, params: OsgaParams,
                       resolve_mutation_rate(genome_spec, params), rng,
                       float("inf"),
                       min(population, key=lambda ind: ind.fitness))
-    next_population, stats, _ = drive(gen, evaluator)
+    next_population, stats, _, _ = drive(gen, per_genome(evaluator))
     return next_population, stats

@@ -25,9 +25,11 @@ from optnet.errors import (
     InvalidSubsetSizeError,
     ModelInputMismatchError,
 )
-from optnet.forest import ForestConfig
+from optnet import networks
+from optnet._rng import substream
+from optnet.forest import ForestConfig, fit_random_forest
 from optnet.linear import fit_ols
-from optnet.osga import OsgaParams
+from optnet.osga import OsgaParams, RealGenomeSpec, osga_minimize
 from optnet.payloads import ModelWithQuality
 
 SMALL_SEARCH = OsgaParams(population_size=20, max_evaluations=2000,
@@ -206,6 +208,74 @@ def test_optimize_inputs_error_cases():
                                fixed_inputs={"x": 1.0})
     with pytest.raises(InvalidConfigError, match="nothing to search"):
         optimize_inputs([line_model()], fully_fixed)
+
+
+def ols_and_forest(partitioned):
+    """An OLS and a forest model on the same inputs, and a task that asks
+    each for its training mean."""
+    X, y = partitioned.train_xy()
+    names = partitioned.base.feature_names
+    models = [fit_ols(X, y, names),
+              fit_random_forest(X, y, ForestConfig(n_trees=5, max_depth=4),
+                                seed=0, feature_names=names)]
+    bounds = np.column_stack([X.min(axis=0), X.max(axis=0)])
+    task = AnalysisTask(names, bounds, (float(y.mean()), float(y.mean())))
+    return models, task
+
+
+def _one_row_residual(models, task):
+    """The input search's fitness as it was scored before batching: one
+    predict per model per candidate."""
+    idx = [np.array([task.input_names.index(n) for n in m.feature_names])
+           for m in models]
+
+    def residual(x):
+        row = x.reshape(1, -1)
+        d = np.array([float(networks.predict_any(m, row[:, i])[0])
+                      for m, i in zip(models, idx)]) \
+            - np.asarray(task.target_outputs)
+        return float(d @ d)
+    return residual
+
+
+@pytest.mark.parametrize("target", [None, 1e-10])
+def test_input_search_scores_each_batch_with_one_forest_call(
+        small_partitioned, monkeypatch, target):
+    """Without a target the forest sees each batch of candidates in one
+    call; with one, any candidate might end the search, so the batches
+    are single candidates. Either way the search is the one that scores
+    a candidate at a time."""
+    models, task = ols_and_forest(small_partitioned)
+    search = OsgaParams(population_size=20, max_evaluations=600,
+                        crossover_kind="simulated-binary",
+                        max_selection_pressure=30.0, target_fitness=target)
+    calls = []
+    predict_forest = networks.predict_forest
+
+    def counting(model, features):
+        calls.append(features.shape[0])
+        return predict_forest(model, features)
+
+    monkeypatch.setattr(networks, "predict_forest", counting)
+    result = optimize_inputs(models, task, search, seed=4)
+    assert calls[-1] == 1  # the winner, scored once more for the report
+    searched = calls[:-1]
+    assert sum(searched) == result.evaluations
+    if target is None:
+        assert searched[0] == search.population_size
+        assert len(searched) <= result.evaluations / 4
+    else:
+        assert searched == [1] * result.evaluations
+
+    monkeypatch.setattr(networks, "predict_forest", predict_forest)
+    reference = osga_minimize(
+        _one_row_residual(models, task),
+        RealGenomeSpec(task.bounds, sigma_fraction=0.05), search,
+        rng=substream(4, "input-search"))
+    assert result.residual == reference.best.fitness
+    assert list(result.inputs.values()) == reference.best.genome.tolist()
+    assert result.evaluations == reference.evaluations
+    assert result.terminated_by == reference.terminated_by
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from optnet.linear import (
     grid_search_elastic_net,
     mae,
     predict,
+    predict_each_row,
 )
 
 
@@ -134,6 +135,26 @@ def test_predict_shape_check(regression_case):
     model = fit_ols(X, y)
     with pytest.raises(ShapeMismatchError):
         predict(model, X[:, :3])
+    with pytest.raises(ShapeMismatchError):
+        predict_each_row(model, X[:, :3])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 60),
+       cols=st.integers(1, 12), fortran=st.booleans())
+def test_predict_each_row_has_the_bits_of_one_row_predicts(seed, rows, cols,
+                                                          fortran):
+    rng = np.random.default_rng(seed)
+    model = LinearModel(rng.normal(size=cols) * 10.0 ** rng.integers(-3, 4),
+                        float(rng.normal()), [f"x{i}" for i in range(cols)])
+    X = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4)
+    if fortran:
+        X = np.asfortranarray(X)
+    got = predict_each_row(model, X)
+    assert got.shape == (rows,)
+    for i in range(rows):
+        alone = np.array(X[i:i + 1], order="C")  # a fresh one-row array
+        assert got[i].tobytes() == predict(model, alone)[0].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ behavior, plus a counterexample documenting why the stronger form is
 not universal.
 """
 
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,9 @@ from optnet.osga import (
     Individual,
     OsgaParams,
     RealGenomeSpec,
+    RunResult,
+    StepStats,
+    advance,
     binary_crossover,
     bitflip_mutation,
     gaussian_mutation,
@@ -296,6 +300,17 @@ def test_constant_fitness_hits_pressure_cap():
     assert result.generations == 0
 
 
+@pytest.mark.parametrize("cap", [1e20, 1e30, 1e308, math.inf])
+def test_cap_that_never_fires_leaves_the_budget_to_end_the_run(cap):
+    params = OsgaParams(population_size=10, max_evaluations=2000,
+                        max_selection_pressure=cap, success_ratio=0.7)
+    result = osga_minimize(lambda g: 0.0, BinaryGenomeSpec(8), params,
+                           seed=0)
+    assert result.terminated_by == "budget"
+    assert result.evaluations == 2000
+    assert result.pressure_history == (199.0,)
+
+
 def test_budget_termination_and_accounting():
     calls = 0
 
@@ -418,6 +433,7 @@ def test_nan_first_fitness_counts_as_worst():
     _assert_no_nan(result)
     assert math.isfinite(result.best.fitness)
     assert result.evaluations == 300
+    assert result.nonfinite_fitness == 1
     reference = osga_minimize(_poisoned(math.inf, {0}), BinaryGenomeSpec(12),
                               NONFINITE_PARAMS, seed=0)
     assert _summary(result) == _summary(reference)
@@ -429,6 +445,7 @@ def test_nan_mid_run_fitness_counts_as_worst():
                            NONFINITE_PARAMS, seed=1)
     _assert_no_nan(result)
     assert result.evaluations > max(mid)
+    assert result.nonfinite_fitness == len(mid)
     reference = osga_minimize(_poisoned(math.inf, mid), BinaryGenomeSpec(12),
                               NONFINITE_PARAMS, seed=1)
     assert _summary(result) == _summary(reference)
@@ -442,6 +459,7 @@ def test_all_nan_fitness_stalls_into_pressure_cap():
     assert all(ind.fitness == math.inf for ind in result.population)
     assert result.terminated_by == "pressure"
     assert result.generations == 0
+    assert result.nonfinite_fitness == result.evaluations
 
 
 @pytest.mark.parametrize("factor", [0.0, 0.5, 1.0])
@@ -481,20 +499,285 @@ def test_nonfinite_fitness_runs_like_plus_inf(positions, bad, seed):
 # Streaming protocol
 
 def test_stream_protocol_manual_drive():
-    stream = osga_stream(BinaryGenomeSpec(10),
-                         OsgaParams(population_size=5, max_evaluations=50,
-                                    max_selection_pressure=20.0),
+    """One list of fitnesses answers each batch; the initial population
+    is one batch, or single genomes once any answer might end the run."""
+    for target, first_batch in ((None, 5), (0.0, 1)):
+        stream = osga_stream(BinaryGenomeSpec(10),
+                             OsgaParams(population_size=5, max_evaluations=50,
+                                        max_selection_pressure=20.0,
+                                        target_fitness=target),
+                             substream(0, "manual"))
+        sizes = []
+        batch, result = advance(stream)
+        while batch is not None:
+            sizes.append(len(batch))
+            batch, result = advance(stream, [zeros_count(g) for g in batch])
+        assert sizes[0] == first_batch
+        assert sum(sizes) == result.evaluations
+        assert result.best.fitness == min(i.fitness
+                                          for i in result.population)
+        if target is not None:
+            assert set(sizes) == {1}
+
+
+def test_stream_rejects_a_short_answer():
+    stream = osga_stream(BinaryGenomeSpec(10), OsgaParams(population_size=5),
                          substream(0, "manual"))
-    evaluated = 0
+    batch, _ = advance(stream)
+    with pytest.raises(ShapeMismatchError, match="4 fitness values"):
+        advance(stream, [0.0] * (len(batch) - 1))
+
+
+# ---------------------------------------------------------------------------
+# The batched stream against the sequential search it replaces
+#
+# _oracle_generation and _oracle_stream are the one-genome-per-request
+# search that osga_stream batches, kept verbatim as the reference.
+
+def _oracle_as_fitness(value) -> float:
+    fitness = float(value)
+    return fitness if math.isfinite(fitness) else math.inf
+
+
+def _oracle_tournament(population, rng) -> Individual:
+    a = population[int(rng.integers(len(population)))]
+    b = population[int(rng.integers(len(population)))]
+    return a if a.fitness <= b.fitness else b
+
+
+def _oracle_generation(population, genome_spec, params, mutation_rate, rng,
+                       evals_left, best_so_far):
+    pop_n = params.population_size
+    order = sorted(range(len(population)),
+                   key=lambda i: population[i].fitness)
+    elites = [population[i] for i in order[:params.elitism]]
+    new_slots = pop_n - params.elitism
+    target_success = min(round(params.success_ratio * pop_n), new_slots)
+
+    accepted: list[Individual] = []
+    fillers: list[Individual] = []
+    created = 0
+    evals = 0
+    stop: str | None = None
+    while (len(accepted) < target_success
+           or len(accepted) + len(fillers) < new_slots):
+        if evals >= evals_left:
+            stop = "budget"
+            break
+        p1 = _oracle_tournament(population, rng)
+        p2 = _oracle_tournament(population, rng)
+        genome = genome_spec.crossover(p1.genome, p2.genome,
+                                       params.crossover_kind, rng)
+        genome = genome_spec.mutate(genome, mutation_rate, rng)
+        fitness = _oracle_as_fitness((yield genome))
+        evals += 1
+        created += 1
+        child = Individual(genome, fitness)
+        better = min(p1.fitness, p2.fitness)
+        worse = max(p1.fitness, p2.fitness)
+        cf = params.comparison_factor
+        threshold = better if cf == 1.0 else worse if cf == 0.0 \
+            else cf * better + (1.0 - cf) * worse
+        if fitness < threshold and len(accepted) < target_success:
+            accepted.append(child)
+        else:
+            fillers.append(child)
+        if fitness < best_so_far.fitness:
+            best_so_far = child
+        if params.target_fitness is not None \
+                and fitness <= params.target_fitness:
+            stop = "target"
+            break
+        if created / pop_n > params.max_selection_pressure:
+            stop = "pressure"
+            break
+
+    pressure = created / pop_n
+    if stop is not None:
+        return population, StepStats(created, len(accepted), pressure,
+                                     False, stop), best_so_far
+    next_population = elites + accepted \
+        + fillers[:new_slots - len(accepted)]
+    return next_population, StepStats(created, len(accepted), pressure,
+                                      True, None), best_so_far
+
+
+def _oracle_stream(genome_spec, params, mutation_rate, rng):
+    population: list[Individual] = []
+    evaluations = 0
+    best = None
+    stop = None
+    for _ in range(params.population_size):
+        genome = genome_spec.random(rng)
+        fitness = _oracle_as_fitness((yield genome))
+        evaluations += 1
+        ind = Individual(genome, fitness)
+        population.append(ind)
+        if best is None or ind.fitness < best.fitness:
+            best = ind
+        if params.target_fitness is not None \
+                and ind.fitness <= params.target_fitness:
+            stop = "target"
+            break
+
+    best_history = [best.fitness]
+    pressure_history: list[float] = []
+    generations = 0
+    while stop is None:
+        if evaluations >= params.max_evaluations:
+            stop = "budget"
+            break
+        next_pop, stats, best = yield from _oracle_generation(
+            population, genome_spec, params, mutation_rate, rng,
+            params.max_evaluations - evaluations, best)
+        evaluations += stats.created
+        pressure_history.append(stats.pressure)
+        if stats.completed:
+            generations += 1
+            population = next_pop
+            best_history.append(
+                min(ind.fitness for ind in population))
+        else:
+            stop = stats.stop_reason
+
+    return RunResult(best, evaluations, generations, stop,
+                     tuple(best_history), tuple(pressure_history),
+                     tuple(population))
+
+
+def _oracle_drive(gen, evaluator):
     try:
-        genome = next(stream)
+        genome = next(gen)
         while True:
-            evaluated += 1
-            genome = stream.send(zeros_count(genome))
+            genome = gen.send(evaluator(genome))
     except StopIteration as fin:
-        result = fin.value
-    assert result.evaluations == evaluated
-    assert result.best.fitness == min(i.fitness for i in result.population)
+        return fin.value
+
+
+class _Scripted:
+    """Fitness by call number: answers[i % len(answers)], where "genome"
+    means a coarse function of the genome (so ties are common). Records
+    every genome it was asked about."""
+
+    def __init__(self, answers, real: bool):
+        self.answers = answers
+        self.real = real
+        self.genomes = []
+
+    def __call__(self, genome):
+        answer = self.answers[len(self.genomes) % len(self.answers)]
+        self.genomes.append(genome.tobytes())
+        if answer != "genome":
+            return answer
+        if self.real:
+            return round(float(genome @ genome), 1)
+        return zeros_count(genome)
+
+    @property
+    def nonfinite(self) -> int:
+        values = [self.answers[i % len(self.answers)]
+                  for i in range(len(self.genomes))]
+        return sum(v != "genome" and not math.isfinite(v) for v in values)
+
+
+def _state(rng) -> str:
+    return json.dumps(rng.bit_generator.state, sort_keys=True,
+                      default=lambda a: a.tolist())
+
+
+def _individuals(population):
+    return tuple((ind.genome.tobytes(), ind.fitness) for ind in population)
+
+
+@st.composite
+def _searches(draw, huge_caps=False):
+    real = draw(st.booleans())
+    pop = draw(st.integers(2, 8))
+    if real:
+        spec = RealGenomeSpec(np.array([[-1.0, 1.0]] * 3),
+                              sigma_fraction=0.2)
+    else:
+        spec = BinaryGenomeSpec(6, init_one_probability=0.3)
+    # caps at exact multiples of 1 / pop put the firing child right on
+    # the float boundary of created / pop > cap
+    caps = [st.floats(1.01, 6.0),
+            st.integers(pop + 1, 6 * pop).map(lambda c: c / pop)]
+    if huge_caps:
+        # caps that never fire, where only the budget ends a run: a cap
+        # near the float limit must not overflow or step through ulps
+        caps.append(st.sampled_from([1e20, 1e30, 1e308, math.inf]))
+    cap = draw(st.one_of(*caps))
+    params = OsgaParams(
+        population_size=pop,
+        comparison_factor=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        success_ratio=draw(st.floats(0.01, 1.0)),
+        max_selection_pressure=cap,
+        max_evaluations=pop + draw(st.integers(0, 80)),
+        crossover_kind=draw(st.sampled_from(spec.crossover_kinds)),
+        elitism=draw(st.integers(1, pop - 1)),
+        target_fitness=draw(st.one_of(st.none(), st.sampled_from(
+            [-math.inf, 0.0, 0.3, 1.0, 2.0]))))
+    answers = draw(st.lists(st.sampled_from(
+        ["genome", "genome", math.nan, math.inf, -math.inf, 0.0, 1.0]),
+        min_size=1, max_size=9))
+    return spec, params, answers, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(search=_searches(huge_caps=True))
+def test_batched_minimize_is_the_sequential_search(search):
+    spec, params, answers, seed = search
+    real = isinstance(spec, RealGenomeSpec)
+    rng = substream(seed, "osga")
+    seen = _Scripted(answers, real)
+    result = osga_minimize(seen, spec, params, rng=rng)
+
+    oracle_rng = substream(seed, "osga")
+    oracle_seen = _Scripted(answers, real)
+    expected = _oracle_drive(
+        _oracle_stream(spec, params, resolve_mutation_rate(spec, params),
+                       oracle_rng), oracle_seen)
+
+    assert seen.genomes == oracle_seen.genomes
+    assert _individuals([result.best]) == _individuals([expected.best])
+    for name in ("evaluations", "generations", "terminated_by",
+                 "best_history", "pressure_history"):
+        assert getattr(result, name) == getattr(expected, name), name
+    assert _individuals(result.population) \
+        == _individuals(expected.population)
+    assert result.nonfinite_fitness == seen.nonfinite
+    assert _state(rng) == _state(oracle_rng)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(search=_searches())
+def test_batched_step_is_the_sequential_generation(search):
+    spec, params, answers, seed = search
+    real = isinstance(spec, RealGenomeSpec)
+    start = substream(seed, "population")
+    score = _Scripted(answers, real)
+    population = [Individual(g, _oracle_as_fitness(score(g)))
+                  for g in (spec.random(start)
+                            for _ in range(params.population_size))]
+
+    rng = substream(seed, "step")
+    seen = _Scripted(answers, real)
+    next_pop, stats = offspring_selection_step(population, spec, params,
+                                               seen, rng)
+
+    oracle_rng = substream(seed, "step")
+    oracle_seen = _Scripted(answers, real)
+    expected_pop, expected_stats, _ = _oracle_drive(
+        _oracle_generation(population, spec, params,
+                           resolve_mutation_rate(spec, params), oracle_rng,
+                           float("inf"),
+                           min(population, key=lambda ind: ind.fitness)),
+        oracle_seen)
+
+    assert seen.genomes == oracle_seen.genomes
+    assert stats == expected_stats
+    assert _individuals(next_pop) == _individuals(expected_pop)
+    assert _state(rng) == _state(oracle_rng)
 
 
 # ---------------------------------------------------------------------------
