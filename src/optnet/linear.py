@@ -63,8 +63,12 @@ class LinearModel:
                 f"{len(self.feature_names)} names for {w.shape[0]} weights")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "feature_names",
-                           tuple(str(n) for n in self.feature_names))
+        names = self.feature_names
+        # a tuple of exact str (not np.str_) is kept as it is
+        if type(names) is not tuple \
+                or not all(type(n) is str for n in names):
+            object.__setattr__(self, "feature_names",
+                               tuple(str(n) for n in names))
         object.__setattr__(self, "intercept", float(self.intercept))
 
     @property
@@ -117,7 +121,9 @@ def mae(predicted: np.ndarray, actual: np.ndarray) -> float:
         raise ShapeMismatchError(f"shape mismatch {p.shape} vs {a.shape}")
     if p.size == 0:
         raise EmptyInputError("mae of empty vectors is undefined")
-    return float(np.mean(np.abs(p - a)))
+    # np.mean's bits without its Python overhead: the same pairwise sum,
+    # divided by the count
+    return float(np.add.reduce(np.abs(p - a))) / p.size
 
 
 def _checked_xy(features, target, fitter: str):
@@ -159,6 +165,73 @@ def fit_ols(features: np.ndarray, target: np.ndarray,
     coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=_RCOND)
     return LinearModel(coef[:d], float(coef[d]), tuple(feature_names),
                        rank_deficient=bool(rank < d + 1))
+
+
+#: Largest 2-norm condition number of a Gram matrix OlsGram solves
+#: from. The relative error of the solved weights grows like
+#: cond * 2.2e-16, so about 1e-6 here at worst. fit_ols flags rank
+#: deficiency from a condition of 1e10 of [X 1] (its rcond), which is a
+#: Gram condition of 1e20, far past this limit, so no mask fit_ols would
+#: flag is solved from the Gram matrix.
+_GRAM_COND_LIMIT = 1e10
+
+
+class OlsGram:
+    """G = [X 1]'[X 1] and m = [X 1]'y of one design, built once, for
+    OLS fits on subsets of its columns.
+
+    solve(columns, names) fits y on X[:, columns] plus an intercept by
+    solving S w = m_S, where S is the (k+1) x (k+1) sub-matrix of G on
+    those columns and the intercept, at a fraction of fit_ols's cost.
+    The normal equations square the condition number of the
+    least-squares problem (Golub & Van Loan, Matrix Computations,
+    section 5.3), so solve returns None, and the caller fits with
+    fit_ols, whenever
+      - G or m is not finite (fit_ols then raises its InvalidConfigError
+        for non-finite columns, or fits finite ones that overflowed);
+      - G's condition number exceeds _GRAM_COND_LIMIT, or G is not
+        positive definite;
+      - the factorization of S fails;
+      - columns is empty (fit_ols's constant model is exact and cheap).
+    The condition test is made once, on G's extreme eigenvalues, and is
+    sound for every subset: by Cauchy's interlacing theorem a principal
+    sub-matrix S of G is positive definite with a condition number no
+    larger than G's. So one LU solve per mask is as accurate as a
+    Cholesky solve, with one numpy call where Cholesky takes three. A
+    design with one collinear pair of columns is fitted by fit_ols for
+    every mask.
+
+    A solved model is never rank_deficient and agrees with fit_ols up to
+    rounding, not bit for bit.
+    """
+
+    def __init__(self, features: np.ndarray, target: np.ndarray):
+        X = np.asarray(features, dtype=np.float64)
+        y = np.asarray(target, dtype=np.float64)
+        n, self._d = X.shape
+        A = np.column_stack([X, np.ones(n)])
+        self.gram = A.T @ A
+        self.moment = A.T @ y
+        self.usable = bool(np.isfinite(self.gram).all()
+                           and np.isfinite(self.moment).all())
+        if self.usable:
+            eig = np.linalg.eigvalsh(self.gram)
+            self.usable = bool(
+                eig[0] > 0 and eig[-1] <= _GRAM_COND_LIMIT * eig[0])
+
+    def solve(self, columns: np.ndarray,
+              feature_names: tuple[str, ...]) -> LinearModel | None:
+        """The OLS model on the given columns, or None where fit_ols
+        must fit it (see the class docstring)."""
+        if not self.usable or len(columns) == 0:
+            return None
+        idx = np.concatenate((columns, [self._d]))
+        try:
+            coef = np.linalg.solve(self.gram.take(idx, 0).take(idx, 1),
+                                   self.moment[idx])
+        except np.linalg.LinAlgError:
+            return None
+        return LinearModel(coef[:-1], coef[-1], feature_names)
 
 
 @dataclass

@@ -9,6 +9,12 @@ switches the learning algorithm without touching the rest; replacing it
 with a node that internally runs a second network gives nested
 hyperparameter tuning.
 
+A search-time problem gathers its columns only when a model node first
+reads them. The OLS node answers a repeated mask from its memo, reading
+no column, and solves a new one from the orchestrator's Gram matrix
+(linear.OlsGram); the winner's final refit is an exact fit_ols on its
+gathered columns.
+
 A plain-loop twin of the feature-selection network (same nodes, no
 engine) is provided as an oracle: both paths share one search stream and
 must produce bit-identical results. The final refit continues the model
@@ -27,10 +33,10 @@ import numpy as np
 from ._rng import substream
 from .data import FeatureMask, PartitionedDataset
 from .engine import Node, Port, SinksEmitted, Topology, run_network
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, ShapeMismatchError
 from .forest import ForestConfig, ForestModel, fit_random_forest, \
     predict_forest
-from .linear import fit_ols, mae, predict, predict_each_row
+from .linear import OlsGram, fit_ols, mae, predict, predict_each_row
 from .osga import (
     BinaryGenomeSpec,
     OsgaParams,
@@ -42,7 +48,12 @@ from .osga import (
     osga_stream,
     per_genome,
 )
-from .payloads import ModelWithQuality, ParameterVector, RegressionProblem
+from .payloads import (
+    ModelWithQuality,
+    ParameterVector,
+    ProjectionSource,
+    RegressionProblem,
+)
 
 
 @dataclass
@@ -134,8 +145,9 @@ class RegressionOrchestratorNode(Node):
     """Translates masks into projected regression problems and model
     results into scalar fitness values.
 
-    Train and validation rows are read once at construction; the test
-    partition is never touched here, which keeps the search honest.
+    Train and validation rows are read once at construction, where the
+    OLS Gram matrix of the train rows is built too; the test partition
+    is never touched here, which keeps the search honest.
     """
 
     input_ports = (Port("mask", "feature-mask"),
@@ -148,22 +160,34 @@ class RegressionOrchestratorNode(Node):
         super().__init__(node_id)
         fitness = fitness or FitnessConfig()
         fitness.validate()
-        self._train_x, self._train_y = partitioned.train_xy()
-        self._val_x, self._val_y = partitioned.validation_xy()
-        self._names = partitioned.base.feature_names
-        self.penalty_per_feature = fitness.resolve(
-            self._train_y, self._val_y, len(self._names))
+        train_x, train_y = partitioned.train_xy()
+        val_x, val_y = partitioned.validation_xy()
+        names = partitioned.base.feature_names
+        self._source = ProjectionSource(train_x, train_y, val_x, val_y,
+                                        names, OlsGram(train_x, train_y))
+        self.penalty_per_feature = fitness.resolve(train_y, val_y,
+                                                   len(names))
 
     @property
     def n_features(self) -> int:
-        return len(self._names)
+        return len(self._source.feature_names)
 
     def make_problem(self, mask: FeatureMask) -> RegressionProblem:
-        keep = np.flatnonzero(mask.bits)
-        return RegressionProblem(
-            self._train_x[:, keep], self._train_y,
-            self._val_x[:, keep], self._val_y,
-            tuple(self._names[i] for i in keep), mask)
+        """The search-time problem of mask; its columns and names are
+        gathered on first read (RegressionProblem.projected)."""
+        if len(mask) != self.n_features:
+            raise ShapeMismatchError(
+                f"mask of {len(mask)} bits for {self.n_features} features")
+        return RegressionProblem.projected(self._source, mask)
+
+    def refit_problem(self, mask: FeatureMask) -> RegressionProblem:
+        """The problem of mask with its columns gathered and no source,
+        so every model node fits it from its own arrays: an OLS node
+        with an exact fit_ols, whatever its memo holds."""
+        p = self.make_problem(mask)
+        return RegressionProblem(p.train_features, p.train_target,
+                                 p.validation_features, p.validation_target,
+                                 p.feature_names, mask)
 
     def score(self, result: ModelWithQuality) -> float:
         return result.validation_mae \
@@ -185,12 +209,15 @@ OLS_MEMO_SIZE = 1024
 class OlsModelNode(Node):
     """Fits an ordinary least-squares model per problem.
 
-    The fit draws no randomness, so the node keeps the fits of the last
-    OLS_MEMO_SIZE masks and hands a repeated mask its earlier
-    ModelWithQuality. A fit is reused only for a problem with equal mask
-    bits and the very same target arrays: a problem with other target
-    arrays empties the memo first, and a problem without a mask is
-    always fitted. fits counts the fits made and hits the fits reused.
+    An orchestrator's search-time problem (one with a source) is scored
+    from the source's Gram matrix by OlsGram.solve, or by fit_ols where
+    the Gram solve refuses the mask. The fit draws no randomness, so
+    the node keeps the fits of the last OLS_MEMO_SIZE masks of one
+    source and hands a repeated mask its earlier ModelWithQuality before
+    any column is gathered; a problem of another source empties the memo
+    first. Any other problem, such as the final refit, is fitted with
+    fit_ols from its own arrays and never memoized. fits counts the fits
+    made and hits the fits reused.
     """
 
     input_ports = (Port("problem", "regression-problem"),)
@@ -201,26 +228,21 @@ class OlsModelNode(Node):
         self.fits = 0
         self.hits = 0
         self._memo: OrderedDict[bytes, ModelWithQuality] = OrderedDict()
-        self._memo_targets: tuple[np.ndarray, np.ndarray] | None = None
+        self._memo_source: ProjectionSource | None = None
 
     def fit_problem(self, problem: RegressionProblem,
                     rng: np.random.Generator) -> ModelWithQuality:
-        key = None
-        if problem.mask is not None:
-            key = problem.mask.bits.tobytes()
-            targets = self._memo_targets
-            if targets is not None \
-                    and targets[0] is problem.train_target \
-                    and targets[1] is problem.validation_target:
-                fitted = self._memo.get(key)
-                if fitted is not None:
-                    self._memo.move_to_end(key)
-                    self.hits += 1
-                    return fitted
-            else:
+        source, key = problem.source, None
+        if source is not None:
+            if source is not self._memo_source:
                 self._memo.clear()
-                self._memo_targets = (problem.train_target,
-                                      problem.validation_target)
+                self._memo_source = source
+            key = problem.mask.bits.tobytes()
+            fitted = self._memo.get(key)
+            if fitted is not None:
+                self._memo.move_to_end(key)
+                self.hits += 1
+                return fitted
         fitted = self._fit(problem)
         self.fits += 1
         if key is not None:
@@ -231,15 +253,20 @@ class OlsModelNode(Node):
 
     @staticmethod
     def _fit(problem: RegressionProblem) -> ModelWithQuality:
-        model = fit_ols(problem.train_features, problem.train_target,
-                        problem.feature_names)
+        names = problem.feature_names
+        model = None if problem.source is None \
+            else problem.source.ols_gram.solve(
+                np.flatnonzero(problem.mask.bits), names)
+        if model is None:
+            model = fit_ols(problem.train_features, problem.train_target,
+                            names)
         return ModelWithQuality(
             model,
             train_mae=mae(predict(model, problem.train_features),
                           problem.train_target),
             validation_mae=mae(predict(model, problem.validation_features),
                                problem.validation_target),
-            n_features=len(problem.feature_names),
+            n_features=len(names),
             label="ols")
 
     def handle(self, port_name: str, payload, ctx) -> None:
@@ -334,7 +361,7 @@ def _final_result(run: RunResult, orchestrator: RegressionOrchestratorNode,
                   compute_test_mae: bool, seed: int,
                   started: float) -> NetworkResult:
     best_mask = FeatureMask(run.best.genome)
-    refit = model_node.fit_problem(orchestrator.make_problem(best_mask),
+    refit = model_node.fit_problem(orchestrator.refit_problem(best_mask),
                                    model_rng)
     if compute_test_mae:
         test_x, test_y = partitioned.test_xy()

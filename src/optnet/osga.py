@@ -250,7 +250,7 @@ class OsgaParams:
             raise InvalidConfigError("comparison_factor must lie in [0, 1]")
         if not 0.0 < self.success_ratio <= 1.0:
             raise InvalidConfigError("success_ratio must lie in (0, 1]")
-        if self.max_selection_pressure <= 1.0:
+        if not self.max_selection_pressure > 1.0:
             raise InvalidConfigError(
                 "max_selection_pressure must exceed 1")
         if self.max_evaluations < 1:
@@ -258,6 +258,9 @@ class OsgaParams:
         if not 1 <= self.elitism < self.population_size:
             raise InvalidConfigError(
                 "elitism must lie in [1, population_size)")
+        if self.target_fitness is not None \
+                and math.isnan(self.target_fitness):
+            raise InvalidConfigError("target_fitness must not be NaN")
 
 
 @dataclass
@@ -543,9 +546,14 @@ def offspring_selection_step(population, genome_spec, params: OsgaParams,
     Returns (next_population, StepStats). There is no run-level budget
     here; the pressure cap or a configured target fitness can still cut
     the step short, in which case the input population comes back
-    unchanged and stats.stop_reason says why.
+    unchanged and stats.stop_reason says why. Only the cap ends a step
+    in which no child succeeds, so an infinite cap is refused.
     """
     params.validate()
+    if math.isinf(params.max_selection_pressure):
+        raise InvalidConfigError(
+            "offspring_selection_step has no budget, so "
+            "max_selection_pressure must be finite")
     genome_spec.validate()
     if len(population) != params.population_size:
         raise InvalidConfigError(

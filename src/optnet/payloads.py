@@ -8,12 +8,26 @@ inside a downstream handler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import FeatureMask
 from .errors import ShapeMismatchError
+from .linear import OlsGram
+
+
+@dataclass(frozen=True, eq=False)
+class ProjectionSource:
+    """The full train and validation splits an orchestrator projects
+    masks from, with the OLS Gram matrix of the train rows."""
+
+    train_features: np.ndarray
+    train_target: np.ndarray
+    validation_features: np.ndarray
+    validation_target: np.ndarray
+    feature_names: tuple[str, ...]
+    ols_gram: OlsGram
 
 
 @dataclass(frozen=True, eq=False)
@@ -21,11 +35,17 @@ class RegressionProblem:
     """A concrete fit request: projected train and validation splits.
 
     mask, when set, is the selection the features were projected with.
-    Model nodes may reuse a fit for a later problem with equal mask bits
-    and the very same (identical, not merely equal) target arrays, so
-    such problems must carry the same features; an orchestrator's
-    projections share its target arrays and keep this. Problems built by
-    hand without a mask are always fitted afresh.
+
+    source is set only on an orchestrator's search-time problems, made
+    by RegressionProblem.projected. Such a problem holds the mask and
+    the orchestrator's target arrays, and gathers train_features,
+    validation_features and feature_names from source's full splits on
+    their first read, so a model node that answers from a memo reads
+    none of them. An OLS node may reuse its fit for a later problem of
+    the same source and equal mask bits, and solves a new mask from
+    source's Gram matrix. Every other problem, built by hand or by
+    dataclasses.replace (which leaves source unset), is fitted from its
+    own arrays.
     """
 
     train_features: np.ndarray
@@ -34,6 +54,34 @@ class RegressionProblem:
     validation_target: np.ndarray
     feature_names: tuple[str, ...]
     mask: FeatureMask | None = None
+    source: ProjectionSource | None = field(default=None, init=False,
+                                            repr=False)
+
+    @classmethod
+    def projected(cls, source: ProjectionSource,
+                  mask: FeatureMask) -> RegressionProblem:
+        """source's columns selected by mask, gathered on first read."""
+        problem = object.__new__(cls)
+        problem.__dict__.update(
+            train_target=source.train_target,
+            validation_target=source.validation_target,
+            mask=mask, source=source)
+        return problem
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the columns
+        # and names of a projected problem before their first read
+        source = self.__dict__.get("source")
+        if source is None or name not in (
+                "train_features", "validation_features", "feature_names"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        keep = np.flatnonzero(self.mask.bits)
+        self.__dict__.update(
+            train_features=source.train_features[:, keep],
+            validation_features=source.validation_features[:, keep],
+            feature_names=tuple(source.feature_names[i] for i in keep))
+        return self.__dict__[name]
 
 
 @dataclass

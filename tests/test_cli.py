@@ -542,6 +542,12 @@ BAD_VALUES = [
      {"population_size": 50, "max_evaluations": 10}, "search"),
     ("benchmark", BENCH_DOC, ("nested",), {"search": "osga", "budget": 4},
      "nested"),
+    # search settings that never fire
+    ("run", RUN_DOC, ("network", "nodes", "selector",
+                      "max_selection_pressure"), float("nan"),
+     "network.nodes.selector"),
+    ("run", RUN_DOC, ("network", "nodes", "selector", "target_fitness"),
+     float("nan"), "network.nodes.selector"),
 ]
 
 

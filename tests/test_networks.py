@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from optnet import networks
 from optnet.data import (
     BenchmarkConfig,
+    Dataset,
     FeatureMask,
     generate_benchmark,
     partition,
 )
 from optnet.engine import Node, NodeContext
-from optnet.errors import InvalidConfigError
+from optnet.errors import InvalidConfigError, ShapeMismatchError
 from optnet.forest import ForestConfig, ForestModel
-from optnet.linear import LinearModel
+from optnet.linear import LinearModel, fit_ols, mae, predict
 from optnet.networks import (
     FitnessConfig,
     ForestBuilderNode,
@@ -80,6 +81,20 @@ def test_orchestrator_projects_problems(small_partitioned):
     assert np.array_equal(problem.train_target, train_y)
     assert problem.feature_names == ("x1", "x4")
     assert problem.mask == mask
+    val_x, _ = small_partitioned.validation_xy()
+    assert np.array_equal(problem.validation_features, val_x[:, [1, 4]])
+    with pytest.raises(ShapeMismatchError):
+        orchestrator.make_problem(FeatureMask.from_indices((1,), 7))
+
+
+def test_replaced_problem_is_fitted_from_its_own_arrays(small_partitioned):
+    orchestrator = RegressionOrchestratorNode("o", small_partitioned)
+    projected = orchestrator.make_problem(FeatureMask.from_indices((1, 4), 8))
+    doubled = replace(projected, train_features=2 * projected.train_features)
+    assert doubled.source is None and projected.source is not None
+    fitted = OlsModelNode("model").fit_problem(doubled, None)
+    assert fitted.model == fit_ols(doubled.train_features,
+                                   projected.train_target, ("x1", "x4"))
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +336,80 @@ def test_memo_counters_on_a_network_run(small_partitioned):
     assert len(set(node.seen)) < networks.OLS_MEMO_SIZE
     # every evaluation plus the final refit
     assert node.hits + node.fits == result.evaluations + 1 == len(node.seen)
-    assert node.fits == len(set(node.seen))
+    # one fit per distinct search mask, and the winner's refit is fitted
+    # afresh with fit_ols rather than answered from the memo
+    assert node.fits == len(set(node.seen)) + 1
     assert node.hits > 0
-    assert node.hit_flags[-1]  # the refit of the winner
+    assert not node.hit_flags[-1]
     assert result == feature_selection_direct(small_partitioned, TINY_PARAMS,
                                               seed=3)
+
+
+@pytest.fixture(scope="module")
+def collinear_partitioned():
+    """The flagship's 1000 x 100 design plus column 100, a copy of column
+    0, and column 101, column 2 plus 1e-12 noise."""
+    dataset, _ = generate_benchmark(BenchmarkConfig(), seed=3)
+    X = dataset.features
+    noise = np.random.default_rng(5).standard_normal(X.shape[0])
+    X = np.column_stack([X, X[:, 0], X[:, 2] + 1e-12 * noise])
+    names = dataset.feature_names + ("copy0", "near2")
+    return partition(Dataset(X, dataset.target, names), seed=3)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(columns=st.sets(st.integers(0, 101), max_size=102))
+def test_ols_node_fits_exactly_where_the_gram_falls_back(
+        collinear_partitioned, columns):
+    """The collinear pairs leave every mask to fit_ols: each gets
+    fit_ols's very model, rank_deficient flag included."""
+    orchestrator = RegressionOrchestratorNode("o", collinear_partitioned)
+    mask = FeatureMask.from_indices(sorted(columns), 102)
+    fitted = OlsModelNode("model").fit_problem(
+        orchestrator.make_problem(mask), None)
+    X, y = collinear_partitioned.train_xy()
+    cols = list(mask.indices)
+    names = tuple(collinear_partitioned.base.feature_names[i] for i in cols)
+    assert fitted.model == fit_ols(X[:, cols], y, names)
+    assert fitted.model.rank_deficient \
+        == ({0, 100} <= columns or {2, 101} <= columns)
+
+
+def test_ols_node_gives_the_empty_mask_the_constant_model(
+        small_partitioned):
+    orchestrator = RegressionOrchestratorNode("o", small_partitioned)
+    fitted = OlsModelNode("model").fit_problem(
+        orchestrator.make_problem(FeatureMask(np.zeros(8, dtype=bool))),
+        None)
+    _, y = small_partitioned.train_xy()
+    assert fitted.model == LinearModel(np.zeros(0), float(np.mean(y)), ())
+
+
+def test_memo_hit_gathers_no_column(small_partitioned):
+    orchestrator = RegressionOrchestratorNode("o", small_partitioned)
+    node = OlsModelNode("model")
+    mask = FeatureMask.from_indices((1, 4), 8)
+    first = orchestrator.make_problem(mask)
+    node.fit_problem(first, None)
+    assert "train_features" in vars(first)
+    again = orchestrator.make_problem(mask)
+    assert node.fit_problem(again, None) is node.fit_problem(first, None)
+    assert not {"train_features", "validation_features",
+                "feature_names"} & set(vars(again))
+
+
+def test_refit_test_mae_is_an_independent_fit_ols(noisy_partitioned):
+    """The winner's refit is an exact fit_ols on its columns, whatever
+    the Gram solve scored during the search."""
+    result = feature_selection_network(noisy_partitioned, SMALL_PARAMS,
+                                       seed=2)
+    cols = list(result.best_mask.indices)
+    X, y = noisy_partitioned.train_xy()
+    X_test, y_test = noisy_partitioned.test_xy()
+    model = fit_ols(X[:, cols], y)
+    assert result.best_model.test_mae == mae(predict(model, X_test[:, cols]),
+                                             y_test)
+    assert np.array_equal(result.best_model.model.weights, model.weights)
 
 
 def test_worker_count_invariance(small_partitioned):

@@ -261,6 +261,8 @@ def test_params_validation():
                 OsgaParams(comparison_factor=-0.1),
                 OsgaParams(success_ratio=0.0),
                 OsgaParams(max_selection_pressure=1.0),
+                OsgaParams(max_selection_pressure=math.nan),
+                OsgaParams(target_fitness=math.nan),
                 OsgaParams(max_evaluations=0),
                 OsgaParams(elitism=0),
                 OsgaParams(population_size=5, elitism=5)):
@@ -889,3 +891,25 @@ def test_step_rejects_population_size_mismatch():
         offspring_selection_step(population, BinaryGenomeSpec(3),
                                  OsgaParams(population_size=4),
                                  zeros_count, substream(0, "x"))
+
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf])
+def test_step_refuses_a_cap_that_never_fires(cap):
+    """With no child succeeding only the cap can end a step, and the step
+    has no budget; the evaluator stops a regression that would hang."""
+    calls = 0
+
+    def constant(genome):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise RuntimeError("the step did not stop")
+        return 1.0
+
+    population = [Individual(np.zeros(3, dtype=bool), 1.0)
+                  for _ in range(4)]
+    params = OsgaParams(population_size=4, max_selection_pressure=cap)
+    with pytest.raises(InvalidConfigError, match="max_selection_pressure"):
+        offspring_selection_step(population, BinaryGenomeSpec(3), params,
+                                 constant, substream(0, "x"))
+    assert calls == 0
