@@ -7,6 +7,11 @@ stage searches for input values that push every selected model's
 prediction to its target. Suitability of a subset is measured by the
 inverse-problem residual: the sum of squared deviations between model
 outputs and targets at the best found inputs.
+
+A recipe (OLS, elastic-net grid, random forest, or a mask search with
+any model node) builds one model through Recipe.fit, which scores it
+once on the test rows after its search. The pool fits every recipe
+this way, and so do the `optnet benchmark` methods built on recipes.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .linear import (
 )
 from .networks import (
     FitnessConfig,
-    NetworkResult,
+    ForestModelNode,
     feature_selection_network,
     predict_any,
 )
@@ -43,39 +48,102 @@ from .osga import OsgaParams, RealGenomeSpec, drive, osga_stream
 # bound here as well, for code that wraps analysis.osga_minimize by name
 # (perfbench/tracing.py does); optimize_inputs drives the stream itself
 from .osga import osga_minimize  # noqa: F401
-from .payloads import ModelWithQuality
+from .payloads import ModelWithQuality, RegressionProblem
 
 
 # ---------------------------------------------------------------------------
 # Recipes and the model pool
 
+class Recipe:
+    """How to build one model from a partitioned dataset: a subclass's
+    _search fits it from the train and validation rows and counts the
+    evaluations it spent."""
+
+    def fit(self, partitioned: PartitionedDataset, seed: int,
+            workers: int = 1) -> tuple[ModelWithQuality, int]:
+        """The recipe's model, labelled and scored once on the test rows
+        (on the columns it names), and the evaluations its search spent;
+        workers is the engine worker count of a network search."""
+        result, evaluations = self._search(partitioned, seed, workers)
+        X_test, y_test = partitioned.test_xy()
+        base = partitioned.base.feature_names
+        names = getattr(result.model, "feature_names", base)
+        cols = [base.index(n) for n in names]
+        test_mae = mae(predict_any(result.model, X_test[:, cols]), y_test)
+        return replace(result, test_mae=test_mae,
+                       label=self.label), evaluations
+
+    def _search(self, partitioned: PartitionedDataset, seed: int,
+                workers: int) -> tuple[ModelWithQuality, int]:
+        raise NotImplementedError
+
+
 @dataclass
-class OlsRecipe:
+class OlsRecipe(Recipe):
     label: str = "ols"
 
+    def _search(self, partitioned, seed, workers):
+        X_train, y_train = partitioned.train_xy()
+        X_val, y_val = partitioned.validation_xy()
+        model = fit_ols(X_train, y_train, partitioned.base.feature_names)
+        return ModelWithQuality(
+            model,
+            train_mae=mae(predict(model, X_train), y_train),
+            validation_mae=mae(predict(model, X_val), y_val),
+            n_features=model.n_selected), 1
+
 
 @dataclass
-class ElasticNetRecipe:
+class ElasticNetRecipe(Recipe):
+    """The grid search's best cell; every cell that fits is one
+    evaluation."""
+
     penalties: tuple[float, ...] | None = None
     l1_ratios: tuple[float, ...] | None = None
     label: str = "elastic-net"
 
+    def _search(self, partitioned, seed, workers):
+        grid = grid_search_elastic_net(partitioned, self.penalties,
+                                       self.l1_ratios, compute_test_mae=False)
+        model = grid.best_model
+        X_train, y_train = partitioned.train_xy()
+        return ModelWithQuality(
+            model,
+            train_mae=mae(predict(model, X_train), y_train),
+            validation_mae=grid.validation_mae,
+            n_features=model.n_selected), sum(c.ok for c in grid.cells)
+
 
 @dataclass
-class ForestRecipe:
+class ForestRecipe(Recipe):
     config: ForestConfig = field(default_factory=ForestConfig)
     label: str = "random-forest"
 
+    def _search(self, partitioned, seed, workers):
+        problem = RegressionProblem(*partitioned.train_xy(),
+                                    *partitioned.validation_xy(),
+                                    partitioned.base.feature_names)
+        node = ForestModelNode("pool", self.config)
+        return node.fit_problem(problem, substream(seed, "pool-forest")), 1
+
 
 @dataclass
-class FeatureSelectionRecipe:
+class FeatureSelectionRecipe(Recipe):
+    """A mask search; model is what feature_selection_network takes: "ols",
+    a ForestConfig or a model node."""
+
     params: OsgaParams = field(default_factory=OsgaParams)
     fitness: FitnessConfig = field(default_factory=FitnessConfig)
     model: object = "ols"
+    init_one_probability: float = 0.1
     label: str = "feature-selection"
 
-
-Recipe = OlsRecipe | ElasticNetRecipe | ForestRecipe | FeatureSelectionRecipe
+    def _search(self, partitioned, seed, workers):
+        net = feature_selection_network(
+            partitioned, self.params, self.fitness, self.model, seed=seed,
+            workers=workers, compute_test_mae=False,
+            init_one_probability=self.init_one_probability)
+        return net.best_model, net.evaluations
 
 
 @dataclass
@@ -91,56 +159,6 @@ class PoolEntry:
         return self.result is not None
 
 
-def _run_recipe(recipe: Recipe, partitioned: PartitionedDataset,
-                seed: int) -> ModelWithQuality:
-    X_train, y_train = partitioned.train_xy()
-    X_val, y_val = partitioned.validation_xy()
-    names = partitioned.base.feature_names
-    if isinstance(recipe, OlsRecipe):
-        model = fit_ols(X_train, y_train, names)
-        result = ModelWithQuality(
-            model,
-            train_mae=mae(predict(model, X_train), y_train),
-            validation_mae=mae(predict(model, X_val), y_val),
-            n_features=model.n_selected, label=recipe.label)
-    elif isinstance(recipe, ElasticNetRecipe):
-        grid = grid_search_elastic_net(partitioned, recipe.penalties,
-                                       recipe.l1_ratios,
-                                       compute_test_mae=False)
-        model = grid.best_model
-        result = ModelWithQuality(
-            model,
-            train_mae=mae(predict(model, X_train), y_train),
-            validation_mae=grid.validation_mae,
-            n_features=model.n_selected, label=recipe.label)
-    elif isinstance(recipe, ForestRecipe):
-        from .networks import ForestModelNode
-        from .payloads import RegressionProblem
-        node = ForestModelNode("pool", recipe.config)
-        problem = RegressionProblem(X_train, y_train, X_val, y_val, names)
-        result = replace(
-            node.fit_problem(problem, substream(seed, "pool-forest")),
-            label=recipe.label)
-    elif isinstance(recipe, FeatureSelectionRecipe):
-        net: NetworkResult = feature_selection_network(
-            partitioned, recipe.params, recipe.fitness, recipe.model,
-            seed=seed, compute_test_mae=False)
-        result = replace(net.best_model, label=recipe.label)
-    else:
-        raise InvalidConfigError(f"unknown recipe {recipe!r}")
-    # final scoring only; searches above never saw these rows
-    X_test, y_test = partitioned.test_xy()
-    return replace(result, test_mae=_masked_test_mae(
-        result, recipe, partitioned, X_test, y_test))
-
-
-def _masked_test_mae(result, recipe, partitioned, X_test, y_test) -> float:
-    model = result.model
-    names = getattr(model, "feature_names", partitioned.base.feature_names)
-    cols = [partitioned.base.feature_names.index(n) for n in names]
-    return mae(predict_any(model, X_test[:, cols]), y_test)
-
-
 def build_model_pool(partitioned: PartitionedDataset, recipes,
                      seed: int = 0) -> list[PoolEntry]:
     """Fit every recipe on the dataset; failures become flagged entries
@@ -152,8 +170,7 @@ def build_model_pool(partitioned: PartitionedDataset, recipes,
         recipe_seed = stream_seed(seed, "pool", i)
         try:
             entries.append(PoolEntry(recipe.label,
-                                     _run_recipe(recipe, partitioned,
-                                                 recipe_seed)))
+                                     recipe.fit(partitioned, recipe_seed)[0]))
         except OptnetError as exc:
             entries.append(PoolEntry(recipe.label, None, str(exc)))
     return entries
@@ -214,11 +231,15 @@ class AnalysisTask:
 
 @dataclass
 class InputOptimizationResult:
+    """The best inputs found and how the search ended; nonfinite_fitness
+    counts the evaluations whose residual came back NaN or infinite."""
+
     inputs: dict[str, float]
     residual: float
     model_outputs: tuple[float, ...]
     evaluations: int
     terminated_by: str
+    nonfinite_fitness: int = 0
 
 
 def _model_column_picker(model, input_names: tuple[str, ...]):
@@ -296,7 +317,8 @@ def optimize_inputs(models, task: AnalysisTask,
         inputs[task.input_names[i]] = float(best_free[pos])
     return InputOptimizationResult(inputs, run.best.fitness,
                                    tuple(float(o) for o in outs),
-                                   run.evaluations, run.terminated_by)
+                                   run.evaluations, run.terminated_by,
+                                   run.nonfinite_fitness)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ ground-truth sidecar, `benchmark` compares the configured methods over
 a list of seeds, `run` executes a declarative network config, and
 `analyze` runs the model-pool input-optimization pipeline. Exit codes:
 0 success, 2 bad configuration, 3 runtime failure.
+
+Five benchmark methods are analysis recipes run through Recipe.fit, the
+call the analysis model pool makes: `full-ols`, `elastic-net-grid`
+(the config's `elastic-net` recipe), and `fs-network-ols`,
+`fs-network-rf` and `nested-rf` (its `fs-network` recipe with an OLS,
+forest or nested-tuning model node). `oracle-ols` refits on the true
+features, and `optimization-analysis` runs the whole pipeline.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .analysis import optimization_analysis_network
+from .analysis import OlsRecipe, optimization_analysis_network
 from .data import (
     BenchmarkConfig,
     FeatureMask,
@@ -31,7 +38,7 @@ from .data import (
     save_ground_truth,
 )
 from .errors import ConfigFileError, InvalidConfigError, OptnetError
-from .linear import LinearModel, fit_ols, grid_search_elastic_net, mae, predict
+from .linear import fit_ols, mae, predict
 from .netconfig import (
     DEFAULT_RECIPES,
     ExperimentConfig,
@@ -41,11 +48,7 @@ from .netconfig import (
     run_analysis,
     run_configured,
 )
-from .networks import (
-    FitnessConfig,
-    feature_selection_network,
-    nested_tuning_network,
-)
+from .networks import InnerTuningModelNode
 
 
 # ---------------------------------------------------------------------------
@@ -170,30 +173,29 @@ class MethodOutcome:
     evaluations: int
 
 
-def _correct_mask(mask: FeatureMask, truth: GroundTruth | None) -> int | None:
+def _correct_features(model, base_names,
+                      truth: GroundTruth | None) -> int | None:
+    """How many truth indices are among the features the model uses: the
+    names it holds, less those a linear model weighs zero."""
     if truth is None:
         return None
-    return int(np.intersect1d(mask.indices,
-                              np.array(truth.true_indices)).size)
+    weights = getattr(model, "weights", np.ones(len(model.feature_names)))
+    used = {base_names.index(n)
+            for n, w in zip(model.feature_names, weights) if w != 0.0}
+    return len(used & set(truth.true_indices))
 
 
-def _correct_linear(model: LinearModel, base_names,
-                    truth: GroundTruth | None) -> int | None:
-    if truth is None:
-        return None
-    selected = {base_names.index(n)
-                for n, w in zip(model.feature_names, model.weights)
-                if w != 0.0}
-    return len(selected & set(truth.true_indices))
-
-
-def _method_full_ols(partitioned, truth, cfg, seed):
-    X, y = partitioned.train_xy()
-    model = fit_ols(X, y, partitioned.base.feature_names)
-    Xt, yt = partitioned.test_xy()
-    return MethodOutcome(
-        mae(predict(model, Xt), yt), model.n_selected,
-        _correct_linear(model, partitioned.base.feature_names, truth), 1)
+def _recipe_method(recipe_for):
+    """A method that fits the recipe recipe_for(cfg) returns."""
+    def method(partitioned, truth, cfg, seed):
+        fitted, evaluations = recipe_for(cfg).fit(partitioned, seed,
+                                                  cfg.workers)
+        return MethodOutcome(
+            fitted.test_mae, fitted.n_features,
+            _correct_features(fitted.model, partitioned.base.feature_names,
+                              truth),
+            evaluations)
+    return method
 
 
 def _method_oracle_ols(partitioned, truth, cfg, seed):
@@ -210,33 +212,6 @@ def _method_oracle_ols(partitioned, truth, cfg, seed):
                          model.n_selected, len(truth.true_indices), 1)
 
 
-def _method_elastic_net(partitioned, truth, cfg, seed):
-    result = grid_search_elastic_net(partitioned, cfg.en_penalties,
-                                     cfg.en_l1_ratios)
-    return MethodOutcome(
-        result.test_mae, result.best_model.n_selected,
-        _correct_linear(result.best_model, partitioned.base.feature_names,
-                        truth),
-        sum(1 for c in result.cells if c.ok))
-
-
-def _mask_search_method(network, model_options):
-    """A method that runs a mask-search network with the configured
-    search; model_options(cfg) picks its model node's settings."""
-    def method(partitioned, truth, cfg, seed):
-        result = network(
-            partitioned, cfg.fs_params,
-            FitnessConfig(cfg.penalty_per_feature), seed=seed,
-            workers=cfg.workers,
-            init_one_probability=cfg.init_one_probability,
-            **model_options(cfg))
-        return MethodOutcome(result.best_model.test_mae,
-                             result.best_mask.n_selected,
-                             _correct_mask(result.best_mask, truth),
-                             result.evaluations)
-    return method
-
-
 def _method_analysis(partitioned, truth, cfg, seed):
     block = cfg.analysis
     task = block.task_for(partitioned, truth)
@@ -251,15 +226,15 @@ def _method_analysis(partitioned, truth, cfg, seed):
 
 
 METHODS = {
-    "full-ols": _method_full_ols,
+    "full-ols": _recipe_method(lambda cfg: OlsRecipe()),
     "oracle-ols": _method_oracle_ols,
-    "elastic-net-grid": _method_elastic_net,
-    "fs-network-ols": _mask_search_method(
-        feature_selection_network, lambda cfg: {"model": "ols"}),
-    "fs-network-rf": _mask_search_method(
-        feature_selection_network, lambda cfg: {"model": cfg.forest}),
-    "nested-rf": _mask_search_method(
-        nested_tuning_network, lambda cfg: {"inner": cfg.inner_search}),
+    "elastic-net-grid": _recipe_method(lambda cfg: cfg.elastic_net),
+    "fs-network-ols": _recipe_method(lambda cfg: cfg.fs_network),
+    "fs-network-rf": _recipe_method(
+        lambda cfg: replace(cfg.fs_network, model=cfg.forest)),
+    "nested-rf": _recipe_method(lambda cfg: replace(
+        cfg.fs_network,
+        model=InnerTuningModelNode("model", cfg.inner_search))),
     "optimization-analysis": _method_analysis,
 }
 
@@ -267,11 +242,9 @@ METHODS = {
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_generate(config: ExperimentConfig | BenchmarkConfig, out_path,
+def cmd_generate(bench: BenchmarkConfig, out_path,
                  seed: int = 0) -> list[Path]:
     """Write dataset CSV, ground-truth sidecar, and a config echo."""
-    bench = config.benchmark if isinstance(config, ExperimentConfig) \
-        else config
     out = Path(out_path)
     if out.suffix == ".csv":
         base = out.with_suffix("")
@@ -403,7 +376,7 @@ def _load_experiment_config(args) -> ExperimentConfig:
 def _main_generate(args) -> int:
     cfg = _load_experiment_config(args)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
-    paths = cmd_generate(cfg, args.out or "dataset", seed=seed)
+    paths = cmd_generate(cfg.benchmark, args.out or "dataset", seed=seed)
     for p in paths:
         print(f"wrote {p}")
     return 0

@@ -271,15 +271,6 @@ _NESTED_KEYS = ("search", "budget", "osga") + _GRID_KEYS + _BOUND_KEYS
 _MODE_KEYS = {"grid": _GRID_KEYS, "osga": _BOUND_KEYS + ("osga",)}
 
 
-def _read_selector(options: dict, where: str) -> tuple[OsgaParams, float]:
-    """Search settings and initial one-bit probability of a mask search."""
-    # the genome length is the dataset's, known only once data is loaded
-    spec = _read(BinaryGenomeSpec, options, where, ("init_one_probability",),
-                 length=1)
-    return (_read_osga(options, where, BinaryGenomeSpec),
-            spec.init_one_probability)
-
-
 def inner_search_from_options(options: dict, where: str
                               ) -> InnerGridSearch | InnerOsgaSearch:
     """Turn a config block into an inner forest-tuning search."""
@@ -301,9 +292,35 @@ def inner_search_from_options(options: dict, where: str
                  **params)
 
 
-_RECIPE_KEYS = {"ols": (), "elastic-net": _ENET_KEYS,
-                "random-forest": _FOREST_KEYS,
-                "feature-selection": _OSGA_KEYS + _FITNESS_KEYS}
+def _read_feature_selection(doc: dict, where: str) -> FeatureSelectionRecipe:
+    """A mask search: the settings of a feature-selection recipe, of a
+    benchmark's fs-network block, or of a feature-selection node (whose
+    fitness settings belong to the orchestrator and stay default)."""
+    # the genome length is the dataset's, known only once data is loaded
+    spec = _read(BinaryGenomeSpec, doc, where, ("init_one_probability",),
+                 length=1)
+    return FeatureSelectionRecipe(
+        _read_osga(doc, where, BinaryGenomeSpec),
+        _read(FitnessConfig, doc, where),
+        init_one_probability=spec.init_one_probability)
+
+
+#: recipe kind -> (option keys, reader of a block holding only those keys)
+_RECIPE_KINDS = {
+    "ols": ((), lambda doc, where: OlsRecipe()),
+    "elastic-net": (_ENET_KEYS, lambda doc, where: _read(
+        ElasticNetRecipe, doc, where, _ENET_KEYS)),
+    "random-forest": (_FOREST_KEYS, lambda doc, where: ForestRecipe(
+        _read(ForestConfig, doc, where))),
+    "feature-selection": (_SELECTOR_KEYS + _FITNESS_KEYS,
+                          _read_feature_selection),
+}
+
+
+def _recipe_block(kind: str, doc, where: str, extra_keys=()):
+    """A recipe of kind from a block of its options (plus extra_keys)."""
+    keys, read = _RECIPE_KINDS[kind]
+    return read(_mapping(doc, where, extra_keys + keys), where)
 
 
 def recipe_from_doc(doc, where: str = "recipe"):
@@ -311,21 +328,11 @@ def recipe_from_doc(doc, where: str = "recipe"):
     if isinstance(doc, str):
         doc = {"kind": doc}
     kind = _mapping(doc, where).get("kind")
-    if not isinstance(kind, str) or kind not in _RECIPE_KEYS:
+    if not isinstance(kind, str) or kind not in _RECIPE_KINDS:
         raise ConfigFileError(f"recipe kind must be one of "
-                              f"{list(_RECIPE_KEYS)}, got {kind!r}",
+                              f"{list(_RECIPE_KINDS)}, got {kind!r}",
                               field=where)
-    where = f"{where}.{kind}"
-    _mapping(doc, where, ("kind",) + _RECIPE_KEYS[kind])
-    if kind == "ols":
-        return OlsRecipe()
-    if kind == "elastic-net":
-        return _read(ElasticNetRecipe, doc, where, _ENET_KEYS)
-    if kind == "random-forest":
-        return ForestRecipe(_read(ForestConfig, doc, where))
-    return FeatureSelectionRecipe(params=_read_osga(doc, where,
-                                                    BinaryGenomeSpec),
-                                  fitness=_read(FitnessConfig, doc, where))
+    return _recipe_block(kind, doc, f"{where}.{kind}", ("kind",))
 
 
 def _recipes(doc, where: str) -> tuple:
@@ -354,11 +361,10 @@ class BuildContext:
     partitioned: PartitionedDataset
 
 
-def _build_feature_selection(node_id, settings, ctx):
-    params, init_one_probability = settings
+def _build_feature_selection(node_id, recipe, ctx):
     spec = BinaryGenomeSpec(ctx.partitioned.base.n_features,
-                            init_one_probability=init_one_probability)
-    return FeatureSelectionNode(node_id, spec, params)
+                            init_one_probability=recipe.init_one_probability)
+    return FeatureSelectionNode(node_id, spec, recipe.params)
 
 
 def _build_orchestrator(node_id, fitness, ctx):
@@ -367,7 +373,7 @@ def _build_orchestrator(node_id, fitness, ctx):
 
 NODE_KINDS: dict[str, NodeKind] = {
     "feature-selection": NodeKind(
-        _SELECTOR_KEYS, _read_selector, _build_feature_selection),
+        _SELECTOR_KEYS, _read_feature_selection, _build_feature_selection),
     "regression-orchestrator": NodeKind(
         _FITNESS_KEYS,
         lambda options, where: _read(FitnessConfig, options, where),
@@ -723,11 +729,9 @@ class ExperimentConfig:
     benchmark: BenchmarkConfig = field(default_factory=BenchmarkConfig)
     ratios: tuple[float, float, float] = DEFAULT_PARTITION_RATIOS
     workers: int = 1
-    fs_params: OsgaParams = field(default_factory=OsgaParams)
-    penalty_per_feature: float | None = None
-    init_one_probability: float = 0.1
-    en_penalties: tuple[float, ...] | None = None
-    en_l1_ratios: tuple[float, ...] | None = None
+    fs_network: FeatureSelectionRecipe = field(
+        default_factory=FeatureSelectionRecipe)
+    elastic_net: ElasticNetRecipe = field(default_factory=ElasticNetRecipe)
     forest: ForestConfig = field(
         default_factory=lambda: ForestConfig(n_trees=25))
     inner_search: object = None
@@ -756,24 +760,16 @@ _EXPERIMENT_KEYS = ("seeds", "methods", "benchmark", "partition", "workers",
 
 def experiment_config_from_doc(doc) -> ExperimentConfig:
     doc = _mapping(doc, "config", _EXPERIMENT_KEYS)
-    fs = _mapping(doc.get("fs-network"), "fs-network",
-                  _SELECTOR_KEYS + _FITNESS_KEYS)
-    fs_params, init_one_probability = _read_selector(fs, "fs-network")
-    en = _read(ElasticNetRecipe,
-               _mapping(doc.get("elastic-net"), "elastic-net", _ENET_KEYS),
-               "elastic-net", _ENET_KEYS)
     cfg = ExperimentConfig(
         benchmark=_read_block(BenchmarkConfig, doc.get("benchmark"),
                               "benchmark"),
         ratios=_read(PartitionSpec, _mapping(doc.get("partition"),
                                              "partition", ("ratios",)),
                      "partition").ratios,
-        fs_params=fs_params,
-        penalty_per_feature=_read(
-            FitnessConfig, fs, "fs-network").penalty_per_feature,
-        init_one_probability=init_one_probability,
-        en_penalties=en.penalties,
-        en_l1_ratios=en.l1_ratios,
+        fs_network=_recipe_block("feature-selection", doc.get("fs-network"),
+                                 "fs-network"),
+        elastic_net=_recipe_block("elastic-net", doc.get("elastic-net"),
+                                  "elastic-net"),
         **_values(ExperimentConfig, doc, "", ("seeds", "methods", "workers")))
     if "forest" in doc:
         cfg.forest = _read_block(ForestConfig, doc["forest"], "forest")
@@ -1040,8 +1036,3 @@ def run_analysis(doc) -> ConfiguredRunReport:
         cfg.search, seed=cfg.seed, workers=cfg.workers)
     return ConfiguredRunReport(doc, report.to_json_dict(),
                                time.perf_counter() - started)
-
-
-def analyze_from_doc(doc) -> dict:
-    """run_analysis as a report document: config, result and timing."""
-    return run_analysis(doc).to_doc()

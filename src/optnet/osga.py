@@ -543,17 +543,14 @@ def offspring_selection_step(population, genome_spec, params: OsgaParams,
                              evaluator, rng: np.random.Generator):
     """Advance an existing population one generation.
 
-    Returns (next_population, StepStats). There is no run-level budget
-    here; the pressure cap or a configured target fitness can still cut
-    the step short, in which case the input population comes back
-    unchanged and stats.stop_reason says why. Only the cap ends a step
-    in which no child succeeds, so an infinite cap is refused.
+    Returns (next_population, StepStats). The step creates at most
+    params.max_evaluations children. That budget, the pressure cap or a
+    configured target fitness can cut the step short, in which case the
+    input population comes back unchanged and stats.stop_reason says
+    why; so a step in which no child succeeds ends even when its cap
+    never fires.
     """
     params.validate()
-    if math.isinf(params.max_selection_pressure):
-        raise InvalidConfigError(
-            "offspring_selection_step has no budget, so "
-            "max_selection_pressure must be finite")
     genome_spec.validate()
     if len(population) != params.population_size:
         raise InvalidConfigError(
@@ -562,7 +559,7 @@ def offspring_selection_step(population, genome_spec, params: OsgaParams,
     check_crossover_kind(genome_spec, params.crossover_kind)
     gen = _generation(population, genome_spec, params,
                       resolve_mutation_rate(genome_spec, params), rng,
-                      float("inf"),
+                      params.max_evaluations,
                       min(population, key=lambda ind: ind.fitness))
     next_population, stats, _, _ = drive(gen, per_genome(evaluator))
     return next_population, stats

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from optnet.errors import (
 from optnet import networks
 from optnet._rng import substream
 from optnet.forest import ForestConfig, fit_random_forest
-from optnet.linear import fit_ols
+from optnet.linear import LinearModel, fit_ols
 from optnet.osga import OsgaParams, RealGenomeSpec, osga_minimize
 from optnet.payloads import ModelWithQuality
 
@@ -69,6 +71,24 @@ def test_pool_records_failures_and_continues(small_partitioned):
     assert not pool[0].ok
     assert "failed" in pool[0].error
     assert pool[1].ok
+
+
+def test_recipe_fit_counts_evaluations_and_scores_like_the_network(
+        small_partitioned):
+    params = OsgaParams(population_size=8, max_evaluations=60)
+    recipe = FeatureSelectionRecipe(params, init_one_probability=0.4,
+                                    label="fs")
+    fitted, evaluations = recipe.fit(small_partitioned, 3, workers=2)
+    net = networks.feature_selection_network(small_partitioned, params,
+                                             seed=3, init_one_probability=0.4)
+    assert evaluations == net.evaluations
+    assert fitted == replace(net.best_model, label="fs")
+    assert OlsRecipe().fit(small_partitioned, 0)[1] == 1
+    assert ForestRecipe(ForestConfig(n_trees=2)).fit(small_partitioned,
+                                                     0)[1] == 1
+    # the cell with a negative penalty fails; the other one counts
+    enet = ElasticNetRecipe(penalties=(0.01, -1.0), l1_ratios=(0.5,))
+    assert enet.fit(small_partitioned, 0)[1] == 1
 
 
 def test_pool_requires_recipes(small_partitioned):
@@ -183,6 +203,28 @@ def test_two_by_two_linear_system():
     assert result.inputs["u"] == pytest.approx(2.0, abs=1e-3)
     assert result.inputs["v"] == pytest.approx(1.0, abs=1e-3)
     assert result.residual < 1e-8
+
+
+def test_input_search_counts_residuals_that_overflow():
+    """A residual past the float range scores as inf; the result counts
+    every such evaluation, and none of them wins."""
+    task = AnalysisTask(("x",), np.array([[-2.0, 2.0]]), (0.0,))
+    search = OsgaParams(population_size=20, max_evaluations=400,
+                        crossover_kind="simulated-binary",
+                        max_selection_pressure=1000.0)
+    # (1e154 x)^2 overflows for |x| above about 1.34, a third of the box
+    some = LinearModel(np.array([1e154]), 0.0, ("x",))
+    # outputs of 1e300 or more overflow when squared anywhere but x = 0
+    every = LinearModel(np.array([1e300]), 1e300, ("x",))
+    with np.errstate(over="ignore", invalid="ignore"):
+        partly = optimize_inputs([some], task, search, seed=0)
+        wholly = optimize_inputs([every], task, search, seed=0)
+    assert 0 < partly.nonfinite_fitness < partly.evaluations
+    assert math.isfinite(partly.residual)
+    assert wholly.nonfinite_fitness == wholly.evaluations == 400
+    assert wholly.residual == math.inf
+    assert optimize_inputs([line_model()], task, search,
+                           seed=0).nonfinite_fitness == 0
 
 
 def test_optimize_inputs_accepts_quality_wrappers():

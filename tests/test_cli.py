@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import optnet
-from optnet.analysis import ElasticNetRecipe, OlsRecipe
+from optnet.analysis import (ElasticNetRecipe, FeatureSelectionRecipe,
+                             OlsRecipe)
 from optnet.cli import (
     METHODS,
     BenchmarkConfig,
@@ -35,11 +36,12 @@ from optnet.netconfig import (
     ExperimentConfig,
     InnerGridSearch,
     analyze_config_from_doc,
-    analyze_from_doc,
     experiment_config_from_doc,
     recipe_from_doc,
+    run_analysis,
     run_config_from_doc,
 )
+from optnet.networks import FitnessConfig
 from optnet.osga import OsgaParams
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -159,10 +161,10 @@ def test_experiment_config_full_doc():
     assert cfg.seeds == (0, 1)
     assert cfg.benchmark.n_features == 6
     assert cfg.workers == 2
-    assert cfg.fs_params.population_size == 8
-    assert cfg.penalty_per_feature == 0.05
-    assert cfg.init_one_probability == 0.2
-    assert cfg.en_penalties == (0.01, 0.1)
+    assert cfg.fs_network.params.population_size == 8
+    assert cfg.fs_network.fitness.penalty_per_feature == 0.05
+    assert cfg.fs_network.init_one_probability == 0.2
+    assert cfg.elastic_net.penalties == (0.01, 0.1)
     assert cfg.forest.n_trees == 7
     assert isinstance(cfg.inner_search, InnerGridSearch)
     assert cfg.inner_search.budget == 4
@@ -203,15 +205,28 @@ def test_recipe_from_doc_variants_and_errors():
         recipe_from_doc({"kind": "ols", "depth": 2})
 
 
+def test_fs_network_block_is_a_feature_selection_recipe():
+    block = {**TINY_FS, "penalty_per_feature": 0.05,
+             "init_one_probability": 0.2}
+    recipe = recipe_from_doc({"kind": "feature-selection", **block})
+    assert recipe.init_one_probability == 0.2
+    assert experiment_config_from_doc({"fs-network": block}).fs_network \
+        == recipe
+    with pytest.raises(ConfigFileError,
+                       match="recipe.feature-selection: init_one_probability"):
+        recipe_from_doc({"kind": "feature-selection",
+                         "init_one_probability": 1.5})
+
+
 # ---------------------------------------------------------------------------
 # generate
 
 def test_generate_into_directory(tmp_path):
-    cfg = ExperimentConfig(benchmark=BenchmarkConfig(**TINY_BENCH))
-    paths = cmd_generate(cfg, tmp_path / "out", seed=1)
+    bench = BenchmarkConfig(**TINY_BENCH)
+    paths = cmd_generate(bench, tmp_path / "out", seed=1)
     csv_path, truth_path, echo_path = paths
     assert csv_path == tmp_path / "out" / "dataset.csv"
-    dataset, truth = generate_benchmark(cfg.benchmark, seed=1)
+    dataset, truth = generate_benchmark(bench, seed=1)
     assert load_csv(csv_path) == dataset
     loaded_truth = load_ground_truth(truth_path)
     assert loaded_truth.true_indices == truth.true_indices
@@ -222,8 +237,8 @@ def test_generate_into_directory(tmp_path):
 
 
 def test_generate_with_csv_suffix(tmp_path):
-    cfg = ExperimentConfig(benchmark=BenchmarkConfig(**TINY_BENCH))
-    paths = cmd_generate(cfg, tmp_path / "mydata.csv", seed=0)
+    paths = cmd_generate(BenchmarkConfig(**TINY_BENCH),
+                         tmp_path / "mydata.csv", seed=0)
     assert [p.name for p in paths] == ["mydata.csv", "mydata.truth.json",
                                       "mydata.config.yaml"]
     assert all(p.parent == tmp_path for p in paths)
@@ -249,10 +264,9 @@ def small_experiment(**overrides):
         methods=("full-ols", "oracle-ols", "elastic-net-grid",
                  "fs-network-ols"),
         benchmark=BenchmarkConfig(**TINY_BENCH),
-        fs_params=OsgaParams(**TINY_FS),
-        penalty_per_feature=0.05,
-        en_penalties=(0.001, 0.01),
-        en_l1_ratios=(0.5,),
+        fs_network=FeatureSelectionRecipe(OsgaParams(**TINY_FS),
+                                          FitnessConfig(0.05)),
+        elastic_net=ElasticNetRecipe((0.001, 0.01), (0.5,)),
     )
     for k, v in overrides.items():
         setattr(cfg, k, v)
@@ -278,13 +292,76 @@ def test_benchmark_failure_becomes_flagged_row():
     cfg = small_experiment(
         seeds=(0,),
         methods=("full-ols", "fs-network-ols"),
-        fs_params=OsgaParams(population_size=30, max_evaluations=10))
+        fs_network=FeatureSelectionRecipe(
+            OsgaParams(population_size=30, max_evaluations=10)))
     table = cmd_benchmark(cfg)
     assert len(table.failures) == 1
     assert table.failures[0][0] == "fs-network-ols"
     by_method = {r.method: r for r in table.rows}
     assert np.isnan(by_method["fs-network-ols"].test_mae)
     assert np.isfinite(by_method["full-ols"].test_mae)
+
+
+# Every method on three seeds of a noisy TINY_BENCH, with wall_time blanked.
+# A noiseless dataset would leave full-ols a test MAE of pure rounding
+# error, which no relative tolerance can pin.
+PINNED_BENCH_DOC = {
+    "seeds": [0, 1, 2],
+    "methods": list(METHOD_NAMES),
+    "benchmark": {**TINY_BENCH, "noise_variance_fraction": 0.2},
+    "fs-network": {**TINY_FS, "penalty_per_feature": 0.05,
+                   "init_one_probability": 0.3},
+    "elastic-net": {"penalties": [0.001, 0.01, 0.1], "l1_ratios": [0.5, 1.0]},
+    "forest": {"n_trees": 4},
+    "nested": {"budget": 3, "n_trees_options": [3, 5]},
+    "analysis": {"recipes": ["ols", {"kind": "random-forest", "n_trees": 3}],
+                 "search": {"population_size": 10, "max_evaluations": 200,
+                            "crossover_kind": "simulated-binary"}},
+}
+PINNED_BENCH_CSV = """\
+method,seed,test_mae,n_features,correct_features,evaluations,wall_time
+full-ols,0,3.9135205866099088,6,2,1,0.0
+oracle-ols,0,2.735795064778436,2,2,1,0.0
+elastic-net-grid,0,3.0673647520368976,6,2,6,0.0
+fs-network-ols,0,2.686518640612983,1,1,80,0.0
+fs-network-rf,0,4.082552969843122,2,1,80,0.0
+nested-rf,0,4.204291197344193,3,1,80,0.0
+optimization-analysis,0,3.814898678172825,6,,200,0.0
+full-ols,1,1.477385208312482,6,2,1,0.0
+oracle-ols,1,1.073308691159746,2,2,1,0.0
+elastic-net-grid,1,1.240222461082574,5,2,6,0.0
+fs-network-ols,1,1.073308691159746,2,2,80,0.0
+fs-network-rf,1,1.7171087259896884,1,1,80,0.0
+nested-rf,1,2.4922622374248125,3,1,80,0.0
+optimization-analysis,1,1.4773852083124823,6,,200,0.0
+full-ols,2,4.02648433803341,6,2,1,0.0
+oracle-ols,2,0.9250511182500415,2,2,1,0.0
+elastic-net-grid,2,2.1610867282018162,6,2,6,0.0
+fs-network-ols,2,0.9250511182500415,2,2,80,0.0
+fs-network-rf,2,1.6878336216119987,2,2,80,0.0
+nested-rf,2,2.1137416412875503,4,1,80,0.0
+optimization-analysis,2,2.5687357130269435,6,,200,0.0
+"""
+# these two score the test rows on the column gather of the model pool,
+# which may move a test MAE's last bits
+LAST_BITS_MAY_MOVE = {"full-ols", "elastic-net-grid"}
+
+
+def test_benchmark_table_matches_its_pinned_csv():
+    table = cmd_benchmark(experiment_config_from_doc(PINNED_BENCH_DOC))
+    for row in table.rows:
+        row.wall_time = 0.0
+    pinned = ResultTable.from_csv(PINNED_BENCH_CSV).rows
+    assert len(table.rows) == len(pinned)
+    for got, want in zip(table.rows, pinned):
+        assert (got.method, got.seed, got.n_features, got.correct_features,
+                got.evaluations) == (want.method, want.seed, want.n_features,
+                                     want.correct_features, want.evaluations)
+        if got.method in LAST_BITS_MAY_MOVE:
+            assert got.test_mae == pytest.approx(want.test_mae, rel=1e-12,
+                                                 abs=0.0)
+        else:
+            assert repr(got.test_mae) == repr(want.test_mae), got.method
 
 
 def test_benchmark_via_main_writes_csv(tmp_path, capsys):
@@ -388,26 +465,26 @@ ANALYZE_DOC = {
 
 
 def test_analyze_from_doc_report_shape():
-    report = analyze_from_doc(dict(ANALYZE_DOC))
+    report = run_analysis(dict(ANALYZE_DOC)).to_doc()
     assert set(report) == {"config", "result", "timing"}
     assert report["config"]["seed"] == 0
     ranked = report["result"]["ranked"]
     assert len(ranked) == 1
     assert ranked[0]["models"] == ["ols"]
     assert set(ranked[0]["inputs"]) == {f"x{i}" for i in range(6)}
-    first = analyze_from_doc(dict(ANALYZE_DOC))["result"]
+    first = run_analysis(dict(ANALYZE_DOC)).to_doc()["result"]
     assert first == report["result"]  # deterministic result section
 
 
 def test_analyze_from_doc_errors():
     with pytest.raises(ConfigFileError, match="datasets"):
-        analyze_from_doc({"task": {"targets": [1.0]}})
+        run_analysis({"task": {"targets": [1.0]}})
     with pytest.raises(ConfigFileError, match="missing 'targets'"):
-        analyze_from_doc({"datasets": ANALYZE_DOC["datasets"], "task": {}})
+        run_analysis({"datasets": ANALYZE_DOC["datasets"], "task": {}})
     bad = dict(ANALYZE_DOC)
     bad["task"] = {"targets": [1.0], "input_names": ["nowhere"]}
     with pytest.raises(ConfigFileError, match="appears in no dataset"):
-        analyze_from_doc(bad)
+        run_analysis(bad)
 
 
 def test_analyze_via_main(tmp_path, capsys):

@@ -772,7 +772,7 @@ def test_batched_step_is_the_sequential_generation(search):
     expected_pop, expected_stats, _ = _oracle_drive(
         _oracle_generation(population, spec, params,
                            resolve_mutation_rate(spec, params), oracle_rng,
-                           float("inf"),
+                           params.max_evaluations,
                            min(population, key=lambda ind: ind.fitness)),
         oracle_seen)
 
@@ -893,10 +893,11 @@ def test_step_rejects_population_size_mismatch():
                                  zeros_count, substream(0, "x"))
 
 
-@pytest.mark.parametrize("cap", [math.nan, math.inf])
+@pytest.mark.parametrize("cap", [math.nan, math.inf, 1e308])
 def test_step_refuses_a_cap_that_never_fires(cap):
-    """With no child succeeding only the cap can end a step, and the step
-    has no budget; the evaluator stops a regression that would hang."""
+    """With no child succeeding, a cap that never fires leaves the step's
+    budget to end it; a NaN cap is refused before any call. The
+    evaluator stops a regression that would hang."""
     calls = 0
 
     def constant(genome):
@@ -908,8 +909,19 @@ def test_step_refuses_a_cap_that_never_fires(cap):
 
     population = [Individual(np.zeros(3, dtype=bool), 1.0)
                   for _ in range(4)]
-    params = OsgaParams(population_size=4, max_selection_pressure=cap)
-    with pytest.raises(InvalidConfigError, match="max_selection_pressure"):
-        offspring_selection_step(population, BinaryGenomeSpec(3), params,
-                                 constant, substream(0, "x"))
-    assert calls == 0
+    params = OsgaParams(population_size=4, max_selection_pressure=cap,
+                        max_evaluations=2000)
+    if math.isnan(cap):
+        with pytest.raises(InvalidConfigError,
+                           match="max_selection_pressure"):
+            offspring_selection_step(population, BinaryGenomeSpec(3), params,
+                                     constant, substream(0, "x"))
+        assert calls == 0
+        return
+    same_pop, stats = offspring_selection_step(
+        population, BinaryGenomeSpec(3), params, constant, substream(0, "x"))
+    assert calls == params.max_evaluations
+    assert stats.stop_reason == "budget"
+    assert stats.created == params.max_evaluations
+    assert stats.n_successful == 0
+    assert same_pop is population

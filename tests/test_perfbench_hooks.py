@@ -34,3 +34,20 @@ def test_every_patched_attribute_exists_and_is_restored(monkeypatch, hook):
             assert owner.__dict__[attr] is value
     for (owner, attr, _), original in zip(seen, originals):
         assert owner.__dict__[attr] is original
+
+
+def test_every_workload_runs_and_checks_clean_at_tiny_size(monkeypatch):
+    """Each benchmark workload, at its tiny size, runs in process and its
+    own output check finds no problem; so a library change that breaks
+    the harness fails here and not only in a benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    assert Path(workloads.__file__).parent == PERFBENCH
+    assert "tiny" in workloads.SIZES
+    for name, workload in workloads.WORKLOADS.items():
+        wl = workload(0, "tiny")
+        wl.warm()
+        outcome = wl.check(wl.run())
+        assert outcome.problems == [], name
+        assert outcome.flagged == 0, name
+        assert outcome.ops > 0, name
