@@ -9,9 +9,10 @@ inverse-problem residual: the sum of squared deviations between model
 outputs and targets at the best found inputs.
 
 A recipe (OLS, elastic-net grid, random forest, or a mask search with
-any model node) builds one model through Recipe.fit, which scores it
-once on the test rows after its search. The pool fits every recipe
-this way, and so do the `optnet benchmark` methods built on recipes.
+any model node) builds one model through Recipe.fit, scored as a model
+node scores it and then once on the test rows, on the columns its
+search selected. The pool fits every recipe this way, and so do the
+`optnet benchmark` methods built on recipes.
 """
 
 from __future__ import annotations
@@ -32,21 +33,20 @@ from .errors import (
     OptnetError,
 )
 from .forest import ForestConfig
-from .linear import (
-    fit_ols,
-    grid_search_elastic_net,
-    mae,
-    predict,
-)
+from .linear import grid_search_elastic_net
 from .networks import (
     FitnessConfig,
     ForestModelNode,
+    OlsModelNode,
     feature_selection_network,
     predict_any,
+    quality,
+    with_test_mae,
 )
 from .osga import OsgaParams, RealGenomeSpec, drive, osga_stream
-# bound here as well, for code that wraps analysis.osga_minimize by name
-# (perfbench/tracing.py does); optimize_inputs drives the stream itself
+# bound here for code that wraps them in analysis by name
+# (perfbench/tracing.py does); this module calls none of them
+from .linear import fit_ols, predict  # noqa: F401
 from .osga import osga_minimize  # noqa: F401
 from .payloads import ModelWithQuality, RegressionProblem
 
@@ -56,26 +56,30 @@ from .payloads import ModelWithQuality, RegressionProblem
 
 class Recipe:
     """How to build one model from a partitioned dataset: a subclass's
-    _search fits it from the train and validation rows and counts the
-    evaluations it spent."""
+    _search fits it from the train and validation rows, and returns it
+    with the evaluations it spent and the dataset columns it reads."""
 
     def fit(self, partitioned: PartitionedDataset, seed: int,
             workers: int = 1) -> tuple[ModelWithQuality, int]:
         """The recipe's model, labelled and scored once on the test rows
-        (on the columns it names), and the evaluations its search spent;
-        workers is the engine worker count of a network search."""
-        result, evaluations = self._search(partitioned, seed, workers)
-        X_test, y_test = partitioned.test_xy()
-        base = partitioned.base.feature_names
-        names = getattr(result.model, "feature_names", base)
-        cols = [base.index(n) for n in names]
-        test_mae = mae(predict_any(result.model, X_test[:, cols]), y_test)
-        return replace(result, test_mae=test_mae,
+        (on the columns its search selected), and the evaluations it
+        spent; workers is the engine worker count of a network search."""
+        result, evaluations, columns = self._search(partitioned, seed, workers)
+        return replace(with_test_mae(result, partitioned, columns),
                        label=self.label), evaluations
 
     def _search(self, partitioned: PartitionedDataset, seed: int,
-                workers: int) -> tuple[ModelWithQuality, int]:
+                workers: int) -> tuple[ModelWithQuality, int, np.ndarray]:
         raise NotImplementedError
+
+
+def _whole_problem(partitioned: PartitionedDataset
+                   ) -> tuple[RegressionProblem, np.ndarray]:
+    """The train and validation rows, and the indices of every column."""
+    problem = RegressionProblem(*partitioned.train_xy(),
+                                *partitioned.validation_xy(),
+                                partitioned.base.feature_names)
+    return problem, np.arange(partitioned.base.n_features)
 
 
 @dataclass
@@ -83,14 +87,9 @@ class OlsRecipe(Recipe):
     label: str = "ols"
 
     def _search(self, partitioned, seed, workers):
-        X_train, y_train = partitioned.train_xy()
-        X_val, y_val = partitioned.validation_xy()
-        model = fit_ols(X_train, y_train, partitioned.base.feature_names)
-        return ModelWithQuality(
-            model,
-            train_mae=mae(predict(model, X_train), y_train),
-            validation_mae=mae(predict(model, X_val), y_val),
-            n_features=model.n_selected), 1
+        problem, every = _whole_problem(partitioned)
+        fitted = OlsModelNode("pool").fit_problem(problem, None)  # no draws
+        return replace(fitted, n_features=fitted.model.n_selected), 1, every
 
 
 @dataclass
@@ -105,13 +104,10 @@ class ElasticNetRecipe(Recipe):
     def _search(self, partitioned, seed, workers):
         grid = grid_search_elastic_net(partitioned, self.penalties,
                                        self.l1_ratios, compute_test_mae=False)
-        model = grid.best_model
-        X_train, y_train = partitioned.train_xy()
-        return ModelWithQuality(
-            model,
-            train_mae=mae(predict(model, X_train), y_train),
-            validation_mae=grid.validation_mae,
-            n_features=model.n_selected), sum(c.ok for c in grid.cells)
+        problem, every = _whole_problem(partitioned)
+        fitted = quality(grid.best_model, problem, self.label)
+        return replace(fitted, n_features=fitted.model.n_selected), \
+            sum(c.ok for c in grid.cells), every
 
 
 @dataclass
@@ -120,11 +116,10 @@ class ForestRecipe(Recipe):
     label: str = "random-forest"
 
     def _search(self, partitioned, seed, workers):
-        problem = RegressionProblem(*partitioned.train_xy(),
-                                    *partitioned.validation_xy(),
-                                    partitioned.base.feature_names)
+        problem, every = _whole_problem(partitioned)
         node = ForestModelNode("pool", self.config)
-        return node.fit_problem(problem, substream(seed, "pool-forest")), 1
+        return node.fit_problem(problem, substream(seed, "pool-forest")), \
+            1, every
 
 
 @dataclass
@@ -143,7 +138,8 @@ class FeatureSelectionRecipe(Recipe):
             partitioned, self.params, self.fitness, self.model, seed=seed,
             workers=workers, compute_test_mae=False,
             init_one_probability=self.init_one_probability)
-        return net.best_model, net.evaluations
+        return net.best_model, net.evaluations, \
+            np.flatnonzero(net.best_mask.bits)
 
 
 @dataclass
@@ -213,6 +209,8 @@ class AnalysisTask:
     fixed_inputs: dict[str, float] = field(default_factory=dict)
 
     def validate(self) -> None:
+        if len(set(self.input_names)) != len(self.input_names):
+            raise InvalidConfigError("input names must be unique")
         b = np.asarray(self.bounds, dtype=np.float64)
         if b.ndim != 2 or b.shape[1] != 2 \
                 or b.shape[0] != len(self.input_names):
@@ -227,6 +225,10 @@ class AnalysisTask:
                 f"fixed inputs {sorted(unknown)} are not task inputs")
         if not self.target_outputs:
             raise InvalidConfigError("at least one target output required")
+        for what, values in (("target outputs", self.target_outputs),
+                             ("fixed inputs", self.fixed_inputs.values())):
+            if not np.all(np.isfinite(list(values))):
+                raise InvalidConfigError(f"{what} must be finite")
 
 
 @dataclass

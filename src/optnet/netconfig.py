@@ -653,6 +653,11 @@ def _check_subset_size(size: int, recipes: tuple, where: str) -> None:
                               f"got {size}", field=where)
 
 
+def _check_finite(values, where: str) -> None:
+    if not np.all(np.isfinite(list(values))):
+        raise ConfigFileError("must be finite", field=where)
+
+
 def observed_bounds(partitioned: list[PartitionedDataset],
                     input_names) -> np.ndarray:
     """Per-input [min, max] over every dataset that carries the input.
@@ -804,6 +809,7 @@ def _analysis_block_from_doc(doc) -> AnalysisBlock:
                 field="analysis.free_inputs")
     _check_subset_size(block.subset_size, block.recipes,
                        "analysis.subset_size")
+    _check_finite(block.targets or (), "analysis.targets")
     return block
 
 
@@ -871,6 +877,10 @@ def analyze_config_from_doc(doc) -> AnalyzeConfig:
                   ("targets", "input_names", "bounds")),
         **_values(AnalyzeConfig, doc, "", ("seed", "workers", "subset_size")))
     _check_subset_size(cfg.subset_size, cfg.recipes, "subset_size")
+    _check_finite(cfg.targets, "task.targets")
+    _check_finite(cfg.fixed.values(), "task.fixed")
+    if cfg.input_names and len(set(cfg.input_names)) < len(cfg.input_names):
+        raise ConfigFileError("must be unique", field="task.input_names")
     for i, (lo, hi) in enumerate(cfg.bounds or ()):
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ConfigFileError(f"must be finite with lo < hi, got "

@@ -4,16 +4,18 @@ The central network couples three nodes in a loop: a feature-selection
 node runs a genetic search over masks, an orchestrator turns each mask
 into a projected regression problem and scores fitted models into a
 scalar fitness (validation error plus a per-feature penalty), and a
-model node fits whatever regressor it wraps. Swapping the model node
-switches the learning algorithm without touching the rest; replacing it
-with a node that internally runs a second network gives nested
-hyperparameter tuning.
+model node fits whatever regressor it wraps and scores it with quality.
+Swapping the model node switches the learning algorithm without
+touching the rest; replacing it with a node that internally runs a
+second network gives nested hyperparameter tuning.
 
 A search-time problem gathers its columns only when a model node first
 reads them. The OLS node answers a repeated mask from its memo, reading
 no column, and solves a new one from the orchestrator's Gram matrix
-(linear.OlsGram); the winner's final refit is an exact fit_ols on its
-gathered columns.
+(linear.OlsGram). The winner's final refit is an exact fit_ols on its
+gathered columns, and with_test_mae scores it on the test rows of the
+columns the search selected, whatever names the model carries. Both
+scorers predict through predict_any, the only switch on model family.
 
 A plain-loop twin of the feature-selection network (same nodes, no
 engine) is provided as an oracle: both paths share one search stream and
@@ -260,14 +262,7 @@ class OlsModelNode(Node):
         if model is None:
             model = fit_ols(problem.train_features, problem.train_target,
                             names)
-        return ModelWithQuality(
-            model,
-            train_mae=mae(predict(model, problem.train_features),
-                          problem.train_target),
-            validation_mae=mae(predict(model, problem.validation_features),
-                               problem.validation_target),
-            n_features=len(names),
-            label="ols")
+        return quality(model, problem, "ols")
 
     def handle(self, port_name: str, payload, ctx) -> None:
         ctx.emit("model", self.fit_problem(payload, ctx.rng))
@@ -292,20 +287,11 @@ class ForestModelNode(Node):
         if problem.train_features.shape[1] == 0:
             # degenerate empty mask: constant model, mirrors OLS behavior
             model = fit_ols(problem.train_features, problem.train_target, ())
-            train_pred = predict(model, problem.train_features)
-            val_pred = predict(model, problem.validation_features)
         else:
             model = fit_random_forest(problem.train_features,
                                       problem.train_target, self.config,
                                       fit_seed, problem.feature_names)
-            train_pred = predict_forest(model, problem.train_features)
-            val_pred = predict_forest(model, problem.validation_features)
-        return ModelWithQuality(
-            model,
-            train_mae=mae(train_pred, problem.train_target),
-            validation_mae=mae(val_pred, problem.validation_target),
-            n_features=len(problem.feature_names),
-            label="random-forest")
+        return quality(model, problem, "random-forest")
 
     def handle(self, port_name: str, payload, ctx) -> None:
         ctx.emit("model", self.fit_problem(payload, ctx.rng))
@@ -345,7 +331,7 @@ def build_feature_selection_topology(
 
 def predict_any(model, features: np.ndarray,
                 each_row: bool = False) -> np.ndarray:
-    """Predict with either model family.
+    """Predict with either model family; the one place that picks one.
 
     With each_row, every row has the bits of predicting it alone: a
     forest's rows are independent anyway, and a linear model then uses
@@ -356,6 +342,29 @@ def predict_any(model, features: np.ndarray,
     return (predict_each_row if each_row else predict)(model, features)
 
 
+def quality(model, problem: RegressionProblem,
+            label: str) -> ModelWithQuality:
+    """model's train and validation MAE on problem, as a search sees it;
+    n_features is the number of columns model reads."""
+    return ModelWithQuality(
+        model,
+        train_mae=mae(predict_any(model, problem.train_features),
+                      problem.train_target),
+        validation_mae=mae(predict_any(model, problem.validation_features),
+                           problem.validation_target),
+        n_features=len(problem.feature_names),
+        label=label)
+
+
+def with_test_mae(result: ModelWithQuality, partitioned: PartitionedDataset,
+                  columns: np.ndarray) -> ModelWithQuality:
+    """result scored once, after its search, on the given columns of the
+    test rows: those its search selected, whatever names its model has."""
+    test_x, test_y = partitioned.test_xy()
+    return replace(result, test_mae=mae(
+        predict_any(result.model, test_x[:, columns]), test_y))
+
+
 def _final_result(run: RunResult, orchestrator: RegressionOrchestratorNode,
                   model_node, model_rng, partitioned: PartitionedDataset,
                   compute_test_mae: bool, seed: int,
@@ -364,11 +373,8 @@ def _final_result(run: RunResult, orchestrator: RegressionOrchestratorNode,
     refit = model_node.fit_problem(orchestrator.refit_problem(best_mask),
                                    model_rng)
     if compute_test_mae:
-        test_x, test_y = partitioned.test_xy()
-        keep = np.flatnonzero(best_mask.bits)
-        refit = replace(refit,
-                        test_mae=mae(predict_any(refit.model, test_x[:, keep]),
-                                     test_y))
+        refit = with_test_mae(refit, partitioned,
+                              np.flatnonzero(best_mask.bits))
     return NetworkResult(
         best_mask, refit, run.best.fitness, run.evaluations,
         run.generations, run.terminated_by,
@@ -610,8 +616,9 @@ class InnerTuningModelNode(Node):
     def fit_problem(self, problem: RegressionProblem,
                     rng: np.random.Generator) -> ModelWithQuality:
         inner_seed = int(rng.integers(np.iinfo(np.int64).max))
-        if problem.train_features.shape[1] == 0:
-            return OlsModelNode("fallback").fit_problem(problem, rng)
+        if problem.train_features.shape[1] == 0:  # as the forest node does
+            model = fit_ols(problem.train_features, problem.train_target, ())
+            return quality(model, problem, "ols")
         topo = Topology()
         topo.add(ForestParamSearchNode("search", self.search))
         topo.add(ForestBuilderNode("builder", problem))

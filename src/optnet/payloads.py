@@ -94,7 +94,7 @@ class ModelWithQuality:
     """A fitted model bundled with its error measurements.
 
     test_mae is None while a search is still running; it is only filled
-    in by a final scoring pass. flags carries non-fatal conditions such
+    in by networks.with_test_mae after the search. flags carries non-fatal conditions such
     as "budget-exhausted" from an inner search that was cut short.
     """
 

@@ -28,9 +28,10 @@ from optnet.errors import (
     ModelInputMismatchError,
 )
 from optnet import networks
+from optnet.engine import Node, Port
 from optnet._rng import substream
 from optnet.forest import ForestConfig, fit_random_forest
-from optnet.linear import LinearModel, fit_ols
+from optnet.linear import LinearModel, fit_ols, mae
 from optnet.osga import OsgaParams, RealGenomeSpec, osga_minimize
 from optnet.payloads import ModelWithQuality
 
@@ -89,6 +90,51 @@ def test_recipe_fit_counts_evaluations_and_scores_like_the_network(
     # the cell with a negative penalty fails; the other one counts
     enet = ElasticNetRecipe(penalties=(0.01, -1.0), l1_ratios=(0.5,))
     assert enet.fit(small_partitioned, 0)[1] == 1
+
+
+class NamelessModelNode(Node):
+    """A user model node whose models keep the default names x0, x1, ...
+    of the columns they were fitted on, not the dataset's names."""
+
+    input_ports = (Port("problem", "regression-problem"),)
+    output_ports = (Port("model", "model-with-quality"),)
+
+    def __init__(self, forest: bool):
+        super().__init__("model")
+        self.forest = forest
+
+    def fit_problem(self, problem, rng):
+        X, y = problem.train_features, problem.train_target
+        if self.forest and X.shape[1]:
+            model = fit_random_forest(X, y, ForestConfig(n_trees=3),
+                                      int(rng.integers(2 ** 31)))
+        else:
+            model = fit_ols(X, y)
+        val_x, val_y = problem.validation_features, problem.validation_target
+        return ModelWithQuality(
+            model, mae(networks.predict_any(model, X), y),
+            mae(networks.predict_any(model, val_x), val_y),
+            n_features=X.shape[1])
+
+    def handle(self, port_name, payload, ctx):
+        ctx.emit("model", self.fit_problem(payload, ctx.rng))
+
+
+@pytest.mark.parametrize("forest", [False, True])
+def test_recipe_scores_a_user_node_on_the_columns_its_search_selected(
+        small_partitioned, forest):
+    params = OsgaParams(population_size=8, max_evaluations=60)
+    net = networks.feature_selection_network(
+        small_partitioned, params, model=NamelessModelNode(forest), seed=0,
+        init_one_probability=0.4)
+    # the winner's default names spell other columns than it was fitted on
+    names = net.best_model.model.feature_names
+    assert names != tuple(small_partitioned.base.feature_names[i]
+                          for i in net.best_mask.indices)
+    recipe = FeatureSelectionRecipe(params, model=NamelessModelNode(forest),
+                                    init_one_probability=0.4)
+    fitted, _ = recipe.fit(small_partitioned, 0)
+    assert fitted.test_mae == net.best_model.test_mae
 
 
 def test_pool_requires_recipes(small_partitioned):
@@ -158,6 +204,21 @@ def test_analysis_task_validation():
                      fixed_inputs={"z": 0.0}).validate()
     with pytest.raises(InvalidConfigError, match="target output"):
         AnalysisTask(("x",), np.array([[0.0, 1.0]]), ()).validate()
+    two = np.array([[0.0, 1.0]] * 2)
+    for target in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidConfigError,
+                           match="target outputs must be finite"):
+            AnalysisTask(("x", "y"), two, (1.0, target)).validate()
+        with pytest.raises(InvalidConfigError,
+                           match="fixed inputs must be finite"):
+            AnalysisTask(("x", "y"), two, (1.0,),
+                         fixed_inputs={"y": target}).validate()
+    repeated = AnalysisTask(("x", "y", "x"), np.array([[0.0, 1.0]] * 3),
+                            (1.0,))
+    with pytest.raises(InvalidConfigError, match="must be unique"):
+        repeated.validate()
+    with pytest.raises(InvalidConfigError, match="must be unique"):
+        optimize_inputs([line_model()], repeated, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -625,6 +625,17 @@ BAD_VALUES = [
      "network.nodes.selector"),
     ("run", RUN_DOC, ("network", "nodes", "selector", "target_fitness"),
      float("nan"), "network.nodes.selector"),
+    # analysis tasks no search can meet or report
+    ("benchmark", BENCH_DOC, ("analysis", "targets"), [float("nan")],
+     "analysis.targets"),
+    ("analyze", ANALYZE_DOC, ("task", "targets"), [float("nan")],
+     "task.targets"),
+    ("analyze", ANALYZE_DOC, ("task", "targets"), [1.0, float("inf")],
+     "task.targets"),
+    ("analyze", ANALYZE_DOC, ("task", "fixed"), {"x0": float("nan")},
+     "task.fixed"),
+    ("analyze", ANALYZE_DOC, ("task", "input_names"),
+     ["x0", "x1", "x2", "x0"], "task.input_names"),
 ]
 
 

@@ -51,3 +51,40 @@ def test_every_workload_runs_and_checks_clean_at_tiny_size(monkeypatch):
         assert outcome.problems == [], name
         assert outcome.flagged == 0, name
         assert outcome.ops > 0, name
+
+
+_MASK_SEARCH_SPANS = {
+    "engine.run_network", "linear.fit_ols", "linear.predict",
+    "networks.fit_problem", "networks.model", "networks.orchestrator",
+    "networks.project", "networks.selector"}
+
+#: span names each workload records at its tiny size; a run may record
+#: more of them, never fewer
+SIGHTED_SPANS = {
+    "fs-ols": _MASK_SEARCH_SPANS,
+    "forest-swap": _MASK_SEARCH_SPANS | {"forest.fit", "forest.predict"},
+    "enet-grid": {"linear.predict"},
+    "input-search": {
+        "analysis.build_model_pool", "analysis.optimize_inputs",
+        "analysis.pool_node", "analysis.search_node",
+        "analysis.selection_node", "engine.run_network", "forest.fit",
+        "forest.predict", "linear.fit_ols", "linear.predict",
+        "networks.fit_problem"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGHTED_SPANS))
+def test_every_workload_stays_in_the_tracers_sight(monkeypatch, name):
+    """A library refactor that moves a wrapped call out of the tracer's
+    reach would zero per-layer metrics without failing a run; here it
+    fails as a missing span name."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    workloads = importlib.import_module("workloads")
+    wl = workloads.WORKLOADS[name](0, "tiny")
+    wl.warm()
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        wl.run()
+    seen = {span[1] for span in tracer.spans}
+    assert SIGHTED_SPANS[name] <= seen, sorted(SIGHTED_SPANS[name] - seen)
