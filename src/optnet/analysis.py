@@ -299,8 +299,9 @@ def optimize_inputs(models, task: AnalysisTask,
         return outs
 
     def residuals(batch) -> list[float]:
-        d = outputs_at(np.array(batch)) - targets
-        return (d[:, None, :] @ d[:, :, None])[:, 0, 0].tolist()
+        with np.errstate(over="ignore"):  # past the float range: +inf
+            d = outputs_at(np.array(batch)) - targets
+            return (d[:, None, :] @ d[:, :, None])[:, 0, 0].tolist()
 
     search = search or OsgaParams(
         population_size=50, max_evaluations=20000,

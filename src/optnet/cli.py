@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .analysis import OlsRecipe, optimization_analysis_network
+from .analysis import OlsRecipe
 from .data import (
     BenchmarkConfig,
     FeatureMask,
@@ -40,7 +40,6 @@ from .data import (
 from .errors import ConfigFileError, InvalidConfigError, OptnetError
 from .linear import fit_ols, mae, predict
 from .netconfig import (
-    DEFAULT_RECIPES,
     ExperimentConfig,
     experiment_config_from_doc,
     load_config_doc,
@@ -213,16 +212,13 @@ def _method_oracle_ols(partitioned, truth, cfg, seed):
 
 
 def _method_analysis(partitioned, truth, cfg, seed):
-    block = cfg.analysis
-    task = block.task_for(partitioned, truth)
-    report = optimization_analysis_network(
-        [partitioned] * len(task.target_outputs),
-        block.recipes or DEFAULT_RECIPES, block.subset_size, task,
-        block.search, seed=seed, workers=cfg.workers)
+    spec = cfg.analysis
+    n_outputs = 1 if spec.targets is None else len(spec.targets)
+    report = spec.run([partitioned] * n_outputs, truth, seed, cfg.workers)
     combo, best = report.ranked[0]
     first = combo[0].result
-    test = float("nan") if first.test_mae is None else first.test_mae
-    return MethodOutcome(test, first.n_features, None, best.evaluations)
+    return MethodOutcome(first.test_mae, first.n_features, None,
+                         best.evaluations)
 
 
 METHODS = {

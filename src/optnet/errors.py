@@ -80,7 +80,7 @@ class HandlerFailureError(OptnetError):
         self.original = original
 
 
-class BudgetTooSmallError(OptnetError, ValueError):
+class BudgetTooSmallError(InvalidConfigError):
     """An evaluation budget cannot cover even the initial population."""
 
 

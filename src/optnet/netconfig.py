@@ -1,7 +1,8 @@
 """Config documents: run, experiment (benchmark) and analyze configs.
 
-All three share the block readers here. A run config is a YAML
-key/value tree with four top-level sections:
+All three share the block readers here; a benchmark's analysis block
+and an analyze document both read into one AnalysisSpec. A run config
+is a YAML key/value tree with four top-level sections:
 
     seed: 7                  # master seed, default 0
     workers: 1               # engine worker count, default 1
@@ -61,6 +62,7 @@ import numpy as np
 import yaml
 
 from .analysis import (
+    AnalysisReport,
     AnalysisTask,
     ElasticNetRecipe,
     FeatureSelectionRecipe,
@@ -102,7 +104,7 @@ from .osga import (
     OsgaParams,
     RealGenomeSpec,
     RunResult,
-    check_crossover_kind,
+    check_search,
 )
 from .payloads import ModelWithQuality, ParameterVector, RegressionProblem
 
@@ -222,14 +224,15 @@ def _values(cls, doc: dict, where: str, keys) -> dict:
             for k in keys if k in doc}
 
 
-def _read(cls, doc: dict, where: str, keys=None, **fixed):
+def _read(cls, doc: dict, where: str, keys=None, check=None, **fixed):
     """Build cls from the doc's values for keys (default: every field of
-    cls) plus fixed, and validate it; a failed check names where."""
+    cls) plus fixed; a failed check (default: cls.validate) names where."""
     obj = cls(**_values(cls, doc, where, keys or _field_names(cls)),
               **fixed)
-    if hasattr(obj, "validate"):
+    check = check or getattr(cls, "validate", None)
+    if check is not None:
         try:
-            obj.validate()
+            check(obj)
         except InvalidConfigError as exc:
             raise ConfigFileError(str(exc), field=where) from exc
     return obj
@@ -241,18 +244,9 @@ def _read_block(cls, doc, where: str):
 
 
 def _read_osga(doc: dict, where: str, genome) -> OsgaParams:
-    """Search settings whose crossover kind the genome spec class takes
-    and whose budget covers the initial population."""
-    params = _read(OsgaParams, doc, where)
-    try:
-        check_crossover_kind(genome, params.crossover_kind)
-    except InvalidConfigError as exc:
-        raise ConfigFileError(str(exc), field=where) from exc
-    if params.max_evaluations < params.population_size:
-        raise ConfigFileError(
-            f"max_evaluations {params.max_evaluations} cannot evaluate the "
-            f"initial population of {params.population_size}", field=where)
-    return params
+    """Search settings that osga.check_search passes for genome."""
+    return _read(OsgaParams, doc, where,
+                 check=lambda params: check_search(genome, params))
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +332,8 @@ def recipe_from_doc(doc, where: str = "recipe"):
 def _recipes(doc, where: str) -> tuple:
     if not isinstance(doc, list):
         raise ConfigFileError("must be a list", field=where)
+    if not doc:
+        raise ConfigFileError("at least one recipe required", field=where)
     return tuple(recipe_from_doc(r, f"{where}[{i}]")
                  for i, r in enumerate(doc))
 
@@ -644,15 +640,6 @@ DEFAULT_RECIPES = (OlsRecipe(),
                    ForestRecipe(ForestConfig(n_trees=10, max_depth=8)))
 
 
-def _check_subset_size(size: int, recipes: tuple, where: str) -> None:
-    """size must lie in [1, number of recipes]; no recipes means the
-    DEFAULT_RECIPES pair."""
-    n = len(recipes or DEFAULT_RECIPES)
-    if not 1 <= size <= n:
-        raise ConfigFileError(f"must lie in [1, {n}] for {n} recipes, "
-                              f"got {size}", field=where)
-
-
 def _check_finite(values, where: str) -> None:
     if not np.all(np.isfinite(list(values))):
         raise ConfigFileError("must be finite", field=where)
@@ -687,33 +674,46 @@ def observed_bounds(partitioned: list[PartitionedDataset],
 
 
 @dataclass
-class AnalysisBlock:
-    """Settings for the optimization-analysis method; empty recipes
-    means DEFAULT_RECIPES."""
+class AnalysisSpec:
+    """An optimization analysis: the pool's recipes, the models kept per
+    target output, the input search (None: optimize_inputs' default)
+    and the settings task_for builds the task from."""
 
-    targets: tuple[float, ...] | None = None
+    recipes: tuple = DEFAULT_RECIPES
     subset_size: int = 1
-    recipes: tuple = ()
     search: OsgaParams | None = None
-    free_inputs: object = "true"  # "true" | "all" | tuple of names
+    targets: tuple[float, ...] | None = None
+    input_names: tuple[str, ...] | None = None
+    bounds: tuple[tuple[float, float], ...] | None = None
+    fixed: dict[str, float] = field(default_factory=dict)
+    free_inputs: object = "true"
 
-    def task_for(self, partitioned: PartitionedDataset,
+    def task_for(self, partitioned: list[PartitionedDataset],
                  truth: GroundTruth | None) -> AnalysisTask:
-        """The input search on one dataset, within its observed bounds;
-        inputs left out of the search are fixed at 0."""
-        names = partitioned.base.feature_names
-        if self.targets is not None:
-            targets = self.targets
-        else:
-            _, y_train = partitioned.train_xy()
+        """The task on partitioned, one dataset per target output. None
+        takes the first dataset's train-target mean plus one std, names,
+        or observed bounds. Inputs outside free_inputs ("all", "true" for
+        truth's informative ones, or names) are fixed at 0, and fixed
+        pins values over that."""
+        first = partitioned[0]
+        names = self.input_names
+        if names is None:
+            names = first.base.feature_names
+        targets = self.targets
+        if targets is None:
+            _, y_train = first.train_xy()
             targets = (float(np.mean(y_train) + np.std(y_train)),)
+        if self.bounds is None:
+            bounds = observed_bounds(partitioned, names)
+        else:
+            bounds = np.asarray(self.bounds, dtype=np.float64)
         if self.free_inputs == "all":
             free = set(names)
         elif self.free_inputs == "true":
             if truth is None:
                 raise InvalidConfigError(
                     "free_inputs 'true' needs ground truth; pass a name list")
-            free = {names[i] for i in truth.true_indices}
+            free = {first.base.feature_names[i] for i in truth.true_indices}
         else:
             free = set(self.free_inputs)
             unknown = free - set(names)
@@ -721,8 +721,69 @@ class AnalysisBlock:
                 raise ConfigFileError(
                     f"free_inputs {sorted(unknown)} not in the dataset")
         fixed = {n: 0.0 for n in names if n not in free}
-        return AnalysisTask(names, observed_bounds([partitioned], names),
-                            targets, fixed)
+        fixed.update(self.fixed)
+        return AnalysisTask(names, bounds, targets, fixed)
+
+    def run(self, partitioned: list[PartitionedDataset],
+            truth: GroundTruth | None, seed: int,
+            workers: int = 1) -> AnalysisReport:
+        """optimization_analysis_network on task_for(partitioned, truth)."""
+        return optimization_analysis_network(
+            partitioned, self.recipes, self.subset_size,
+            self.task_for(partitioned, truth), self.search, seed=seed,
+            workers=workers)
+
+
+def _analysis_spec(doc: dict, where: str, task: dict, task_where: str,
+                   free_inputs: str) -> AnalysisSpec:
+    """An AnalysisSpec of doc's recipes, subset_size and search at where
+    ("" for an analyze document's top level) and of task's other fields
+    at task_where, free_inputs defaulting to the one given."""
+    def at(key):
+        return f"{where}.{key}" if where else key
+    fixed = _mapping(task.get("fixed"), f"{task_where}.fixed")
+    free_inputs = task.get("free_inputs", free_inputs)
+    if isinstance(free_inputs, list):
+        free_inputs = _typed(free_inputs, tuple[str, ...],
+                             f"{task_where}.free_inputs")
+    elif free_inputs not in ("true", "all"):
+        raise ConfigFileError(
+            "free_inputs must be 'true', 'all', or a name list",
+            field=f"{task_where}.free_inputs")
+    spec = AnalysisSpec(
+        free_inputs=free_inputs,
+        fixed={_typed(k, str, f"{task_where}.fixed"):
+               float(_typed(v, float, f"{task_where}.fixed.{k}"))
+               for k, v in fixed.items()},
+        **_values(AnalysisSpec, doc, where, ("subset_size",)),
+        **_values(AnalysisSpec, task, task_where,
+                  ("targets", "input_names", "bounds")))
+    if "recipes" in doc:
+        spec.recipes = _recipes(doc["recipes"], at("recipes"))
+    n = len(spec.recipes)
+    if not 1 <= spec.subset_size <= n:
+        raise ConfigFileError(f"must lie in [1, {n}] for {n} recipes, "
+                              f"got {spec.subset_size}",
+                              field=at("subset_size"))
+    if "search" in doc:
+        spec.search = _read_osga(_mapping(doc["search"], at("search"),
+                                          _OSGA_KEYS),
+                                 at("search"), RealGenomeSpec)
+    if spec.targets == ():
+        raise ConfigFileError("at least one target required",
+                              field=f"{task_where}.targets")
+    _check_finite(spec.targets or (), f"{task_where}.targets")
+    _check_finite(spec.fixed.values(), f"{task_where}.fixed")
+    if spec.input_names and \
+            len(set(spec.input_names)) < len(spec.input_names):
+        raise ConfigFileError("must be unique",
+                              field=f"{task_where}.input_names")
+    for i, (lo, hi) in enumerate(spec.bounds or ()):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ConfigFileError(f"must be finite with lo < hi, got "
+                                  f"[{lo}, {hi}]",
+                                  field=f"{task_where}.bounds[{i}]")
+    return spec
 
 
 @dataclass
@@ -740,7 +801,7 @@ class ExperimentConfig:
     forest: ForestConfig = field(
         default_factory=lambda: ForestConfig(n_trees=25))
     inner_search: object = None
-    analysis: AnalysisBlock = field(default_factory=AnalysisBlock)
+    analysis: AnalysisSpec = field(default_factory=AnalysisSpec)
 
     def validate(self) -> None:
         if not self.seeds:
@@ -781,36 +842,12 @@ def experiment_config_from_doc(doc) -> ExperimentConfig:
     if "nested" in doc:
         cfg.inner_search = inner_search_from_options(
             _mapping(doc["nested"], "nested", _NESTED_KEYS), "nested")
-    if "analysis" in doc:
-        cfg.analysis = _analysis_block_from_doc(doc["analysis"])
+    if "analysis" in doc:  # its task keys sit in the block itself
+        a = _mapping(doc["analysis"], "analysis", (
+            "targets", "subset_size", "recipes", "search", "free_inputs"))
+        cfg.analysis = _analysis_spec(a, "analysis", a, "analysis", "true")
     cfg.validate()
     return cfg
-
-
-def _analysis_block_from_doc(doc) -> AnalysisBlock:
-    a = _mapping(doc, "analysis", _field_names(AnalysisBlock))
-    block = AnalysisBlock(
-        recipes=_recipes(a.get("recipes", []), "analysis.recipes"),
-        **_values(AnalysisBlock, a, "analysis", ("targets", "subset_size")))
-    if "search" in a:
-        block.search = _read_osga(
-            _mapping(a["search"], "analysis.search", _OSGA_KEYS),
-            "analysis.search", RealGenomeSpec)
-    if "free_inputs" in a:
-        fi = a["free_inputs"]
-        if isinstance(fi, list):
-            block.free_inputs = _typed(fi, tuple[str, ...],
-                                       "analysis.free_inputs")
-        elif fi in ("true", "all"):
-            block.free_inputs = fi
-        else:
-            raise ConfigFileError(
-                "free_inputs must be 'true', 'all', or a name list",
-                field="analysis.free_inputs")
-    _check_subset_size(block.subset_size, block.recipes,
-                       "analysis.subset_size")
-    _check_finite(block.targets or (), "analysis.targets")
-    return block
 
 
 # ---------------------------------------------------------------------------
@@ -818,33 +855,12 @@ def _analysis_block_from_doc(doc) -> AnalysisBlock:
 
 @dataclass
 class AnalyzeConfig:
-    """A parsed analyze document: one dataset per target output.
-
-    input_names None takes the first dataset's feature names; bounds
-    None takes each input's observed [min, max] over the datasets.
-    """
+    """A parsed analyze document: one dataset per target output."""
 
     datasets: tuple[DataSpec, ...]
-    targets: tuple[float, ...]
-    input_names: tuple[str, ...] | None = None
-    bounds: tuple[tuple[float, float], ...] | None = None
-    fixed: dict[str, float] = field(default_factory=dict)
-    recipes: tuple = DEFAULT_RECIPES
-    subset_size: int = 1
-    search: OsgaParams | None = None
+    analysis: AnalysisSpec
     seed: int = 0
     workers: int = 1
-
-    def task_for(self, partitioned: list[PartitionedDataset]
-                 ) -> AnalysisTask:
-        names = self.input_names
-        if names is None:
-            names = partitioned[0].base.feature_names
-        if self.bounds is None:
-            bounds = observed_bounds(partitioned, names)
-        else:
-            bounds = np.asarray(self.bounds, dtype=np.float64)
-        return AnalysisTask(names, bounds, self.targets, dict(self.fixed))
 
 
 _ANALYZE_KEYS = ("seed", "workers", "subset_size", "datasets", "recipes",
@@ -859,33 +875,13 @@ def analyze_config_from_doc(doc) -> AnalyzeConfig:
                               field="datasets")
     task = _mapping(doc.get("task"), "task",
                     ("input_names", "bounds", "targets", "fixed"))
-    if "targets" not in task:
+    if task.get("targets") is None:
         raise ConfigFileError("missing 'targets'", field="task")
-    fixed = _mapping(task.get("fixed"), "task.fixed")
-    cfg = AnalyzeConfig(
-        datasets=tuple(data_spec_from_doc(d, f"datasets[{i}]")
-                       for i, d in enumerate(datasets)),
-        fixed={_typed(k, str, "task.fixed"):
-               float(_typed(v, float, f"task.fixed.{k}"))
-               for k, v in fixed.items()},
-        recipes=_recipes(doc.get("recipes", []), "recipes")
-        or DEFAULT_RECIPES,
-        search=_read_osga(_mapping(doc["search"], "search", _OSGA_KEYS),
-                          "search", RealGenomeSpec)
-        if "search" in doc else None,
-        **_values(AnalyzeConfig, task, "task",
-                  ("targets", "input_names", "bounds")),
-        **_values(AnalyzeConfig, doc, "", ("seed", "workers", "subset_size")))
-    _check_subset_size(cfg.subset_size, cfg.recipes, "subset_size")
-    _check_finite(cfg.targets, "task.targets")
-    _check_finite(cfg.fixed.values(), "task.fixed")
-    if cfg.input_names and len(set(cfg.input_names)) < len(cfg.input_names):
-        raise ConfigFileError("must be unique", field="task.input_names")
-    for i, (lo, hi) in enumerate(cfg.bounds or ()):
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ConfigFileError(f"must be finite with lo < hi, got "
-                                  f"[{lo}, {hi}]", field=f"task.bounds[{i}]")
-    return cfg
+    return AnalyzeConfig(
+        tuple(data_spec_from_doc(d, f"datasets[{i}]")
+              for i, d in enumerate(datasets)),
+        _analysis_spec(doc, "", task, "task", "all"),
+        **_values(AnalyzeConfig, doc, "", ("seed", "workers")))
 
 
 # ---------------------------------------------------------------------------
@@ -968,12 +964,16 @@ class ConfiguredRunReport:
 
     The result section is a pure function of the config, so replaying
     the embedded config reproduces it byte for byte; wall-clock timing
-    lives outside it.
+    lives outside it. In the result a non-finite float reads null.
     """
 
     config_doc: dict
     result_doc: dict
     wall_time: float
+
+    def __post_init__(self):
+        self.result_doc = json.loads(json.dumps(self.result_doc),
+                                     parse_constant=lambda name: None)
 
     def result_json(self) -> str:
         return json.dumps(self.result_doc, indent=2, sort_keys=True)
@@ -1041,8 +1041,6 @@ def run_analysis(doc) -> ConfiguredRunReport:
     cfg = analyze_config_from_doc(doc)
     partitioned = [load_experiment_data(spec, cfg.seed)[0]
                    for spec in cfg.datasets]
-    report = optimization_analysis_network(
-        partitioned, cfg.recipes, cfg.subset_size, cfg.task_for(partitioned),
-        cfg.search, seed=cfg.seed, workers=cfg.workers)
+    report = cfg.analysis.run(partitioned, None, cfg.seed, cfg.workers)
     return ConfiguredRunReport(doc, report.to_json_dict(),
                                time.perf_counter() - started)

@@ -45,6 +45,7 @@ from .osga import (
     RealGenomeSpec,
     RunResult,
     advance,
+    check_search,
     drive,
     one_by_one,
     osga_stream,
@@ -490,23 +491,20 @@ class InnerOsgaSearch:
     budget: int = 30
 
     def validate(self) -> None:
-        self.params.validate()
         if self.budget < 1:
             raise InvalidConfigError("inner budget must be at least 1")
-        budget = min(self.budget, self.params.max_evaluations)
-        if budget < self.params.population_size:
-            raise InvalidConfigError(
-                f"inner budget {budget} cannot evaluate the initial "
-                f"population of {self.params.population_size}")
+        check_search(RealGenomeSpec, self._budgeted_params())
+
+    def _budgeted_params(self) -> OsgaParams:
+        return replace(self.params, max_evaluations=min(
+            self.budget, self.params.max_evaluations))
 
     def stream(self, rng: np.random.Generator):
         bounds = np.array([self.sample_ratio_bounds,
                            self.feature_ratio_bounds,
                            [float(b) for b in self.n_trees_bounds]])
         spec = RealGenomeSpec(bounds, sigma_fraction=0.2)
-        params = replace(self.params, max_evaluations=min(
-            self.budget, self.params.max_evaluations))
-        run = yield from osga_stream(spec, params, rng)
+        run = yield from osga_stream(spec, self._budgeted_params(), rng)
         return run.terminated_by == "budget"
 
 

@@ -449,6 +449,18 @@ def check_crossover_kind(genome_spec, kind: str) -> None:
             f", got {kind!r}")
 
 
+def check_search(genome_spec, params: OsgaParams) -> None:
+    """Raise InvalidConfigError unless params validate, genome_spec (a
+    genome spec or its class) takes their crossover kind, and their
+    budget covers the initial population (else BudgetTooSmallError)."""
+    params.validate()
+    check_crossover_kind(genome_spec, params.crossover_kind)
+    if params.max_evaluations < params.population_size:
+        raise BudgetTooSmallError(
+            f"budget {params.max_evaluations} cannot evaluate the initial "
+            f"population of {params.population_size}")
+
+
 def resolve_mutation_rate(genome_spec, params: OsgaParams) -> float:
     if params.mutation_rate is not None:
         return params.mutation_rate
@@ -464,13 +476,8 @@ def osga_stream(genome_spec, params: OsgaParams, rng: np.random.Generator):
     is one batch and each step of a generation one more (see
     _generation); with a target fitness set, every batch is one genome.
     """
-    params.validate()
+    check_search(genome_spec, params)
     genome_spec.validate()
-    check_crossover_kind(genome_spec, params.crossover_kind)
-    if params.max_evaluations < params.population_size:
-        raise BudgetTooSmallError(
-            f"budget {params.max_evaluations} cannot evaluate the initial "
-            f"population of {params.population_size}")
     return _stream(genome_spec, params, resolve_mutation_rate(genome_spec,
                                                               params), rng)
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +27,14 @@ from optnet.cli import (
     cmd_run,
     main,
 )
-from optnet.data import load_csv, load_ground_truth, generate_benchmark
+from optnet.data import (load_csv, load_ground_truth, generate_benchmark,
+                         partition)
 from optnet.errors import ConfigFileError, InvalidConfigError
 from optnet.forest import ForestConfig
 from optnet.netconfig import (
     DEFAULT_METHODS,
     METHOD_NAMES,
-    AnalysisBlock,
+    AnalysisSpec,
     ExperimentConfig,
     InnerGridSearch,
     analyze_config_from_doc,
@@ -487,6 +489,27 @@ def test_analyze_from_doc_errors():
         run_analysis(bad)
 
 
+def test_analyze_report_is_strict_json_when_a_residual_overflows(tmp_path):
+    """A target of 1e200 squares past the float range: the residual is a
+    non-finite fitness, and the report writes it as null."""
+    doc = {**ANALYZE_DOC, "task": {"targets": [1e200]},
+           "search": {"population_size": 10, "max_evaluations": 60,
+                      "crossover_kind": "simulated-binary"}}
+    config_path = tmp_path / "analysis.yaml"
+    config_path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    out_path = tmp_path / "analysis.report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["analyze", "--config", str(config_path),
+                     "--out", str(out_path)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    report = json.loads(out_path.read_text(), parse_constant=reject)
+    assert report["result"]["ranked"][0]["residual"] is None
+
+
 def test_analyze_via_main(tmp_path, capsys):
     config_path = tmp_path / "analysis.yaml"
     config_path.write_text(yaml.safe_dump(ANALYZE_DOC, sort_keys=False))
@@ -636,6 +659,11 @@ BAD_VALUES = [
      "task.fixed"),
     ("analyze", ANALYZE_DOC, ("task", "input_names"),
      ["x0", "x1", "x2", "x0"], "task.input_names"),
+    # an empty pool or target list is not the default one
+    ("benchmark", BENCH_DOC, ("analysis", "recipes"), [], "analysis.recipes"),
+    ("analyze", ANALYZE_DOC, ("recipes",), [], "recipes"),
+    ("benchmark", BENCH_DOC, ("analysis", "targets"), [], "analysis.targets"),
+    ("analyze", ANALYZE_DOC, ("task", "targets"), [], "task.targets"),
 ]
 
 
@@ -724,3 +752,49 @@ def test_any_leaf_of_any_yaml_type_parses_or_is_a_config_error(kind, data):
         parse(_with(doc, path, value))
     except (ConfigFileError, InvalidConfigError):
         pass
+
+
+_TINY_DATA, _TINY_TRUTH = generate_benchmark(BenchmarkConfig(**TINY_BENCH),
+                                             seed=0)
+_TINY_PARTITIONED = partition(_TINY_DATA, seed=0)
+_RECIPE_DOCS = ["ols", {"kind": "elastic-net"},
+                {"kind": "random-forest", "n_trees": 2}]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_benchmark_block_and_analyze_document_build_the_same_task(data):
+    """A benchmark analysis block with free_inputs, and an analyze
+    document that fixes the other inputs at 0, read into one analysis."""
+    recipes = data.draw(st.lists(st.sampled_from(_RECIPE_DOCS), min_size=1,
+                                 max_size=4), label="recipes")
+    subset_size = data.draw(st.integers(1, len(recipes)), label="subset")
+    targets = data.draw(st.lists(_FINITE, min_size=1, max_size=3),
+                        label="targets")
+    population = data.draw(st.integers(2, 20), label="population")
+    search = {"population_size": population,
+              "max_evaluations": 10 * population,
+              "crossover_kind": "simulated-binary"}
+    names = list(_TINY_DATA.feature_names)
+    free = data.draw(st.lists(st.sampled_from(names), min_size=1,
+                              unique=True), label="free")
+    shared = {"recipes": recipes, "subset_size": subset_size,
+              "search": search}
+    bench = experiment_config_from_doc(
+        {"analysis": {**shared, "targets": targets, "free_inputs": free}})
+    analyze = analyze_config_from_doc(
+        {**shared, "datasets": ANALYZE_DOC["datasets"],
+         "task": {"targets": targets,
+                  "fixed": {n: 0.0 for n in names if n not in free}}})
+    a, b = bench.analysis, analyze.analysis
+    assert isinstance(a, AnalysisSpec) and isinstance(b, AnalysisSpec)
+    assert (a.recipes, a.subset_size, a.search) \
+        == (b.recipes, b.subset_size, b.search)
+    datasets = [_TINY_PARTITIONED] * len(targets)
+    task_a = a.task_for(datasets, _TINY_TRUTH)
+    task_b = b.task_for(datasets, None)
+    assert task_a.input_names == task_b.input_names
+    np.testing.assert_array_equal(task_a.bounds, task_b.bounds)
+    assert task_a.target_outputs == task_b.target_outputs
+    assert task_a.fixed_inputs == task_b.fixed_inputs

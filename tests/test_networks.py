@@ -499,6 +499,14 @@ def test_inner_search_validation():
         InnerTuningModelNode("m", InnerGridSearch(budget=0))
 
 
+def test_inner_osga_search_rejects_a_crossover_its_genome_lacks():
+    search = InnerOsgaSearch(params=OsgaParams(
+        population_size=6, max_evaluations=30, crossover_kind="single-point",
+        max_selection_pressure=20.0))
+    with pytest.raises(InvalidConfigError, match="crossover_kind"):
+        search.validate()
+
+
 def test_inner_grid_budget_exhaustion_flagged(small_partitioned):
     orchestrator = RegressionOrchestratorNode("o", small_partitioned)
     problem = orchestrator.make_problem(FeatureMask.from_indices((0, 1, 2), 8))

@@ -31,6 +31,7 @@ from optnet.osga import (
     StepStats,
     advance,
     binary_crossover,
+    check_search,
     bitflip_mutation,
     gaussian_mutation,
     offspring_selection_step,
@@ -344,6 +345,19 @@ def test_budget_smaller_than_population_rejected():
     params = OsgaParams(population_size=15, max_evaluations=14)
     with pytest.raises(BudgetTooSmallError):
         osga_minimize(zeros_count, BinaryGenomeSpec(10), params, seed=0)
+
+
+def test_check_search_decides_whether_a_search_can_run():
+    check_search(RealGenomeSpec, OsgaParams(crossover_kind="arithmetic"))
+    with pytest.raises(InvalidConfigError, match="crossover_kind"):
+        check_search(BinaryGenomeSpec, OsgaParams(crossover_kind="arithmetic"))
+    with pytest.raises(InvalidConfigError, match="population_size"):
+        check_search(BinaryGenomeSpec(4), OsgaParams(population_size=1))
+    # a budget error is a config error, so config readers name its field
+    with pytest.raises(InvalidConfigError, match="initial population"):
+        check_search(BinaryGenomeSpec,
+                     OsgaParams(population_size=15, max_evaluations=14))
+    assert issubclass(BudgetTooSmallError, InvalidConfigError)
 
 
 def test_target_termination():
