@@ -92,11 +92,9 @@ from .linear import (
 from .netconfig import (
     NetworkRunConfig,
     load_run_config,
-    load_run_config_file,
     parse_connection,
     replay_report,
     run_configured,
-    save_run_config,
 )
 from .networks import (
     FeatureSelectionNode,

@@ -399,6 +399,12 @@ class InputSearchNode(Node):
         ctx.emit("report", ranked)
 
 
+def strict_json_doc(doc):
+    """doc through a JSON round trip, each non-finite float read as None,
+    so that it dumps as strict JSON."""
+    return json.loads(json.dumps(doc), parse_constant=lambda name: None)
+
+
 @dataclass
 class AnalysisReport:
     """Full record of a three-stage run, ready for JSON."""
@@ -454,7 +460,10 @@ class AnalysisReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        """Strict JSON: a non-finite float, such as a residual past the
+        float range, is written as null."""
+        return json.dumps(strict_json_doc(self.to_json_dict()), indent=2,
+                          sort_keys=True)
 
 
 def optimization_analysis_network(datasets, recipes, k: int,

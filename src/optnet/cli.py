@@ -22,6 +22,7 @@ import io
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,6 @@ from .netconfig import (
     ExperimentConfig,
     experiment_config_from_doc,
     load_config_doc,
-    load_run_config_file,
     run_analysis,
     run_configured,
 )
@@ -289,32 +289,25 @@ def _report_path(config_path, out_path) -> Path:
     return Path(config_path).with_suffix(".report.json")
 
 
-def cmd_run(config_path, out_path=None, seed: int | None = None,
-            workers: int | None = None) -> Path:
-    """Execute a declarative network config and write its report."""
-    cfg = load_run_config_file(config_path)
-    if seed is not None:
-        cfg.seed = seed
-    if workers is not None:
-        cfg.workers = workers
-    out = _report_path(config_path, out_path)
-    run_configured(cfg).save(out)
-    return out
-
-
-def cmd_analyze(config_path, out_path=None, seed: int | None = None,
-                workers: int | None = None) -> Path:
-    """Run the analysis an analyze config describes and write its
-    report."""
+def cmd_report(run, config_path, out_path=None, seed: int | None = None,
+               workers: int | None = None) -> Path:
+    """Run the document at config_path with run (run_configured or
+    run_analysis) and write its report. Overrides are written into the
+    document, so the embedded config replays exactly what ran."""
     doc = load_config_doc(config_path)
-    # overrides are baked into the embedded config so replays see them
     if seed is not None:
         doc["seed"] = seed
     if workers is not None:
         doc["workers"] = workers
     out = _report_path(config_path, out_path)
-    run_analysis(doc).save(out)
+    run(doc).save(out)
     return out
+
+
+#: execute a declarative network config and write its report
+cmd_run = partial(cmd_report, run_configured)
+#: run the analysis an analyze config describes and write its report
+cmd_analyze = partial(cmd_report, run_analysis)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ fit_elastic_net on that cell alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +51,6 @@ class LinearModel:
     rank_deficient: bool = False
     converged: bool = True
     n_sweeps: int = 0
-    objective_history: tuple[float, ...] = field(
-        default=(), repr=False, compare=False)
 
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
@@ -248,11 +246,11 @@ class ElasticNetConfig:
     max_sweeps: int = 1000
 
     def validate(self) -> None:
-        if self.penalty < 0:
+        if not self.penalty >= 0:
             raise InvalidConfigError("penalty must be non-negative")
         if not 0.0 <= self.l1_ratio <= 1.0:
             raise InvalidConfigError("l1_ratio must lie in [0, 1]")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise InvalidConfigError("tolerance must be positive")
         if self.max_sweeps < 1:
             raise InvalidConfigError("max_sweeps must be at least 1")
@@ -271,8 +269,7 @@ def elastic_net_objective(features, target, weights, intercept,
     return loss + reg
 
 
-def _coordinate_descent(X, y, configs, feature_names,
-                        keep_history: bool) -> list[LinearModel]:
+def _coordinate_descent(X, y, configs, feature_names) -> list[LinearModel]:
     """One elastic net per (validated) config on the same checked X, y,
     run in lockstep.
 
@@ -310,7 +307,6 @@ def _coordinate_descent(X, y, configs, feature_names,
     W = np.zeros((len(configs), d))
     converged = np.zeros(len(configs), dtype=bool)
     n_sweeps = np.zeros(len(configs), dtype=np.int64)
-    history: list[list[float]] = [[] for _ in configs]
     active = np.flatnonzero(live)
     cells = np.arange(len(configs))
     sweep = 0
@@ -327,11 +323,6 @@ def _coordinate_descent(X, y, configs, feature_names,
             rho = c[j] - np.einsum("ji,i->j", w, G[j])
             w[:, j] = (rho - np.minimum(np.maximum(rho, lo), hi)) / div
         W[cells] = w
-        if keep_history:
-            for i in cells:
-                history[i].append(elastic_net_objective(
-                    Z, yc, W[i], 0.0, configs[i].penalty,
-                    configs[i].l1_ratio))
         # each coordinate moves once per sweep, so its step is end - start
         settled = np.abs(w - start).max(axis=1, initial=0.0) \
             <= tolerance[cells]
@@ -345,15 +336,14 @@ def _coordinate_descent(X, y, configs, feature_names,
     names = tuple(feature_names)
     return [LinearModel(W_orig[i].copy(), intercepts[i], names,
                         converged=bool(converged[i]),
-                        n_sweeps=int(n_sweeps[i]),
-                        objective_history=tuple(history[i]))
+                        n_sweeps=int(n_sweeps[i]))
             for i in range(len(configs))]
 
 
 def fit_elastic_net(features: np.ndarray, target: np.ndarray,
                     config: ElasticNetConfig | None = None,
-                    feature_names: tuple[str, ...] | None = None,
-                    keep_history: bool = False) -> LinearModel:
+                    feature_names: tuple[str, ...] | None = None
+                    ) -> LinearModel:
     """Minimize (1/2n)||y - Xw - b||^2 + penalty * mix(w) by cyclic
     coordinate descent.
 
@@ -369,17 +359,13 @@ def fit_elastic_net(features: np.ndarray, target: np.ndarray,
     on a whole grid at once, and gives the same bits as that grid's cell
     for this config. The solver keeps a d x d Gram matrix of the
     standardized features, which outweighs X itself only when d > n.
-
-    With keep_history the model records the objective after every sweep,
-    which decreases monotonically for this coordinate-wise scheme.
     """
     config = config or ElasticNetConfig()
     config.validate()
     X, y = _checked_xy(features, target, "elastic-net")
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
-    return _coordinate_descent(X, y, [config], feature_names,
-                               keep_history)[0]
+    return _coordinate_descent(X, y, [config], feature_names)[0]
 
 
 @dataclass(frozen=True)
@@ -437,7 +423,7 @@ def _fit_cells(features, target, configs,
     valid = [cfg for i, cfg in enumerate(configs) if i not in errors]
     try:
         X, y = _checked_xy(features, target, "elastic-net")
-        fits = iter(_coordinate_descent(X, y, valid, feature_names, False))
+        fits = iter(_coordinate_descent(X, y, valid, feature_names))
     except (OptnetError, FloatingPointError) as exc:
         return [errors.get(i, str(exc)) for i in range(len(configs))]
     return [errors[i] if i in errors else next(fits)

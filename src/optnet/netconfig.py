@@ -45,9 +45,6 @@ is a YAML key/value tree with four top-level sections:
 Unknown keys, values of the wrong type and values a block's validate()
 rejects (ratios that do not sum to 1, a search budget below its
 population) raise ConfigFileError naming the field, before anything runs.
-The parsed form converts back to the same document (canonical arrow
-spelling "->"), so configs survive a load/save round trip and reports
-can embed them for exact replay.
 """
 
 from __future__ import annotations
@@ -69,6 +66,7 @@ from .analysis import (
     ForestRecipe,
     OlsRecipe,
     optimization_analysis_network,
+    strict_json_doc,
 )
 from .data import (
     DEFAULT_PARTITION_RATIOS,
@@ -126,11 +124,6 @@ def parse_connection(text: str) -> tuple[str, str, str, str]:
         raise ConfigFileError(f"connection {text!r} lacks an '->' arrow")
     return (*_parse_endpoint(left.strip(), "connection source"),
             *_parse_endpoint(right.strip(), "connection destination"))
-
-
-def format_connection(src_node: str, src_port: str,
-                      dst_node: str, dst_port: str) -> str:
-    return f"{src_node}.{src_port} -> {dst_node}.{dst_port}"
 
 
 def _parse_endpoint(text: str, where: str) -> tuple[str, str]:
@@ -347,24 +340,13 @@ class NodeKind:
 
     option_keys: tuple[str, ...]
     read: object   # (options, where) -> settings, or ConfigFileError
-    build: object  # (node_id, settings, BuildContext) -> Node
+    build: object  # (node_id, settings, PartitionedDataset) -> Node
 
 
-@dataclass
-class BuildContext:
-    """What node builders may depend on besides their own options."""
-
-    partitioned: PartitionedDataset
-
-
-def _build_feature_selection(node_id, recipe, ctx):
-    spec = BinaryGenomeSpec(ctx.partitioned.base.n_features,
+def _build_feature_selection(node_id, recipe, partitioned):
+    spec = BinaryGenomeSpec(partitioned.base.n_features,
                             init_one_probability=recipe.init_one_probability)
     return FeatureSelectionNode(node_id, spec, recipe.params)
-
-
-def _build_orchestrator(node_id, fitness, ctx):
-    return RegressionOrchestratorNode(node_id, ctx.partitioned, fitness)
 
 
 NODE_KINDS: dict[str, NodeKind] = {
@@ -373,17 +355,19 @@ NODE_KINDS: dict[str, NodeKind] = {
     "regression-orchestrator": NodeKind(
         _FITNESS_KEYS,
         lambda options, where: _read(FitnessConfig, options, where),
-        _build_orchestrator),
+        lambda node_id, fitness, partitioned: RegressionOrchestratorNode(
+            node_id, partitioned, fitness)),
     "ols-model": NodeKind(
         (), lambda options, where: None,
-        lambda node_id, settings, ctx: OlsModelNode(node_id)),
+        lambda node_id, settings, partitioned: OlsModelNode(node_id)),
     "random-forest-model": NodeKind(
         _FOREST_KEYS,
         lambda options, where: _read(ForestConfig, options, where),
-        lambda node_id, config, ctx: ForestModelNode(node_id, config)),
+        lambda node_id, config, partitioned: ForestModelNode(node_id, config)),
     "nested-tuning-model": NodeKind(
         _NESTED_KEYS, inner_search_from_options,
-        lambda node_id, search, ctx: InnerTuningModelNode(node_id, search)),
+        lambda node_id, search, partitioned: InnerTuningModelNode(
+            node_id, search)),
 }
 
 
@@ -392,8 +376,11 @@ NODE_KINDS: dict[str, NodeKind] = {
 
 @dataclass
 class NodeSpec:
+    """A node's kind and the settings its kind's reader made of its
+    options."""
+
     kind: str
-    options: dict = field(default_factory=dict)
+    settings: object
 
 
 @dataclass
@@ -424,8 +411,8 @@ def topology_spec_from_doc(doc, where: str = "network") -> TopologySpec:
                 f"{sorted(NODE_KINDS)}", field=node_where)
         options = _mapping({k: v for k, v in node_doc.items() if k != "kind"},
                            node_where, NODE_KINDS[kind].option_keys)
-        NODE_KINDS[kind].read(options, node_where)
-        nodes[name] = NodeSpec(kind, options)
+        nodes[name] = NodeSpec(kind, NODE_KINDS[kind].read(options,
+                                                           node_where))
     raw_conns = doc.get("connections") or []
     if not isinstance(raw_conns, list):
         raise ConfigFileError("must be a list",
@@ -434,20 +421,12 @@ def topology_spec_from_doc(doc, where: str = "network") -> TopologySpec:
     return TopologySpec(nodes, connections)
 
 
-def topology_spec_to_doc(spec: TopologySpec) -> dict:
-    return {
-        "nodes": {name: {"kind": ns.kind, **ns.options}
-                  for name, ns in spec.nodes.items()},
-        "connections": [format_connection(*c) for c in spec.connections],
-    }
-
-
-def build_topology(spec: TopologySpec, ctx: BuildContext) -> Topology:
+def build_topology(spec: TopologySpec,
+                   partitioned: PartitionedDataset) -> Topology:
     """Instantiate nodes through the registry and wire them up."""
     topo = Topology()
     for name, ns in spec.nodes.items():
-        kind = NODE_KINDS[ns.kind]
-        topo.add(kind.build(name, kind.read(ns.options, name), ctx))
+        topo.add(NODE_KINDS[ns.kind].build(name, ns.settings, partitioned))
     for src_node, src_port, dst_node, dst_port in spec.connections:
         topo.connect(src_node, src_port, dst_node, dst_port)
     return topo
@@ -509,22 +488,6 @@ def data_spec_from_doc(doc, where: str = "data") -> DataSpec:
     return spec
 
 
-def _block_doc(block) -> dict:
-    """A block's fields that are set, tuples written as lists."""
-    return {k: list(v) if isinstance(v, tuple) else v
-            for k, v in asdict(block).items() if v is not None}
-
-
-def data_spec_to_doc(spec: DataSpec) -> dict:
-    if spec.benchmark is None:
-        doc = {"csv": _block_doc(spec.csv)}
-    else:
-        doc = {"benchmark": asdict(spec.benchmark)}
-        if spec.benchmark_seed is not None:
-            doc["benchmark"]["seed"] = spec.benchmark_seed
-    return {**doc, "partition": _block_doc(spec.partition)}
-
-
 def load_experiment_data(spec: DataSpec, default_seed: int = 0
                          ) -> tuple[PartitionedDataset, GroundTruth | None]:
     """Materialize the dataset a config describes and partition it."""
@@ -568,8 +531,7 @@ class NetworkRunConfig:
     data: DataSpec
     topology: TopologySpec
     entry: str
-    sink_termination: tuple[tuple[str, str], ...] | None = None
-    budget_termination: int | None = None
+    termination: MessageBudget | SinksEmitted
     seed: int = 0
     workers: int = 1
 
@@ -591,41 +553,16 @@ def run_config_from_doc(doc) -> NetworkRunConfig:
         data=data_spec_from_doc(doc["data"]),
         topology=topo_spec,
         entry=_typed(net["entry"], str, "network.entry"),
-        sink_termination=None if term.sinks is None else tuple(
+        termination=MessageBudget(term.budget) if term.sinks is None
+        else SinksEmitted(tuple(
             _parse_endpoint(s, "network.termination.sinks")
-            for s in term.sinks),
-        budget_termination=term.budget,
+            for s in term.sinks)),
         **_values(NetworkRunConfig, doc, "", ("seed", "workers")))
-
-
-def run_config_to_doc(cfg: NetworkRunConfig) -> dict:
-    if cfg.sink_termination is not None:
-        term = {"sinks": [f"{n}.{p}" for n, p in cfg.sink_termination]}
-    else:
-        term = {"budget": cfg.budget_termination}
-    net = topology_spec_to_doc(cfg.topology)
-    net["entry"] = cfg.entry
-    net["termination"] = term
-    return {
-        "seed": cfg.seed,
-        "workers": cfg.workers,
-        "data": data_spec_to_doc(cfg.data),
-        "network": net,
-    }
 
 
 def load_run_config(text: str) -> NetworkRunConfig:
     """Parse a YAML run config from a string."""
     return run_config_from_doc(config_doc_from_yaml(text))
-
-
-def load_run_config_file(path) -> NetworkRunConfig:
-    return run_config_from_doc(load_config_doc(path))
-
-
-def save_run_config(cfg: NetworkRunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(run_config_to_doc(cfg), fh, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------
@@ -972,8 +909,7 @@ class ConfiguredRunReport:
     wall_time: float
 
     def __post_init__(self):
-        self.result_doc = json.loads(json.dumps(self.result_doc),
-                                     parse_constant=lambda name: None)
+        self.result_doc = strict_json_doc(self.result_doc)
 
     def result_json(self) -> str:
         return json.dumps(self.result_doc, indent=2, sort_keys=True)
@@ -993,15 +929,19 @@ class ConfiguredRunReport:
             fh.write(self.to_json() + "\n")
 
 
-def run_configured(cfg: NetworkRunConfig) -> ConfiguredRunReport:
-    """Build the configured network, run it, and package the outcome."""
+def run_configured(doc) -> ConfiguredRunReport:
+    """Build the network a run document describes, run it, and package
+    the outcome.
+
+    The report embeds the document as given; its result section is a
+    pure function of it.
+    """
     started = time.perf_counter()
+    cfg = run_config_from_doc(doc)
     partitioned, _ = load_experiment_data(cfg.data, cfg.seed)
-    topo = build_topology(cfg.topology, BuildContext(partitioned))
-    termination = MessageBudget(cfg.budget_termination) \
-        if cfg.sink_termination is None else SinksEmitted(cfg.sink_termination)
+    topo = build_topology(cfg.topology, partitioned)
     try:
-        run = run_network(topo, termination, entry=(cfg.entry, None),
+        run = run_network(topo, cfg.termination, entry=(cfg.entry, None),
                           seed=cfg.seed, workers=cfg.workers)
     except UnconnectedPortError as exc:
         raise ConfigFileError(str(exc),
@@ -1019,16 +959,7 @@ def run_configured(cfg: NetworkRunConfig) -> ConfiguredRunReport:
         "node_message_counts": dict(sorted(
             run.node_message_counts.items())),
     }
-    return ConfiguredRunReport(run_config_to_doc(cfg), result_doc,
-                               time.perf_counter() - started)
-
-
-def replay_report(report_doc: dict) -> ConfiguredRunReport:
-    """Re-run the config a report embeds; its result section must come
-    back identical."""
-    if "config" not in report_doc:
-        raise ConfigFileError("report lacks an embedded config")
-    return run_configured(run_config_from_doc(report_doc["config"]))
+    return ConfiguredRunReport(doc, result_doc, time.perf_counter() - started)
 
 
 def run_analysis(doc) -> ConfiguredRunReport:
@@ -1044,3 +975,15 @@ def run_analysis(doc) -> ConfiguredRunReport:
     report = cfg.analysis.run(partitioned, None, cfg.seed, cfg.workers)
     return ConfiguredRunReport(doc, report.to_json_dict(),
                                time.perf_counter() - started)
+
+
+def replay_report(report_doc: dict) -> ConfiguredRunReport:
+    """Re-run the document a run or analyze report embeds; its result
+    section must come back identical. Only an analyze document has
+    datasets."""
+    if "config" not in report_doc:
+        raise ConfigFileError("report lacks an embedded config")
+    doc = report_doc["config"]
+    run = run_analysis if isinstance(doc, dict) and "datasets" in doc \
+        else run_configured
+    return run(doc)

@@ -73,7 +73,7 @@ class FitnessConfig:
 
     def validate(self) -> None:
         if self.penalty_per_feature is not None \
-                and self.penalty_per_feature < 0:
+                and not self.penalty_per_feature >= 0:
             raise InvalidConfigError("penalty_per_feature must be >= 0")
 
     def resolve(self, train_target: np.ndarray,

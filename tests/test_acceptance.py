@@ -25,6 +25,7 @@ fit under test, and checks the agreed thresholds.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from optnet.data import (
 )
 from optnet.linear import (
     ElasticNetConfig,
+    elastic_net_objective,
     fit_elastic_net,
     fit_ols,
     grid_search_elastic_net,
@@ -193,11 +195,19 @@ def test_criterion_5_numeric_properties():
         float(np.max(np.abs(en.weights - model.weights))) <= 1e-6
         and abs(en.intercept - model.intercept) <= 1e-6)
 
-    # coordinate descent never increases its objective
-    ridge = fit_elastic_net(dataset.features, dataset.target,
-                            ElasticNetConfig(penalty=0.5, l1_ratio=0.5))
-    history = np.array(ridge.objective_history)
-    checks["descent-monotone"] = bool(np.all(np.diff(history) <= 1e-12))
+    # coordinate descent never increases its objective: the fit stopped
+    # after s sweeps is the s-th iterate of the standardized problem
+    ridge = ElasticNetConfig(penalty=0.5, l1_ratio=0.5)
+    X, y = dataset.features, dataset.target
+    x_scale = X.std(axis=0)
+    Z, yc = (X - X.mean(axis=0)) / x_scale, y - y.mean()
+    objectives = np.array([
+        elastic_net_objective(
+            Z, yc, fit_elastic_net(X, y, replace(ridge, max_sweeps=s))
+            .weights * x_scale, 0.0, ridge.penalty, ridge.l1_ratio)
+        for s in range(1, fit_elastic_net(X, y, ridge).n_sweeps + 1)])
+    checks["descent-monotone"] = len(objectives) >= 2 \
+        and bool(np.all(np.diff(objectives) <= 1e-12))
 
     # search best never worsens; strict improvement holds on verified
     # instances under comparison_factor 1 and success_ratio 1

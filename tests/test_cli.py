@@ -23,6 +23,7 @@ from optnet.cli import (
     ResultRow,
     ResultTable,
     cmd_benchmark,
+    cmd_analyze,
     cmd_generate,
     cmd_run,
     main,
@@ -40,6 +41,7 @@ from optnet.netconfig import (
     analyze_config_from_doc,
     experiment_config_from_doc,
     recipe_from_doc,
+    replay_report,
     run_analysis,
     run_config_from_doc,
 )
@@ -415,6 +417,21 @@ def test_cmd_run_seed_override_changes_embedded_config(tmp_path):
     assert doc["config"]["seed"] == 9
 
 
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_overrides_are_written_into_the_embedded_document(tmp_path,
+                                                          command):
+    doc = {"run": RUN_DOC, "analyze": ANALYZE_DOC}[command]
+    config_path = tmp_path / "doc.yaml"
+    config_path.write_text(yaml.safe_dump(doc))
+    out_path = tmp_path / "report.json"
+    assert main([command, "--config", str(config_path), "--out",
+                 str(out_path), "--seed", "4", "--workers", "2"]) == 0
+    report = json.loads(out_path.read_text())
+    assert report["config"] == {**doc, "seed": 4, "workers": 2}
+    replayed = replay_report(report)
+    assert json.loads(replayed.result_json()) == report["result"]
+
+
 def test_run_via_main_exit_codes(tmp_path, capsys):
     config_path = tmp_path / "net.yaml"
     config_path.write_text(RUN_CONFIG_YAML)
@@ -510,6 +527,36 @@ def test_analyze_report_is_strict_json_when_a_residual_overflows(tmp_path):
     assert report["result"]["ranked"][0]["residual"] is None
 
 
+def test_replay_reproduces_an_analyze_report_byte_for_byte(tmp_path):
+    config_path = tmp_path / "analysis.yaml"
+    config_path.write_text(yaml.safe_dump(ANALYZE_DOC))
+    report = json.loads(cmd_analyze(config_path).read_text())
+    assert report["config"] == ANALYZE_DOC
+    assert replay_report(report).result_json() \
+        == json.dumps(report["result"], indent=2, sort_keys=True)
+
+
+def test_analysis_report_to_json_is_strict_json():
+    """AnalysisReport.to_json writes a residual past the float range as
+    null, as a report's result section does."""
+    spec = AnalysisSpec(recipes=(OlsRecipe(),), targets=(1e200,),
+                        search=OsgaParams(population_size=10,
+                                          max_evaluations=60,
+                                          crossover_kind="simulated-binary"))
+    data, truth = generate_benchmark(
+        BenchmarkConfig(n_observations=60, n_features=6, n_relevant=2),
+        seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = spec.run([partition(data, seed=0)], truth, seed=0)
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    doc = json.loads(report.to_json(), parse_constant=reject)
+    assert doc["ranked"][0]["residual"] is None
+
+
 def test_analyze_via_main(tmp_path, capsys):
     config_path = tmp_path / "analysis.yaml"
     config_path.write_text(yaml.safe_dump(ANALYZE_DOC, sort_keys=False))
@@ -543,8 +590,8 @@ def test_analyze_constant_input_needs_explicit_bounds(tmp_path, capsys):
 
 def test_shipped_example_config_runs_to_report(tmp_path):
     """The example config in demos/ executes end to end and produces the
-    final search result at the selector sink. Full-size search, a few
-    seconds of runtime."""
+    final search result at the selector sink, and its report replays.
+    Full-size search, a few seconds of runtime."""
     config_path = REPO_ROOT / "demos" / "feature_selection_network.yaml"
     out = cmd_run(config_path, tmp_path / "example.report.json")
     doc = json.loads(out.read_text())
@@ -554,7 +601,23 @@ def test_shipped_example_config_runs_to_report(tmp_path):
     assert results[0]["evaluations"] <= 25000
     best = results[0]["best"]["genome"]
     assert len(best) == 100
-    assert doc["config"]["network"]["entry"] == "selector"
+    assert doc["config"] == yaml.safe_load(config_path.read_text())
+    assert replay_report(doc).to_doc()["result"] == doc["result"]
+
+
+def test_shipped_analyze_config_runs_to_report(tmp_path, capsys):
+    """The analyze example in demos/ runs through the CLI, embeds the
+    document as given, and its report replays."""
+    config_path = REPO_ROOT / "demos" / "optimization_analysis.yaml"
+    out_path = tmp_path / "analysis.report.json"
+    assert main(["analyze", "--config", str(config_path),
+                 "--out", str(out_path)]) == 0
+    assert "wrote" in capsys.readouterr().out
+    doc = json.loads(out_path.read_text())
+    assert doc["config"] == yaml.safe_load(config_path.read_text())
+    ranked = doc["result"]["ranked"]
+    assert ranked[0]["inputs"]["x5"] == 0.0
+    assert replay_report(doc).to_doc()["result"] == doc["result"]
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +727,10 @@ BAD_VALUES = [
     ("analyze", ANALYZE_DOC, ("recipes",), [], "recipes"),
     ("benchmark", BENCH_DOC, ("analysis", "targets"), [], "analysis.targets"),
     ("analyze", ANALYZE_DOC, ("task", "targets"), [], "task.targets"),
+    # a NaN penalty would make every fitness +inf
+    ("run", RUN_DOC,
+     ("network", "nodes", "orchestrator", "penalty_per_feature"),
+     float("nan"), "network.nodes.orchestrator"),
 ]
 
 

@@ -1,5 +1,7 @@
 """OLS and coordinate-descent elastic net against closed-form oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -334,26 +336,45 @@ def test_elastic_net_kkt_conditions(regression_case):
 
 
 def test_elastic_net_objective_monotone(regression_case):
+    """The fit stopped after s sweeps is the solver's s-th iterate, and
+    the objective of the standardized problem never rises from one
+    iterate to the next."""
     X, y = regression_case
-    model = fit_elastic_net(X, y, ElasticNetConfig(penalty=0.1, l1_ratio=0.5,
-                                                   tolerance=1e-10),
-                            keep_history=True)
-    history = np.array(model.objective_history)
-    assert len(history) >= 2
-    assert np.all(np.diff(history) <= 1e-12)
+    cfg = ElasticNetConfig(penalty=0.1, l1_ratio=0.5, tolerance=1e-10)
+    full = fit_elastic_net(X, y, cfg)
+    Z, yc, _, x_scale = _standardized(X, y)
+    fits = [fit_elastic_net(X, y, replace(cfg, max_sweeps=s))
+            for s in range(1, full.n_sweeps + 1)]
+    assert len(fits) >= 2
+    assert fits[-1] == full
+    objectives = np.array([
+        elastic_net_objective(Z, yc, fit.weights * x_scale, 0.0,
+                              cfg.penalty, cfg.l1_ratio) for fit in fits])
+    assert np.all(np.diff(objectives) <= 1e-12)
 
 
 def test_elastic_net_objective_matches_helper(regression_case):
-    # the recorded history is the objective of the standardized problem;
-    # recomputing it from the final weights must land on the last entry
+    # the helper is the objective the solver minimizes: at the converged
+    # weights (on the standardized scale) it equals the formula written
+    # out by hand, and no single-coordinate step lowers it
     X, y = regression_case
-    cfg = ElasticNetConfig(penalty=0.2, l1_ratio=0.5, tolerance=1e-10)
-    model = fit_elastic_net(X, y, cfg, keep_history=True)
+    cfg = ElasticNetConfig(penalty=0.2, l1_ratio=0.5, tolerance=1e-12)
+    model = fit_elastic_net(X, y, cfg)
+    assert model.converged
     Z, yc, _, x_scale = _standardized(X, y)
-    recomputed = elastic_net_objective(Z, yc, model.weights * x_scale, 0.0,
-                                       cfg.penalty, cfg.l1_ratio)
-    assert recomputed == pytest.approx(model.objective_history[-1],
-                                       abs=1e-12)
+    w = model.weights * x_scale
+    at_fit = elastic_net_objective(Z, yc, w, 0.0, cfg.penalty, cfg.l1_ratio)
+    r = yc - Z @ w
+    by_hand = (0.5 * np.mean(r * r)
+               + cfg.penalty * (cfg.l1_ratio * np.sum(np.abs(w))
+                                + 0.5 * (1.0 - cfg.l1_ratio) * np.sum(w * w)))
+    assert at_fit == pytest.approx(by_hand, abs=1e-12)
+    for j in range(w.size):
+        for step in (-1e-4, 1e-4):
+            moved = w.copy()
+            moved[j] += step
+            assert elastic_net_objective(Z, yc, moved, 0.0, cfg.penalty,
+                                         cfg.l1_ratio) >= at_fit - 1e-12
 
 
 def test_elastic_net_sweep_limit_flags_convergence(regression_case):
@@ -417,6 +438,10 @@ def test_elastic_net_config_validation():
         ElasticNetConfig(l1_ratio=1.5).validate()
     with pytest.raises(InvalidConfigError):
         ElasticNetConfig(tolerance=0.0).validate()
+    with pytest.raises(InvalidConfigError, match="penalty"):
+        ElasticNetConfig(penalty=float("nan")).validate()
+    with pytest.raises(InvalidConfigError, match="tolerance"):
+        ElasticNetConfig(tolerance=float("nan")).validate()
     with pytest.raises(InvalidConfigError):
         ElasticNetConfig(max_sweeps=0).validate()
 
@@ -478,6 +503,19 @@ def test_grid_search_flags_failed_cells(small_partitioned):
     assert "penalty" in bad.error
     assert good.ok and good.error is None
     assert result.best_cell == good
+
+
+def test_grid_search_flags_a_nan_penalty_cell(small_partitioned):
+    """A NaN penalty used to pass validation, run every sweep, score a
+    NaN validation MAE and win the grid."""
+    result = grid_search_elastic_net(small_partitioned,
+                                     penalty_grid=(float("nan"), 0.1),
+                                     l1_ratio_grid=(0.5,))
+    bad, good = result.cells
+    assert not bad.ok and "penalty" in bad.error
+    assert bad.validation_mae == float("inf")
+    assert result.best_cell == good
+    assert np.isfinite(result.test_mae)
 
 
 def test_grid_search_all_cells_failed(small_partitioned):
@@ -618,6 +656,6 @@ def test_lockstep_core_matches_scalar_loop(problem):
                for pen in penalties if pen >= 0 for ratio in ratios]
     names = tuple(f"f{i}" for i in range(X.shape[1]))
     for cfg, model in zip(configs,
-                          _coordinate_descent(X, y, configs, names, False)):
+                          _coordinate_descent(X, y, configs, names)):
         weights, _, _ = _scalar_reference(X, y, cfg)
         assert np.max(np.abs(model.weights - weights)) <= 1e-8

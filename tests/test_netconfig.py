@@ -1,36 +1,34 @@
-"""Declarative config parsing, round trips, reports, and replay."""
+"""Declarative config parsing, reports, and replay."""
 
+import copy
 import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optnet.data import FeatureMask
 from optnet.forest import ForestConfig, fit_random_forest
 from optnet.errors import ConfigFileError
 from optnet.linear import fit_ols
+from optnet.engine import MessageBudget, SinksEmitted
 from optnet.netconfig import (
-    BuildContext,
     InnerGridSearch,
     InnerOsgaSearch,
     build_topology,
     data_spec_from_doc,
-    data_spec_to_doc,
-    format_connection,
     inner_search_from_options,
+    load_config_doc,
     load_run_config,
-    load_run_config_file,
     parse_connection,
     payload_doc,
     replay_report,
     run_config_from_doc,
-    run_config_to_doc,
     run_configured,
-    save_run_config,
     topology_spec_from_doc,
-    topology_spec_to_doc,
 )
 from optnet.linear import LinearModel
 from optnet.networks import (
@@ -66,12 +64,6 @@ def test_parse_connection_errors():
             parse_connection(bad)
 
 
-def test_format_connection_is_canonical():
-    text = format_connection("a", "out", "b", "in")
-    assert text == "a.out -> b.in"
-    assert parse_connection(text) == ("a", "out", "b", "in")
-
-
 # ---------------------------------------------------------------------------
 # Topology documents
 
@@ -88,12 +80,6 @@ FS_CONNECTIONS = [
     "model.model -> orchestrator.model",
     "orchestrator.quality -> selector.quality",
 ]
-
-
-def test_topology_doc_round_trip():
-    doc = {"nodes": FS_NODES, "connections": FS_CONNECTIONS}
-    spec = topology_spec_from_doc(doc)
-    assert topology_spec_to_doc(spec) == doc
 
 
 def test_topology_doc_rejections():
@@ -116,7 +102,7 @@ def test_topology_doc_rejections():
 def test_build_topology_produces_valid_network(small_partitioned):
     spec = topology_spec_from_doc(
         {"nodes": FS_NODES, "connections": FS_CONNECTIONS})
-    topo = build_topology(spec, BuildContext(small_partitioned))
+    topo = build_topology(spec, small_partitioned)
     assert topo.validate() == []
     assert topo.node("orchestrator").penalty_per_feature == 0.05
     selector = topo.node("selector")
@@ -131,8 +117,7 @@ def test_forest_and_nested_node_kinds(small_partitioned):
         "tuned": {"kind": "nested-tuning-model", "budget": 5,
                   "n_trees_options": [3, 5]},
     }, "connections": []}
-    topo = build_topology(topology_spec_from_doc(doc),
-                          BuildContext(small_partitioned))
+    topo = build_topology(topology_spec_from_doc(doc), small_partitioned)
     assert topo.node("rf").config.n_trees == 4
     assert isinstance(topo.node("tuned").search, InnerGridSearch)
     assert topo.node("tuned").search.budget == 5
@@ -185,7 +170,6 @@ def test_data_spec_benchmark_round_trip():
     assert spec.benchmark.n_observations == 48
     assert spec.benchmark_seed == 1
     assert spec.partition.seed == 2
-    assert data_spec_to_doc(spec) == doc
 
 
 def test_data_spec_csv_round_trip():
@@ -198,7 +182,6 @@ def test_data_spec_csv_round_trip():
     assert spec.csv.path == "d.csv"
     assert spec.csv.ground_truth == "d.truth.json"
     assert spec.partition.ratios == (0.5, 0.25, 0.25)
-    assert data_spec_to_doc(spec) == doc
 
 
 def test_data_spec_rejections():
@@ -245,16 +228,16 @@ def test_run_config_round_trip():
     cfg = run_config_from_doc(doc)
     assert cfg.seed == 5
     assert cfg.entry == "selector"
-    assert cfg.sink_termination == (("selector", "result"),)
-    assert run_config_to_doc(cfg) == doc
-    assert run_config_from_doc(run_config_to_doc(cfg)) == cfg
+    assert cfg.termination == SinksEmitted((("selector", "result"),))
+    assert cfg.topology.nodes["orchestrator"].settings.penalty_per_feature \
+        == 0.05
+    # a report's JSON copy of the document parses to the same config
+    assert run_config_from_doc(json.loads(json.dumps(doc))) == cfg
 
 
 def test_run_config_budget_termination():
     cfg = run_config_from_doc(make_run_doc(budget=25))
-    assert cfg.budget_termination == 25
-    assert cfg.sink_termination is None
-    assert run_config_to_doc(cfg) == make_run_doc(budget=25)
+    assert cfg.termination == MessageBudget(25)
 
 
 def test_run_config_rejections():
@@ -330,25 +313,17 @@ def test_load_run_config_reports_yaml_error_line():
         load_run_config("seed: 1\nnetwork: [unclosed\ndata: {}\n  bad")
 
 
-def test_config_file_round_trip(tmp_path):
-    cfg = run_config_from_doc(make_run_doc())
-    path = tmp_path / "run.yaml"
-    save_run_config(cfg, path)
-    assert load_run_config_file(path) == cfg
-
-
 def test_load_run_config_file_missing(tmp_path):
     with pytest.raises(ConfigFileError, match="cannot read config"):
-        load_run_config_file(tmp_path / "absent.yaml")
+        load_config_doc(tmp_path / "absent.yaml")
 
 
 # ---------------------------------------------------------------------------
 # Configured execution and replay
 
 def test_run_configured_produces_report():
-    cfg = run_config_from_doc(make_run_doc())
-    report = run_configured(cfg)
-    assert report.config_doc == run_config_to_doc(cfg)
+    report = run_configured(make_run_doc())
+    assert report.config_doc == make_run_doc()
     assert report.result_doc["stopped_by"] == "sinks"
     results = report.result_doc["sinks"]["selector.result"]
     assert len(results) == 1
@@ -359,14 +334,14 @@ def test_run_configured_produces_report():
 
 
 def test_run_configured_budget_termination():
-    report = run_configured(run_config_from_doc(make_run_doc(budget=25)))
+    report = run_configured(make_run_doc(budget=25))
     assert report.result_doc["stopped_by"] == "budget"
     assert report.result_doc["messages_handled"] == 25
     assert report.result_doc["sinks"]["selector.result"] == []
 
 
 def test_replay_reproduces_result_bytes():
-    report = run_configured(run_config_from_doc(make_run_doc()))
+    report = run_configured(make_run_doc())
     replayed = replay_report(json.loads(report.to_json()))
     assert replayed.result_json() == report.result_json()
 
@@ -376,8 +351,80 @@ def test_replay_requires_embedded_config():
         replay_report({"result": {}})
 
 
+def test_report_embeds_the_document_as_given():
+    """No default is filled in and no spelling is made canonical."""
+    doc = make_run_doc(budget=30)
+    del doc["workers"]
+    doc["network"]["connections"] = [
+        c.replace(" -> ", "→") for c in FS_CONNECTIONS]
+    given_doc = copy.deepcopy(doc)
+    report = run_configured(doc)
+    assert report.config_doc == given_doc
+    assert "workers" not in json.loads(report.to_json())["config"]
+    replayed = replay_report(json.loads(report.to_json()))
+    assert replayed.result_json() == report.result_json()
+
+
+_SELECTOR_OPTIONS = st.fixed_dictionaries({}, optional={
+    "max_selection_pressure": st.sampled_from([5.0, 15.0]),
+    "init_one_probability": st.sampled_from([0.2, 0.5]),
+    "crossover_kind": st.sampled_from(["uniform", "single-point"]),
+})
+
+
+@st.composite
+def run_documents(draw):
+    """Small feature-selection run documents, each optional key present
+    or absent."""
+    population = draw(st.integers(3, 6), label="population")
+    selector = {"kind": "feature-selection", "population_size": population,
+                "max_evaluations": draw(st.integers(population,
+                                                    4 * population)),
+                **draw(_SELECTOR_OPTIONS, label="selector")}
+    orchestrator = {"kind": "regression-orchestrator",
+                    **draw(st.fixed_dictionaries({}, optional={
+                        "penalty_per_feature": st.sampled_from([0.0, 0.05]),
+                    }))}
+    arrow = draw(st.sampled_from([" -> ", "→", "->"]), label="arrow")
+    benchmark = {"n_observations": 40, "n_features": 5, "n_relevant": 2,
+                 **draw(st.fixed_dictionaries({}, optional={
+                     "seed": st.integers(0, 3),
+                     "noise_variance_fraction": st.sampled_from([0.0, 0.2]),
+                 }))}
+    data = {"benchmark": benchmark, **draw(st.fixed_dictionaries(
+        {}, optional={"partition": st.fixed_dictionaries({}, optional={
+            "ratios": st.just([0.5, 0.25, 0.25]),
+            "seed": st.integers(0, 3)})}))}
+    # each evaluation handles four messages, so the network outlasts
+    # any budget up to four per member of the initial population
+    termination = draw(st.one_of(
+        st.just({"sinks": ["selector.result"]}),
+        st.builds(lambda n: {"budget": n}, st.integers(1, 4 * population))))
+    doc = {"data": data, "network": {
+        "nodes": {"selector": selector, "orchestrator": orchestrator,
+                  "model": {"kind": "ols-model"}},
+        "connections": [c.replace(" -> ", arrow) for c in FS_CONNECTIONS],
+        "entry": "selector",
+        "termination": termination,
+    }}
+    doc.update(draw(st.fixed_dictionaries({}, optional={
+        "seed": st.integers(0, 9), "workers": st.integers(1, 2)})))
+    return doc
+
+
+@settings(max_examples=20, deadline=None)
+@given(doc=run_documents())
+def test_any_run_document_is_embedded_as_given_and_replays(doc):
+    given_doc = copy.deepcopy(doc)
+    report = run_configured(doc)
+    assert report.config_doc == given_doc
+    replayed = replay_report(json.loads(report.to_json()))
+    assert replayed.config_doc == given_doc
+    assert replayed.result_json() == report.result_json()
+
+
 def test_report_save_and_shape(tmp_path):
-    report = run_configured(run_config_from_doc(make_run_doc(budget=10)))
+    report = run_configured(make_run_doc(budget=10))
     path = tmp_path / "out.report.json"
     report.save(path)
     doc = json.loads(path.read_text())

@@ -52,6 +52,8 @@ def test_fitness_config_validation():
     FitnessConfig(0.0).validate()
     with pytest.raises(InvalidConfigError):
         FitnessConfig(-0.1).validate()
+    with pytest.raises(InvalidConfigError):
+        FitnessConfig(float("nan")).validate()
 
 
 def test_fitness_default_resolves_to_scale_free_penalty(small_partitioned):
