@@ -41,7 +41,6 @@ from .data import (
 from .engine import (
     Connection,
     MessageBudget,
-    Network,
     NetworkRun,
     Node,
     Port,

@@ -11,7 +11,9 @@ bit-identical results for any worker count.
 
 Output ports left unconnected are sinks; whatever is emitted there is
 collected and returned. run_network is the one way a message enters,
-moves through and leaves a network: an entry payload, when given, is the
+moves through and leaves a network, and it owns the routing tables of a
+run: input queues, routes, sinks, and correlation ids that count each
+output port's messages from 0. An entry payload, when given, is the
 whole of round 0 (one node's handle_entry, before any queue holds a
 message), which kicks off networks whose flow starts from a stimulus
 rather than external input. Each node gets one context per run, holding
@@ -208,49 +210,6 @@ class TraceEvent:
     correlation_id: int
 
 
-class Network:
-    """A validated topology with its routing table and live queues.
-
-    Queues hold (correlation_id, payload) pairs. Correlation ids count
-    messages per source port from 0, so request/response pairs can be
-    matched and ordering audited. run_network builds one Network per run
-    and drives it to termination.
-    """
-
-    def __init__(self, topology: Topology):
-        problems = topology.validate()
-        if problems:
-            raise InvalidConfigError(
-                "topology is invalid: " + "; ".join(str(p) for p in problems))
-        self.topology = topology
-        self.route: dict[tuple[str, str], tuple[str, str]] = {}
-        for c in topology.connections:
-            self.route[(c.src_node, c.src_port)] = (c.dst_node, c.dst_port)
-        self.queues: dict[tuple[str, str], deque[tuple[int, object]]] = {
-            (n.id, p.name): deque() for n in topology.nodes
-            for p in n.input_ports}
-        self.sink_outputs: dict[tuple[str, str], list] = {
-            (n.id, p.name): [] for n in topology.nodes
-            for p in n.output_ports if (n.id, p.name) not in self.route}
-        self._correlation: dict[tuple[str, str], int] = {}
-
-    def emit_from(self, node_id: str, port_name: str, payload) -> int:
-        """Route one handler emission and return its correlation id: a
-        connected port enqueues it, a sink collects it."""
-        source = (node_id, port_name)
-        cid = self._correlation.get(source, 0)
-        self._correlation[source] = cid + 1
-        dst = self.route.get(source)
-        if dst is None:
-            self.sink_outputs[source].append(payload)
-        else:
-            self.queues[dst].append((cid, payload))
-        return cid
-
-    def pending(self) -> int:
-        return sum(len(q) for q in self.queues.values())
-
-
 @dataclass
 class NetworkRun:
     """Everything a finished run reports.
@@ -333,12 +292,28 @@ def run_network(topology: Topology, termination,
     sink, DeadlockError if the network drains with the termination rule
     unmet, and HandlerFailureError if a handler raises.
     """
-    net = Network(topology)
+    problems = topology.validate()
+    if problems:
+        raise InvalidConfigError(
+            "topology is invalid: " + "; ".join(str(p) for p in problems))
     if workers < 1:
         raise InvalidConfigError("workers must be at least 1")
     if not isinstance(termination, (MessageBudget, SinksEmitted)):
         raise InvalidConfigError(
             "termination must be MessageBudget or SinksEmitted")
+    # routing tables: each input port's queue of (correlation id, payload)
+    # pairs; each output port's route, to the queue it feeds or, left
+    # unconnected, to its sink's list of pairs; its next correlation id
+    queues = {(n.id, p.name): deque() for n in topology.nodes
+              for p in n.input_ports}
+    route = {(c.src_node, c.src_port): queues[(c.dst_node, c.dst_port)]
+             for c in topology.connections}
+    sinks = {(n.id, p.name): [] for n in topology.nodes
+             for p in n.output_ports if (n.id, p.name) not in route}
+    route.update(sinks)
+    correlation = {(n.id, p.name): 0 for n in topology.nodes
+                   for p in n.output_ports}
+
     # resolve the rule once: a message limit, or the sink lists to watch
     limit: int | None = None
     watched: list[list] = []
@@ -351,11 +326,11 @@ def run_network(topology: Topology, termination,
             raise InvalidConfigError(
                 "sink termination needs at least one (node, port) sink")
         for want in termination.ports:
-            if tuple(want) not in net.sink_outputs:
+            if tuple(want) not in sinks:
                 raise UnconnectedPortError(
                     f"termination waits on {want[0]}.{want[1]}, which is "
                     f"not an unconnected output port")
-            watched.append(net.sink_outputs[tuple(want)])
+            watched.append(sinks[tuple(want)])
 
     handled = 0
     produced = 0
@@ -366,7 +341,7 @@ def run_network(topology: Topology, termination,
     rngs = {n.id: substream(seed, "node", n.id) for n in topology.nodes}
     contexts = {n.id: NodeContext(n, rngs[n.id]) for n in topology.nodes}
     # each node with its context and its input queues in declaration order
-    slots = [(n, contexts[n.id], [(p.name, net.queues[(n.id, p.name)])
+    slots = [(n, contexts[n.id], [(p.name, queues[(n.id, p.name)])
                                   for p in n.input_ports])
              for n in topology.nodes]
     kinds = {(n.id, p.name): p.kind for n in topology.nodes
@@ -394,9 +369,10 @@ def run_network(topology: Topology, termination,
         while True:
             reason = met()
             if reason is not None:
-                return NetworkRun(net.sink_outputs, rounds, handled, produced,
-                                  net.pending(), entry_count, reason,
-                                  node_counts, rngs, events)
+                return NetworkRun(
+                    {k: [p for _, p in v] for k, v in sinks.items()}, rounds,
+                    handled, produced, sum(len(q) for q in queues.values()),
+                    entry_count, reason, node_counts, rngs, events)
 
             if rounds:
                 # pick at most one message per node, in canonical order
@@ -413,7 +389,7 @@ def run_network(topology: Topology, termination,
                 # deliver exactly limit messages: put the overflow back
                 room = limit - handled
                 for node, _, port_name, item in batch[room:]:
-                    net.queues[(node.id, port_name)].appendleft(item)
+                    queues[(node.id, port_name)].appendleft(item)
                 del batch[room:]
 
             if trace:
@@ -437,7 +413,10 @@ def run_network(topology: Topology, termination,
             for node, ctx, _, _ in batch:
                 node_counts[node.id] += 1
                 for port_name, payload in ctx.emitted:
-                    cid = net.emit_from(node.id, port_name, payload)
+                    source = (node.id, port_name)
+                    cid = correlation[source]
+                    correlation[source] = cid + 1
+                    route[source].append((cid, payload))
                     if trace:
                         events.append(TraceEvent(
                             rounds, "emit", node.id, port_name,

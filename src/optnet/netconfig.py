@@ -42,8 +42,9 @@ is a YAML key/value tree with four top-level sections:
         sinks: [selector.result]
         # budget: 500
 
-Unknown keys, values of the wrong type and values a block's validate()
-rejects (ratios that do not sum to 1, a search budget below its
+Unknown keys, values of the wrong type, numbers that are not finite
+(1e300 is a cap that never fires), workers below 1, and values a block's
+validate() rejects (ratios not summing to 1, a budget below the
 population) raise ConfigFileError naming the field, before anything runs.
 """
 
@@ -90,7 +91,6 @@ from .networks import (
     ForestModelNode,
     InnerGridSearch,
     InnerOsgaSearch,
-    InnerSearchResult,
     InnerTuningModelNode,
     NetworkResult,
     OlsModelNode,
@@ -219,9 +219,11 @@ def _values(cls, doc: dict, where: str, keys) -> dict:
 
 def _read(cls, doc: dict, where: str, keys=None, check=None, **fixed):
     """Build cls from the doc's values for keys (default: every field of
-    cls) plus fixed; a failed check (default: cls.validate) names where."""
-    obj = cls(**_values(cls, doc, where, keys or _field_names(cls)),
-              **fixed)
+    cls) plus fixed; a float that is not finite, or a failed check
+    (default: cls.validate), names where."""
+    values = _values(cls, doc, where, keys or _field_names(cls))
+    _check_finite(values.values(), where)
+    obj = cls(**values, **fixed)
     check = check or getattr(cls, "validate", None)
     if check is not None:
         try:
@@ -229,6 +231,20 @@ def _read(cls, doc: dict, where: str, keys=None, check=None, **fixed):
         except InvalidConfigError as exc:
             raise ConfigFileError(str(exc), field=where) from exc
     return obj
+
+
+def _check_finite(values, where: str) -> None:
+    """Every float in values, and in its tuples, is finite."""
+    for v in values:
+        if isinstance(v, tuple):
+            _check_finite(v, where)
+        elif isinstance(v, float) and not math.isfinite(v):
+            raise ConfigFileError(f"must be finite, got {v!r}", field=where)
+
+
+def _check_workers(cfg) -> None:
+    if cfg.workers < 1:
+        raise ConfigFileError("must be at least 1", field="workers")
 
 
 def _read_block(cls, doc, where: str):
@@ -549,15 +565,15 @@ def run_config_from_doc(doc) -> NetworkRunConfig:
         raise ConfigFileError("missing 'entry'", field="network")
     term = _read_block(TerminationSpec, net.get("termination"),
                        "network.termination")
-    return NetworkRunConfig(
+    return _read(
+        NetworkRunConfig, doc, "", ("seed", "workers"), _check_workers,
         data=data_spec_from_doc(doc["data"]),
         topology=topo_spec,
         entry=_typed(net["entry"], str, "network.entry"),
         termination=MessageBudget(term.budget) if term.sinks is None
         else SinksEmitted(tuple(
             _parse_endpoint(s, "network.termination.sinks")
-            for s in term.sinks)),
-        **_values(NetworkRunConfig, doc, "", ("seed", "workers")))
+            for s in term.sinks)))
 
 
 def load_run_config(text: str) -> NetworkRunConfig:
@@ -575,11 +591,6 @@ DEFAULT_METHODS = ("full-ols", "oracle-ols", "elastic-net-grid",
                    "fs-network-ols")
 DEFAULT_RECIPES = (OlsRecipe(),
                    ForestRecipe(ForestConfig(n_trees=10, max_depth=8)))
-
-
-def _check_finite(values, where: str) -> None:
-    if not np.all(np.isfinite(list(values))):
-        raise ConfigFileError("must be finite", field=where)
 
 
 def observed_bounds(partitioned: list[PartitionedDataset],
@@ -753,6 +764,7 @@ class ExperimentConfig:
                     field="methods")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigFileError("seeds must be unique", field="seeds")
+        _check_workers(self)
         self.benchmark.validate()
 
 
@@ -814,11 +826,10 @@ def analyze_config_from_doc(doc) -> AnalyzeConfig:
                     ("input_names", "bounds", "targets", "fixed"))
     if task.get("targets") is None:
         raise ConfigFileError("missing 'targets'", field="task")
-    return AnalyzeConfig(
-        tuple(data_spec_from_doc(d, f"datasets[{i}]")
-              for i, d in enumerate(datasets)),
-        _analysis_spec(doc, "", task, "task", "all"),
-        **_values(AnalyzeConfig, doc, "", ("seed", "workers")))
+    return _read(AnalyzeConfig, doc, "", ("seed", "workers"), _check_workers,
+                 datasets=tuple(data_spec_from_doc(d, f"datasets[{i}]")
+                                for i, d in enumerate(datasets)),
+                 analysis=_analysis_spec(doc, "", task, "task", "all"))
 
 
 # ---------------------------------------------------------------------------
@@ -842,8 +853,6 @@ _DOC_FIELDS = {
     RunResult: ("run-result", ("best", "evaluations", "generations",
                                "terminated_by", "best_history",
                                "pressure_history")),
-    InnerSearchResult: ("inner-search-result", (
-        "best", "best_params", "evaluations", "truncated")),
     NetworkResult: ("network-result", (
         "best_mask", "best_model", "best_fitness", "evaluations",
         "generations", "terminated_by", "penalty_per_feature", "seed",

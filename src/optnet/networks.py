@@ -307,6 +307,9 @@ def _make_model_node(model) -> Node:
     if isinstance(model, ForestConfig):
         return ForestModelNode("model", model)
     if isinstance(model, Node):
+        if not callable(getattr(model, "fit_problem", None)):
+            raise InvalidConfigError(
+                f"model node {model.id!r} has no fit_problem(problem, rng)")
         return model
     raise InvalidConfigError(
         f"model must be 'ols', a ForestConfig, or a Node, got {model!r}")
@@ -390,6 +393,10 @@ def feature_selection_network(
         workers: int = 1, compute_test_mae: bool = True,
         init_one_probability: float = 0.1) -> NetworkResult:
     """Run the mask-search network to completion.
+
+    model is "ols" (or None), a ForestConfig, or a model Node whose
+    fit_problem(problem, rng) returns what its handle emits: the refit
+    of the winner and the plain-loop twin call fit_problem directly.
 
     The test partition is read exactly once, after the search, to score
     the winning model; pass compute_test_mae=False to skip even that.
@@ -510,7 +517,9 @@ class InnerOsgaSearch:
 
 class ForestParamSearchNode(Node):
     """Inner-network search node: proposes forest settings, receives the
-    fitted candidates back, and finally emits the best one.
+    fitted candidates back, and finally emits the best one, labelled
+    with its settings and flagged "budget-exhausted" if the budget cut
+    the search short.
 
     The settings come from search.stream(rng), an evaluation stream
     stepped one candidate at a time through osga.one_by_one: its batches
@@ -521,7 +530,7 @@ class ForestParamSearchNode(Node):
 
     input_ports = (Port("candidate", "model-with-quality"),)
     output_ports = (Port("params", "parameter-vector"),
-                    Port("result", "run-result"))
+                    Port("result", "model-with-quality"))
 
     _NAMES = ("sample_ratio", "feature_ratio", "n_trees")
 
@@ -529,8 +538,6 @@ class ForestParamSearchNode(Node):
         super().__init__(node_id)
         self.search = search
         self.best: ModelWithQuality | None = None
-        self.best_params: ParameterVector | None = None
-        self.evaluations = 0
         self._pending: ParameterVector | None = None
         self._stream = None
 
@@ -539,44 +546,27 @@ class ForestParamSearchNode(Node):
         self._advance(ctx, None)
 
     def handle(self, port_name: str, payload, ctx) -> None:
-        self.evaluations += 1
         if self.best is None \
                 or payload.validation_mae < self.best.validation_mae:
-            self.best = payload
-            self.best_params = self._pending
+            self.best = replace(payload, label=_forest_label(self._pending))
         self._advance(ctx, payload.validation_mae)
 
     def _advance(self, ctx, fitness: float | None) -> None:
         values, truncated = advance(self._stream, fitness)
         if values is None:
-            self._finish(ctx, truncated)
+            flags = ("budget-exhausted",) if truncated else ()
+            ctx.emit("result", replace(self.best,
+                                       flags=self.best.flags + flags))
         else:
             self._pending = ParameterVector(values, self._NAMES)
             ctx.emit("params", self._pending)
 
-    def _finish(self, ctx, truncated: bool) -> None:
-        flags = ("budget-exhausted",) if truncated else ()
-        best = replace(self.best, flags=self.best.flags + flags,
-                       label=_forest_label(self.best_params))
-        ctx.emit("result", InnerSearchResult(best, self.best_params,
-                                             self.evaluations, truncated))
 
-
-def _forest_label(params: ParameterVector | None) -> str:
-    if params is None:
-        return "tuned-forest"
+def _forest_label(params: ParameterVector) -> str:
     d = params.as_dict()
     return (f"tuned-forest(sample_ratio={d['sample_ratio']:.2f},"
             f"feature_ratio={d['feature_ratio']:.2f},"
             f"n_trees={int(round(d['n_trees']))})")
-
-
-@dataclass(frozen=True, eq=False)
-class InnerSearchResult:
-    best: ModelWithQuality
-    best_params: ParameterVector | None
-    evaluations: int
-    truncated: bool
 
 
 class ForestBuilderNode(Node):
@@ -624,8 +614,7 @@ class InnerTuningModelNode(Node):
         topo.connect("builder", "fitted", "search", "candidate")
         run = run_network(topo, SinksEmitted((("search", "result"),)),
                           entry=("search", None), seed=inner_seed)
-        inner: InnerSearchResult = run.sink("search", "result")[0]
-        return inner.best
+        return run.sink("search", "result")[0]
 
     def handle(self, port_name: str, payload, ctx) -> None:
         ctx.emit("model", self.fit_problem(payload, ctx.rng))

@@ -5,10 +5,10 @@ checks every emitted payload against its port's kind at runtime so a
 miswired network fails loudly at the offending node instead of deep
 inside a downstream handler.
 
-One kind is unchecked: "run-result" accepts any object. Search nodes
-send their final results through it, and the analysis pipeline its
-model pools, subsets and ranked report, so those ports are typed in
-name only.
+One kind is unchecked: "run-result" accepts any object. The
+feature-selection node sends its final RunResult through it, and the
+analysis pipeline its model pools, subsets and ranked report, so those
+ports are typed in name only.
 """
 
 from __future__ import annotations

@@ -731,6 +731,23 @@ BAD_VALUES = [
     ("run", RUN_DOC,
      ("network", "nodes", "orchestrator", "penalty_per_feature"),
      float("nan"), "network.nodes.orchestrator"),
+    # no engine runs on zero workers
+    ("run", RUN_DOC, ("workers",), 0, "workers"),
+    ("analyze", ANALYZE_DOC, ("workers",), 0, "workers"),
+    ("benchmark", BENCH_DOC, ("workers",), 0, "workers"),
+    # every number in a document is finite, so its report is strict JSON
+    ("run", RUN_DOC, ("network", "nodes", "selector",
+                      "max_selection_pressure"), float("inf"),
+     "network.nodes.selector"),
+    ("run", RUN_DOC, ("network", "nodes", "selector", "target_fitness"),
+     float("-inf"), "network.nodes.selector"),
+    ("run", RUN_DOC,
+     ("network", "nodes", "orchestrator", "penalty_per_feature"),
+     float("inf"), "network.nodes.orchestrator"),
+    ("benchmark", BENCH_DOC, ("elastic-net", "penalties"),
+     [0.1, float("inf")], "elastic-net"),
+    ("run", RUN_DOC, ("data", "benchmark", "weight_high"), float("inf"),
+     "data.benchmark"),
 ]
 
 
@@ -815,10 +832,22 @@ def test_any_leaf_of_any_yaml_type_parses_or_is_a_config_error(kind, data):
     doc, parse = KNOWN_GOOD[kind]
     path = data.draw(st.sampled_from(_leaf_paths(doc)), label="path")
     value = data.draw(YAML_VALUES, label="value")
+    changed = _with(doc, path, value)
     try:
-        parse(_with(doc, path, value))
+        parse(changed)
     except (ConfigFileError, InvalidConfigError):
-        pass
+        return
+    # a document that parses embeds in its report as strict JSON
+    json.dumps(changed, allow_nan=False)
+
+
+def test_benchmark_workers_flag_below_one_exits_2(tmp_path, capsys):
+    config_path = tmp_path / "bench.yaml"
+    config_path.write_text(yaml.safe_dump(BENCH_DOC))
+    assert main(["benchmark", "--config", str(config_path),
+                 "--workers", "0"]) == 2
+    assert "config error: workers: must be at least 1" \
+        in capsys.readouterr().err
 
 
 _TINY_DATA, _TINY_TRUTH = generate_benchmark(BenchmarkConfig(**TINY_BENCH),

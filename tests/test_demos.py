@@ -1,11 +1,13 @@
 """Smoke test: the quick demos run as scripts, exit 0 and print nothing
-to stderr.
+to stderr, and every demo's imports resolve.
 
 05_forest_swap (about 39 s) and 06_nested_tuning (about 20 s) are left
-out to keep the suite fast; the forest, nested-tuning and network tests
-cover the code they run.
+out of the full runs to keep the suite fast; the forest, nested-tuning
+and network tests cover the code they run, and the import check catches
+a public name they use going away.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -27,3 +29,20 @@ def test_demo_runs_cleanly(demo, tmp_path):
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+ALL_DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", ALL_DEMOS)
+def test_demo_imports_resolve(demo, tmp_path):
+    """Run only the demo's import statements, wherever they sit."""
+    tree = ast.parse((ROOT / "demos" / demo).read_text())
+    imports = [ast.unparse(node) for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", "\n".join(imports)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from optnet.engine import (
     Connection,
     MessageBudget,
-    Network,
     Node,
     NodeContext,
     Port,
@@ -144,7 +143,7 @@ def test_network_rejects_invalid_topology():
     topo.add(Producer("a"))
     topo.add(Producer("a"))
     with pytest.raises(InvalidConfigError, match="DuplicateNodeId"):
-        Network(topo)
+        run_network(topo, MessageBudget(1))
 
 
 def test_topology_node_lookup():
@@ -596,3 +595,16 @@ def test_random_topologies_keep_the_scheduling_invariants(network):
         TraceEvent(0, "deliver", "h0", "<entry>", "entry", 0)]
     if isinstance(termination, MessageBudget):
         assert solo.messages_handled == termination.limit
+    # routing: each source port numbers its emissions 0, 1, 2, ... in
+    # trace order, and every non-entry delivery carries an id already
+    # emitted on the port that feeds it
+    feeds = {(c.dst_node, c.dst_port): (c.src_node, c.src_port)
+             for c in topo.connections}
+    emitted = {}
+    for e in solo.trace:
+        if e.event == "emit":
+            ids = emitted.setdefault((e.node, e.port), [])
+            assert e.correlation_id == len(ids)
+            ids.append(e.correlation_id)
+        elif e.port != "<entry>":
+            assert e.correlation_id in emitted[feeds[(e.node, e.port)]]

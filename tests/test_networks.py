@@ -115,6 +115,24 @@ def test_make_model_node_variants():
         _make_model_node(42)
 
 
+class HandleOnlyNode(Node):
+    """A model node with a handler but no fit_problem for the refit."""
+
+    input_ports = OlsModelNode.input_ports
+    output_ports = OlsModelNode.output_ports
+
+    def handle(self, port_name, payload, ctx):
+        raise AssertionError("the search must not start")
+
+
+@pytest.mark.parametrize("run", [feature_selection_network,
+                                 feature_selection_direct])
+def test_model_node_without_fit_problem_is_refused_before_the_search(
+        small_partitioned, run):
+    with pytest.raises(InvalidConfigError, match="fit_problem"):
+        run(small_partitioned, TINY_PARAMS, model=HandleOnlyNode("model"))
+
+
 # ---------------------------------------------------------------------------
 # End-to-end search behavior
 
