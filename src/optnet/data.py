@@ -39,6 +39,35 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def checked_design(features, target, caller: str):
+    """features and target as float arrays, after the one design check
+    of Dataset and every fitter, each fault led by caller's name: a 2-d
+    X, a 1-d y, one target per row, at least one row, finite values."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(target, dtype=np.float64)
+    if X.ndim != 2:
+        raise ShapeMismatchError(f"{caller}: features must be 2-d")
+    if y.ndim != 1:
+        raise ShapeMismatchError(f"{caller}: target must be 1-d")
+    if X.shape[0] != y.shape[0]:
+        raise ShapeMismatchError(f"{caller}: {len(X)} rows, {len(y)} targets")
+    if X.shape[0] == 0:
+        raise EmptyInputError(f"{caller}: needs at least one row")
+    if not np.isfinite(X).all() or not np.isfinite(y).all():
+        raise InvalidConfigError(f"{caller}: values must be finite")
+    return X, y
+
+
+def checked_width(features, n_features: int, caller: str) -> np.ndarray:
+    """features as a float array, after the one width check of every
+    predictor: 2-d with n_features columns."""
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ShapeMismatchError(f"{caller}: expected (n, {n_features}) "
+                                 f"features, got shape {X.shape}")
+    return X
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An immutable feature matrix with a target vector and column names."""
@@ -48,25 +77,13 @@ class Dataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        X = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.target, dtype=np.float64)
-        if X.ndim != 2:
-            raise ShapeMismatchError(f"features must be 2-d, got shape {X.shape}")
-        if y.ndim != 1:
-            raise ShapeMismatchError(f"target must be 1-d, got shape {y.shape}")
-        if X.shape[0] != y.shape[0]:
-            raise ShapeMismatchError(
-                f"features has {X.shape[0]} rows but target has {y.shape[0]}")
-        if X.shape[0] == 0:
-            raise EmptyInputError("dataset needs at least one row")
+        X, y = checked_design(self.features, self.target, "Dataset")
         names = tuple(str(n) for n in self.feature_names)
         if len(names) != X.shape[1]:
             raise ShapeMismatchError(
                 f"{len(names)} feature names for {X.shape[1]} columns")
         if len(set(names)) != len(names):
             raise InvalidConfigError("feature names must be unique")
-        if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
-            raise InvalidConfigError("dataset values must be finite")
         object.__setattr__(self, "features", _readonly(X))
         object.__setattr__(self, "target", _readonly(y))
         object.__setattr__(self, "feature_names", names)

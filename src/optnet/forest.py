@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import substream
+from .data import checked_design, checked_width
 from .errors import EmptyInputError, InvalidConfigError, ShapeMismatchError
 
 
@@ -281,21 +282,9 @@ def fit_random_forest(features: np.ndarray, target: np.ndarray,
     """Grow config.n_trees trees, each from its own (seed, index) stream."""
     config = config or ForestConfig()
     config.validate()
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(target, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeMismatchError("features must be 2-d")
-    if y.ndim != 1:
-        raise ShapeMismatchError("target must be 1-d")
-    if X.shape[0] != y.shape[0]:
-        raise ShapeMismatchError(
-            f"{X.shape[0]} feature rows vs {y.shape[0]} targets")
-    if X.shape[0] == 0:
-        raise EmptyInputError("cannot fit on zero rows")
+    X, y = checked_design(features, target, "fit_random_forest")
     if X.shape[1] == 0:
         raise EmptyInputError("forest needs at least one feature column")
-    if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
-        raise InvalidConfigError("forest features and target must be finite")
     # a bootstrap sample has at most n rows, so (n * max|y|)^2 bounds
     # every sum of squares and squared sum the split scan forms
     peak = X.shape[0] * float(np.abs(y).max())
@@ -322,10 +311,7 @@ _ROUTE_CELLS = 1 << 16
 def predict_forest(model: ForestModel, features: np.ndarray) -> np.ndarray:
     """Mean of the trees' predictions. Routes every tree at once: a
     trees x rows matrix of node indices moves one level per step."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise ShapeMismatchError(
-            f"expected (n, {model.n_features}) features, got {X.shape}")
+    X = checked_width(features, model.n_features, "predict_forest")
     if X.shape[0] == 0:
         return np.zeros(0)
     r = model._routing

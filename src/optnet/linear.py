@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import checked_design, checked_width
 from .errors import (
     EmptyInputError,
     InvalidConfigError,
@@ -87,15 +88,8 @@ class LinearModel:
         return hash((self.feature_names, self.intercept))
 
 
-def _checked_features(model: LinearModel, X: np.ndarray) -> np.ndarray:
-    if X.ndim != 2 or X.shape[1] != model.weights.shape[0]:
-        raise ShapeMismatchError(
-            f"expected (n, {model.weights.shape[0]}) features, got {X.shape}")
-    return X
-
-
 def predict(model: LinearModel, features: np.ndarray) -> np.ndarray:
-    X = _checked_features(model, np.asarray(features, dtype=np.float64))
+    X = checked_width(features, model.weights.shape[0], "predict")
     return X @ model.weights + model.intercept
 
 
@@ -106,8 +100,8 @@ def predict_each_row(model: LinearModel, features: np.ndarray) -> np.ndarray:
     one-row product; one stacked 1 x k product per row, on a C-ordered
     X, does not (an F-ordered X takes numpy's non-BLAS loop).
     """
-    X = _checked_features(
-        model, np.ascontiguousarray(features, dtype=np.float64))
+    X = checked_width(np.ascontiguousarray(features, dtype=np.float64),
+                      model.weights.shape[0], "predict_each_row")
     return (X[:, None, :] @ model.weights)[:, 0] + model.intercept
 
 
@@ -124,25 +118,6 @@ def mae(predicted: np.ndarray, actual: np.ndarray) -> float:
     return float(np.add.reduce(np.abs(p - a))) / p.size
 
 
-def _checked_xy(features, target, fitter: str):
-    """Features and target as float arrays, after the shape, size and
-    finiteness checks both fitters share."""
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(target, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeMismatchError("features must be 2-d")
-    if y.ndim != 1:
-        raise ShapeMismatchError(f"target must be 1-d, got shape {y.shape}")
-    if X.shape[0] != y.shape[0]:
-        raise ShapeMismatchError(
-            f"{X.shape[0]} feature rows vs {y.shape[0]} targets")
-    if X.shape[0] == 0:
-        raise EmptyInputError("cannot fit on zero rows")
-    if not np.isfinite(X).all() or not np.isfinite(y).all():
-        raise InvalidConfigError(f"{fitter} features and target must be finite")
-    return X, y
-
-
 def fit_ols(features: np.ndarray, target: np.ndarray,
             feature_names: tuple[str, ...] | None = None) -> LinearModel:
     """Least-squares fit with an unpenalized intercept.
@@ -153,7 +128,7 @@ def fit_ols(features: np.ndarray, target: np.ndarray,
     infinite features or targets raise InvalidConfigError before the
     solve.
     """
-    X, y = _checked_xy(features, target, "OLS")
+    X, y = checked_design(features, target, "fit_ols")
     n, d = X.shape
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(d))
@@ -362,7 +337,7 @@ def fit_elastic_net(features: np.ndarray, target: np.ndarray,
     """
     config = config or ElasticNetConfig()
     config.validate()
-    X, y = _checked_xy(features, target, "elastic-net")
+    X, y = checked_design(features, target, "fit_elastic_net")
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
     return _coordinate_descent(X, y, [config], feature_names)[0]
@@ -422,7 +397,7 @@ def _fit_cells(features, target, configs,
             errors[i] = str(exc)
     valid = [cfg for i, cfg in enumerate(configs) if i not in errors]
     try:
-        X, y = _checked_xy(features, target, "elastic-net")
+        X, y = checked_design(features, target, "fit_elastic_net")
         fits = iter(_coordinate_descent(X, y, valid, feature_names))
     except (OptnetError, FloatingPointError) as exc:
         return [errors.get(i, str(exc)) for i in range(len(configs))]

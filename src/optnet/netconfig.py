@@ -42,9 +42,9 @@ is a YAML key/value tree with four top-level sections:
         sinks: [selector.result]
         # budget: 500
 
-Unknown keys, values of the wrong type, numbers that are not finite
-(1e300 is a cap that never fires), workers below 1, and values a block's
-validate() rejects (ratios not summing to 1, a budget below the
+Unknown keys, values of the wrong type, numbers that are not finite or
+exceed the largest float (1e300 is a cap that never fires), workers
+below 1, and values a block's validate() rejects (a budget below the
 population) raise ConfigFileError naming the field, before anything runs.
 """
 
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import get_args, get_origin, get_type_hints
@@ -186,7 +187,8 @@ def _typed(value, hint, where: str):
 
     Handles int, float, str, tuples of those, and `X | None`. Lists
     become tuples and the items of float lists become floats; scalars
-    come back as given. A bool is never a number.
+    come back as given. A bool is never a number, and an integer too
+    large for a float is not a float.
     """
     args = get_args(hint)
     if type(None) in args:
@@ -206,6 +208,9 @@ def _typed(value, hint, where: str):
     types, name = _SCALARS[hint]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigFileError(f"must be {name}, got {value!r}", field=where)
+    if type(value) is int and hint is float \
+            and abs(value) > sys.float_info.max:
+        raise ConfigFileError("too large for a float", field=where)
     return value
 
 
@@ -762,8 +767,9 @@ class ExperimentConfig:
                 raise ConfigFileError(
                     f"unknown method {m!r}; known: {list(METHOD_NAMES)}",
                     field="methods")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigFileError("seeds must be unique", field="seeds")
+        for name in ("seeds", "methods"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ConfigFileError(f"{name} must be unique", field=name)
         _check_workers(self)
         self.benchmark.validate()
 

@@ -35,7 +35,8 @@ import numpy as np
 from ._rng import substream
 from .data import FeatureMask, PartitionedDataset
 from .engine import Node, Port, SinksEmitted, Topology, run_network
-from .errors import InvalidConfigError, ShapeMismatchError
+from .errors import InfeasibleBoundsError, InvalidConfigError, \
+    ShapeMismatchError
 from .forest import ForestConfig, ForestModel, fit_random_forest, \
     predict_forest
 from .linear import OlsGram, fit_ols, mae, predict, predict_each_row
@@ -453,7 +454,8 @@ class InnerGridSearch:
 
     Cells are visited sample_ratio-major, then feature_ratio, then
     n_trees. If the grid exceeds the budget the tail is skipped and the
-    returned quality is flagged "budget-exhausted".
+    returned quality is flagged "budget-exhausted". validate refuses any
+    cell that ForestConfig.validate refuses.
     """
 
     sample_ratios: tuple[float, ...] = (0.5, 0.7, 0.9)
@@ -467,6 +469,8 @@ class InnerGridSearch:
             raise InvalidConfigError("inner grid axes must be non-empty")
         if self.budget < 1:
             raise InvalidConfigError("inner budget must be at least 1")
+        for r, m, t in self.cells():
+            ForestConfig(n_trees=t, sample_ratio=r, feature_ratio=m).validate()
 
     def cells(self):
         for r in self.sample_ratios:
@@ -486,7 +490,8 @@ class InnerOsgaSearch:
 
     The tree count travels as a real gene and is rounded when a forest
     is built. The search budget is the smaller of budget and the
-    params' own evaluation budget.
+    params' own evaluation budget. validate refuses bounds with lo > hi
+    or with a corner, tree count rounded, that ForestConfig refuses.
     """
 
     params: OsgaParams = field(default_factory=lambda: OsgaParams(
@@ -501,17 +506,27 @@ class InnerOsgaSearch:
         if self.budget < 1:
             raise InvalidConfigError("inner budget must be at least 1")
         check_search(RealGenomeSpec, self._budgeted_params())
+        spec = self._spec()
+        try:
+            spec.validate()
+        except InfeasibleBoundsError as exc:
+            raise InvalidConfigError(str(exc)) from exc
+        for r, m, t in spec.bounds.T:
+            ForestConfig(n_trees=int(round(t)), sample_ratio=r,
+                         feature_ratio=m).validate()
 
     def _budgeted_params(self) -> OsgaParams:
         return replace(self.params, max_evaluations=min(
             self.budget, self.params.max_evaluations))
 
+    def _spec(self) -> RealGenomeSpec:
+        return RealGenomeSpec(np.array([
+            self.sample_ratio_bounds, self.feature_ratio_bounds,
+            [float(b) for b in self.n_trees_bounds]]), sigma_fraction=0.2)
+
     def stream(self, rng: np.random.Generator):
-        bounds = np.array([self.sample_ratio_bounds,
-                           self.feature_ratio_bounds,
-                           [float(b) for b in self.n_trees_bounds]])
-        spec = RealGenomeSpec(bounds, sigma_fraction=0.2)
-        run = yield from osga_stream(spec, self._budgeted_params(), rng)
+        run = yield from osga_stream(self._spec(), self._budgeted_params(),
+                                     rng)
         return run.terminated_by == "budget"
 
 
@@ -538,7 +553,6 @@ class ForestParamSearchNode(Node):
         super().__init__(node_id)
         self.search = search
         self.best: ModelWithQuality | None = None
-        self._pending: ParameterVector | None = None
         self._stream = None
 
     def handle_entry(self, payload, ctx) -> None:
@@ -548,7 +562,10 @@ class ForestParamSearchNode(Node):
     def handle(self, port_name: str, payload, ctx) -> None:
         if self.best is None \
                 or payload.validation_mae < self.best.validation_mae:
-            self.best = replace(payload, label=_forest_label(self._pending))
+            c = payload.model.config
+            self.best = replace(payload, label=(
+                f"tuned-forest(sample_ratio={c.sample_ratio:.2f},"
+                f"feature_ratio={c.feature_ratio:.2f},n_trees={c.n_trees})"))
         self._advance(ctx, payload.validation_mae)
 
     def _advance(self, ctx, fitness: float | None) -> None:
@@ -558,19 +575,12 @@ class ForestParamSearchNode(Node):
             ctx.emit("result", replace(self.best,
                                        flags=self.best.flags + flags))
         else:
-            self._pending = ParameterVector(values, self._NAMES)
-            ctx.emit("params", self._pending)
-
-
-def _forest_label(params: ParameterVector) -> str:
-    d = params.as_dict()
-    return (f"tuned-forest(sample_ratio={d['sample_ratio']:.2f},"
-            f"feature_ratio={d['feature_ratio']:.2f},"
-            f"n_trees={int(round(d['n_trees']))})")
+            ctx.emit("params", ParameterVector(values, self._NAMES))
 
 
 class ForestBuilderNode(Node):
-    """Inner-network worker: builds one forest per parameter vector."""
+    """Inner-network worker: builds one forest per parameter vector, the
+    tree count rounded; ForestConfig.validate refuses bad settings."""
 
     input_ports = (Port("params", "parameter-vector"),)
     output_ports = (Port("fitted", "model-with-quality"),)
@@ -581,11 +591,9 @@ class ForestBuilderNode(Node):
 
     def handle(self, port_name: str, payload, ctx) -> None:
         d = payload.as_dict()
-        config = ForestConfig(
-            n_trees=max(1, int(round(d["n_trees"]))),
-            sample_ratio=min(1.0, max(1e-6, d["sample_ratio"])),
-            feature_ratio=min(1.0, max(1e-6, d["feature_ratio"])))
-        node = ForestModelNode("fit", config)
+        node = ForestModelNode("fit", ForestConfig(
+            n_trees=int(round(d["n_trees"])), sample_ratio=d["sample_ratio"],
+            feature_ratio=d["feature_ratio"]))
         ctx.emit("fitted", node.fit_problem(self.problem, ctx.rng))
 
 

@@ -748,6 +748,22 @@ BAD_VALUES = [
      [0.1, float("inf")], "elastic-net"),
     ("run", RUN_DOC, ("data", "benchmark", "weight_high"), float("inf"),
      "data.benchmark"),
+    # an integer too large for a float is not a float
+    ("run", RUN_DOC, ("data", "partition", "ratios"), [10**400, 0, 0],
+     "data.partition.ratios[0]"),
+    pytest.param("run", RUN_DOC, ("data", "benchmark", "weight_high"),
+                 10**400, "data.benchmark.weight_high",
+                 id="run-weight_high-10**400"),
+    # a benchmark table has one row per method and seed
+    ("benchmark", BENCH_DOC, ("methods",), ["full-ols", "full-ols"],
+     "methods"),
+    # nested settings that no forest takes
+    ("benchmark", BENCH_DOC, ("nested", "n_trees_options"), [0], "nested"),
+    ("benchmark", BENCH_DOC, ("nested", "sample_ratios"), [1.5], "nested"),
+    ("benchmark", BENCH_DOC, ("nested",),
+     {"search": "osga", "sample_ratio_bounds": [1.0, 0.3]}, "nested"),
+    ("benchmark", BENCH_DOC, ("nested",),
+     {"search": "osga", "n_trees_bounds": [0, 5]}, "nested"),
 ]
 
 

@@ -27,7 +27,8 @@ from optnet.errors import (
     NonNumericCellError,
     ShapeMismatchError,
 )
-from optnet.linear import fit_ols, predict
+from optnet.forest import ForestConfig, fit_random_forest, predict_forest
+from optnet.linear import fit_elastic_net, fit_ols, predict, predict_each_row
 
 
 # ---------------------------------------------------------------------------
@@ -379,3 +380,68 @@ def test_ground_truth_sidecar_round_trip(tmp_path):
 def test_ground_truth_length_mismatch():
     with pytest.raises(ShapeMismatchError):
         GroundTruth((1, 2, 3), np.array([1.0, 2.0]), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# One design check for datasets and fitters, one width check for predictors
+
+DESIGN_FAULTS = {
+    "3-d X": (np.zeros((4, 2, 1)), np.zeros(4), ShapeMismatchError),
+    "2-d y": (np.zeros((4, 2)), np.zeros((4, 1)), ShapeMismatchError),
+    "5 rows, 4 targets": (np.zeros((5, 2)), np.zeros(4), ShapeMismatchError),
+    "zero rows": (np.zeros((0, 2)), np.zeros(0), EmptyInputError),
+    "NaN in X": (np.array([[np.nan, 1.0], [0.0, 2.0]]), np.zeros(2),
+                 InvalidConfigError),
+    "inf in y": (np.eye(2), np.array([0.0, np.inf]), InvalidConfigError),
+}
+
+DESIGN_CALLERS = {
+    "Dataset": lambda X, y: Dataset(X, y, ("a", "b")),
+    "fit_ols": fit_ols,
+    "fit_elastic_net": fit_elastic_net,
+    "fit_random_forest": lambda X, y: fit_random_forest(
+        X, y, ForestConfig(n_trees=2)),
+}
+
+
+@pytest.mark.parametrize("fault", list(DESIGN_FAULTS))
+def test_datasets_and_fitters_share_one_design_check(fault):
+    """Every caller raises the same class and message for a fault, apart
+    from the caller's name at the head of the message."""
+    X, y, error = DESIGN_FAULTS[fault]
+    messages = set()
+    for name, call in DESIGN_CALLERS.items():
+        with pytest.raises(error) as info:
+            call(X, y)
+        assert type(info.value) is error
+        message = str(info.value)
+        assert message.startswith(f"{name}: ")
+        messages.add(message.removeprefix(f"{name}: "))
+    assert len(messages) == 1, messages
+    if fault == "2-d y":
+        assert "target must be 1-d" in messages.pop()
+    elif error is InvalidConfigError:
+        assert "finite" in messages.pop()
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 2)), np.zeros((2, 4)),
+                                 np.zeros(3), np.zeros((2, 3, 1))],
+                         ids=["narrow", "wide", "1-d", "3-d"])
+def test_predictors_share_one_width_check(bad):
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((20, 3))
+    y = X.sum(axis=1)
+    ols = fit_ols(X, y)
+    forest = fit_random_forest(X, y, ForestConfig(n_trees=2), seed=0)
+    messages = set()
+    for name, predictor, model in [("predict", predict, ols),
+                                   ("predict_each_row", predict_each_row,
+                                    ols),
+                                   ("predict_forest", predict_forest,
+                                    forest)]:
+        with pytest.raises(ShapeMismatchError) as info:
+            predictor(model, bad)
+        message = str(info.value)
+        assert message.startswith(f"{name}: ")
+        messages.add(message.removeprefix(f"{name}: "))
+    assert messages == {f"expected (n, 3) features, got shape {bad.shape}"}

@@ -581,17 +581,18 @@ def test_inner_osga_search_tunes_within_bounds(small_partitioned):
     assert 5 <= n_trees <= 60
 
 
-def test_forest_builder_clamps_parameters(small_partitioned):
+def test_forest_builder_refuses_settings_out_of_range(small_partitioned):
+    """The builder does not clamp: a vector ForestConfig refuses raises,
+    and no forest is emitted under settings it was not asked for."""
     orchestrator = RegressionOrchestratorNode("o", small_partitioned)
     problem = orchestrator.make_problem(FeatureMask.from_indices((0,), 8))
     builder = ForestBuilderNode("b", problem)
     ctx = NodeContext(builder, substream(0, "x"))
-    builder.handle("params", ParameterVector(
-        np.array([1.5, 0.5, 0.2]),
-        ("sample_ratio", "feature_ratio", "n_trees")), ctx)
-    fitted = ctx.emitted[0][1]
-    assert fitted.model.config.sample_ratio == 1.0
-    assert fitted.model.config.n_trees == 1
+    with pytest.raises(InvalidConfigError):
+        builder.handle("params", ParameterVector(
+            np.array([1.5, 0.5, 0.2]),
+            ("sample_ratio", "feature_ratio", "n_trees")), ctx)
+    assert ctx.emitted == []
 
 
 def test_nested_network_matches_direct_twin(small_partitioned):
@@ -625,3 +626,75 @@ def test_nested_network_reports_search_shape(small_partitioned):
     assert result.evaluations <= 40
     assert len(result.best_history) >= 1
     assert result.best_mask.n_selected >= 1
+
+
+# Forest settings: ForestConfig.validate is the one rule, checked up front
+
+RATIOS = st.one_of(st.sampled_from([0.0, 1e-9, 0.5, 1.0, 1.0 + 1e-9]),
+                   st.floats(-0.5, 1.5))
+TREE_COUNTS = st.one_of(st.integers(-2, 6), st.sampled_from([0.5, 1.5]),
+                        st.floats(-1.0, 8.0))
+
+
+def _ratio_ok(value) -> bool:
+    return 0.0 < value <= 1.0
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(RATIOS, min_size=1, max_size=3),
+       st.lists(RATIOS, min_size=1, max_size=3),
+       st.lists(st.integers(-2, 6), min_size=1, max_size=3))
+def test_inner_grid_refuses_exactly_the_cells_forest_config_refuses(
+        samples, features, trees):
+    """With a budget that covers the grid, every cell is proposed, so
+    validate raises exactly when some axis value is out of range."""
+    search = InnerGridSearch(tuple(samples), tuple(features), tuple(trees),
+                             budget=27)
+    if all(map(_ratio_ok, samples + features)) and min(trees) >= 1:
+        search.validate()
+    else:
+        with pytest.raises(InvalidConfigError):
+            search.validate()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.tuples(RATIOS, RATIOS), st.tuples(RATIOS, RATIOS),
+       st.tuples(TREE_COUNTS, TREE_COUNTS))
+def test_inner_osga_refuses_exactly_the_bounds_forest_config_refuses(
+        sample_bounds, feature_bounds, tree_bounds):
+    """Proposals cover the box of the bounds, the tree count rounded, so
+    validate raises exactly when the box is empty or holds a setting out
+    of range: round is monotone, so the lowest tree count is round(lo)."""
+    search = InnerOsgaSearch(sample_ratio_bounds=sample_bounds,
+                             feature_ratio_bounds=feature_bounds,
+                             n_trees_bounds=tree_bounds)
+    boxes = (sample_bounds, feature_bounds, tree_bounds)
+    if all(lo <= hi for lo, hi in boxes) \
+            and all(map(_ratio_ok, sample_bounds + feature_bounds)) \
+            and round(tree_bounds[0]) >= 1:
+        search.validate()
+    else:
+        with pytest.raises(InvalidConfigError):
+            search.validate()
+
+
+@pytest.mark.parametrize("search", [
+    InnerGridSearch(sample_ratios=(0.5, 0.9), feature_ratios=(0.3, 1.0),
+                    n_trees_options=(2, 4), budget=8),
+    InnerOsgaSearch(params=OsgaParams(population_size=4, max_evaluations=12,
+                                      crossover_kind="arithmetic",
+                                      max_selection_pressure=10.0),
+                    sample_ratio_bounds=(0.4, 1.0), n_trees_bounds=(1, 6),
+                    budget=12),
+], ids=["grid", "osga"])
+def test_tuned_model_label_describes_its_forest(small_partitioned, search):
+    orchestrator = RegressionOrchestratorNode("o", small_partitioned)
+    problem = orchestrator.make_problem(FeatureMask.from_indices((0, 1), 8))
+    fitted = InnerTuningModelNode("model", search).fit_problem(
+        problem, substream(3, "x"))
+    config = fitted.model.config
+    assert fitted.label == (
+        f"tuned-forest(sample_ratio={config.sample_ratio:.2f},"
+        f"feature_ratio={config.feature_ratio:.2f},"
+        f"n_trees={config.n_trees})")
+    assert len(fitted.model.trees) == config.n_trees
