@@ -73,23 +73,15 @@ class Recipe:
         raise NotImplementedError
 
 
-def _whole_problem(partitioned: PartitionedDataset
-                   ) -> tuple[RegressionProblem, np.ndarray]:
-    """The train and validation rows, and the indices of every column."""
-    problem = RegressionProblem(*partitioned.train_xy(),
-                                *partitioned.validation_xy(),
-                                partitioned.base.feature_names)
-    return problem, np.arange(partitioned.base.n_features)
-
-
 @dataclass
 class OlsRecipe(Recipe):
     label: str = "ols"
 
     def _search(self, partitioned, seed, workers):
-        problem, every = _whole_problem(partitioned)
-        fitted = OlsModelNode("pool").fit_problem(problem, None)  # no draws
-        return replace(fitted, n_features=fitted.model.n_selected), 1, every
+        fitted = OlsModelNode("pool").fit_problem(  # draws nothing
+            RegressionProblem.whole(partitioned), None)
+        return replace(fitted, n_features=fitted.model.n_selected), 1, \
+            np.arange(partitioned.base.n_features)
 
 
 @dataclass
@@ -104,10 +96,11 @@ class ElasticNetRecipe(Recipe):
     def _search(self, partitioned, seed, workers):
         grid = grid_search_elastic_net(partitioned, self.penalties,
                                        self.l1_ratios, compute_test_mae=False)
-        problem, every = _whole_problem(partitioned)
-        fitted = quality(grid.best_model, problem, self.label)
+        fitted = quality(grid.best_model, RegressionProblem.whole(partitioned),
+                         self.label)
         return replace(fitted, n_features=fitted.model.n_selected), \
-            sum(c.ok for c in grid.cells), every
+            sum(c.ok for c in grid.cells), \
+            np.arange(partitioned.base.n_features)
 
 
 @dataclass
@@ -116,10 +109,10 @@ class ForestRecipe(Recipe):
     label: str = "random-forest"
 
     def _search(self, partitioned, seed, workers):
-        problem, every = _whole_problem(partitioned)
         node = ForestModelNode("pool", self.config)
-        return node.fit_problem(problem, substream(seed, "pool-forest")), \
-            1, every
+        return node.fit_problem(RegressionProblem.whole(partitioned),
+                                substream(seed, "pool-forest")), \
+            1, np.arange(partitioned.base.n_features)
 
 
 @dataclass

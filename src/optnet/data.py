@@ -297,6 +297,11 @@ def partition(dataset: Dataset, ratios=DEFAULT_PARTITION_RATIOS,
     )
 
 
+def benchmark_feature_names(n_features: int) -> tuple[str, ...]:
+    """The column names of a generated benchmark: x0, x1, ..."""
+    return tuple(f"x{i}" for i in range(n_features))
+
+
 def generate_benchmark(config: BenchmarkConfig | None = None,
                        seed: int = 0) -> tuple[Dataset, GroundTruth]:
     """Draw a synthetic dataset and its ground truth for the given seed."""
@@ -322,8 +327,7 @@ def generate_benchmark(config: BenchmarkConfig | None = None,
     else:
         sigma = 0.0
         y = signal
-    names = tuple(f"x{i}" for i in range(config.n_features))
-    dataset = Dataset(X, y, names)
+    dataset = Dataset(X, y, benchmark_feature_names(config.n_features))
     truth = GroundTruth(tuple(int(i) for i in idx), w, sigma)
     return dataset, truth
 

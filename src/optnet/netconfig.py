@@ -76,6 +76,7 @@ from .data import (
     FeatureMask,
     GroundTruth,
     PartitionedDataset,
+    benchmark_feature_names,
     generate_benchmark,
     largest_remainder_counts,
     load_csv,
@@ -439,6 +440,9 @@ def topology_spec_from_doc(doc, where: str = "network") -> TopologySpec:
         raise ConfigFileError("must be a list",
                               field=f"{where}.connections")
     connections = tuple(parse_connection(c) for c in raw_conns)
+    for i, conn in enumerate(connections):  # conn[::2]: its two nodes
+        _check_known(conn[::2], nodes, f"{where}.connections[{i}]",
+                     "declared nodes")
     return TopologySpec(nodes, connections)
 
 
@@ -543,6 +547,8 @@ class TerminationSpec:
             raise InvalidConfigError("exactly one of sinks/budget required")
         if self.sinks == ():
             raise InvalidConfigError("sinks must be a non-empty list")
+        if self.budget is not None and self.budget < 1:
+            raise InvalidConfigError("budget must be at least 1")
 
 
 @dataclass
@@ -568,13 +574,16 @@ def run_config_from_doc(doc) -> NetworkRunConfig:
         {"nodes": net.get("nodes"), "connections": net.get("connections")})
     if "entry" not in net:
         raise ConfigFileError("missing 'entry'", field="network")
+    entry = _typed(net["entry"], str, "network.entry")
+    _check_known((entry,), topo_spec.nodes, "network.entry",
+                 "declared nodes")
     term = _read_block(TerminationSpec, net.get("termination"),
                        "network.termination")
     return _read(
         NetworkRunConfig, doc, "", ("seed", "workers"), _check_workers,
         data=data_spec_from_doc(doc["data"]),
         topology=topo_spec,
-        entry=_typed(net["entry"], str, "network.entry"),
+        entry=entry,
         termination=MessageBudget(term.budget) if term.sinks is None
         else SinksEmitted(tuple(
             _parse_endpoint(s, "network.termination.sinks")
@@ -647,7 +656,8 @@ class AnalysisSpec:
         takes the first dataset's train-target mean plus one std, names,
         or observed bounds. Inputs outside free_inputs ("all", "true" for
         truth's informative ones, or names) are fixed at 0, and fixed
-        pins values over that."""
+        pins values over that. A target count, bounds rows or names that
+        do not match the data raise ConfigFileError naming the field."""
         first = partitioned[0]
         names = self.input_names
         if names is None:
@@ -656,8 +666,15 @@ class AnalysisSpec:
         if targets is None:
             _, y_train = first.train_xy()
             targets = (float(np.mean(y_train) + np.std(y_train)),)
+        elif len(targets) != len(partitioned):
+            raise ConfigFileError(f"{len(targets)} targets for "
+                                  f"{len(partitioned)} datasets",
+                                  field="task.targets")
         if self.bounds is None:
             bounds = observed_bounds(partitioned, names)
+        elif len(self.bounds) != len(names):
+            raise ConfigFileError(f"{len(self.bounds)} rows for "
+                                  f"{len(names)} inputs", field="task.bounds")
         else:
             bounds = np.asarray(self.bounds, dtype=np.float64)
         if self.free_inputs == "all":
@@ -669,10 +686,8 @@ class AnalysisSpec:
             free = {first.base.feature_names[i] for i in truth.true_indices}
         else:
             free = set(self.free_inputs)
-            unknown = free - set(names)
-            if unknown:
-                raise ConfigFileError(
-                    f"free_inputs {sorted(unknown)} not in the dataset")
+            _check_known(free, names, "analysis.free_inputs")
+        _check_known(self.fixed, names, "task.fixed")
         fixed = {n: 0.0 for n in names if n not in free}
         fixed.update(self.fixed)
         return AnalysisTask(names, bounds, targets, fixed)
@@ -685,6 +700,13 @@ class AnalysisSpec:
             partitioned, self.recipes, self.subset_size,
             self.task_for(partitioned, truth), self.search, seed=seed,
             workers=workers)
+
+
+def _check_known(given, known, where: str,
+                 what: str = "input names") -> None:
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ConfigFileError(f"{unknown} are not {what}", field=where)
 
 
 def _analysis_spec(doc: dict, where: str, task: dict, task_where: str,
@@ -772,6 +794,10 @@ class ExperimentConfig:
                 raise ConfigFileError(f"{name} must be unique", field=name)
         _check_workers(self)
         self.benchmark.validate()
+        if self.analysis.free_inputs not in ("true", "all"):
+            _check_known(self.analysis.free_inputs,
+                         benchmark_feature_names(self.benchmark.n_features),
+                         "analysis.free_inputs")
 
 
 _EXPERIMENT_KEYS = ("seeds", "methods", "benchmark", "partition", "workers",

@@ -9,13 +9,15 @@ Swapping the model node switches the learning algorithm without
 touching the rest; replacing it with a node that internally runs a
 second network gives nested hyperparameter tuning.
 
-A search-time problem gathers its columns only when a model node first
-reads them. The OLS node answers a repeated mask from its memo, reading
-no column, and solves a new one from the orchestrator's Gram matrix
-(linear.OlsGram). The winner's final refit is an exact fit_ols on its
-gathered columns, and with_test_mae scores it on the test rows of the
-columns the search selected, whatever names the model carries. Both
-scorers predict through predict_any, the only switch on model family.
+A search-time problem views the orchestrator's whole problem and gathers
+its columns only when a model node first reads them. The OLS node
+answers a repeated mask from its memo, reading no column, and solves a
+new one from the Gram matrix (linear.OlsGram) it builds for each
+orchestrator's first problem; no other node builds one. The winner's
+final refit is an exact fit_ols on its gathered columns, and
+with_test_mae scores it on the test rows of the columns the search
+selected, whatever names the model carries. Both scorers predict
+through predict_any, the only switch on model family.
 
 A plain-loop twin of the feature-selection network (same nodes, no
 engine) is provided as an oracle: both paths share one search stream and
@@ -52,12 +54,7 @@ from .osga import (
     osga_stream,
     per_genome,
 )
-from .payloads import (
-    ModelWithQuality,
-    ParameterVector,
-    ProjectionSource,
-    RegressionProblem,
-)
+from .payloads import ModelWithQuality, ParameterVector, RegressionProblem
 
 
 @dataclass
@@ -149,9 +146,9 @@ class RegressionOrchestratorNode(Node):
     """Translates masks into projected regression problems and model
     results into scalar fitness values.
 
-    Train and validation rows are read once at construction, where the
-    OLS Gram matrix of the train rows is built too; the test partition
-    is never touched here, which keeps the search honest.
+    Train and validation rows are read once at construction, into the
+    whole problem every search-time problem is a view of; the test
+    partition is never touched here, which keeps the search honest.
     """
 
     input_ports = (Port("mask", "feature-mask"),
@@ -164,17 +161,13 @@ class RegressionOrchestratorNode(Node):
         super().__init__(node_id)
         fitness = fitness or FitnessConfig()
         fitness.validate()
-        train_x, train_y = partitioned.train_xy()
-        val_x, val_y = partitioned.validation_xy()
-        names = partitioned.base.feature_names
-        self._source = ProjectionSource(train_x, train_y, val_x, val_y,
-                                        names, OlsGram(train_x, train_y))
-        self.penalty_per_feature = fitness.resolve(train_y, val_y,
-                                                   len(names))
+        w = self._whole = RegressionProblem.whole(partitioned)
+        self.penalty_per_feature = fitness.resolve(
+            w.train_target, w.validation_target, len(w.feature_names))
 
     @property
     def n_features(self) -> int:
-        return len(self._source.feature_names)
+        return len(self._whole.feature_names)
 
     def make_problem(self, mask: FeatureMask) -> RegressionProblem:
         """The search-time problem of mask; its columns and names are
@@ -182,16 +175,7 @@ class RegressionOrchestratorNode(Node):
         if len(mask) != self.n_features:
             raise ShapeMismatchError(
                 f"mask of {len(mask)} bits for {self.n_features} features")
-        return RegressionProblem.projected(self._source, mask)
-
-    def refit_problem(self, mask: FeatureMask) -> RegressionProblem:
-        """The problem of mask with its columns gathered and no source,
-        so every model node fits it from its own arrays: an OLS node
-        with an exact fit_ols, whatever its memo holds."""
-        p = self.make_problem(mask)
-        return RegressionProblem(p.train_features, p.train_target,
-                                 p.validation_features, p.validation_target,
-                                 p.feature_names, mask)
+        return RegressionProblem.projected(self._whole, mask)
 
     def score(self, result: ModelWithQuality) -> float:
         return result.validation_mae \
@@ -213,15 +197,15 @@ OLS_MEMO_SIZE = 1024
 class OlsModelNode(Node):
     """Fits an ordinary least-squares model per problem.
 
-    An orchestrator's search-time problem (one with a source) is scored
-    from the source's Gram matrix by OlsGram.solve, or by fit_ols where
-    the Gram solve refuses the mask. The fit draws no randomness, so
-    the node keeps the fits of the last OLS_MEMO_SIZE masks of one
-    source and hands a repeated mask its earlier ModelWithQuality before
-    any column is gathered; a problem of another source empties the memo
-    first. Any other problem, such as the final refit, is fitted with
-    fit_ols from its own arrays and never memoized. fits counts the fits
-    made and hits the fits reused.
+    A problem of a new source (an orchestrator's whole problem) empties
+    the memo and builds the Gram matrix of the source's train rows. Each
+    search-time problem of that source is scored by OlsGram.solve, or by
+    fit_ols where the solve refuses the mask. The fit draws no
+    randomness, so the node keeps the fits of the last OLS_MEMO_SIZE
+    masks and hands a repeated mask its earlier ModelWithQuality before
+    any column is gathered. Any other problem, such as the final refit,
+    is fitted with fit_ols from its own arrays and never memoized. fits
+    counts the fits made and hits the fits reused.
     """
 
     input_ports = (Port("problem", "regression-problem"),)
@@ -232,13 +216,16 @@ class OlsModelNode(Node):
         self.fits = 0
         self.hits = 0
         self._memo: OrderedDict[bytes, ModelWithQuality] = OrderedDict()
-        self._memo_source: ProjectionSource | None = None
+        self._memo_source: RegressionProblem | None = None
+        self._gram: OlsGram | None = None
 
     def fit_problem(self, problem: RegressionProblem,
                     rng: np.random.Generator) -> ModelWithQuality:
         source, key = problem.source, None
         if source is not None:
             if source is not self._memo_source:
+                self._gram = OlsGram(source.train_features,
+                                     source.train_target)
                 self._memo.clear()
                 self._memo_source = source
             key = problem.mask.bits.tobytes()
@@ -255,12 +242,10 @@ class OlsModelNode(Node):
                 self._memo.popitem(last=False)
         return fitted
 
-    @staticmethod
-    def _fit(problem: RegressionProblem) -> ModelWithQuality:
+    def _fit(self, problem: RegressionProblem) -> ModelWithQuality:
         names = problem.feature_names
-        model = None if problem.source is None \
-            else problem.source.ols_gram.solve(
-                np.flatnonzero(problem.mask.bits), names)
+        model = None if problem.source is None else self._gram.solve(
+            np.flatnonzero(problem.mask.bits), names)
         if model is None:
             model = fit_ols(problem.train_features, problem.train_target,
                             names)
@@ -375,8 +360,9 @@ def _final_result(run: RunResult, orchestrator: RegressionOrchestratorNode,
                   compute_test_mae: bool, seed: int,
                   started: float) -> NetworkResult:
     best_mask = FeatureMask(run.best.genome)
-    refit = model_node.fit_problem(orchestrator.refit_problem(best_mask),
-                                   model_rng)
+    # replace gathers the columns and drops the source: an exact refit
+    refit = model_node.fit_problem(
+        replace(orchestrator.make_problem(best_mask)), model_rng)
     if compute_test_mae:
         refit = with_test_mae(refit, partitioned,
                               np.flatnonzero(best_mask.bits))
@@ -448,6 +434,14 @@ def feature_selection_direct(
 # ---------------------------------------------------------------------------
 # Nested hyperparameter tuning
 
+def _forest_config(point) -> ForestConfig:
+    """The forest settings of a (sample_ratio, feature_ratio, n_trees)
+    point, the tree count rounded."""
+    r, m, t = point
+    return ForestConfig(n_trees=int(round(float(t))), sample_ratio=float(r),
+                        feature_ratio=float(m))
+
+
 @dataclass
 class InnerGridSearch:
     """Grid over forest settings searched for every mask.
@@ -469,8 +463,8 @@ class InnerGridSearch:
             raise InvalidConfigError("inner grid axes must be non-empty")
         if self.budget < 1:
             raise InvalidConfigError("inner budget must be at least 1")
-        for r, m, t in self.cells():
-            ForestConfig(n_trees=t, sample_ratio=r, feature_ratio=m).validate()
+        for cell in self.cells():
+            _forest_config(cell).validate()
 
     def cells(self):
         for r in self.sample_ratios:
@@ -511,9 +505,8 @@ class InnerOsgaSearch:
             spec.validate()
         except InfeasibleBoundsError as exc:
             raise InvalidConfigError(str(exc)) from exc
-        for r, m, t in spec.bounds.T:
-            ForestConfig(n_trees=int(round(t)), sample_ratio=r,
-                         feature_ratio=m).validate()
+        for corner in spec.bounds.T:
+            _forest_config(corner).validate()
 
     def _budgeted_params(self) -> OsgaParams:
         return replace(self.params, max_evaluations=min(
@@ -532,9 +525,9 @@ class InnerOsgaSearch:
 
 class ForestParamSearchNode(Node):
     """Inner-network search node: proposes forest settings, receives the
-    fitted candidates back, and finally emits the best one, labelled
-    with its settings and flagged "budget-exhausted" if the budget cut
-    the search short.
+    fitted candidates back, and finally emits the one with the lowest
+    validation MAE, flagged "budget-exhausted" if the budget cut the
+    search short. It reads nothing of a candidate's model.
 
     The settings come from search.stream(rng), an evaluation stream
     stepped one candidate at a time through osga.one_by_one: its batches
@@ -562,10 +555,7 @@ class ForestParamSearchNode(Node):
     def handle(self, port_name: str, payload, ctx) -> None:
         if self.best is None \
                 or payload.validation_mae < self.best.validation_mae:
-            c = payload.model.config
-            self.best = replace(payload, label=(
-                f"tuned-forest(sample_ratio={c.sample_ratio:.2f},"
-                f"feature_ratio={c.feature_ratio:.2f},n_trees={c.n_trees})"))
+            self.best = payload
         self._advance(ctx, payload.validation_mae)
 
     def _advance(self, ctx, fitness: float | None) -> None:
@@ -579,22 +569,26 @@ class ForestParamSearchNode(Node):
 
 
 class ForestBuilderNode(Node):
-    """Inner-network worker: builds one forest per parameter vector, the
-    tree count rounded; ForestConfig.validate refuses bad settings."""
+    """Inner-network worker: builds one forest per (sample_ratio,
+    feature_ratio, n_trees) parameter vector, labelled with its settings;
+    ForestConfig.validate refuses bad settings, and __init__ a problem
+    with no column."""
 
     input_ports = (Port("params", "parameter-vector"),)
     output_ports = (Port("fitted", "model-with-quality"),)
 
     def __init__(self, node_id: str, problem: RegressionProblem):
         super().__init__(node_id)
+        if problem.train_features.shape[1] == 0:
+            raise InvalidConfigError("a forest needs at least one column")
         self.problem = problem
 
     def handle(self, port_name: str, payload, ctx) -> None:
-        d = payload.as_dict()
-        node = ForestModelNode("fit", ForestConfig(
-            n_trees=int(round(d["n_trees"])), sample_ratio=d["sample_ratio"],
-            feature_ratio=d["feature_ratio"]))
-        ctx.emit("fitted", node.fit_problem(self.problem, ctx.rng))
+        c = _forest_config(payload.values)
+        fitted = ForestModelNode("fit", c).fit_problem(self.problem, ctx.rng)
+        ctx.emit("fitted", replace(fitted, label=(
+            f"tuned-forest(sample_ratio={c.sample_ratio:.2f},"
+            f"feature_ratio={c.feature_ratio:.2f},n_trees={c.n_trees})")))
 
 
 class InnerTuningModelNode(Node):

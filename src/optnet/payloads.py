@@ -17,22 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FeatureMask
+from .data import FeatureMask, PartitionedDataset
 from .errors import ShapeMismatchError
-from .linear import OlsGram
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectionSource:
-    """The full train and validation splits an orchestrator projects
-    masks from, with the OLS Gram matrix of the train rows."""
-
-    train_features: np.ndarray
-    train_target: np.ndarray
-    validation_features: np.ndarray
-    validation_target: np.ndarray
-    feature_names: tuple[str, ...]
-    ols_gram: OlsGram
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,15 +28,14 @@ class RegressionProblem:
     mask, when set, is the selection the features were projected with.
 
     source is set only on an orchestrator's search-time problems, made
-    by RegressionProblem.projected. Such a problem holds the mask and
-    the orchestrator's target arrays, and gathers train_features,
-    validation_features and feature_names from source's full splits on
-    their first read, so a model node that answers from a memo reads
-    none of them. An OLS node may reuse its fit for a later problem of
-    the same source and equal mask bits, and solves a new mask from
-    source's Gram matrix. Every other problem, built by hand or by
-    dataclasses.replace (which leaves source unset), is fitted from its
-    own arrays.
+    by RegressionProblem.projected, and is the orchestrator's whole
+    problem (RegressionProblem.whole). Such a problem holds the mask and
+    source's target arrays, and gathers train_features,
+    validation_features and feature_names from source on their first
+    read, so a model node that answers from a memo reads none of them;
+    an OLS node keeps a Gram matrix and a memo per source. Every other
+    problem, built by hand or by dataclasses.replace (which leaves
+    source unset), is fitted from its own arrays.
     """
 
     train_features: np.ndarray
@@ -59,11 +44,17 @@ class RegressionProblem:
     validation_target: np.ndarray
     feature_names: tuple[str, ...]
     mask: FeatureMask | None = None
-    source: ProjectionSource | None = field(default=None, init=False,
-                                            repr=False)
+    source: RegressionProblem | None = field(default=None, init=False,
+                                             repr=False)
 
     @classmethod
-    def projected(cls, source: ProjectionSource,
+    def whole(cls, partitioned: PartitionedDataset) -> RegressionProblem:
+        """partitioned's train and validation rows on every column."""
+        return cls(*partitioned.train_xy(), *partitioned.validation_xy(),
+                   partitioned.base.feature_names)
+
+    @classmethod
+    def projected(cls, source: RegressionProblem,
                   mask: FeatureMask) -> RegressionProblem:
         """source's columns selected by mask, gathered on first read."""
         problem = object.__new__(cls)

@@ -764,6 +764,23 @@ BAD_VALUES = [
      {"search": "osga", "sample_ratio_bounds": [1.0, 0.3]}, "nested"),
     ("benchmark", BENCH_DOC, ("nested",),
      {"search": "osga", "n_trees_bounds": [0, 5]}, "nested"),
+    # networks no engine could start: refused before any data is made
+    ("run", RUN_DOC, ("network", "termination"), {"budget": 0},
+     "network.termination"),
+    ("run", RUN_DOC, ("network", "entry"), "nope", "network.entry"),
+    ("run", RUN_DOC, ("network", "connections"),
+     RUN_DOC["network"]["connections"] + ["selector.mask -> nope.mask"],
+     "network.connections[4]"),
+    ("run", RUN_DOC, ("network", "connections"),
+     ["nope.mask -> orchestrator.mask"], "network.connections[0]"),
+    # analysis tasks whose names or counts do not match, refused before
+    # any pool is fitted
+    ("analyze", ANALYZE_DOC, ("task", "targets"), [1.0, 2.0],
+     "task.targets"),
+    ("analyze", ANALYZE_DOC, ("task", "bounds"), [[0.0, 1.0]], "task.bounds"),
+    ("analyze", ANALYZE_DOC, ("task", "fixed"), {"nope": 1.0}, "task.fixed"),
+    ("benchmark", BENCH_DOC, ("analysis", "free_inputs"), ["nope"],
+     "analysis.free_inputs"),
 ]
 
 
@@ -778,6 +795,20 @@ def test_wrong_typed_value_exits_2_naming_the_field(
     assert err.startswith("config error: ")
     assert f"{field}: " in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("task, field", [
+    ({"targets": [1.0, 2.0]}, "task.targets"),
+    ({"targets": [1.0], "bounds": [[0.0, 1.0]]}, "task.bounds"),
+    ({"targets": [1.0], "fixed": {"nope": 1.0}}, "task.fixed"),
+])
+def test_analysis_task_faults_stop_before_any_pool_is_fitted(
+        monkeypatch, task, field):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was fitted")
+    monkeypatch.setattr(optnet.analysis, "build_model_pool", no_pool)
+    with pytest.raises(ConfigFileError, match=f"^{field}: "):
+        run_analysis({**ANALYZE_DOC, "task": task})
 
 
 @pytest.mark.parametrize("recipes", ["ols", {"kind": "ols"}])

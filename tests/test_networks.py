@@ -37,7 +37,9 @@ from optnet.networks import (
 )
 from optnet.osga import OsgaParams
 from optnet.payloads import ModelWithQuality, ParameterVector
+from optnet.payloads import RegressionProblem
 from optnet._rng import substream
+from test_linear import GRAM_TOLERANCE
 
 SMALL_PARAMS = OsgaParams(population_size=12, max_evaluations=240,
                           max_selection_pressure=30.0)
@@ -698,3 +700,113 @@ def test_tuned_model_label_describes_its_forest(small_partitioned, search):
         f"feature_ratio={config.feature_ratio:.2f},"
         f"n_trees={config.n_trees})")
     assert len(fitted.model.trees) == config.n_trees
+
+
+# ---------------------------------------------------------------------------
+# Only model nodes know their model
+
+@pytest.fixture
+def grams_built(monkeypatch):
+    """The train features of every OlsGram networks builds."""
+    built = []
+
+    class CountingGram(networks.OlsGram):
+        def __init__(self, features, target):
+            built.append(features)
+            super().__init__(features, target)
+
+    monkeypatch.setattr(networks, "OlsGram", CountingGram)
+    return built
+
+
+@pytest.mark.parametrize("model", [
+    ForestConfig(n_trees=3),
+    InnerTuningModelNode("model", InnerGridSearch(
+        sample_ratios=(0.7,), feature_ratios=(0.5,), n_trees_options=(2,),
+        budget=1)),
+], ids=["forest", "nested"])
+def test_a_search_without_ols_builds_no_gram_matrix(small_partitioned,
+                                                    grams_built, model):
+    feature_selection_network(small_partitioned, TINY_PARAMS, model=model,
+                              seed=0)
+    assert grams_built == []
+
+
+def test_an_ols_search_builds_one_gram_matrix(small_partitioned,
+                                              grams_built):
+    feature_selection_network(small_partitioned, TINY_PARAMS, seed=0)
+    assert len(grams_built) == 1
+    train_x, _ = small_partitioned.train_xy()
+    assert np.array_equal(grams_built[0], train_x)
+
+
+def test_one_ols_node_builds_a_gram_matrix_per_source_switch(
+        small_benchmark, grams_built):
+    """Problems of two orchestrators, alternating: each switch builds the
+    new source's Gram matrix and empties the memo, so every fit is what a
+    fresh node makes of its own problem."""
+    dataset, _ = small_benchmark
+    first = RegressionOrchestratorNode("a", partition(dataset, seed=0))
+    second = RegressionOrchestratorNode("b", partition(dataset, seed=1))
+    node = OlsModelNode("model")
+    masks = (FeatureMask.from_indices((0, 3), 8),
+             FeatureMask.from_indices((1, 2, 5), 8))
+    builds = 0
+    for orchestrator in (first, second, first, first, second):
+        for mask in masks:
+            problem = orchestrator.make_problem(mask)
+            before = len(grams_built)
+            fitted = node.fit_problem(problem, None)
+            builds += len(grams_built) - before
+            assert fitted == _fresh_fit(problem)
+    assert builds == 4
+    assert (node.fits, node.hits) == (8, 2)
+
+
+def test_forest_builder_refuses_a_problem_with_no_column(small_partitioned):
+    orchestrator = RegressionOrchestratorNode("o", small_partitioned)
+    problem = orchestrator.make_problem(FeatureMask(np.zeros(8, dtype=bool)))
+    with pytest.raises(InvalidConfigError, match="column"):
+        ForestBuilderNode("builder", problem)
+
+
+@pytest.fixture(scope="module")
+def random_partitioned():
+    """A 90 x 12 Gaussian design with a noisy linear target."""
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((90, 12))
+    y = X @ rng.uniform(-3.0, 3.0, 12) + rng.standard_normal(90)
+    return partition(Dataset(X, y, tuple(f"c{i}" for i in range(12))),
+                     seed=11)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(code=st.one_of(st.just(0), st.just(2 ** 12 - 1),
+                      st.integers(0, 2 ** 12 - 1)))
+def test_the_refit_problem_is_the_eager_slice_of_the_whole(
+        random_partitioned, code):
+    """replace turns a search-time problem into a sourceless one with
+    the whole problem's columns of the mask, and the OLS node fits both
+    alike: from the Gram matrix and with fit_ols."""
+    mask = FeatureMask(np.array([(code >> b) & 1 for b in range(12)]))
+    orchestrator = RegressionOrchestratorNode("o", random_partitioned)
+    searched = orchestrator.make_problem(mask)
+    refit = replace(orchestrator.make_problem(mask))
+    assert refit.source is None and searched.source is not None
+    whole = RegressionProblem.whole(random_partitioned)
+    keep = np.flatnonzero(mask.bits)
+    for name in ("train_features", "validation_features"):
+        assert np.array_equal(getattr(refit, name),
+                              getattr(whole, name)[:, keep])
+    for name in ("train_target", "validation_target"):
+        assert np.array_equal(getattr(refit, name), getattr(whole, name))
+    assert refit.feature_names == tuple(whole.feature_names[i] for i in keep)
+    assert refit.mask == mask
+    node = OlsModelNode("model")
+    a = node.fit_problem(searched, None).model
+    b = node.fit_problem(refit, None).model
+    assert a.feature_names == b.feature_names
+    coef_a = np.append(a.weights, a.intercept)
+    coef_b = np.append(b.weights, b.intercept)
+    scale = max(1.0, float(np.abs(coef_b).max()))
+    assert np.abs(coef_a - coef_b).max() <= GRAM_TOLERANCE * scale
