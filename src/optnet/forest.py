@@ -6,15 +6,27 @@ forest's trees as a prefix. Bootstrap rows are drawn with replacement;
 each split considers a random subset of feature columns and picks the
 threshold minimizing the summed squared error of the two children.
 
+Trees grow level by level, every tree of a forest at once (the exact
+greedy growth of XGBoost, Chen & Guestrin, KDD 2016, sections 3.1 and
+4.1). Nodes are numbered in level order: the root is 0, and each level's
+nodes follow the previous level's, children in their parents' order,
+left child first.
+
 Split rule: a node splits only if it is shallower than max_depth, holds
-at least 2 * min_leaf_size rows and its targets are not all equal. It
-then draws its candidate columns with one rng.choice (nodes draw in
-preorder, left child first, after the tree's bootstrap draw). A cut
-between two sorted neighbours is allowed when their x values differ
-and each side keeps min_leaf_size rows; the threshold is their
-midpoint, and rows with x <= threshold go left. Among equal costs the
-earliest drawn candidate wins, then the smallest cut. A node with no
-allowed cut stays a leaf.
+at least 2 * min_leaf_size rows and its targets are not all equal.
+After its bootstrap draw, each tree draws one rng.random((m, d)) per
+level, one row for each of the level's m splittable nodes in level
+order. A node's candidate columns are the first
+ceil(feature_ratio * d) entries of the stable argsort of its row, in
+that order. A cut between two sorted neighbours is allowed when their
+x values differ and each side keeps min_leaf_size rows; the threshold
+is their midpoint (the lower value where the midpoint of two adjacent
+floats rounds up to the upper one), and rows with x <= threshold go
+left. Among equal costs the earliest candidate wins, then the smallest
+cut. A node with no allowed cut stays a leaf.
+
+A node's rows keep their bootstrap order, and its value is the
+sequential sum of its targets in that order divided by their count.
 """
 
 from __future__ import annotations
@@ -84,26 +96,6 @@ class RegressionTree:
                 and np.array_equal(self.value, other.value)
                 and self.depth == other.depth)
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """This tree's predictions, routed node by node: the reference
-        that predict_forest's all-trees routing matches bit for bit."""
-        X = np.asarray(features, dtype=np.float64)
-        out = np.empty(X.shape[0])
-        # route row blocks down the tree instead of walking row by row
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            f = self.feature[node]
-            if f < 0:
-                out[rows] = self.value[node]
-                continue
-            go_left = X[rows, f] <= self.threshold[node]
-            stack.append((self.left[node], rows[go_left]))
-            stack.append((self.right[node], rows[~go_left]))
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class _Routing:
@@ -167,112 +159,188 @@ class ForestModel:
                 and self.trees == other.trees)
 
 
-class _TreeGrower:
-    def __init__(self, X, y, config, rng):
-        self.X = X
-        self.y = y
-        self.config = config
-        self.rng = rng
-        self.n_candidates = max(1, math.ceil(config.feature_ratio * X.shape[1]))
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-        self.depth = 0
+# the split scan handles at most this many (node, candidate, row) cells
+# at once; a bucket of larger nodes goes in node chunks, which bounds
+# memory on large inputs
+_SCAN_CELLS = 1 << 16
 
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
 
-    def grow(self, root_rows: np.ndarray) -> None:
-        # preorder worklist, left child first, so random draws happen in
-        # the same order a recursive implementation would make them
-        max_depth = self.config.max_depth
-        min_rows = 2 * self.config.min_leaf_size
-        stack: list[tuple[np.ndarray, int, int, bool]] = [
-            (root_rows, 0, -1, False)]
-        while stack:
-            rows, depth, parent, is_right = stack.pop()
-            self.depth = max(self.depth, depth)
-            node = self._new_node()
-            if parent >= 0:
-                if is_right:
-                    self.right[parent] = node
-                else:
-                    self.left[parent] = node
-            y = self.y[rows]
-            # the pairwise sum and the one division of y.mean(), without
-            # its dispatch overhead
-            self.value[node] = float(y.sum() / y.size)
-            if (max_depth is not None and depth >= max_depth) \
-                    or rows.size < min_rows or (y == y[0]).all():
-                continue
-            split = self._best_split(rows, y)
-            if split is None:
-                continue
-            feat, thr = split
-            self.feature[node] = feat
-            self.threshold[node] = thr
-            go_left = self.X[rows, feat] <= thr
-            stack.append((rows[~go_left], depth + 1, node, True))
-            stack.append((rows[go_left], depth + 1, node, False))
+def _rank_keys(X, shift):
+    """Each cell's dense rank within its column, shifted left by shift
+    bits, with one padding row of rank n below X. Equal x values share
+    a rank, so sorting by rank is sorting by x."""
+    n, d = X.shape
+    order = X.argsort(axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    steps = np.zeros((n, d), dtype=np.int64)
+    steps[1:] = xs[1:] != xs[:-1]
+    ranks = np.full((n + 1, d), n, dtype=np.int64)
+    np.put_along_axis(ranks[:n], order, steps.cumsum(axis=0), axis=0)
+    return ranks << shift
 
-    def _best_split(self, rows, y):
-        """Score every cut of every drawn candidate column in one pass;
-        return (column, threshold) or None when no cut is allowed."""
-        d = self.X.shape[1]
-        candidates = self.rng.choice(d, size=min(self.n_candidates, d),
-                                     replace=False)
-        min_leaf = self.config.min_leaf_size
-        n = rows.size
-        x = self.X[rows[:, None], candidates]
-        order = x.argsort(axis=0, kind="stable")
-        xs = x[order, np.arange(x.shape[1])]
-        ys = y[order]
-        # summed squared error of every prefix/suffix; cumsum adds in
-        # sequence along each column, so every cost has the bits the
-        # one-column scan gives
-        csum = ys.cumsum(axis=0)
-        csq = (ys * ys).cumsum(axis=0)
-        # cut k puts sorted rows 0..k left; keep only the cuts that
-        # leave min_leaf rows on each side
-        lo, hi = min_leaf - 1, n - min_leaf
-        sizes = np.arange(min_leaf, hi + 1)[:, None]
-        left_sum = csum[lo:hi]
-        left_sq = csq[lo:hi]
-        left_sse = left_sq - left_sum ** 2 / sizes
-        right_sum = csum[-1] - left_sum
-        right_sse = (csq[-1] - left_sq) - right_sum ** 2 / (n - sizes)
-        cost = (left_sse + right_sse).T
-        # no threshold separates tied x values
-        cost[(xs[lo:hi] == xs[lo + 1:hi + 1]).T] = np.inf
-        # row-major argmin: the earliest drawn candidate, then the
-        # smallest cut
-        best = int(cost.argmin())
-        j, k = divmod(best, cost.shape[1])
-        if not cost[j, k] < np.inf:
-            return None
-        k += lo
-        return int(candidates[j]), float((xs[k, j] + xs[k + 1, j]) / 2.0)
 
-    def build(self) -> RegressionTree:
-        n = self.X.shape[0]
-        n_boot = max(1, math.ceil(self.config.sample_ratio * n))
-        rows = self.rng.integers(0, n, size=n_boot)
-        self.grow(rows)
-        return RegressionTree(
-            np.asarray(self.feature, dtype=np.int64),
-            np.asarray(self.threshold, dtype=np.float64),
-            np.asarray(self.left, dtype=np.int64),
-            np.asarray(self.right, dtype=np.int64),
-            np.asarray(self.value, dtype=np.float64),
-            self.depth,
-        )
+def _best_splits(X, keys, shift, rows, y, start, count, candidates,
+                 min_leaf):
+    """Score every cut of every candidate column of every node; return
+    each node's column and threshold, and whether it has an allowed cut.
+
+    Node i holds rows[start[i]:start[i] + count[i]] and candidates[i];
+    rows and y end in one padding entry (row n of keys, target 0.0)."""
+    m, k = candidates.shape
+    feature = np.zeros(m, dtype=np.int64)
+    threshold = np.zeros(m)
+    found = np.zeros(m, dtype=bool)
+    pad = rows.size - 1
+    # a node of n rows goes in the bucket of width 2^ceil(log2 n),
+    # padded after its own rows
+    width = np.left_shift(1, np.ceil(np.log2(count)).astype(np.int64))
+    for w in np.unique(width):
+        bucket = np.flatnonzero(width == w)
+        chunk = max(1, _SCAN_CELLS // (k * w))
+        for c in range(0, bucket.size, chunk):
+            nodes = bucket[c:c + chunk]
+            at = np.arange(nodes.size)
+            n = count[nodes][:, None]
+            place = np.arange(w)
+            cell = np.where(place < n, start[nodes][:, None] + place, pad)
+            # a key packs a cell's rank above its place in rows, so one
+            # sort of each (node, candidate) row gives the stable argsort
+            # of its x values
+            cell_key = np.sort(
+                keys[rows[cell][:, None, :], candidates[nodes][:, :, None]]
+                + cell[:, None, :], axis=2)
+            cell = cell_key & ((1 << shift) - 1)
+            ys = y[cell]
+            # summed squared error of every prefix/suffix; cumsum adds in
+            # sequence along each row, so a node's costs do not depend on
+            # its bucket
+            csum = ys.cumsum(axis=2)
+            csq = np.square(ys, out=ys).cumsum(axis=2)
+            total_sum = csum[at, :, n[:, 0] - 1][:, :, None]
+            total_sq = csq[at, :, n[:, 0] - 1][:, :, None]
+            # cut c puts sorted rows 0..c left; only the cuts that leave
+            # min_leaf rows on each side of a full bucket row are scored
+            lo = min_leaf - 1
+            cuts = slice(lo, w - min_leaf)
+            # sizes as floats divide like the integers they hold
+            sizes = np.arange(min_leaf, w - lo, dtype=np.float64)
+            rest = n[:, :, None] - sizes
+            left_sum = csum[:, :, cuts]
+            left_sq = csq[:, :, cuts]
+            # (left_sq - left_sum**2 / sizes)
+            #     + ((total_sq - left_sq) - right_sum**2 / rest), in place
+            cost = np.square(left_sum)
+            cost /= sizes
+            np.subtract(left_sq, cost, out=cost)
+            right = np.subtract(total_sum, left_sum)
+            np.square(right, out=right)
+            right /= np.maximum(rest, 1.0)
+            right_sse = np.subtract(total_sq, left_sq)
+            right_sse -= right
+            cost += right_sse
+            # a padded row's right side keeps fewer than min_leaf rows,
+            # and no threshold separates tied x values
+            rank = cell_key >> shift
+            barred = rank[:, :, cuts] == rank[:, :, lo + 1:w - lo]
+            barred |= rest < min_leaf
+            np.putmask(cost, barred, np.inf)
+            # candidate-major argmin: the earliest candidate, then the
+            # smallest cut
+            flat = cost.reshape(nodes.size, -1)
+            best = flat.argmin(axis=1)
+            ok = flat[at, best] < np.inf
+            at, nodes, best = at[ok], nodes[ok], best[ok]
+            j, cut = np.divmod(best, sizes.size)
+            cut += lo
+            feat = candidates[nodes, j]
+            below = X[rows[cell[at, j, cut]], feat]
+            above = X[rows[cell[at, j, cut + 1]], feat]
+            mid = (below + above) / 2.0
+            found[nodes] = True
+            feature[nodes] = feat
+            # between adjacent floats the midpoint may round up to the
+            # upper value, which would send both sides left
+            threshold[nodes] = np.where(mid < above, mid, below)
+    return feature, threshold, found
+
+
+def _grow_forest(X, y, config, seed):
+    """Grow config.n_trees trees level by level, all trees at once."""
+    n, d = X.shape
+    n_trees = config.n_trees
+    n_candidates = min(d, max(1, math.ceil(config.feature_ratio * d)))
+    min_leaf = config.min_leaf_size
+    max_depth = math.inf if config.max_depth is None else config.max_depth
+    rngs = [substream(seed, "tree", i) for i in range(n_trees)]
+    n_boot = max(1, math.ceil(config.sample_ratio * n))
+    # a level never holds more than the bootstrap rows of every tree
+    shift = (n_trees * n_boot).bit_length()
+    keys = _rank_keys(X, shift)
+    # the live level: its nodes in tree order, then level order; rows
+    # holds each node's rows in turn, count how many
+    rows = np.concatenate([rng.integers(0, n, size=n_boot) for rng in rngs])
+    tree = np.arange(n_trees)
+    count = np.full(n_trees, n_boot)
+    n_nodes = np.ones(n_trees, dtype=np.int64)
+    levels = []
+    depth = 0
+    while tree.size:
+        m = tree.size
+        slot = np.repeat(np.arange(m), count)
+        yr = y[rows]
+        start = np.cumsum(count) - count
+        # the sequential sum over the node's rows in order, then one
+        # division
+        value = np.bincount(slot, weights=yr, minlength=m) / count
+        feature = np.full(m, -1, dtype=np.int64)
+        threshold = np.zeros(m)
+        left = np.full(m, -1, dtype=np.int64)
+        split = np.zeros(0, dtype=np.int64)
+        if depth < max_depth:
+            mixed = np.bincount(slot[yr != yr[start][slot]], minlength=m) > 0
+            split = np.flatnonzero(mixed & (count >= 2 * min_leaf))
+        if split.size:
+            per_tree = np.bincount(tree[split], minlength=n_trees)
+            draws = np.concatenate([rngs[t].random((per_tree[t], d))
+                                    for t in np.flatnonzero(per_tree)])
+            candidates = draws.argsort(axis=1, kind="stable")[
+                :, :n_candidates]
+            feat, thr, found = _best_splits(
+                X, keys, shift, np.append(rows, n), np.append(yr, 0.0),
+                start[split], count[split], candidates, min_leaf)
+            split = split[found]
+            feature[split] = feat[found]
+            threshold[split] = thr[found]
+        # children follow their parents' order, left first, and take
+        # the next indices of their tree
+        child_tree = np.repeat(tree[split], 2)
+        left[split] = (n_nodes[child_tree] + np.arange(child_tree.size)
+                       - np.searchsorted(child_tree, child_tree))[0::2]
+        n_nodes += np.bincount(child_tree, minlength=n_trees)
+        levels.append((tree, feature, threshold, left, value,
+                       np.full(m, depth)))
+        # a stable sort on the child slot keeps each child's rows in
+        # their order
+        rank = np.full(m, -1)
+        rank[split] = np.arange(split.size)
+        keep = rank[slot] >= 0
+        rows, slot = rows[keep], slot[keep]
+        go_right = ~(X[rows, feature[slot]] <= threshold[slot])
+        child = 2 * rank[slot] + go_right
+        rows = rows[child.argsort(kind="stable")]
+        count = np.bincount(child, minlength=child_tree.size)
+        tree = child_tree
+        depth += 1
+    tree, feature, threshold, left, value, level = (
+        np.concatenate(a) for a in zip(*levels))
+    # a stable sort on the tree puts each tree's nodes in index order
+    order = tree.argsort(kind="stable")
+    bounds = np.cumsum(n_nodes)[:-1]
+    pieces = [np.split(a[order], bounds)
+              for a in (feature, threshold, left, value, level)]
+    return [RegressionTree(f, t, l, np.where(l < 0, -1, l + 1), v,
+                           int(lv[-1]))
+            for f, t, l, v, lv in zip(*pieces)]
 
 
 def fit_random_forest(features: np.ndarray, target: np.ndarray,
@@ -295,11 +363,8 @@ def fit_random_forest(features: np.ndarray, target: np.ndarray,
         feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
     if len(feature_names) != X.shape[1]:
         raise ShapeMismatchError("feature_names length mismatch")
-    trees = []
-    for i in range(config.n_trees):
-        trees.append(
-            _TreeGrower(X, y, config, substream(seed, "tree", i)).build())
-    return ForestModel(tuple(trees), config, tuple(feature_names))
+    return ForestModel(tuple(_grow_forest(X, y, config, seed)), config,
+                       tuple(feature_names))
 
 
 # predict_forest routes at most this many (tree, row) cells at once;
@@ -324,11 +389,12 @@ def predict_forest(model: ForestModel, features: np.ndarray) -> np.ndarray:
         first = np.arange(Xb.shape[0]) * Xb.shape[1]  # each row's column 0
         node = np.repeat(r.roots[:, None], Xb.shape[0], axis=1)
         for _ in range(r.depth):
-            # NaN fails the test and goes right, as in RegressionTree
+            # a value equal to the threshold goes left; NaN fails the
+            # test and goes right
             go_left = flat[first + r.feature[node]] <= r.threshold[node]
             node = r.child[2 * node + ~go_left]
         # sum in tree order from zero, then divide once: the bits of
-        # adding up RegressionTree.predict tree by tree
+        # adding up the trees' own predictions tree by tree
         acc = np.zeros(Xb.shape[0])
         for values in r.value[node]:
             acc += values

@@ -328,23 +328,23 @@ full-ols,0,3.9135205866099088,6,2,1,0.0
 oracle-ols,0,2.735795064778436,2,2,1,0.0
 elastic-net-grid,0,3.0673647520368976,6,2,6,0.0
 fs-network-ols,0,2.686518640612983,1,1,80,0.0
-fs-network-rf,0,4.082552969843122,2,1,80,0.0
-nested-rf,0,4.204291197344193,3,1,80,0.0
-optimization-analysis,0,3.814898678172825,6,,200,0.0
+fs-network-rf,0,4.53171445103754,3,1,80,0.0
+nested-rf,0,3.9831096703406317,1,1,80,0.0
+optimization-analysis,0,4.06354737989571,6,,200,0.0
 full-ols,1,1.477385208312482,6,2,1,0.0
 oracle-ols,1,1.073308691159746,2,2,1,0.0
 elastic-net-grid,1,1.240222461082574,5,2,6,0.0
 fs-network-ols,1,1.073308691159746,2,2,80,0.0
-fs-network-rf,1,1.7171087259896884,1,1,80,0.0
-nested-rf,1,2.4922622374248125,3,1,80,0.0
+fs-network-rf,1,1.855974316989413,3,2,80,0.0
+nested-rf,1,2.287088107451191,2,2,80,0.0
 optimization-analysis,1,1.4773852083124823,6,,200,0.0
 full-ols,2,4.02648433803341,6,2,1,0.0
 oracle-ols,2,0.9250511182500415,2,2,1,0.0
 elastic-net-grid,2,2.1610867282018162,6,2,6,0.0
 fs-network-ols,2,0.9250511182500415,2,2,80,0.0
-fs-network-rf,2,1.6878336216119987,2,2,80,0.0
-nested-rf,2,2.1137416412875503,4,1,80,0.0
-optimization-analysis,2,2.5687357130269435,6,,200,0.0
+fs-network-rf,2,2.350333037677334,2,2,80,0.0
+nested-rf,2,1.5258198167873815,1,1,80,0.0
+optimization-analysis,2,2.4691759609717594,6,,200,0.0
 """
 # these two score the test rows on the column gather of the model pool,
 # which may move a test MAE's last bits

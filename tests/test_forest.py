@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from optnet.errors import (
 from optnet.forest import (
     ForestConfig,
     ForestModel,
-    _TreeGrower,
+    RegressionTree,
     fit_random_forest,
     predict_forest,
 )
@@ -92,15 +93,6 @@ def test_same_seed_same_forest():
     assert a == b
     c = fit_random_forest(X, y, seed=12)
     assert not np.array_equal(predict_forest(a, X), predict_forest(c, X))
-
-
-def test_larger_forest_reuses_smaller_as_prefix():
-    """Tree i depends only on (seed, i), so growing more trees never
-    changes the earlier ones."""
-    X, y = _step_data(seed=3, n=60)
-    small = fit_random_forest(X, y, ForestConfig(n_trees=5), seed=9)
-    large = fit_random_forest(X, y, ForestConfig(n_trees=10), seed=9)
-    assert all(small.trees[i] == large.trees[i] for i in range(5))
 
 
 def test_min_leaf_size_is_respected():
@@ -218,14 +210,65 @@ def test_targets_whose_squares_overflow_are_rejected(scale, rejected):
     assert all(tree.feature.size > 1 for tree in forest.trees)
 
 
-class _LoopGrower(_TreeGrower):
-    """The split scan as one Python loop over the candidate columns: the
-    reference the vectorized scan must match bit for bit."""
+class _LoopGrower:
+    """The growth contract as plain loops over one tree's levels, nodes
+    and candidate columns: the reference fit_random_forest, which grows
+    every tree at once, must match bit for bit."""
 
-    def _best_split(self, rows, y):
-        d = self.X.shape[1]
-        candidates = self.rng.choice(d, size=min(self.n_candidates, d),
-                                     replace=False)
+    def __init__(self, X, y, config, rng):
+        self.X = X
+        self.y = y
+        self.config = config
+        self.rng = rng
+
+    def build(self) -> RegressionTree:
+        n, d = self.X.shape
+        n_candidates = min(d, max(1, math.ceil(self.config.feature_ratio
+                                               * d)))
+        max_depth = self.config.max_depth
+        min_leaf = self.config.min_leaf_size
+        level = [self.rng.integers(
+            0, n, size=max(1, math.ceil(self.config.sample_ratio * n)))]
+        feature, threshold, left, right, value = [], [], [], [], []
+        depth = -1
+        while level:
+            depth += 1
+            children = []
+            next_index = len(feature) + len(level)
+            for rows in level:
+                y = self.y[rows]
+                total = 0.0
+                for v in y:
+                    total += v
+                value.append(total / rows.size)
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(-1)
+                right.append(-1)
+                if (max_depth is not None and depth >= max_depth) \
+                        or rows.size < 2 * min_leaf or (y == y[0]).all():
+                    continue
+                # one uniform draw per column; the candidates are the
+                # columns of the smallest draws, smallest first
+                order = np.argsort(self.rng.random(d), kind="stable")
+                split = self._best_split(rows, order[:n_candidates])
+                if split is None:
+                    continue
+                feature[-1], threshold[-1] = split
+                left[-1] = next_index + len(children)
+                right[-1] = left[-1] + 1
+                go_left = self.X[rows, split[0]] <= split[1]
+                children += [rows[go_left], rows[~go_left]]
+            level = children
+        return RegressionTree(
+            np.asarray(feature, dtype=np.int64),
+            np.asarray(threshold, dtype=np.float64),
+            np.asarray(left, dtype=np.int64),
+            np.asarray(right, dtype=np.int64),
+            np.asarray(value, dtype=np.float64),
+            depth)
+
+    def _best_split(self, rows, candidates):
         best_cost = np.inf
         best = None
         min_leaf = self.config.min_leaf_size
@@ -234,7 +277,7 @@ class _LoopGrower(_TreeGrower):
             x = self.X[rows, feat]
             order = np.argsort(x, kind="stable")
             xs = x[order]
-            ys = y[order]
+            ys = self.y[rows][order]
             # summed squared error of every prefix/suffix in one pass
             csum = np.cumsum(ys)
             csq = np.cumsum(ys * ys)
@@ -253,7 +296,8 @@ class _LoopGrower(_TreeGrower):
             k = int(np.argmin(cost))
             if cost[k] < best_cost:
                 best_cost = cost[k]
-                best = (int(feat), float((xs[k] + xs[k + 1]) / 2.0))
+                mid = (xs[k] + xs[k + 1]) / 2.0
+                best = (int(feat), float(mid if mid < xs[k + 1] else xs[k]))
         return best
 
 
@@ -275,17 +319,78 @@ def _small_integer_problems(draw):
     return X, y, config, draw(st.integers(0, 2 ** 16))
 
 
-@settings(max_examples=150, deadline=None, database=None)
-@given(_small_integer_problems())
+def _tree_bytes(tree):
+    return (tree.feature.tobytes(), tree.threshold.tobytes(),
+            tree.left.tobytes(), tree.right.tobytes(), tree.value.tobytes(),
+            tree.depth)
+
+
+@st.composite
+def _integer_or_fractional_problems(draw):
+    X, y, config, seed = draw(_small_integer_problems())
+    if draw(st.booleans()):
+        # full mantissas, whose sums round, so a node value summed in
+        # another order shows
+        y = y + np.random.default_rng(seed).random(y.size)
+    return X, y, config, seed
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_integer_or_fractional_problems())
 def test_vectorized_split_matches_loop_reference(problem):
     """Small integer X and y make tied x values and cost ties across
     candidates common, so the tie order is exercised too."""
     X, y, config, seed = problem
     model = fit_random_forest(X, y, config, seed=seed)
-    reference = tuple(
+    reference = [
         _LoopGrower(X, y, config, substream(seed, "tree", i)).build()
-        for i in range(config.n_trees))
-    assert model.trees == reference
+        for i in range(config.n_trees)]
+    assert [_tree_bytes(t) for t in model.trees] \
+        == [_tree_bytes(t) for t in reference]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_integer_or_fractional_problems(), st.integers(1, 4))
+def test_larger_forest_reuses_smaller_as_prefix(problem, extra):
+    """Tree i depends only on (seed, i), so growing more trees never
+    changes the earlier ones."""
+    X, y, config, seed = problem
+    small = fit_random_forest(X, y, config, seed=seed)
+    large = fit_random_forest(
+        X, y, dataclasses.replace(config, n_trees=config.n_trees + extra),
+        seed=seed)
+    assert [_tree_bytes(t) for t in small.trees] \
+        == [_tree_bytes(t) for t in large.trees[:config.n_trees]]
+
+
+def test_split_scan_chunks_give_the_same_forest(monkeypatch):
+    """Buckets are scanned in node chunks of at most _SCAN_CELLS cells;
+    every chunk size gives the same bits."""
+    X, y, config, seed = next(iter(_golden_cases()))
+    whole = fit_random_forest(X, y, config, seed=seed)
+    for cells in (1, 500):
+        monkeypatch.setattr(forest, "_SCAN_CELLS", cells)
+        chunked = fit_random_forest(X, y, config, seed=seed)
+        assert [_tree_bytes(t) for t in chunked.trees] \
+            == [_tree_bytes(t) for t in whole.trees]
+
+
+def test_a_midpoint_rounding_up_keeps_both_children():
+    """Between adjacent floats whose midpoint rounds up to the upper
+    one, the threshold is the lower value, so each child keeps its
+    rows and growth stops."""
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b
+    X = np.array([[a]] * 3 + [[b]] * 3)
+    y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    model = fit_random_forest(
+        X, y, ForestConfig(n_trees=1, sample_ratio=1.0, feature_ratio=1.0,
+                           min_leaf_size=1), seed=0)
+    tree = model.trees[0]
+    assert tree.n_nodes == 3
+    assert tree.threshold[0] == a
+    assert np.array_equal(predict_forest(model, X), y)
 
 
 def _golden_cases():
@@ -309,11 +414,12 @@ def _golden_cases():
 # SHA-256 over every tree's arrays for the _golden_cases above, in order:
 # Gaussian features, duplicate integer columns, min_leaf_size=5 on
 # integer features, and a depth-2 step. A change to the draw order, the
-# tie order or the cost arithmetic changes them.
+# candidate order, the tie order, the node numbering, the node-value sum
+# or the cost arithmetic changes them.
 _GOLDEN = (
-    "e21c624120a59c88dc7ed38cf5df14b35c2bbec86f6b3dbc4c160afaf2c2d510",
-    "40e81222888d84baebfd9eaaf1e732b64afd5cb4eff4532795001436bed1cfa1",
-    "b3dce59a3839525f39d2db7edb6e14d087a2cdd39c12d54d95dc535cae1de896",
+    "c0ae9c1106eed19b7f309dad20962e2821832ef27e75b24b91d094468c1b218f",
+    "f24ad2aa497ee0dadafae8b6429fc3f6c47e92dfa889df00e615beede3291a42",
+    "2c21c4efb1b1bd4891f6f932e47936343f713b6d16a312f0b82f6f5aa6b268bf",
     "ac6d5ce2ec9541e448e0ebbb0aeb1763fb45193e809850df6f868d9ab7c8d00c",
 )
 
@@ -336,13 +442,33 @@ def test_forests_match_golden_digests():
 
 # ---------------------------------------------------------------------------
 # Prediction: predict_forest routes every tree at once and must give the
-# bits of summing RegressionTree.predict tree by tree
+# bits of summing _tree_predict tree by tree
+
+
+def _tree_predict(tree, X):
+    """One tree's predictions, routed node by node: the reference that
+    predict_forest's all-trees routing matches bit for bit."""
+    out = np.empty(X.shape[0])
+    # route row blocks down the tree instead of walking row by row
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if rows.size == 0:
+            continue
+        f = tree.feature[node]
+        if f < 0:
+            out[rows] = tree.value[node]
+            continue
+        go_left = X[rows, f] <= tree.threshold[node]
+        stack.append((tree.left[node], rows[go_left]))
+        stack.append((tree.right[node], rows[~go_left]))
+    return out
 
 
 def _tree_by_tree(model, X):
     acc = np.zeros(X.shape[0])
     for tree in model.trees:
-        acc += tree.predict(X)
+        acc += _tree_predict(tree, X)
     return acc / len(model.trees)
 
 
@@ -411,9 +537,9 @@ def test_predict_forest_row_blocks(monkeypatch):
 # forest on its training rows and on those rows reversed and shifted by
 # 0.5, which puts the integer cases on their split thresholds.
 _GOLDEN_PREDICTIONS = (
-    "256920d7289455f07179c2048e7f3a18101ef8e55c2fc0af5e9560574447f96b",
-    "7239c98b0977c35a2134c3cb4aee93a930bb93fb0556132af9dd27c6541928d2",
-    "a9a1edc66b6e1e4a24026bb2529aeec28ffa0c232bbf05f30260b900b8a4942a",
+    "3b0551763b7c2d7ee55eba2d185f0832df0595fe0e100035ddbf26aa4d673d19",
+    "53d82b768da7aebb66c90c5cb66211e3b36f25c52501f83581e86ed15489c616",
+    "c8c900bdebcdb4502838010559dc5d3442dacec9270262404bc6db790c75ac2a",
     "b13b181344f2ff35d24eda2664dd16e7c625d06c87a23c59d4181b81bd0614c6",
 )
 
