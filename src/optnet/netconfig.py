@@ -358,38 +358,41 @@ def _recipes(doc, where: str) -> tuple:
 
 @dataclass(frozen=True)
 class NodeKind:
-    """One entry of the node-type registry."""
+    """One entry of the node-type registry: the node class, whose
+    input_ports and output_ports are the kind's ports, its option keys,
+    its options reader and the rest of its constructor's arguments."""
 
+    node: type
     option_keys: tuple[str, ...]
-    read: object   # (options, where) -> settings, or ConfigFileError
-    build: object  # (node_id, settings, PartitionedDataset) -> Node
+    read: object  # (options, where) -> settings, or ConfigFileError
+    args: object  # (settings, PartitionedDataset) -> arguments after node_id
 
-
-def _build_feature_selection(node_id, recipe, partitioned):
-    spec = BinaryGenomeSpec(partitioned.base.n_features,
-                            init_one_probability=recipe.init_one_probability)
-    return FeatureSelectionNode(node_id, spec, recipe.params)
+    def port_names(self, side: str) -> tuple[str, ...]:
+        """The names of the node's "input" or "output" ports."""
+        return tuple(p.name for p in getattr(self.node, f"{side}_ports"))
 
 
 NODE_KINDS: dict[str, NodeKind] = {
     "feature-selection": NodeKind(
-        _SELECTOR_KEYS, _read_feature_selection, _build_feature_selection),
+        FeatureSelectionNode, _SELECTOR_KEYS, _read_feature_selection,
+        lambda recipe, partitioned: (BinaryGenomeSpec(
+            partitioned.base.n_features,
+            init_one_probability=recipe.init_one_probability),
+            recipe.params)),
     "regression-orchestrator": NodeKind(
-        _FITNESS_KEYS,
+        RegressionOrchestratorNode, _FITNESS_KEYS,
         lambda options, where: _read(FitnessConfig, options, where),
-        lambda node_id, fitness, partitioned: RegressionOrchestratorNode(
-            node_id, partitioned, fitness)),
+        lambda fitness, partitioned: (partitioned, fitness)),
     "ols-model": NodeKind(
-        (), lambda options, where: None,
-        lambda node_id, settings, partitioned: OlsModelNode(node_id)),
+        OlsModelNode, (), lambda options, where: None,
+        lambda settings, partitioned: ()),
     "random-forest-model": NodeKind(
-        _FOREST_KEYS,
+        ForestModelNode, _FOREST_KEYS,
         lambda options, where: _read(ForestConfig, options, where),
-        lambda node_id, config, partitioned: ForestModelNode(node_id, config)),
+        lambda config, partitioned: (config,)),
     "nested-tuning-model": NodeKind(
-        _NESTED_KEYS, inner_search_from_options,
-        lambda node_id, search, partitioned: InnerTuningModelNode(
-            node_id, search)),
+        InnerTuningModelNode, _NESTED_KEYS, inner_search_from_options,
+        lambda search, partitioned: (search,)),
 }
 
 
@@ -440,9 +443,14 @@ def topology_spec_from_doc(doc, where: str = "network") -> TopologySpec:
         raise ConfigFileError("must be a list",
                               field=f"{where}.connections")
     connections = tuple(parse_connection(c) for c in raw_conns)
-    for i, conn in enumerate(connections):  # conn[::2]: its two nodes
-        _check_known(conn[::2], nodes, f"{where}.connections[{i}]",
-                     "declared nodes")
+    for i, (src, src_port, dst, dst_port) in enumerate(connections):
+        conn_where = f"{where}.connections[{i}]"
+        _check_known((src, dst), nodes, conn_where, "declared nodes")
+        for node, port, side in ((src, src_port, "output"),
+                                 (dst, dst_port, "input")):
+            _check_known((port,),
+                         NODE_KINDS[nodes[node].kind].port_names(side),
+                         conn_where, f"{side} ports of {node}")
     return TopologySpec(nodes, connections)
 
 
@@ -451,7 +459,8 @@ def build_topology(spec: TopologySpec,
     """Instantiate nodes through the registry and wire them up."""
     topo = Topology()
     for name, ns in spec.nodes.items():
-        topo.add(NODE_KINDS[ns.kind].build(name, ns.settings, partitioned))
+        kind = NODE_KINDS[ns.kind]
+        topo.add(kind.node(name, *kind.args(ns.settings, partitioned)))
     for src_node, src_port, dst_node, dst_port in spec.connections:
         topo.connect(src_node, src_port, dst_node, dst_port)
     return topo

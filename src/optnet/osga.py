@@ -25,6 +25,25 @@ generation) are built on it with a per-genome evaluator (per_genome
 adapts one to drive), while network nodes step one_by_one(stream) once
 per message, so a message-passing network evaluates candidates remotely
 on this exact code path.
+
+Draw rule. Every variation operator is its draws followed by a
+draw-free transform on the last axis; the public operators
+(binary_crossover, bitflip_mutation, real_crossover, gaussian_mutation)
+apply the transform to one genome. A batch draws each child's numbers
+in child order, in at most four calls: integers(population_size,
+size=4) for both binary tournaments, the single-point cut where that
+crossover draws one, one random(k) for the crossover's and the
+mutation's uniforms, and standard_normal(d) for a real genome's
+mutation. On the counter-based Philox stream these calls give the
+values, and leave the state, of the per-operator calls they stand for
+(integers(n, size=4) those of four scalar calls, random(a + b) those of
+random(a) then random(b)). The batch's tournaments, crossovers,
+mutations and success thresholds are then computed once on the stacked
+draws. With a target fitness set any child might end the run, so a
+generation still breeds its whole batch ahead but yields one genome at
+a time; when a child reaches the target, the stream is put back to the
+batch's start and redraws up to that child, so it ends where the
+one-child-at-a-time search ends.
 """
 
 from __future__ import annotations
@@ -44,28 +63,78 @@ from .errors import (
 
 # ---------------------------------------------------------------------------
 # Variation operators
+#
+# Each operator is its draws followed by a draw-free transform on the last
+# axis. The public operators below apply the transforms to one genome;
+# a genome spec's breed applies the same transforms to a stacked batch.
+
+def _draws_cut(kind: str, d: int) -> bool:
+    """Whether a crossover of kind draws a cut, from [1, d); a
+    single-point cut of a genome shorter than 2 is d, the child parent a."""
+    return kind == "single-point" and d > 1
+
+
+def _crossover_uniforms(kind: str, d: int) -> int:
+    """How many uniforms a crossover of kind draws for length d."""
+    return {"uniform": d, "single-point": 0, "arithmetic": 1,
+            "simulated-binary": 2 * d}[kind]
+
+
+def _crossover(a, b, kind, cut, u, spread=2.0):
+    """Children of parents a and b from their crossover draws: cut (a
+    single-point cut per child) and u (the crossover's uniforms)."""
+    if kind == "single-point":
+        return np.where(np.arange(a.shape[-1]) < np.expand_dims(cut, -1),
+                        a, b)
+    if kind == "uniform":
+        return np.where(u < 0.5, a, b)
+    if kind == "arithmetic":
+        return u * a + (1.0 - u) * b
+    d = a.shape[-1]
+    exponent = 1.0 / (spread + 1.0)
+    u, v = u[..., :d], u[..., d:]
+    beta = np.where(u <= 0.5,
+                    (2.0 * u) ** exponent,
+                    (1.0 / (2.0 * (1.0 - u))) ** exponent)
+    sign = np.where(v < 0.5, 1.0, -1.0)
+    return 0.5 * ((a + b) + sign * beta * (b - a))
+
+
+def _bitflip(genome, u, rate):
+    return np.where(u < rate, ~genome, genome)
+
+
+def _gaussian(genome, u, z, bounds, rate, sigma_fraction):
+    lo = bounds[:, 0]
+    hi = bounds[:, 1]
+    noise = z * (sigma_fraction * (hi - lo))
+    return np.clip(np.where(u < rate, genome + noise, genome), lo, hi)
+
+
+def _one_crossover(a, b, kind, rng, genome: str, kinds, spread=2.0):
+    """One child of parents a and b by a crossover of kind, one of the
+    kinds a genome of that name takes: its draws, then its transform."""
+    if a.shape != b.shape:
+        raise ShapeMismatchError("parent genomes differ in length")
+    if kind not in kinds:
+        raise InvalidConfigError(f"unknown {genome} crossover kind {kind!r}")
+    d = a.shape[0]
+    cut = rng.integers(1, d) if _draws_cut(kind, d) else d
+    return _crossover(a, b, kind, cut,
+                      rng.random(_crossover_uniforms(kind, d)), spread)
+
 
 def binary_crossover(a: np.ndarray, b: np.ndarray, kind: str,
                      rng: np.random.Generator) -> np.ndarray:
     """Combine two bit vectors; kind is "uniform" or "single-point"."""
-    if a.shape != b.shape:
-        raise ShapeMismatchError("parent genomes differ in length")
-    if kind == "uniform":
-        take_a = rng.random(a.shape[0]) < 0.5
-        return np.where(take_a, a, b)
-    if kind == "single-point":
-        if a.shape[0] < 2:
-            return a.copy()
-        cut = int(rng.integers(1, a.shape[0]))
-        return np.concatenate([a[:cut], b[cut:]])
-    raise InvalidConfigError(f"unknown binary crossover kind {kind!r}")
+    return _one_crossover(a, b, kind, rng, "binary",
+                          BinaryGenomeSpec.crossover_kinds)
 
 
 def bitflip_mutation(genome: np.ndarray, rate: float,
                      rng: np.random.Generator) -> np.ndarray:
     """Flip each bit independently with probability rate."""
-    flips = rng.random(genome.shape[0]) < rate
-    return np.where(flips, ~genome, genome)
+    return _bitflip(genome, rng.random(genome.shape[0]), rate)
 
 
 def real_crossover(a: np.ndarray, b: np.ndarray, kind: str,
@@ -78,24 +147,8 @@ def real_crossover(a: np.ndarray, b: np.ndarray, kind: str,
     centered on the parents whose width shrinks as they converge
     (larger spread concentrates children closer to the parents).
     """
-    if a.shape != b.shape:
-        raise ShapeMismatchError("parent genomes differ in length")
-    d = a.shape[0]
-    if kind == "uniform":
-        take_a = rng.random(d) < 0.5
-        return np.where(take_a, a, b)
-    if kind == "arithmetic":
-        u = rng.random()
-        return u * a + (1.0 - u) * b
-    if kind == "simulated-binary":
-        u = rng.random(d)
-        exponent = 1.0 / (spread + 1.0)
-        beta = np.where(u <= 0.5,
-                        (2.0 * u) ** exponent,
-                        (1.0 / (2.0 * (1.0 - u))) ** exponent)
-        sign = np.where(rng.random(d) < 0.5, 1.0, -1.0)
-        return 0.5 * ((a + b) + sign * beta * (b - a))
-    raise InvalidConfigError(f"unknown real crossover kind {kind!r}")
+    return _one_crossover(a, b, kind, rng, "real",
+                          RealGenomeSpec.crossover_kinds, spread)
 
 
 def gaussian_mutation(genome: np.ndarray, bounds: np.ndarray, rate: float,
@@ -110,11 +163,8 @@ def gaussian_mutation(genome: np.ndarray, bounds: np.ndarray, rate: float,
     checks them once, and osga_stream and offspring_selection_step call
     it before the first genome is drawn."""
     d = genome.shape[0]
-    lo = bounds[:, 0]
-    hi = bounds[:, 1]
-    hit = rng.random(d) < rate
-    noise = rng.standard_normal(d) * (sigma_fraction * (hi - lo))
-    return np.clip(np.where(hit, genome + noise, genome), lo, hi)
+    return _gaussian(genome, rng.random(d), rng.standard_normal(d), bounds,
+                     rate, sigma_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +197,15 @@ class BinaryGenomeSpec:
 
     def mutate(self, genome, rate, rng):
         return bitflip_mutation(genome, rate, rng)
+
+    def normals(self) -> int:
+        """Gaussian draws per child."""
+        return 0
+
+    def breed(self, a, b, kind, rate, cut, u_cross, u_mutate, z):
+        """Children of parents a and b (stacked on the leading axes) from
+        their crossover's and mutation's draws; see _breed."""
+        return _bitflip(_crossover(a, b, kind, cut, u_cross), u_mutate, rate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +251,16 @@ class RealGenomeSpec:
     def mutate(self, genome, rate, rng):
         return gaussian_mutation(genome, self.bounds, rate,
                                  self.sigma_fraction, rng)
+
+    def normals(self) -> int:
+        """Gaussian draws per child."""
+        return self.length
+
+    def breed(self, a, b, kind, rate, cut, u_cross, u_mutate, z):
+        """Children of parents a and b (stacked on the leading axes) from
+        their crossover's and mutation's draws; see _breed."""
+        return _gaussian(_crossover(a, b, kind, cut, u_cross, self.spread),
+                         u_mutate, z, self.bounds, rate, self.sigma_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +362,60 @@ def _fitnesses(answers, batch):
     return map(_as_fitness, answers)
 
 
-def _tournament(population, rng) -> Individual:
-    # binary tournament: two uniform draws, fitter one wins, tie to the
-    # first drawn
-    a = population[int(rng.integers(len(population)))]
-    b = population[int(rng.integers(len(population)))]
-    return a if a.fitness <= b.fitness else b
+def _draw_plan(genome_spec, kind: str, pop_n: int) -> tuple:
+    """The arguments after n of _draw_children for a search of
+    genome_spec with crossover kind and population size pop_n."""
+    d = genome_spec.length
+    return (pop_n, d, _draws_cut(kind, d), _crossover_uniforms(kind, d) + d,
+            genome_spec.normals())
+
+
+def _draw_children(rng, n, pop_n, d, cut, n_uniform, n_normal):
+    """The draws of n children in child order, one child's in at most
+    four calls: the picks of both binary tournaments, the single-point
+    cut when cut is set, the crossover's and the mutation's uniforms in
+    one call, and the mutation's n_normal Gaussians. On a Philox stream
+    each call gives the bits, and leaves the state, of the calls per
+    operator it stands for. Returns the draws stacked: (picks, cuts,
+    uniforms, normals)."""
+    picks = np.empty((n, 4), dtype=np.int64)
+    cuts = np.full(n, d)
+    u = np.empty((n, n_uniform))
+    z = np.empty((n, n_normal))
+    for i in range(n):
+        picks[i] = rng.integers(pop_n, size=4)
+        if cut:
+            cuts[i] = rng.integers(1, d)
+        rng.random(out=u[i])
+        if n_normal:
+            rng.standard_normal(out=z[i])
+    return picks, cuts, u, z
+
+
+def _breed(genomes, fitness, genome_spec, params, mutation_rate, draws):
+    """One batch's children, as a list of genomes, and their success
+    thresholds, from the population's genome matrix and fitness vector
+    and the batch's stacked draws."""
+    picks, cuts, u, z = draws
+    # binary tournaments: the fitter pick wins, ties to the first
+    pf = fitness[picks]
+    p1 = np.where(pf[:, 0] <= pf[:, 1], picks[:, 0], picks[:, 1])
+    p2 = np.where(pf[:, 2] <= pf[:, 3], picks[:, 2], picks[:, 3])
+    kind = params.crossover_kind
+    k = _crossover_uniforms(kind, genome_spec.length)
+    children = genome_spec.breed(genomes[p1], genomes[p2], kind,
+                                 mutation_rate, cuts, u[:, :k], u[:, k:], z)
+    f1 = fitness[p1]
+    f2 = fitness[p2]
+    better = np.where(f2 < f1, f2, f1)
+    worse = np.where(f2 > f1, f2, f1)
+    cf = params.comparison_factor
+    # the endpoints are taken exactly: 0 * inf would make the threshold
+    # NaN and fail every child of an infinite-fitness parent
+    with np.errstate(over="ignore"):
+        thresholds = better if cf == 1.0 else worse if cf == 0.0 \
+            else cf * better + (1.0 - cf) * worse
+    return list(children), thresholds.tolist()
 
 
 def _generation(population, genome_spec, params, mutation_rate, rng,
@@ -309,10 +426,11 @@ def _generation(population, genome_spec, params, mutation_rate, rng,
     batch via send(). A batch holds the children created from the
     current state in every outcome: the max(target_success - accepted,
     new_slots - created) the loop still owes, capped by the evaluations
-    left and ending at the child at which the pressure cap fires, or a
-    single child when a target fitness is set, since any child might
-    then end the run. Children are drawn and answered in order, so the
-    draws are those of evaluating one child at a time.
+    left and ending at the child at which the pressure cap fires. The
+    batch is drawn and bred by the module's draw rule; with a target
+    fitness set it goes out one genome at a time. Either way the
+    genomes and the stream are those of creating and evaluating one
+    child at a time.
 
     Returns (next_population, StepStats, best_so_far, nonfinite); when
     the run-level budget, pressure cap, or target fires mid-generation,
@@ -325,9 +443,11 @@ def _generation(population, genome_spec, params, mutation_rate, rng,
     elites = [population[i] for i in order[:params.elitism]]
     new_slots = pop_n - params.elitism
     target_success = min(round(params.success_ratio * pop_n), new_slots)
-    cf = params.comparison_factor
-    # with a target set, any child might end the run
-    most = 1 if params.target_fitness is not None else evals_left
+    cap = params.max_selection_pressure
+    target = params.target_fitness
+    plan = _draw_plan(genome_spec, params.crossover_kind, pop_n)
+    genomes_now = np.stack([ind.genome for ind in population])
+    fitness_now = np.array([ind.fitness for ind in population])
 
     accepted: list[Individual] = []
     fillers: list[Individual] = []
@@ -336,32 +456,25 @@ def _generation(population, genome_spec, params, mutation_rate, rng,
     stop: str | None = None
     while len(accepted) < target_success or created < new_slots:
         owed = min(max(target_success - len(accepted), new_slots - created),
-                   evals_left - created, most)
+                   evals_left - created)
         if owed <= 0:
             stop = "budget"
             break
-        genomes = []
-        thresholds = []
-        for _ in range(owed):
-            p1 = _tournament(population, rng)
-            p2 = _tournament(population, rng)
-            genome = genome_spec.crossover(p1.genome, p2.genome,
-                                           params.crossover_kind, rng)
-            genomes.append(genome_spec.mutate(genome, mutation_rate, rng))
-            better = min(p1.fitness, p2.fitness)
-            worse = max(p1.fitness, p2.fitness)
-            # the endpoints are taken exactly: 0 * inf would make the
-            # threshold NaN and fail every child of an infinite-fitness
-            # parent
-            thresholds.append(
-                better if cf == 1.0 else worse if cf == 0.0
-                else cf * better + (1.0 - cf) * worse)
-            # the child at which the pressure cap fires is the last one
-            if (created + len(genomes)) / pop_n \
-                    > params.max_selection_pressure:
-                break
-        for genome, threshold, fitness in zip(
-                genomes, thresholds, _fitnesses((yield genomes), genomes)):
+        # the child at which the pressure cap fires is the last one
+        if (created + owed) / pop_n > cap:
+            owed = next(n for n in range(1, owed + 1)
+                        if (created + n) / pop_n > cap)
+        start = None if target is None else rng.bit_generator.state
+        genomes, thresholds = _breed(
+            genomes_now, fitness_now, genome_spec, params, mutation_rate,
+            _draw_children(rng, owed, *plan))
+        answers = None if target is not None \
+            else _fitnesses((yield genomes), genomes)
+        for i, (genome, threshold) in enumerate(zip(genomes, thresholds)):
+            if answers is None:
+                fitness, = _fitnesses((yield [genome]), [genome])
+            else:
+                fitness = next(answers)
             created += 1
             nonfinite += fitness == math.inf
             child = Individual(genome, fitness)
@@ -371,11 +484,13 @@ def _generation(population, genome_spec, params, mutation_rate, rng,
                 fillers.append(child)
             if fitness < best_so_far.fitness:
                 best_so_far = child
-            if params.target_fitness is not None \
-                    and fitness <= params.target_fitness:
+            if target is not None and fitness <= target:
                 stop = "target"
+                # the search stops after this child's draws
+                rng.bit_generator.state = start
+                _draw_children(rng, i + 1, *plan)
                 break
-            if created / pop_n > params.max_selection_pressure:
+            if created / pop_n > cap:
                 stop = "pressure"
                 break
         if stop is not None:
@@ -555,7 +670,8 @@ def offspring_selection_step(population, genome_spec, params: OsgaParams,
     configured target fitness can cut the step short, in which case the
     input population comes back unchanged and stats.stop_reason says
     why; so a step in which no child succeeds ends even when its cap
-    never fires.
+    never fires. Every genome of population must have genome_spec's
+    length.
     """
     params.validate()
     genome_spec.validate()
@@ -563,6 +679,9 @@ def offspring_selection_step(population, genome_spec, params: OsgaParams,
         raise InvalidConfigError(
             f"population has {len(population)} members, params say "
             f"{params.population_size}")
+    if any(ind.genome.shape != (genome_spec.length,) for ind in population):
+        raise ShapeMismatchError(
+            f"population genomes must have length {genome_spec.length}")
     check_crossover_kind(genome_spec, params.crossover_kind)
     gen = _generation(population, genome_spec, params,
                       resolve_mutation_rate(genome_spec, params), rng,

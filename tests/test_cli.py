@@ -781,6 +781,13 @@ BAD_VALUES = [
     ("analyze", ANALYZE_DOC, ("task", "fixed"), {"nope": 1.0}, "task.fixed"),
     ("benchmark", BENCH_DOC, ("analysis", "free_inputs"), ["nope"],
      "analysis.free_inputs"),
+    # ports the connected node does not have, refused before any data is
+    # made
+    ("run", RUN_DOC, ("network", "connections"),
+     RUN_DOC["network"]["connections"]
+     + ["selector.nope -> orchestrator.mask"], "network.connections[4]"),
+    ("run", RUN_DOC, ("network", "connections"),
+     ["selector.mask -> orchestrator.nope"], "network.connections[0]"),
 ]
 
 

@@ -39,6 +39,9 @@ from optnet.osga import (
     osga_stream,
     real_crossover,
     resolve_mutation_rate,
+    _breed,
+    _draw_children,
+    _draw_plan,
 )
 from optnet._rng import substream
 
@@ -796,6 +799,108 @@ def test_batched_step_is_the_sequential_generation(search):
     assert _state(rng) == _state(oracle_rng)
 
 
+def _twin_children(population, spec, params, rng, n):
+    """n children and their thresholds made one at a time by the public
+    operators, as _oracle_generation makes them."""
+    rate = resolve_mutation_rate(spec, params)
+    cf = params.comparison_factor
+    genomes, thresholds = [], []
+    for _ in range(n):
+        p1 = _oracle_tournament(population, rng)
+        p2 = _oracle_tournament(population, rng)
+        genome = spec.crossover(p1.genome, p2.genome, params.crossover_kind,
+                                rng)
+        genomes.append(spec.mutate(genome, rate, rng).tobytes())
+        better = min(p1.fitness, p2.fitness)
+        worse = max(p1.fitness, p2.fitness)
+        thresholds.append(better if cf == 1.0 else worse if cf == 0.0
+                          else cf * better + (1.0 - cf) * worse)
+    return genomes, thresholds
+
+
+@st.composite
+def _breeding(draw):
+    real = draw(st.booleans())
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    if real:
+        lo = draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d))
+        width = draw(st.lists(st.floats(0.0, 3.0), min_size=d, max_size=d))
+        spec = RealGenomeSpec(np.array([[a, a + w] for a, w in zip(lo, width)]),
+                              sigma_fraction=draw(st.sampled_from([0.05, 2.0])),
+                              spread=draw(st.sampled_from([0.5, 2.0, 20.0])))
+    else:
+        spec = BinaryGenomeSpec(d)
+    pop = draw(st.integers(2, 7))
+    params = OsgaParams(
+        population_size=pop,
+        mutation_rate=draw(st.sampled_from([None, 0.0, 0.5, 1.0])),
+        comparison_factor=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        crossover_kind=draw(st.sampled_from(spec.crossover_kinds)))
+    fitness = draw(st.lists(st.sampled_from([math.inf, 0.0, -0.0, 1.0, 2.5]),
+                            min_size=pop, max_size=pop))
+    return spec, params, fitness, draw(st.integers(1, 9)), \
+        draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=_breeding())
+def test_stacked_draws_breed_the_children_of_the_public_operators(case):
+    """One batch's draws in child order and one pass of the transforms
+    over them give the bytes, the thresholds and the final stream of
+    breeding child by child with the public 1-d operators."""
+    spec, params, fitness, n, seed = case
+    spec.validate()
+    start = substream(seed, "population")
+    population = [Individual(spec.random(start), f) for f in fitness]
+    rng = substream(seed, "breed")
+    genomes, thresholds = _breed(
+        np.stack([ind.genome for ind in population]), np.array(fitness),
+        spec, params, resolve_mutation_rate(spec, params),
+        _draw_children(rng, n, *_draw_plan(spec, params.crossover_kind,
+                                           params.population_size)))
+    twin = substream(seed, "breed")
+    expected, expected_thresholds = _twin_children(population, spec, params,
+                                                   twin, n)
+    assert [g.tobytes() for g in genomes] == expected
+    assert thresholds == expected_thresholds
+    assert _state(rng) == _state(twin)
+
+
+def _batch_sizes(params, evaluate):
+    """The batch sizes and genomes an osga_stream of a 5-bit genome asks
+    about, answered by evaluate(call number)."""
+    stream = osga_stream(BinaryGenomeSpec(5), params, substream(0, "sizes"))
+    sizes, genomes = [], []
+    batch, result = advance(stream)
+    while batch is not None:
+        sizes.append(len(batch))
+        genomes += [g.tobytes() for g in batch]
+        batch, result = advance(
+            stream, [evaluate(len(genomes) - len(batch) + i)
+                     for i in range(len(batch))])
+    return sizes, genomes, result
+
+
+def test_each_generation_is_one_batch_and_a_target_makes_single_genomes():
+    """Every child beats its parents, so a generation creates exactly the
+    new_slots children it owes, and without a target they go out as one
+    batch; with a target that no answer reaches, the same genomes go out
+    one per batch."""
+    params = OsgaParams(population_size=10, elitism=1, success_ratio=0.5,
+                        max_evaluations=10 + 3 * 9)
+    sizes, genomes, result = _batch_sizes(params, lambda call: -call)
+    assert sizes == [10, 9, 9, 9]
+    assert result.generations == 3 and result.terminated_by == "budget"
+
+    params.target_fitness = -1e9
+    target_sizes, target_genomes, target_result = _batch_sizes(
+        params, lambda call: -call)
+    assert target_sizes == [1] * 37
+    assert target_genomes == genomes
+    assert _individuals(target_result.population) \
+        == _individuals(result.population)
+
+
 # ---------------------------------------------------------------------------
 # Monotonicity and the strict-improvement property
 
@@ -905,6 +1010,21 @@ def test_step_rejects_population_size_mismatch():
         offspring_selection_step(population, BinaryGenomeSpec(3),
                                  OsgaParams(population_size=4),
                                  zeros_count, substream(0, "x"))
+
+
+@pytest.mark.parametrize("lengths", [(4, 4, 4, 4), (5, 5, 4, 5)],
+                         ids=["all-short", "one-short"])
+def test_step_refuses_genomes_of_another_length(lengths):
+    """The step breeds its batch as one matrix of the spec's width, so a
+    population of other lengths is refused before any evaluation."""
+    population = [Individual(np.zeros(n, dtype=bool), 1.0) for n in lengths]
+    evaluated = []
+    with pytest.raises(ShapeMismatchError, match="length 5"):
+        offspring_selection_step(population, BinaryGenomeSpec(5),
+                                 OsgaParams(population_size=4),
+                                 lambda g: evaluated.append(g) or 0.0,
+                                 substream(0, "x"))
+    assert evaluated == []
 
 
 @pytest.mark.parametrize("cap", [math.nan, math.inf, 1e308])
