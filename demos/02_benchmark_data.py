@@ -32,14 +32,12 @@ signal = dataset.features[:, truth.true_indices] @ truth.true_weights
 noise = dataset.target - signal
 print(f"noise variance fraction: {np.var(noise) / np.var(dataset.target):.3f}")
 
-# A partition is a reproducible train/validation/test split. Access to
-# each part is counted, which is how the tests prove that a search never
-# peeks at the test rows.
+# A partition is a reproducible train/validation/test split. A search
+# reads only the train and validation rows; the tests prove it by
+# replacing the test rows with arbitrary values and getting the same
+# search, only the test error differing.
 partitioned = partition(dataset, seed=7)
 print("split sizes (train, validation, test):", partitioned.sizes)
-partitioned.train_xy()
-partitioned.validation_xy()
-print("access counts:", partitioned.access_counts)
 
 # Round-trip through CSV plus the ground-truth sidecar.
 with tempfile.TemporaryDirectory() as tmp:

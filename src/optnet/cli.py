@@ -283,12 +283,6 @@ def cmd_benchmark(config: ExperimentConfig) -> ResultTable:
     return table
 
 
-def _report_path(config_path, out_path) -> Path:
-    if out_path is not None:
-        return Path(out_path)
-    return Path(config_path).with_suffix(".report.json")
-
-
 def cmd_report(run, config_path, out_path=None, seed: int | None = None,
                workers: int | None = None) -> Path:
     """Run the document at config_path with run (run_configured or
@@ -299,7 +293,8 @@ def cmd_report(run, config_path, out_path=None, seed: int | None = None,
         doc["seed"] = seed
     if workers is not None:
         doc["workers"] = workers
-    out = _report_path(config_path, out_path)
+    out = Path(config_path).with_suffix(".report.json") if out_path is None \
+        else Path(out_path)
     run(doc).save(out)
     return out
 

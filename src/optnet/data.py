@@ -21,6 +21,7 @@ import numpy as np
 
 from ._rng import substream
 from .errors import (
+    ConfigFileError,
     CsvParseError,
     EmptyInputError,
     InvalidConfigError,
@@ -210,9 +211,8 @@ class FeatureMask:
 class PartitionedDataset:
     """A dataset split into train, validation, and test row sets.
 
-    Every accessor counts its calls in access_counts, which lets tests
-    assert that a search procedure never touched the test rows before
-    final scoring.
+    A search reads the train and validation rows only; the tests replace
+    the test rows with arbitrary values and require the same results.
     """
 
     def __init__(self, base: Dataset, train_indices, validation_indices,
@@ -230,23 +230,18 @@ class PartitionedDataset:
             raise InvalidConfigError("partition index out of range")
         if self.train_indices.size == 0 or self.validation_indices.size == 0:
             raise EmptyInputError("train and validation parts must be non-empty")
-        self.access_counts = {"train": 0, "validation": 0, "test": 0}
 
-    def _part(self, name: str, idx: np.ndarray):
-        self.access_counts[name] += 1
+    def _part(self, idx: np.ndarray):
         return self.base.features[idx], self.base.target[idx]
 
     def train_xy(self):
-        return self._part("train", self.train_indices)
+        return self._part(self.train_indices)
 
     def validation_xy(self):
-        return self._part("validation", self.validation_indices)
+        return self._part(self.validation_indices)
 
     def test_xy(self):
-        return self._part("test", self.test_indices)
-
-    def reset_access_counts(self) -> None:
-        self.access_counts = {"train": 0, "validation": 0, "test": 0}
+        return self._part(self.test_indices)
 
     @property
     def sizes(self) -> tuple[int, int, int]:
@@ -411,7 +406,19 @@ def save_ground_truth(truth: GroundTruth, path, *, seed: int | None = None,
 
 
 def load_ground_truth(path) -> GroundTruth:
-    doc = json.loads(Path(path).read_text())
-    return GroundTruth(tuple(doc["true_indices"]),
-                       np.array(doc["true_weights"], dtype=np.float64),
-                       float(doc["noise_sigma"]))
+    """Read a ground-truth sidecar. A file that is not a JSON object of
+    true_indices (integers), true_weights (numbers, one per index) and
+    noise_sigma (a number) raises ConfigFileError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        idx, w, sigma = (doc[k] for k in ("true_indices", "true_weights",
+                                          "noise_sigma"))
+        if not (isinstance(idx, list) and all(type(i) is int for i in idx)
+                and isinstance(w, list)
+                and all(type(x) in (int, float) for x in [*w, sigma])):
+            raise TypeError("true_indices must list integers, true_weights "
+                            "numbers, and noise_sigma be a number")
+        return GroundTruth(idx, w, float(sigma))
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        fault = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigFileError(f"ground truth {path}: {fault}") from None

@@ -618,24 +618,23 @@ DEFAULT_RECIPES = (OlsRecipe(),
 
 def observed_bounds(partitioned: list[PartitionedDataset],
                     input_names) -> np.ndarray:
-    """Per-input [min, max] over every dataset that carries the input.
-
-    Raises ConfigFileError at task.bounds for an input that no dataset
-    carries or that takes one value only, since neither gives a range
-    to search."""
+    """Per-input [min, max] over the train and validation rows of every
+    dataset that carries the input. Raises ConfigFileError at task.bounds
+    for an input that no dataset carries or that takes one value only on
+    those rows, since neither gives a range to search."""
+    search_rows = [(p.base.feature_names,
+                    np.vstack((p.train_xy()[0], p.validation_xy()[0])))
+                   for p in partitioned]
     bounds = np.empty((len(input_names), 2))
     for i, name in enumerate(input_names):
-        lo, hi = np.inf, -np.inf
-        for p in partitioned:
-            names = p.base.feature_names
-            if name in names:
-                col = p.base.features[:, names.index(name)]
-                lo = min(lo, float(col.min()))
-                hi = max(hi, float(col.max()))
-        if not np.isfinite(lo):
+        cols = [X[:, names.index(name)] for names, X in search_rows
+                if name in names]
+        if not cols:
             raise ConfigFileError(
                 f"input {name!r} appears in no dataset; give explicit bounds",
                 field="task.bounds")
+        col = np.concatenate(cols)
+        lo, hi = float(col.min()), float(col.max())
         if lo == hi:
             raise ConfigFileError(
                 f"input {name!r} is constant in the data; give explicit "

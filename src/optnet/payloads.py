@@ -115,9 +115,6 @@ class ParameterVector:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "names", tuple(str(n) for n in self.names))
 
-    def as_dict(self) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(self.names, self.values)}
-
 
 def _is_scalar(p) -> bool:
     return isinstance(p, (int, float, np.integer, np.floating)) \

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,8 @@ from optnet.cli import (
     cmd_run,
     main,
 )
-from optnet.data import (load_csv, load_ground_truth, generate_benchmark,
-                         partition)
+from optnet.data import (Dataset, PartitionedDataset, load_csv,
+                         load_ground_truth, generate_benchmark, partition)
 from optnet.errors import ConfigFileError, InvalidConfigError
 from optnet.forest import ForestConfig
 from optnet.netconfig import (
@@ -463,6 +464,53 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+BAD_SIDECARS = [
+    (b"{not json", "Expecting property name"),
+    (b"\xff\xfe", "can't decode byte 0xff"),
+    (b"[0, 1]", "list indices must be integers"),
+    (b'{"true_indices": [0], "noise_sigma": 0.5}', "missing 'true_weights'"),
+    (b'{"true_weights": [1.0], "noise_sigma": 0.5}',
+     "missing 'true_indices'"),
+    (b'{"true_indices": [0], "true_weights": [1.0]}',
+     "missing 'noise_sigma'"),
+    (b'{"true_indices": ["0"], "true_weights": [1.0], "noise_sigma": 0.5}',
+     "true_indices must list integers"),
+    (b'{"true_indices": [0.0], "true_weights": [1.0], "noise_sigma": 0.5}',
+     "true_indices must list integers"),
+    (b'{"true_indices": 0, "true_weights": [1.0], "noise_sigma": 0.5}',
+     "true_indices must list integers"),
+    (b'{"true_indices": [0], "true_weights": 1.0, "noise_sigma": 0.5}',
+     "true_weights numbers"),
+    (b'{"true_indices": [0], "true_weights": ["1"], "noise_sigma": 0.5}',
+     "true_weights numbers"),
+    (b'{"true_indices": [0], "true_weights": [1.0], "noise_sigma": true}',
+     "noise_sigma be a number"),
+    (b'{"true_indices": [0, 1], "true_weights": [1.0], "noise_sigma": 0.5}',
+     "2 indices but 1 weights"),
+]
+
+
+@pytest.mark.parametrize("sidecar, fault", BAD_SIDECARS, ids=[
+    "bad-json", "bad-bytes", "array", "no-weights", "no-indices", "no-sigma",
+    "index-str", "index-float", "indices-scalar", "weights-scalar",
+    "weight-str", "sigma-bool", "count-mismatch"])
+def test_malformed_ground_truth_exits_2_naming_the_file(
+        tmp_path, capsys, sidecar, fault):
+    csv_path, truth_path, _ = cmd_generate(BenchmarkConfig(**TINY_BENCH),
+                                           tmp_path / "data.csv")
+    truth_path.write_bytes(sidecar)
+    doc = {**RUN_DOC, "data": {"csv": {"path": str(csv_path),
+                                       "ground_truth": str(truth_path)}}}
+    config_path = tmp_path / "run.yaml"
+    config_path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["run", "--config", str(config_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: ground truth {truth_path}: ")
+    assert fault in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
@@ -583,6 +631,26 @@ def test_analyze_constant_input_needs_explicit_bounds(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "task.bounds" in err
     assert "'x1' is constant" in err
+
+
+def test_input_constant_on_the_search_rows_needs_explicit_bounds():
+    """Bounds come from the train and validation rows only, so an input
+    that varies on the test rows alone has no range to search."""
+    rng = np.random.default_rng(0)
+    shape = partition(Dataset(np.zeros((40, 2)), np.zeros(40), ("x0", "x1")),
+                      seed=0)
+    X = np.column_stack([rng.uniform(-1.0, 1.0, 40), np.full(40, 2.0)])
+    X[shape.test_indices, 1] = rng.uniform(-5.0, 5.0, shape.sizes[2])
+    p = PartitionedDataset(Dataset(X, X[:, 0].copy(), ("x0", "x1")),
+                           shape.train_indices, shape.validation_indices,
+                           shape.test_indices)
+    assert np.ptp(p.test_xy()[0][:, 1]) > 0.0
+    spec = AnalysisSpec(targets=(1.0,), free_inputs="all")
+    with pytest.raises(ConfigFileError,
+                       match="^task.bounds: input 'x1' is constant"):
+        spec.task_for([p], None)
+    bounded = replace(spec, bounds=((-1.0, 1.0), (-5.0, 5.0)))
+    assert bounded.task_for([p], None).input_names == ("x0", "x1")
 
 
 # ---------------------------------------------------------------------------

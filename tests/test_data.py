@@ -145,17 +145,6 @@ def test_partition_too_small_for_train_part():
         partition(ds)
 
 
-def test_partitioned_access_counts(toy_dataset):
-    p = partition(toy_dataset, seed=0)
-    assert p.access_counts == {"train": 0, "validation": 0, "test": 0}
-    p.train_xy()
-    p.train_xy()
-    p.validation_xy()
-    assert p.access_counts == {"train": 2, "validation": 1, "test": 0}
-    p.reset_access_counts()
-    assert p.access_counts == {"train": 0, "validation": 0, "test": 0}
-
-
 def test_partitioned_rejects_overlap(toy_dataset):
     from optnet.data import PartitionedDataset
     with pytest.raises(InvalidConfigError):

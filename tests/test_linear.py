@@ -541,13 +541,6 @@ def test_grid_search_rejects_empty_grid(small_partitioned):
         grid_search_elastic_net(small_partitioned, penalty_grid=())
 
 
-def test_grid_search_never_reads_test_during_scan(toy_dataset):
-    p = partition(toy_dataset, seed=0)
-    grid_search_elastic_net(p, penalty_grid=(0.1,), l1_ratio_grid=(0.5,),
-                            compute_test_mae=False)
-    assert p.access_counts["test"] == 0
-
-
 # ---------------------------------------------------------------------------
 # Lockstep grid against single fits and the scalar reference loop
 

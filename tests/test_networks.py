@@ -459,20 +459,33 @@ def test_network_result_equality_semantics(small_partitioned):
 # ---------------------------------------------------------------------------
 # Test-partition hygiene
 
-def test_search_never_touches_test_partition(small_benchmark):
+def test_search_never_touches_test_partition(small_benchmark, monkeypatch):
+    """The search reads train and validation once each and the test rows
+    only to score the winner; tests/test_poisoned_test_rows.py shows that
+    no other route reaches them either."""
     dataset, _ = small_benchmark
     partitioned = partition(dataset, seed=0)
-    partitioned.reset_access_counts()
+    reads = []
+
+    def counted(part):
+        accessor = getattr(partitioned, part)
+
+        def read():
+            reads.append(part)
+            return accessor()
+        return read
+
+    for part in ("train_xy", "validation_xy", "test_xy"):
+        monkeypatch.setattr(partitioned, part, counted(part))
     result = feature_selection_network(partitioned, TINY_PARAMS, seed=0,
                                        compute_test_mae=False)
-    assert partitioned.access_counts["test"] == 0
-    assert partitioned.access_counts["train"] == 1
-    assert partitioned.access_counts["validation"] == 1
+    assert sorted(reads) == ["train_xy", "validation_xy"]
     assert result.best_model.test_mae is None
 
-    partitioned.reset_access_counts()
+    reads.clear()
     result = feature_selection_network(partitioned, TINY_PARAMS, seed=0)
-    assert partitioned.access_counts["test"] == 1
+    assert sorted(reads) == ["test_xy", "train_xy", "validation_xy"]
+    assert reads[-1] == "test_xy"
     assert result.best_model.test_mae is not None
 
 
