@@ -102,6 +102,7 @@ from .networks import (
     InnerGridSearch,
     InnerOsgaSearch,
     InnerTuningModelNode,
+    ModelNode,
     NetworkResult,
     OlsModelNode,
     RegressionOrchestratorNode,

@@ -85,8 +85,11 @@ class Dataset:
                 f"{len(names)} feature names for {X.shape[1]} columns")
         if len(set(names)) != len(names):
             raise InvalidConfigError("feature names must be unique")
-        object.__setattr__(self, "features", _readonly(X))
-        object.__setattr__(self, "target", _readonly(y))
+        # freeze a copy of an array the caller can still write to
+        for name, a in (("features", X), ("target", y)):
+            if a is getattr(self, name) and a.flags.writeable:
+                a = a.copy()
+            object.__setattr__(self, name, _readonly(a))
         object.__setattr__(self, "feature_names", names)
 
     @property

@@ -206,6 +206,20 @@ class OlsGram:
             return None
         return LinearModel(coef[:-1], coef[-1], feature_names)
 
+    def solve_stacked(self, columns: np.ndarray) -> np.ndarray | None:
+        """The coefficients, intercept last, of solve on every row of
+        columns, a (b, k) array of b column sets of one size k >= 1, in
+        one stacked solve: row i has the bits of solve(columns[i]).
+        None where solve refuses G or any of the b sub-systems."""
+        if not self.usable:
+            return None
+        idx = np.column_stack((columns, np.full(len(columns), self._d)))
+        try:
+            return np.linalg.solve(self.gram[idx[:, :, None], idx[:, None]],
+                                   self.moment[idx][:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            return None
+
 
 @dataclass
 class ElasticNetConfig:

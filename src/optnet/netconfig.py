@@ -862,8 +862,9 @@ def analyze_config_from_doc(doc) -> AnalyzeConfig:
     if not isinstance(datasets, list) or not datasets:
         raise ConfigFileError("datasets must be a non-empty list",
                               field="datasets")
-    task = _mapping(doc.get("task"), "task",
-                    ("input_names", "bounds", "targets", "fixed"))
+    task = _mapping(doc.get("task"), "task", ("input_names", "bounds",
+                                              "targets", "fixed",
+                                              "free_inputs"))
     if task.get("targets") is None:
         raise ConfigFileError("missing 'targets'", field="task")
     return _read(AnalyzeConfig, doc, "", ("seed", "workers"), _check_workers,
@@ -1019,9 +1020,10 @@ def run_analysis(doc) -> ConfiguredRunReport:
     """
     started = time.perf_counter()
     cfg = analyze_config_from_doc(doc)
-    partitioned = [load_experiment_data(spec, cfg.seed)[0]
-                   for spec in cfg.datasets]
-    report = cfg.analysis.run(partitioned, None, cfg.seed, cfg.workers)
+    loaded = [load_experiment_data(spec, cfg.seed) for spec in cfg.datasets]
+    # the first dataset's ground truth, for free_inputs "true"
+    report = cfg.analysis.run([partitioned for partitioned, _ in loaded],
+                              loaded[0][1], cfg.seed, cfg.workers)
     return ConfiguredRunReport(doc, report.to_json_dict(),
                                time.perf_counter() - started)
 

@@ -5,19 +5,29 @@ node runs a genetic search over masks, an orchestrator turns each mask
 into a projected regression problem and scores fitted models into a
 scalar fitness (validation error plus a per-feature penalty), and a
 model node fits whatever regressor it wraps and scores it with quality.
+Each step of the search stream is one message on every edge of the
+loop: a batch of masks, of problems, of fitted models and of fitnesses.
 Swapping the model node switches the learning algorithm without
 touching the rest; replacing it with a node that internally runs a
 second network gives nested hyperparameter tuning.
+
+Every built-in model node is a ModelNode: fit_batch answers a batch,
+by default with fit_problem once per problem in order, and fit_problem
+alone serves the winner's refit and the twin. A user node written
+against the single-problem ports is wrapped into a ModelNode that calls
+its fit_problem.
 
 A search-time problem views the orchestrator's whole problem and gathers
 its columns only when a model node first reads them. The OLS node
 answers a repeated mask from its memo, reading no column, and solves a
 new one from the Gram matrix (linear.OlsGram) it builds for each
-orchestrator's first problem; no other node builds one. The winner's
-final refit is an exact fit_ols on its gathered columns, and
-with_test_mae scores it on the test rows of the columns the search
-selected, whatever names the model carries. Both scorers predict
-through predict_any, the only switch on model family.
+orchestrator's first problem; no other node builds one. Its fit_batch
+solves a batch's new masks of one size in one stacked solve, with the
+bits of solving each alone. The winner's final refit is an exact
+fit_ols on its gathered columns, and with_test_mae scores it on the
+test rows of the columns the search selected, whatever names the model
+carries. Both scorers predict through predict_any, the only switch on
+model family.
 
 A plain-loop twin of the feature-selection network (same nodes, no
 engine) is provided as an oracle: both paths share one search stream and
@@ -41,7 +51,8 @@ from .errors import InfeasibleBoundsError, InvalidConfigError, \
     ShapeMismatchError
 from .forest import ForestConfig, ForestModel, fit_random_forest, \
     predict_forest
-from .linear import OlsGram, fit_ols, mae, predict, predict_each_row
+from .linear import LinearModel, OlsGram, fit_ols, mae, predict, \
+    predict_each_row
 from .osga import (
     BinaryGenomeSpec,
     OsgaParams,
@@ -50,7 +61,6 @@ from .osga import (
     advance,
     check_search,
     drive,
-    one_by_one,
     osga_stream,
     per_genome,
 )
@@ -108,15 +118,16 @@ class NetworkResult:
 # Nodes
 
 class FeatureSelectionNode(Node):
-    """Runs the genetic mask search, one evaluation round-trip at a time:
-    each batch of the search stream goes out one mask per message.
+    """Runs the genetic mask search, one evaluation round-trip per step
+    of the search stream: each batch goes out as one message.
 
-    Emits masks on "mask", receives their fitness on "quality", and
-    emits the final RunResult on "result" when the search terminates.
+    Emits each batch's masks on "mask", receives their fitnesses, in
+    order, on "quality", and emits the final RunResult on "result" when
+    the search terminates.
     """
 
-    input_ports = (Port("quality", "scalar-quality"),)
-    output_ports = (Port("mask", "feature-mask"),
+    input_ports = (Port("quality", "scalar-quality-batch"),)
+    output_ports = (Port("mask", "feature-mask-batch"),
                     Port("result", "run-result"))
 
     def __init__(self, node_id: str, genome_spec: BinaryGenomeSpec,
@@ -127,34 +138,34 @@ class FeatureSelectionNode(Node):
         self._stream = None
 
     def handle_entry(self, payload, ctx) -> None:
-        self._stream = one_by_one(
-            osga_stream(self.genome_spec, self.params, ctx.rng))
+        self._stream = osga_stream(self.genome_spec, self.params, ctx.rng)
         self._advance(ctx, None)
 
     def handle(self, port_name: str, payload, ctx) -> None:
         self._advance(ctx, payload)
 
-    def _advance(self, ctx, fitness) -> None:
-        genome, result = advance(self._stream, fitness)
-        if genome is None:
+    def _advance(self, ctx, fitnesses) -> None:
+        batch, result = advance(self._stream, fitnesses)
+        if batch is None:
             ctx.emit("result", result)
         else:
-            ctx.emit("mask", FeatureMask(genome))
+            ctx.emit("mask", tuple(map(FeatureMask, batch)))
 
 
 class RegressionOrchestratorNode(Node):
     """Translates masks into projected regression problems and model
-    results into scalar fitness values.
+    results into scalar fitness values, a batch per message, element by
+    element.
 
     Train and validation rows are read once at construction, into the
     whole problem every search-time problem is a view of; the test
     partition is never touched here, which keeps the search honest.
     """
 
-    input_ports = (Port("mask", "feature-mask"),
-                   Port("model", "model-with-quality"))
-    output_ports = (Port("problem", "regression-problem"),
-                    Port("quality", "scalar-quality"))
+    input_ports = (Port("mask", "feature-mask-batch"),
+                   Port("model", "model-with-quality-batch"))
+    output_ports = (Port("problem", "regression-problem-batch"),
+                    Port("quality", "scalar-quality-batch"))
 
     def __init__(self, node_id: str, partitioned: PartitionedDataset,
                  fitness: FitnessConfig | None = None):
@@ -183,9 +194,34 @@ class RegressionOrchestratorNode(Node):
 
     def handle(self, port_name: str, payload, ctx) -> None:
         if port_name == "mask":
-            ctx.emit("problem", self.make_problem(payload))
+            ctx.emit("problem", tuple(map(self.make_problem, payload)))
         else:
-            ctx.emit("quality", self.score(payload))
+            ctx.emit("quality", tuple(map(self.score, payload)))
+
+
+class ModelNode(Node):
+    """Base of the model nodes: answers a batch of problems with their
+    fits, one message each way.
+
+    A model node takes a regression-problem-batch on "problem" and emits
+    fit_batch's fits, in order, as one model-with-quality-batch on
+    "model". A subclass implements fit_problem(problem, rng), which fits
+    one problem; the winner's refit and the plain-loop twin call it
+    directly. fit_batch's default calls it once per problem, in order,
+    on the node's stream, so a subclass that overrides only fit_problem
+    is called exactly as the twin calls it. A subclass may override
+    fit_batch to fit a batch together, provided its fits, its state and
+    its stream end as that loop leaves them.
+    """
+
+    input_ports = (Port("problem", "regression-problem-batch"),)
+    output_ports = (Port("model", "model-with-quality-batch"),)
+
+    def fit_batch(self, problems, rng) -> list[ModelWithQuality]:
+        return [self.fit_problem(p, rng) for p in problems]
+
+    def handle(self, port_name: str, payload, ctx) -> None:
+        ctx.emit("model", tuple(self.fit_batch(payload, ctx.rng)))
 
 
 #: Masks whose fits an OlsModelNode keeps. Offspring selection revisits
@@ -194,7 +230,7 @@ class RegressionOrchestratorNode(Node):
 OLS_MEMO_SIZE = 1024
 
 
-class OlsModelNode(Node):
+class OlsModelNode(ModelNode):
     """Fits an ordinary least-squares model per problem.
 
     A problem of a new source (an orchestrator's whole problem) empties
@@ -206,10 +242,15 @@ class OlsModelNode(Node):
     any column is gathered. Any other problem, such as the final refit,
     is fitted with fit_ols from its own arrays and never memoized. fits
     counts the fits made and hits the fits reused.
-    """
 
-    input_ports = (Port("problem", "regression-problem"),)
-    output_ports = (Port("model", "model-with-quality"),)
+    fit_batch first solves the batch's distinct non-empty masks that
+    the memo lacks together, each size's masks in one stacked solve,
+    and scores them from the source's transposed columns, with the bits
+    of solving and scoring each alone; fit_problem then takes such a
+    mask's fit where it would fit it, so fits, hits and the memo's order
+    are those of the per-problem loop. A mask the stacked solve refuses,
+    or one evicted and asked again within the batch, is fitted alone.
+    """
 
     def __init__(self, node_id: str):
         super().__init__(node_id)
@@ -218,29 +259,79 @@ class OlsModelNode(Node):
         self._memo: OrderedDict[bytes, ModelWithQuality] = OrderedDict()
         self._memo_source: RegressionProblem | None = None
         self._gram: OlsGram | None = None
+        self._columns_t = None  # the source's columns, transposed
+        self._solved: dict[bytes, ModelWithQuality] = {}
+
+    def _use_source(self, source: RegressionProblem) -> None:
+        if source is not self._memo_source:
+            self._gram = OlsGram(source.train_features, source.train_target)
+            self._memo.clear()
+            self._memo_source = source
+            self._columns_t = None
+            self._solved = {}
 
     def fit_problem(self, problem: RegressionProblem,
                     rng: np.random.Generator) -> ModelWithQuality:
-        source, key = problem.source, None
+        source, key, fitted = problem.source, None, None
         if source is not None:
-            if source is not self._memo_source:
-                self._gram = OlsGram(source.train_features,
-                                     source.train_target)
-                self._memo.clear()
-                self._memo_source = source
+            self._use_source(source)
             key = problem.mask.bits.tobytes()
             fitted = self._memo.get(key)
             if fitted is not None:
                 self._memo.move_to_end(key)
                 self.hits += 1
                 return fitted
-        fitted = self._fit(problem)
+            fitted = self._solved.pop(key, None)
+        if fitted is None:
+            fitted = self._fit(problem)
         self.fits += 1
         if key is not None:
             self._memo[key] = fitted
             if len(self._memo) > OLS_MEMO_SIZE:
                 self._memo.popitem(last=False)
         return fitted
+
+    def fit_batch(self, problems, rng) -> list[ModelWithQuality]:
+        source = problems[0].source if problems else None
+        if source is not None \
+                and all(p.source is source for p in problems):
+            self._use_source(source)
+            self._solved = self._solve_stacked(problems)
+        return super().fit_batch(problems, rng)
+
+    def _solve_stacked(self, problems) -> dict[bytes, ModelWithQuality]:
+        """The fits of the distinct non-empty masks of problems that the
+        memo lacks, each size's masks in one stacked solve; a size whose
+        solve is refused is left out."""
+        by_size: dict[int, dict[bytes, np.ndarray]] = {}
+        for p in problems:
+            key = p.mask.bits.tobytes()
+            if key not in self._memo:
+                columns = np.flatnonzero(p.mask.bits)
+                if len(columns):
+                    by_size.setdefault(len(columns), {})[key] = columns
+        source, solved = self._memo_source, {}
+        for size, masks in by_size.items():
+            columns = np.stack(list(masks.values()))
+            coef = self._gram.solve_stacked(columns)
+            if coef is None:
+                continue
+            if self._columns_t is None:
+                self._columns_t = (
+                    np.ascontiguousarray(source.train_features.T),
+                    np.ascontiguousarray(source.validation_features.T))
+            weights, intercepts = coef[:, :-1], coef[:, -1]
+            train, validation = (
+                _stacked_mae(x_t, columns, weights, intercepts, y)
+                for x_t, y in zip(self._columns_t, (
+                    source.train_target, source.validation_target)))
+            names = source.feature_names
+            for key, cols, w, b, t, v in zip(masks, columns, weights,
+                                             intercepts, train, validation):
+                model = LinearModel(w, b, tuple(names[i] for i in cols))
+                solved[key] = ModelWithQuality(model, t, v, n_features=size,
+                                               label="ols")
+        return solved
 
     def _fit(self, problem: RegressionProblem) -> ModelWithQuality:
         names = problem.feature_names
@@ -251,17 +342,29 @@ class OlsModelNode(Node):
                             names)
         return quality(model, problem, "ols")
 
-    def handle(self, port_name: str, payload, ctx) -> None:
-        ctx.emit("model", self.fit_problem(payload, ctx.rng))
+    # its own entry, like fit_problem: the benchmark's tracer wraps both
+    # per model-node class
+    handle = ModelNode.handle
 
 
-class ForestModelNode(Node):
+def _stacked_mae(columns_t: np.ndarray, columns: np.ndarray,
+                 weights: np.ndarray, intercepts: np.ndarray,
+                 target: np.ndarray) -> list[float]:
+    """The MAE on target of each linear model (weights[i],
+    intercepts[i]) on the columns[i] of X = columns_t.T, with the bits of
+    mae(predict(model, X[:, columns[i]]), target): the gather of the
+    transposed columns keeps each product's summation order, and each
+    row's sum is mae's pairwise sum."""
+    predicted = (columns_t[columns].transpose(0, 2, 1)
+                 @ weights[:, :, None])[:, :, 0] + intercepts[:, None]
+    return (np.add.reduce(np.abs(predicted - target), axis=1)
+            / len(target)).tolist()
+
+
+class ForestModelNode(ModelNode):
     """Fits a random forest per problem; each fit draws a fresh seed
     from the node's stream so repeated fits are independent but the
     whole sequence is reproducible."""
-
-    input_ports = (Port("problem", "regression-problem"),)
-    output_ports = (Port("model", "model-with-quality"),)
 
     def __init__(self, node_id: str, config: ForestConfig | None = None):
         super().__init__(node_id)
@@ -280,14 +383,22 @@ class ForestModelNode(Node):
                                       fit_seed, problem.feature_names)
         return quality(model, problem, "random-forest")
 
-    def handle(self, port_name: str, payload, ctx) -> None:
-        ctx.emit("model", self.fit_problem(payload, ctx.rng))
+    handle = ModelNode.handle
+
+
+class _SingleProblemNode(ModelNode):
+    """A model node written against single-problem ports, on the batch
+    ports: its fit_problem fits every problem of a batch in turn."""
+
+    def __init__(self, node: Node):
+        super().__init__(node.id)
+        self.fit_problem = node.fit_problem
 
 
 # ---------------------------------------------------------------------------
 # Feature-selection network and its plain-loop twin
 
-def _make_model_node(model) -> Node:
+def _make_model_node(model) -> ModelNode:
     if model == "ols" or model is None:
         return OlsModelNode("model")
     if isinstance(model, ForestConfig):
@@ -296,7 +407,8 @@ def _make_model_node(model) -> Node:
         if not callable(getattr(model, "fit_problem", None)):
             raise InvalidConfigError(
                 f"model node {model.id!r} has no fit_problem(problem, rng)")
-        return model
+        return model if isinstance(model, ModelNode) \
+            else _SingleProblemNode(model)
     raise InvalidConfigError(
         f"model must be 'ols', a ForestConfig, or a Node, got {model!r}")
 
@@ -381,9 +493,11 @@ def feature_selection_network(
         init_one_probability: float = 0.1) -> NetworkResult:
     """Run the mask-search network to completion.
 
-    model is "ols" (or None), a ForestConfig, or a model Node whose
-    fit_problem(problem, rng) returns what its handle emits: the refit
-    of the winner and the plain-loop twin call fit_problem directly.
+    model is "ols" (or None), a ForestConfig, or a model Node with
+    fit_problem(problem, rng): a ModelNode, whose fit_batch must answer
+    a batch as fit_problem answers each problem in turn, or a node with
+    single-problem ports, which is wrapped into one. The refit of the
+    winner and the plain-loop twin call fit_problem directly.
 
     The test partition is read exactly once, after the search, to score
     the winning model; pass compute_test_mae=False to skip even that.
@@ -530,14 +644,14 @@ class ForestParamSearchNode(Node):
     search short. It reads nothing of a candidate's model.
 
     The settings come from search.stream(rng), an evaluation stream
-    stepped one candidate at a time through osga.one_by_one: its batches
-    hold (sample_ratio, feature_ratio, n_trees) value arrays, it takes
-    each candidate's validation MAE back, and it finishes with whether
-    its budget cut it short.
+    stepped one batch per message: its batches hold (sample_ratio,
+    feature_ratio, n_trees) value arrays, it takes the candidates'
+    validation MAEs back in order, and it finishes with whether its
+    budget cut it short.
     """
 
-    input_ports = (Port("candidate", "model-with-quality"),)
-    output_ports = (Port("params", "parameter-vector"),
+    input_ports = (Port("candidate", "model-with-quality-batch"),)
+    output_ports = (Port("params", "parameter-vector-batch"),
                     Port("result", "model-with-quality"))
 
     _NAMES = ("sample_ratio", "feature_ratio", "n_trees")
@@ -549,33 +663,36 @@ class ForestParamSearchNode(Node):
         self._stream = None
 
     def handle_entry(self, payload, ctx) -> None:
-        self._stream = one_by_one(self.search.stream(ctx.rng))
+        self._stream = self.search.stream(ctx.rng)
         self._advance(ctx, None)
 
     def handle(self, port_name: str, payload, ctx) -> None:
-        if self.best is None \
-                or payload.validation_mae < self.best.validation_mae:
-            self.best = payload
-        self._advance(ctx, payload.validation_mae)
+        for fitted in payload:
+            if self.best is None \
+                    or fitted.validation_mae < self.best.validation_mae:
+                self.best = fitted
+        self._advance(ctx, [fitted.validation_mae for fitted in payload])
 
-    def _advance(self, ctx, fitness: float | None) -> None:
-        values, truncated = advance(self._stream, fitness)
-        if values is None:
+    def _advance(self, ctx, fitnesses) -> None:
+        batch, truncated = advance(self._stream, fitnesses)
+        if batch is None:
             flags = ("budget-exhausted",) if truncated else ()
             ctx.emit("result", replace(self.best,
                                        flags=self.best.flags + flags))
         else:
-            ctx.emit("params", ParameterVector(values, self._NAMES))
+            ctx.emit("params", tuple(ParameterVector(values, self._NAMES)
+                                     for values in batch))
 
 
 class ForestBuilderNode(Node):
     """Inner-network worker: builds one forest per (sample_ratio,
-    feature_ratio, n_trees) parameter vector, labelled with its settings;
-    ForestConfig.validate refuses bad settings, and __init__ a problem
-    with no column."""
+    feature_ratio, n_trees) parameter vector of a batch, in order, each
+    from a seed drawn from the node's stream and labelled with its
+    settings; ForestConfig.validate refuses bad settings, and __init__ a
+    problem with no column."""
 
-    input_ports = (Port("params", "parameter-vector"),)
-    output_ports = (Port("fitted", "model-with-quality"),)
+    input_ports = (Port("params", "parameter-vector-batch"),)
+    output_ports = (Port("fitted", "model-with-quality-batch"),)
 
     def __init__(self, node_id: str, problem: RegressionProblem):
         super().__init__(node_id)
@@ -584,18 +701,19 @@ class ForestBuilderNode(Node):
         self.problem = problem
 
     def handle(self, port_name: str, payload, ctx) -> None:
-        c = _forest_config(payload.values)
-        fitted = ForestModelNode("fit", c).fit_problem(self.problem, ctx.rng)
-        ctx.emit("fitted", replace(fitted, label=(
+        ctx.emit("fitted", tuple(self._build(params.values, ctx.rng)
+                                 for params in payload))
+
+    def _build(self, values, rng) -> ModelWithQuality:
+        c = _forest_config(values)
+        fitted = ForestModelNode("fit", c).fit_problem(self.problem, rng)
+        return replace(fitted, label=(
             f"tuned-forest(sample_ratio={c.sample_ratio:.2f},"
-            f"feature_ratio={c.feature_ratio:.2f},n_trees={c.n_trees})")))
+            f"feature_ratio={c.feature_ratio:.2f},n_trees={c.n_trees})"))
 
 
-class InnerTuningModelNode(Node):
+class InnerTuningModelNode(ModelNode):
     """Model node whose fit runs an entire inner network per problem."""
-
-    input_ports = (Port("problem", "regression-problem"),)
-    output_ports = (Port("model", "model-with-quality"),)
 
     def __init__(self, node_id: str,
                  search: InnerGridSearch | InnerOsgaSearch | None = None):
@@ -617,9 +735,6 @@ class InnerTuningModelNode(Node):
         run = run_network(topo, SinksEmitted((("search", "result"),)),
                           entry=("search", None), seed=inner_seed)
         return run.sink("search", "result")[0]
-
-    def handle(self, port_name: str, payload, ctx) -> None:
-        ctx.emit("model", self.fit_problem(payload, ctx.rng))
 
 
 def nested_tuning_network(

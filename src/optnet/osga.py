@@ -22,9 +22,9 @@ order; a caller can score a batch in one vectorized call and still get
 the sequential run bit for bit. drive runs a stream against a batch
 fitness callable; osga_minimize and offspring_selection_step (one
 generation) are built on it with a per-genome evaluator (per_genome
-adapts one to drive), while network nodes step one_by_one(stream) once
-per message, so a message-passing network evaluates candidates remotely
-on this exact code path.
+adapts one to drive), while network nodes step the stream with advance,
+one batch out and its fitnesses back per message, so a message-passing
+network evaluates candidates remotely on this exact code path.
 
 Draw rule. Every variation operator is its draws followed by a
 draw-free transform on the last axis; the public operators
@@ -620,21 +620,6 @@ def drive(stream, evaluate_batch):
     batch, result = advance(stream)
     while batch is not None:
         batch, result = advance(stream, evaluate_batch(batch))
-    return result
-
-
-def one_by_one(stream):
-    """The stream as one request per genome: a generator that yields the
-    genomes of each batch singly, takes each fitness back, answers the
-    batch once all of it is answered, and returns the stream's result.
-    Nodes that evaluate remotely, one message per genome, step it with
-    advance."""
-    batch, result = advance(stream)
-    while batch is not None:
-        answers = []
-        for genome in batch:
-            answers.append((yield genome))
-        batch, result = advance(stream, answers)
     return result
 
 

@@ -5,6 +5,11 @@ checks every emitted payload against its port's kind at runtime so a
 miswired network fails loudly at the offending node instead of deep
 inside a downstream handler.
 
+Each checked kind has a batch kind, named "<kind>-batch": a non-empty
+tuple of payloads of that kind, each element checked. The mask-search
+loop and the nested forest search send one batch per search step on
+every edge, so a step costs one message per edge, not one per genome.
+
 One kind is unchecked: "run-result" accepts any object. The
 feature-selection node sends its final RunResult through it, and the
 analysis pipeline its model pools, subsets and ranked report, so those
@@ -121,12 +126,26 @@ def _is_scalar(p) -> bool:
         and not isinstance(p, bool)
 
 
-#: The closed set of payload kinds, each with its runtime check.
-PAYLOAD_KINDS: dict[str, object] = {
+def _batch_of(check):
+    """The check of a batch kind: a non-empty tuple whose every element
+    passes check."""
+    return lambda p: isinstance(p, tuple) and len(p) > 0 \
+        and all(map(check, p))
+
+
+_CHECKED_KINDS = {
     "feature-mask": lambda p: isinstance(p, FeatureMask),
     "regression-problem": lambda p: isinstance(p, RegressionProblem),
     "model-with-quality": lambda p: isinstance(p, ModelWithQuality),
     "parameter-vector": lambda p: isinstance(p, ParameterVector),
     "scalar-quality": _is_scalar,
+}
+
+#: The closed set of payload kinds, each with its runtime check: every
+#: checked kind, its batch kind "<kind>-batch", and "run-result".
+PAYLOAD_KINDS: dict[str, object] = {
+    **_CHECKED_KINDS,
+    **{f"{kind}-batch": _batch_of(check)
+       for kind, check in _CHECKED_KINDS.items()},
     "run-result": lambda p: True,
 }

@@ -554,6 +554,28 @@ def test_analyze_from_doc_errors():
         run_analysis(bad)
 
 
+def test_analyze_frees_the_informative_inputs_of_a_csv_sidecar(tmp_path):
+    """free_inputs "true" reads the first dataset's ground truth: with a
+    CSV's sidecar it frees the informative inputs, as listing them does,
+    and fixes the rest at 0; without one the document is refused."""
+    csv_path, truth_path, _ = cmd_generate(BenchmarkConfig(**TINY_BENCH),
+                                           tmp_path / "data.csv", seed=1)
+    informative = [f"x{i}" for i in load_ground_truth(truth_path)
+                   .true_indices]
+    csv = {"path": str(csv_path), "ground_truth": str(truth_path)}
+    doc = {**ANALYZE_DOC, "datasets": [{"csv": csv}],
+           "task": {"targets": [10.0], "free_inputs": "true"}}
+    result = run_analysis(doc).result_doc
+    listed = run_analysis({**doc, "task": {
+        "targets": [10.0], "free_inputs": informative}}).result_doc
+    assert result == listed
+    inputs = result["ranked"][0]["inputs"]
+    assert {n for n, v in inputs.items() if v != 0.0} == set(informative)
+    del csv["ground_truth"]
+    with pytest.raises(InvalidConfigError, match="needs ground truth"):
+        run_analysis(doc)
+
+
 def test_analyze_report_is_strict_json_when_a_residual_overflows(tmp_path):
     """A target of 1e200 squares past the float range: the residual is a
     non-finite fitness, and the report writes it as null."""

@@ -75,6 +75,24 @@ def test_dataset_equality_is_content_based(toy_dataset):
     assert other != toy_dataset
 
 
+def test_dataset_leaves_the_callers_arrays_writable():
+    X = np.arange(12.0).reshape(4, 3)
+    y = np.arange(4.0)
+    big = np.arange(20.0).reshape(5, 4)
+    for features, target in ((X, y), (big[:4, :3], y[:]), (big[1:], y)):
+        dataset = Dataset(features, target, ("a", "b", "c", "d")[
+            :features.shape[1]])
+        kept = dataset.features.copy(), dataset.target.copy()
+        assert features.flags.writeable and target.flags.writeable
+        features[0, 0] = target[0] = -99.0
+        assert dataset.features.tobytes() == kept[0].tobytes()
+        assert dataset.target.tobytes() == kept[1].tobytes()
+        assert not dataset.features.flags.writeable
+        assert not dataset.target.flags.writeable
+    frozen = Dataset(X.tolist(), y.tolist(), ("a", "b", "c"))
+    assert frozen.features.base is None  # converted once, not copied again
+
+
 # ---------------------------------------------------------------------------
 # Apportionment and partitioning
 

@@ -3,6 +3,7 @@
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,8 +26,14 @@ from optnet.errors import (
     InvalidConfigError,
     UnconnectedPortError,
 )
-from optnet.networks import build_feature_selection_topology
-from optnet.osga import OsgaParams
+from optnet.data import FeatureMask
+from optnet.networks import (
+    OlsModelNode,
+    RegressionOrchestratorNode,
+    build_feature_selection_topology,
+)
+from optnet.osga import BinaryGenomeSpec, OsgaParams, drive, osga_stream
+from optnet.payloads import PAYLOAD_KINDS
 from optnet._rng import substream
 
 
@@ -102,6 +109,20 @@ def test_unknown_payload_kind():
     errors = topo.validate()
     assert [e.code for e in errors] == ["UnknownKind"]
     assert "mystery" in errors[0].detail
+
+
+def test_every_checked_kind_has_a_batch_kind_that_checks_each_element():
+    singles = {k for k in PAYLOAD_KINDS
+               if k != "run-result" and not k.endswith("-batch")}
+    assert set(PAYLOAD_KINDS) == singles | {"run-result"} \
+        | {f"{k}-batch" for k in singles}
+    check = PAYLOAD_KINDS["scalar-quality-batch"]
+    assert check((1.0, 2, np.float64(3.0)))
+    for bad in ((), [1.0], 1.0, (1.0, "x"), (1.0, True)):
+        assert not check(bad)
+    mask = FeatureMask.from_indices((0,), 2)
+    assert PAYLOAD_KINDS["feature-mask-batch"]((mask, mask))
+    assert not PAYLOAD_KINDS["feature-mask-batch"]((mask, 1.0))
 
 
 def test_missing_endpoints():
@@ -453,12 +474,40 @@ def _run_digest(run):
     return h.hexdigest()
 
 
-# digests of the engine before its port, inbox and termination tables
+# digests of the mask search sending one message per search batch on
+# every edge of its loop
 PINNED_RUN_DIGESTS = {
-    "sinks": "d35a4172084de0d5c173462d779f59298ac192ac542c3492064f2b4769b2c202",
+    "sinks": "7b901dc20308308b8c8889f9ca06901996789d74ff26ffbac721c5f739547d23",
     "budget":
-        "05293be6a64067dde625b4cbe6a667cccd7f47d4a493195a1adaa0265a0bfe50",
+        "83f79153d74548febe4547c7371882a7a718a802f9ff5006e7293626866fbb22",
 }
+
+
+def _twin_search(partitioned, params, seed):
+    """The mask search of build_feature_selection_topology without the
+    engine: its RunResult and the sizes of its stream's batches."""
+    orchestrator = RegressionOrchestratorNode("orchestrator", partitioned)
+    model = OlsModelNode("model")
+    sizes = []
+
+    def evaluate(batch):
+        sizes.append(len(batch))
+        return [orchestrator.score(model.fit_problem(
+            orchestrator.make_problem(FeatureMask(genome)), None))
+            for genome in batch]
+
+    stream = osga_stream(BinaryGenomeSpec(partitioned.base.n_features, 0.1),
+                         params, substream(seed, "node", "selector"))
+    return drive(stream, evaluate), sizes
+
+
+def _run_result_key(result):
+    """Everything a RunResult holds, comparable with ==."""
+    return (result.best.genome.tobytes(), result.best.fitness,
+            result.evaluations, result.generations, result.terminated_by,
+            result.best_history, result.pressure_history,
+            [(ind.genome.tobytes(), ind.fitness)
+             for ind in result.population], result.nonfinite_fitness)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -476,6 +525,15 @@ def test_feature_selection_trace_is_pinned(small_partitioned, rule,
                       workers=workers, trace=True)
     assert run.stopped_by == rule
     assert _run_digest(run) == PINNED_RUN_DIGESTS[rule]
+    if rule == "sinks":
+        twin, sizes = _twin_search(small_partitioned, params, seed=5)
+        # the entry, then a mask, problem, model and quality batch per step
+        assert run.messages_handled == 1 + 4 * len(sizes)
+        assert run.node_message_counts == {
+            "selector": 1 + len(sizes), "orchestrator": 2 * len(sizes),
+            "model": len(sizes)}
+        assert _run_result_key(run.sink("selector", "result")[0]) \
+            == _run_result_key(twin)
 
 
 @pytest.mark.parametrize("port, payload, message", [

@@ -221,6 +221,38 @@ def test_gram_refuses_a_design_with_a_collinear_pair(
     assert fit_ols(X[:, [0, 100]], y).rank_deficient == rank_deficient
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(k=st.integers(1, 100), seed=st.integers(0, 2 ** 32 - 1),
+       b=st.integers(1, 12))
+def test_gram_solve_stacked_has_the_bits_of_each_solve(flagship_train, k,
+                                                       seed, b):
+    _, _, gram = flagship_train
+    rng = np.random.default_rng(seed)
+    columns = np.stack([np.sort(rng.choice(100, k, replace=False))
+                        for _ in range(b)])
+    coef = gram.solve_stacked(columns)
+    assert coef.shape == (b, k + 1)
+    for row, cols in zip(coef, columns):
+        model = gram.solve(cols, ("a",) * k)
+        assert row[:-1].tobytes() == model.weights.tobytes()
+        assert row[-1].hex() == model.intercept.hex()
+
+
+def test_gram_solve_stacked_refuses_what_solve_refuses(flagship_train):
+    """An unusable Gram matrix solves no stack, and a singular sub-system
+    (here on a zero column) of a Gram matrix taken as usable fails its
+    whole stack."""
+    X, y, _ = flagship_train
+    X = np.column_stack([X, np.zeros(len(X))])
+    gram = OlsGram(X, y)
+    assert not gram.usable
+    assert gram.solve_stacked(np.array([[1, 2]])) is None
+    gram.usable = True
+    assert gram.solve_stacked(np.array([[1, 2]])) is not None
+    assert gram.solve_stacked(np.array([[1, 2], [0, 100]])) is None
+    assert gram.solve(np.array([0, 100]), ("a", "b")) is None
+
+
 @pytest.mark.parametrize("where", ["features", "target"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_gram_solve_refuses_non_finite_data(flagship_train, where, bad):

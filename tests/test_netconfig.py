@@ -394,11 +394,12 @@ def run_documents(draw):
         {}, optional={"partition": st.fixed_dictionaries({}, optional={
             "ratios": st.just([0.5, 0.25, 0.25]),
             "seed": st.integers(0, 3)})}))}
-    # each evaluation handles four messages, so the network outlasts
-    # any budget up to four per member of the initial population
+    # the entry and the initial population's batch, one message on each
+    # of the loop's four edges, make five messages, so the network
+    # outlasts any budget up to five
     termination = draw(st.one_of(
         st.just({"sinks": ["selector.result"]}),
-        st.builds(lambda n: {"budget": n}, st.integers(1, 4 * population))))
+        st.builds(lambda n: {"budget": n}, st.integers(1, 5))))
     doc = {"data": data, "network": {
         "nodes": {"selector": selector, "orchestrator": orchestrator,
                   "model": {"kind": "ols-model"}},

@@ -420,6 +420,91 @@ def test_memo_hit_gathers_no_column(small_partitioned):
                 "feature_names"} & set(vars(again))
 
 
+@pytest.fixture(scope="module")
+def flagship_partitioned():
+    """The flagship's 1000 x 100 design, whose Gram matrix solves."""
+    dataset, _ = generate_benchmark(BenchmarkConfig(), seed=3)
+    return partition(dataset, seed=3)
+
+
+def _fit_bits(fitted):
+    """A fit's values, every float by its bits."""
+    model = fitted.model
+    return (model.weights.tobytes(), model.intercept.hex(),
+            model.feature_names, model.rank_deficient,
+            fitted.train_mae.hex(), fitted.validation_mae.hex(),
+            fitted.n_features, fitted.label)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(design=st.sampled_from(["small", "flagship", "collinear"]),
+       bound=st.sampled_from([1, 3, networks.OLS_MEMO_SIZE]),
+       data=st.data())
+def test_fit_batch_fits_as_each_problem_alone(
+        small_partitioned, flagship_partitioned, collinear_partitioned,
+        design, bound, data):
+    """Batches of masks with repeats, the empty mask, evictions within a
+    batch and a Gram matrix that refuses every mask get, bit for bit,
+    the fits of one problem at a time on a fresh node, and leave equal
+    counters and memo order."""
+    partitioned = {"small": small_partitioned,
+                   "flagship": flagship_partitioned,
+                   "collinear": collinear_partitioned}[design]
+    orchestrator = RegressionOrchestratorNode("o", partitioned)
+    d = orchestrator.n_features
+    pool = [()] + [tuple(sorted(s)) for s in data.draw(st.lists(
+        st.sets(st.integers(0, d - 1), min_size=1, max_size=min(d, 40)),
+        min_size=1, max_size=8))]
+    batches = data.draw(st.lists(st.lists(
+        st.integers(0, len(pool) - 1), min_size=1, max_size=12),
+        min_size=1, max_size=4))
+    masks = [FeatureMask.from_indices(cols, d) for cols in pool]
+    batched, alone = OlsModelNode("a"), OlsModelNode("b")
+    with mock.patch.object(networks, "OLS_MEMO_SIZE", bound):
+        for picks in batches:
+            got = batched.fit_batch(
+                [orchestrator.make_problem(masks[i]) for i in picks], None)
+            want = [alone.fit_problem(orchestrator.make_problem(masks[i]),
+                                      None) for i in picks]
+            assert list(map(_fit_bits, got)) == list(map(_fit_bits, want))
+    assert (batched.fits, batched.hits) == (alone.fits, alone.hits)
+    assert list(batched._memo) == list(alone._memo)
+
+
+def test_fit_batch_fits_alone_where_the_stacked_solve_fails(
+        flagship_partitioned):
+    orchestrator = RegressionOrchestratorNode("o", flagship_partitioned)
+    masks = [FeatureMask.from_indices(cols, 100)
+             for cols in ((0, 1), (2, 3), (0, 1), (4,))]
+    batched, alone = OlsModelNode("a"), OlsModelNode("b")
+    with mock.patch.object(networks.OlsGram, "solve_stacked",
+                           return_value=None):
+        got = batched.fit_batch(list(map(orchestrator.make_problem, masks)),
+                                None)
+    want = [alone.fit_problem(orchestrator.make_problem(m), None)
+            for m in masks]
+    assert list(map(_fit_bits, got)) == list(map(_fit_bits, want))
+    assert (batched.fits, batched.hits) == (alone.fits, alone.hits) == (3, 1)
+
+
+@settings(max_examples=6, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), forest=st.booleans())
+def test_user_nodes_that_draw_match_the_twin_over_seeds(small_partitioned,
+                                                        seed, forest):
+    """A user node that overrides only fit_problem and draws from its
+    stream is called once per problem, in order, as the twin calls it."""
+    def make_node():
+        return ExtraDrawForestNode("model", ForestConfig(n_trees=2)) \
+            if forest else JitteredOlsNode("model")
+
+    params = OsgaParams(population_size=6, max_evaluations=48,
+                        max_selection_pressure=10.0)
+    net = feature_selection_network(small_partitioned, params,
+                                    model=make_node(), seed=seed)
+    assert net == feature_selection_direct(small_partitioned, params,
+                                           model=make_node(), seed=seed)
+
+
 def test_refit_test_mae_is_an_independent_fit_ols(noisy_partitioned):
     """The winner's refit is an exact fit_ols on its columns, whatever
     the Gram solve scored during the search."""
@@ -598,15 +683,17 @@ def test_inner_osga_search_tunes_within_bounds(small_partitioned):
 
 def test_forest_builder_refuses_settings_out_of_range(small_partitioned):
     """The builder does not clamp: a vector ForestConfig refuses raises,
-    and no forest is emitted under settings it was not asked for."""
+    and no forest of its batch is emitted, not even one under settings
+    ForestConfig accepts."""
     orchestrator = RegressionOrchestratorNode("o", small_partitioned)
     problem = orchestrator.make_problem(FeatureMask.from_indices((0,), 8))
     builder = ForestBuilderNode("b", problem)
     ctx = NodeContext(builder, substream(0, "x"))
+    names = ("sample_ratio", "feature_ratio", "n_trees")
     with pytest.raises(InvalidConfigError):
-        builder.handle("params", ParameterVector(
-            np.array([1.5, 0.5, 0.2]),
-            ("sample_ratio", "feature_ratio", "n_trees")), ctx)
+        builder.handle("params", (
+            ParameterVector(np.array([0.5, 0.5, 2.0]), names),
+            ParameterVector(np.array([1.5, 0.5, 0.2]), names)), ctx)
     assert ctx.emitted == []
 
 
