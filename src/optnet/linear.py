@@ -196,15 +196,12 @@ class OlsGram:
               feature_names: tuple[str, ...]) -> LinearModel | None:
         """The OLS model on the given columns, or None where fit_ols
         must fit it (see the class docstring)."""
-        if not self.usable or len(columns) == 0:
+        if len(columns) == 0:
             return None
-        idx = np.concatenate((columns, [self._d]))
-        try:
-            coef = np.linalg.solve(self.gram.take(idx, 0).take(idx, 1),
-                                   self.moment[idx])
-        except np.linalg.LinAlgError:
+        coef = self.solve_stacked(np.asarray(columns)[None])
+        if coef is None:
             return None
-        return LinearModel(coef[:-1], coef[-1], feature_names)
+        return LinearModel(coef[0, :-1], coef[0, -1], feature_names)
 
     def solve_stacked(self, columns: np.ndarray) -> np.ndarray | None:
         """The coefficients, intercept last, of solve on every row of

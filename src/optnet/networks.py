@@ -347,6 +347,12 @@ class OlsModelNode(ModelNode):
     handle = ModelNode.handle
 
 
+#: Elements (8 bytes each) of one gather of _stacked_mae: a size's masks
+#: are scored in chunks of at most this many gathered values, at least
+#: one mask each, so the gather's memory does not grow with the batch.
+GATHER_ELEMENTS = 1 << 19
+
+
 def _stacked_mae(columns_t: np.ndarray, columns: np.ndarray,
                  weights: np.ndarray, intercepts: np.ndarray,
                  target: np.ndarray) -> list[float]:
@@ -354,11 +360,19 @@ def _stacked_mae(columns_t: np.ndarray, columns: np.ndarray,
     intercepts[i]) on the columns[i] of X = columns_t.T, with the bits of
     mae(predict(model, X[:, columns[i]]), target): the gather of the
     transposed columns keeps each product's summation order, and each
-    row's sum is mae's pairwise sum."""
-    predicted = (columns_t[columns].transpose(0, 2, 1)
-                 @ weights[:, :, None])[:, :, 0] + intercepts[:, None]
-    return (np.add.reduce(np.abs(predicted - target), axis=1)
-            / len(target)).tolist()
+    row's sum is mae's pairwise sum. Each model's product is its own, so
+    chunking the gather leaves every bit as it is."""
+    b, k = columns.shape
+    step = max(1, GATHER_ELEMENTS // (k * len(target)))
+    maes = []
+    for lo in range(0, b, step):
+        hi = lo + step
+        predicted = (columns_t[columns[lo:hi]].transpose(0, 2, 1)
+                     @ weights[lo:hi, :, None])[:, :, 0] \
+            + intercepts[lo:hi, None]
+        maes += (np.add.reduce(np.abs(predicted - target), axis=1)
+                 / len(target)).tolist()
+    return maes
 
 
 class ForestModelNode(ModelNode):

@@ -226,6 +226,8 @@ def test_gram_refuses_a_design_with_a_collinear_pair(
        b=st.integers(1, 12))
 def test_gram_solve_stacked_has_the_bits_of_each_solve(flagship_train, k,
                                                        seed, b):
+    """Each row of a stack has the bits of one two-dimensional solve of
+    its sub-system, and so has solve, which solves a stack of one."""
     _, _, gram = flagship_train
     rng = np.random.default_rng(seed)
     columns = np.stack([np.sort(rng.choice(100, k, replace=False))
@@ -233,6 +235,10 @@ def test_gram_solve_stacked_has_the_bits_of_each_solve(flagship_train, k,
     coef = gram.solve_stacked(columns)
     assert coef.shape == (b, k + 1)
     for row, cols in zip(coef, columns):
+        idx = np.append(cols, 100)
+        alone = np.linalg.solve(gram.gram[np.ix_(idx, idx)],
+                                gram.moment[idx])
+        assert row.tobytes() == alone.tobytes()
         model = gram.solve(cols, ("a",) * k)
         assert row[:-1].tobytes() == model.weights.tobytes()
         assert row[-1].hex() == model.intercept.hex()

@@ -394,18 +394,12 @@ def run_documents(draw):
         {}, optional={"partition": st.fixed_dictionaries({}, optional={
             "ratios": st.just([0.5, 0.25, 0.25]),
             "seed": st.integers(0, 3)})}))}
-    # the entry and the initial population's batch, one message on each
-    # of the loop's four edges, make five messages, so the network
-    # outlasts any budget up to five
-    termination = draw(st.one_of(
-        st.just({"sinks": ["selector.result"]}),
-        st.builds(lambda n: {"budget": n}, st.integers(1, 5))))
     doc = {"data": data, "network": {
         "nodes": {"selector": selector, "orchestrator": orchestrator,
                   "model": {"kind": "ols-model"}},
         "connections": [c.replace(" -> ", arrow) for c in FS_CONNECTIONS],
         "entry": "selector",
-        "termination": termination,
+        "termination": {"sinks": ["selector.result"]},
     }}
     doc.update(draw(st.fixed_dictionaries({}, optional={
         "seed": st.integers(0, 9), "workers": st.integers(1, 2)})))
@@ -413,8 +407,16 @@ def run_documents(draw):
 
 
 @settings(max_examples=20, deadline=None)
-@given(doc=run_documents())
-def test_any_run_document_is_embedded_as_given_and_replays(doc):
+@given(doc=run_documents(), budgeted=st.booleans(), data=st.data())
+def test_any_run_document_is_embedded_as_given_and_replays(doc, budgeted,
+                                                           data):
+    if budgeted:
+        # a budget counts batch messages; one up to the whole run's count
+        # stops the network in any generation, and a larger one deadlocks
+        handled = run_configured(copy.deepcopy(doc)).result_doc[
+            "messages_handled"]
+        doc["network"]["termination"] = {
+            "budget": data.draw(st.integers(1, handled), label="budget")}
     given_doc = copy.deepcopy(doc)
     report = run_configured(doc)
     assert report.config_doc == given_doc

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optnet import networks
@@ -229,15 +229,20 @@ class ExtraDrawForestNode(ForestModelNode):
     lambda: JitteredOlsNode("model"),
     lambda: ExtraDrawForestNode("model", ForestConfig(n_trees=3)),
 ], ids=["ols-subclass", "forest-subclass"])
+@settings(max_examples=4, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 31 - 1))
+@example(seed=3)
 def test_user_model_node_drawing_randomness_matches_twin(
-        small_partitioned, make_node, workers):
-    """The refit continues the model node's live stream, so the twin
-    property holds for nodes the network knows nothing about."""
+        small_partitioned, make_node, workers, seed):
+    """The refit continues the model node's live stream, and a node
+    that overrides only fit_problem is called once per problem, in
+    order, so the twin property holds over seeds for nodes the network
+    knows nothing about."""
     net = feature_selection_network(small_partitioned, TINY_PARAMS,
-                                    model=make_node(), seed=3,
+                                    model=make_node(), seed=seed,
                                     workers=workers)
     direct = feature_selection_direct(small_partitioned, TINY_PARAMS,
-                                      model=make_node(), seed=3)
+                                      model=make_node(), seed=seed)
     assert net == direct
 
 
@@ -439,14 +444,15 @@ def _fit_bits(fitted):
 @settings(max_examples=60, deadline=None, database=None)
 @given(design=st.sampled_from(["small", "flagship", "collinear"]),
        bound=st.sampled_from([1, 3, networks.OLS_MEMO_SIZE]),
+       gather=st.sampled_from([1, networks.GATHER_ELEMENTS]),
        data=st.data())
 def test_fit_batch_fits_as_each_problem_alone(
         small_partitioned, flagship_partitioned, collinear_partitioned,
-        design, bound, data):
+        design, bound, gather, data):
     """Batches of masks with repeats, the empty mask, evictions within a
-    batch and a Gram matrix that refuses every mask get, bit for bit,
-    the fits of one problem at a time on a fresh node, and leave equal
-    counters and memo order."""
+    batch, gathers of one mask at a time and a Gram matrix that refuses
+    every mask get, bit for bit, the fits of one problem at a time on a
+    fresh node, and leave equal counters and memo order."""
     partitioned = {"small": small_partitioned,
                    "flagship": flagship_partitioned,
                    "collinear": collinear_partitioned}[design]
@@ -460,7 +466,8 @@ def test_fit_batch_fits_as_each_problem_alone(
         min_size=1, max_size=4))
     masks = [FeatureMask.from_indices(cols, d) for cols in pool]
     batched, alone = OlsModelNode("a"), OlsModelNode("b")
-    with mock.patch.object(networks, "OLS_MEMO_SIZE", bound):
+    with mock.patch.object(networks, "OLS_MEMO_SIZE", bound), \
+            mock.patch.object(networks, "GATHER_ELEMENTS", gather):
         for picks in batches:
             got = batched.fit_batch(
                 [orchestrator.make_problem(masks[i]) for i in picks], None)
@@ -473,36 +480,25 @@ def test_fit_batch_fits_as_each_problem_alone(
 
 def test_fit_batch_fits_alone_where_the_stacked_solve_fails(
         flagship_partitioned):
+    """A size whose stack is refused is solved mask by mask, as the
+    per-problem loop solves it."""
     orchestrator = RegressionOrchestratorNode("o", flagship_partitioned)
     masks = [FeatureMask.from_indices(cols, 100)
              for cols in ((0, 1), (2, 3), (0, 1), (4,))]
     batched, alone = OlsModelNode("a"), OlsModelNode("b")
+    stacked = networks.OlsGram.solve_stacked
+
+    def refuse_stacks(gram, columns):
+        return None if len(columns) > 1 else stacked(gram, columns)
+
     with mock.patch.object(networks.OlsGram, "solve_stacked",
-                           return_value=None):
+                           refuse_stacks):
         got = batched.fit_batch(list(map(orchestrator.make_problem, masks)),
                                 None)
     want = [alone.fit_problem(orchestrator.make_problem(m), None)
             for m in masks]
     assert list(map(_fit_bits, got)) == list(map(_fit_bits, want))
     assert (batched.fits, batched.hits) == (alone.fits, alone.hits) == (3, 1)
-
-
-@settings(max_examples=6, deadline=None, database=None)
-@given(seed=st.integers(0, 2 ** 31 - 1), forest=st.booleans())
-def test_user_nodes_that_draw_match_the_twin_over_seeds(small_partitioned,
-                                                        seed, forest):
-    """A user node that overrides only fit_problem and draws from its
-    stream is called once per problem, in order, as the twin calls it."""
-    def make_node():
-        return ExtraDrawForestNode("model", ForestConfig(n_trees=2)) \
-            if forest else JitteredOlsNode("model")
-
-    params = OsgaParams(population_size=6, max_evaluations=48,
-                        max_selection_pressure=10.0)
-    net = feature_selection_network(small_partitioned, params,
-                                    model=make_node(), seed=seed)
-    assert net == feature_selection_direct(small_partitioned, params,
-                                           model=make_node(), seed=seed)
 
 
 def test_refit_test_mae_is_an_independent_fit_ols(noisy_partitioned):
