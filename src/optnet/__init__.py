@@ -72,6 +72,7 @@ from .forest import (
     ForestModel,
     RegressionTree,
     fit_random_forest,
+    fit_random_forests,
     predict_forest,
 )
 from .linear import (

@@ -170,6 +170,9 @@ class FeatureMask:
         b = np.asarray(self.bits, dtype=bool)
         if b.ndim != 1:
             raise ShapeMismatchError("mask bits must be 1-d")
+        # freeze a copy of an array the caller can still write to
+        if b is self.bits and b.flags.writeable:
+            b = b.copy()
         object.__setattr__(self, "bits", _readonly(b))
 
     @classmethod

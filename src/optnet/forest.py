@@ -8,9 +8,15 @@ threshold minimizing the summed squared error of the two children.
 
 Trees grow level by level, every tree of a forest at once (the exact
 greedy growth of XGBoost, Chen & Guestrin, KDD 2016, sections 3.1 and
-4.1). Nodes are numbered in level order: the root is 0, and each level's
-nodes follow the previous level's, children in their parents' order,
-left child first.
+4.1). fit_random_forests grows one forest per (seed, columns) job on
+one design, all together, and fit_random_forest is its one job of every
+column. Each forest has the bits of fit_random_forest on its job's
+columns alone: the design's column ranks are computed once, each tree
+draws among its job's d columns by the rule below, and its features are
+numbered within those columns. A large batch grows in passes of whole
+trees, which moves no bit. Nodes are numbered in level order: the
+root is 0, and each level's nodes follow the previous level's, children
+in their parents' order, left child first.
 
 Split rule: a node splits only if it is shallower than max_depth, holds
 at least 2 * min_leaf_size rows and its targets are not all equal.
@@ -162,20 +168,31 @@ class ForestModel:
 # the split scan handles at most this many (node, candidate, row) cells
 # at once; a bucket of larger nodes goes in node chunks, which bounds
 # memory on large inputs
-_SCAN_CELLS = 1 << 16
+_SCAN_CELLS = 1 << 14
+
+# a pass grows at most this many bootstrap rows at once, at least one
+# tree's; larger batches go in passes of whole trees, which bounds memory
+# whatever the batch
+_PASS_ROWS = 1 << 18
+
+# a split-scan key packs a rank of at most n above a position in a
+# level's rows into this many bits of an int64
+_KEY_BITS = 63
 
 
 def _rank_keys(X, shift):
     """Each cell's dense rank within its column, shifted left by shift
-    bits, with one padding row of rank n below X. Equal x values share
-    a rank, so sorting by rank is sorting by x."""
+    bits, with one padding row of rank n below X and one constant column
+    right of it, all of whose cuts are ties. Equal x values share a rank,
+    so sorting by rank is sorting by x."""
     n, d = X.shape
     order = X.argsort(axis=0, kind="stable")
     xs = np.take_along_axis(X, order, axis=0)
     steps = np.zeros((n, d), dtype=np.int64)
     steps[1:] = xs[1:] != xs[:-1]
-    ranks = np.full((n + 1, d), n, dtype=np.int64)
-    np.put_along_axis(ranks[:n], order, steps.cumsum(axis=0), axis=0)
+    ranks = np.full((n + 1, d + 1), n, dtype=np.int64)
+    ranks[:n, d] = 0
+    np.put_along_axis(ranks[:n, :d], order, steps.cumsum(axis=0), axis=0)
     return ranks << shift
 
 
@@ -185,7 +202,9 @@ def _best_splits(X, keys, shift, rows, y, start, count, candidates,
     each node's column and threshold, and whether it has an allowed cut.
 
     Node i holds rows[start[i]:start[i] + count[i]] and candidates[i];
-    rows and y end in one padding entry (row n of keys, target 0.0)."""
+    rows and y end in one padding entry (row n of keys, target 0.0). A
+    node with fewer candidates than k is padded with the constant
+    column of keys, past X's, where no cut is allowed."""
     m, k = candidates.shape
     feature = np.zeros(m, dtype=np.int64)
     threshold = np.zeros(m)
@@ -264,18 +283,59 @@ def _best_splits(X, keys, shift, rows, y, start, count, candidates,
     return feature, threshold, found
 
 
-def _grow_forest(X, y, config, seed):
-    """Grow config.n_trees trees level by level, all trees at once."""
+def _grow_forest(X, y, config, jobs):
+    """Grow config.n_trees trees for each (seed, columns) job on the
+    columns of X it names, level by level, every tree of a pass at once;
+    return each job's trees, their features numbered within its columns.
+
+    A pass takes whole trees in job order, as many as _PASS_ROWS and the
+    keys of the split scan allow; trees do not meet, so how the batch is
+    split leaves every bit as it is."""
     n, d = X.shape
-    n_trees = config.n_trees
-    n_candidates = min(d, max(1, math.ceil(config.feature_ratio * d)))
+    n_boot = max(1, math.ceil(config.sample_ratio * n))
+    # a key packs a rank of at most n above a position in a level's rows,
+    # which never outnumber the bootstrap rows of the pass's trees
+    position_bits = _KEY_BITS - (n + 1).bit_length()
+    per_pass = min(config.n_trees * len(jobs),
+                   max(1, _PASS_ROWS // n_boot),
+                   ((1 << max(position_bits, 0)) - 1) // n_boot)
+    if per_pass < 1:
+        raise InvalidConfigError(
+            "forest design too large: its split keys overflow int64")
+    shift = (per_pass * n_boot).bit_length()
+    keys = _rank_keys(X, shift)
+    # design_column[j] lists job j's columns, padded with the constant
+    # column d, and local_column[j] numbers them within the job
+    widths = np.array([columns.size for _, columns in jobs])
+    n_candidates = np.array([min(w, max(1, math.ceil(config.feature_ratio
+                                                     * w))) for w in widths])
+    design_column = np.full((len(jobs), widths.max()), d)
+    local_column = np.zeros((len(jobs), d + 1), dtype=np.int64)
+    for j, (_, columns) in enumerate(jobs):
+        design_column[j, :columns.size] = columns
+        local_column[j, columns] = np.arange(columns.size)
+    trees = [(j, seed, i) for j, (seed, _) in enumerate(jobs)
+             for i in range(config.n_trees)]
+    grown = []
+    for lo in range(0, len(trees), per_pass):
+        job, seeds, index = zip(*trees[lo:lo + per_pass])
+        grown += _grow_pass(
+            X, y, keys, shift, config, n_boot,
+            [substream(seed, "tree", i) for seed, i in zip(seeds, index)],
+            np.array(job), widths, n_candidates, design_column, local_column)
+    return [grown[lo:lo + config.n_trees]
+            for lo in range(0, len(grown), config.n_trees)]
+
+
+def _grow_pass(X, y, keys, shift, config, n_boot, rngs, job, widths,
+               n_candidates, design_column, local_column):
+    """Grow the trees of one pass level by level, all at once; tree t
+    draws from rngs[t] among the columns of job[t]."""
+    n, d = X.shape
+    n_trees = len(rngs)
     min_leaf = config.min_leaf_size
     max_depth = math.inf if config.max_depth is None else config.max_depth
-    rngs = [substream(seed, "tree", i) for i in range(n_trees)]
-    n_boot = max(1, math.ceil(config.sample_ratio * n))
-    # a level never holds more than the bootstrap rows of every tree
-    shift = (n_trees * n_boot).bit_length()
-    keys = _rank_keys(X, shift)
+    k = n_candidates[job].max()
     # the live level: its nodes in tree order, then level order; rows
     # holds each node's rows in turn, count how many
     rows = np.concatenate([rng.integers(0, n, size=n_boot) for rng in rngs])
@@ -301,10 +361,17 @@ def _grow_forest(X, y, config, seed):
             split = np.flatnonzero(mixed & (count >= 2 * min_leaf))
         if split.size:
             per_tree = np.bincount(tree[split], minlength=n_trees)
-            draws = np.concatenate([rngs[t].random((per_tree[t], d))
-                                    for t in np.flatnonzero(per_tree)])
-            candidates = draws.argsort(axis=1, kind="stable")[
-                :, :n_candidates]
+            node_job = job[tree[split]]
+            # each node's row of draws, padded after its job's width with
+            # 2.0, which sorts after every draw
+            draws = np.full((split.size, design_column.shape[1]), 2.0)
+            draws[np.arange(draws.shape[1]) < widths[node_job][:, None]] = \
+                np.concatenate([rngs[t].random(per_tree[t] * widths[job[t]])
+                                for t in np.flatnonzero(per_tree)])
+            local = draws.argsort(axis=1, kind="stable")[:, :k]
+            candidates = np.where(
+                np.arange(k) < n_candidates[node_job][:, None],
+                design_column[node_job[:, None], local], d)
             feat, thr, found = _best_splits(
                 X, keys, shift, np.append(rows, n), np.append(yr, 0.0),
                 start[split], count[split], candidates, min_leaf)
@@ -333,6 +400,7 @@ def _grow_forest(X, y, config, seed):
         depth += 1
     tree, feature, threshold, left, value, level = (
         np.concatenate(a) for a in zip(*levels))
+    feature = np.where(feature < 0, -1, local_column[job[tree], feature])
     # a stable sort on the tree puts each tree's nodes in index order
     order = tree.argsort(kind="stable")
     bounds = np.cumsum(n_nodes)[:-1]
@@ -343,28 +411,54 @@ def _grow_forest(X, y, config, seed):
             for f, t, l, v, lv in zip(*pieces)]
 
 
-def fit_random_forest(features: np.ndarray, target: np.ndarray,
-                      config: ForestConfig | None = None, seed: int = 0,
-                      feature_names: tuple[str, ...] | None = None
-                      ) -> ForestModel:
-    """Grow config.n_trees trees, each from its own (seed, index) stream."""
+def fit_random_forests(features: np.ndarray, target: np.ndarray,
+                       config: ForestConfig | None, jobs,
+                       feature_names: tuple[str, ...] | None = None
+                       ) -> list[ForestModel]:
+    """One forest per (seed, columns) job, with the bits of
+    fit_random_forest(features[:, columns], target, config, seed), all
+    grown together on one design. columns are distinct column indices
+    of features; each forest carries the names of its columns."""
     config = config or ForestConfig()
     config.validate()
     X, y = checked_design(features, target, "fit_random_forest")
-    if X.shape[1] == 0:
-        raise EmptyInputError("forest needs at least one feature column")
     # a bootstrap sample has at most n rows, so (n * max|y|)^2 bounds
     # every sum of squares and squared sum the split scan forms
     peak = X.shape[0] * float(np.abs(y).max())
     if not math.isfinite(peak * peak):
         raise InvalidConfigError(
             "forest target too large: its sums of squares overflow")
+    d = X.shape[1]
     if feature_names is None:
-        feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
-    if len(feature_names) != X.shape[1]:
+        feature_names = tuple(f"x{i}" for i in range(d))
+    if len(feature_names) != d:
         raise ShapeMismatchError("feature_names length mismatch")
-    return ForestModel(tuple(_grow_forest(X, y, config, seed)), config,
-                       tuple(feature_names))
+    jobs = [(seed, np.asarray(columns, dtype=np.int64))
+            for seed, columns in jobs]
+    for _, columns in jobs:
+        if columns.size == 0:
+            raise EmptyInputError("forest needs at least one feature column")
+        if columns.ndim != 1 or columns.min() < 0 or columns.max() >= d \
+                or np.unique(columns).size != columns.size:
+            raise ShapeMismatchError(
+                "a forest's columns must be distinct columns of features")
+    if not jobs:
+        return []
+    return [ForestModel(tuple(trees), config,
+                        tuple(feature_names[i] for i in columns))
+            for (_, columns), trees in zip(jobs, _grow_forest(X, y, config,
+                                                              jobs))]
+
+
+def fit_random_forest(features: np.ndarray, target: np.ndarray,
+                      config: ForestConfig | None = None, seed: int = 0,
+                      feature_names: tuple[str, ...] | None = None
+                      ) -> ForestModel:
+    """Grow config.n_trees trees, each from its own (seed, index) stream:
+    fit_random_forests' one job of every column."""
+    width = np.shape(features)[1] if np.ndim(features) == 2 else 0
+    return fit_random_forests(features, target, config,
+                              [(seed, range(width))], feature_names)[0]
 
 
 # predict_forest routes at most this many (tree, row) cells at once;

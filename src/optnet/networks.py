@@ -23,11 +23,14 @@ answers a repeated mask from its memo, reading no column, and solves a
 new one from the Gram matrix (linear.OlsGram) it builds for each
 orchestrator's first problem; no other node builds one. Its fit_batch
 solves a batch's new masks of one size in one stacked solve, with the
-bits of solving each alone. The winner's final refit is an exact
-fit_ols on its gathered columns, and with_test_mae scores it on the
-test rows of the columns the search selected, whatever names the model
-carries. Both scorers predict through predict_any, the only switch on
-model family.
+bits of solving each alone. The forest node's fit_batch grows the
+forests of a batch's masks in one pass over the source's train rows
+(forest.fit_random_forests), each from the seed fit_problem will draw
+for it, and fit_problem hands each out by that seed and its mask's bits.
+The winner's final refit is an exact fit_ols on its gathered columns,
+and with_test_mae scores it on the test rows of the columns the search
+selected, whatever names the model carries. Both scorers predict
+through predict_any, the only switch on model family.
 
 A plain-loop twin of the feature-selection network (same nodes, no
 engine) is provided as an oracle: both paths share one search stream and
@@ -40,7 +43,8 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from copy import deepcopy
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -50,7 +54,7 @@ from .engine import Node, Port, SinksEmitted, Topology, run_network
 from .errors import InfeasibleBoundsError, InvalidConfigError, \
     ShapeMismatchError
 from .forest import ForestConfig, ForestModel, fit_random_forest, \
-    predict_forest
+    fit_random_forests, predict_forest
 from .linear import LinearModel, OlsGram, fit_ols, mae, predict, \
     predict_each_row
 from .osga import (
@@ -378,12 +382,29 @@ def _stacked_mae(columns_t: np.ndarray, columns: np.ndarray,
 class ForestModelNode(ModelNode):
     """Fits a random forest per problem; each fit draws a fresh seed
     from the node's stream so repeated fits are independent but the
-    whole sequence is reproducible."""
+    whole sequence is reproducible. fits counts the problems fitted and
+    nodes_grown the tree nodes of the forests among them.
+
+    fit_batch grows the forests of a batch's search-time problems of one
+    source together (forest.fit_random_forests), with the seeds that
+    fit_problem will draw: it draws them in batch order from a copy of
+    the node's stream. Each forest is kept under its source, seed, mask
+    bits and settings, and fit_problem takes it where it would grow that
+    forest; a subclass whose fit_problem draws otherwise finds none and
+    grows its own, so the fits are those of the per-problem loop.
+    """
 
     def __init__(self, node_id: str, config: ForestConfig | None = None):
         super().__init__(node_id)
         self.config = config or ForestConfig()
         self.config.validate()
+        self.fits = 0
+        self.nodes_grown = 0
+        self._grown: dict[tuple, ForestModel] = {}
+
+    def _grown_key(self, problem: RegressionProblem, seed: int) -> tuple:
+        return (problem.source, seed, problem.mask.bits.tobytes(),
+                astuple(self.config))
 
     def fit_problem(self, problem: RegressionProblem,
                     rng: np.random.Generator) -> ModelWithQuality:
@@ -392,10 +413,31 @@ class ForestModelNode(ModelNode):
             # degenerate empty mask: constant model, mirrors OLS behavior
             model = fit_ols(problem.train_features, problem.train_target, ())
         else:
-            model = fit_random_forest(problem.train_features,
-                                      problem.train_target, self.config,
-                                      fit_seed, problem.feature_names)
+            model = None if problem.source is None else self._grown.pop(
+                self._grown_key(problem, fit_seed), None)
+            if model is None:
+                model = fit_random_forest(problem.train_features,
+                                          problem.train_target, self.config,
+                                          fit_seed, problem.feature_names)
+            self.nodes_grown += sum(tree.n_nodes for tree in model.trees)
+        self.fits += 1
         return quality(model, problem, "random-forest")
+
+    def fit_batch(self, problems, rng) -> list[ModelWithQuality]:
+        seeds = deepcopy(rng)  # the seeds fit_problem will draw
+        jobs: dict[RegressionProblem, dict[tuple, np.ndarray]] = {}
+        for p in problems:
+            seed = int(seeds.integers(np.iinfo(np.int64).max))
+            if p.source is not None and p.mask.bits.any():
+                jobs.setdefault(p.source, {})[self._grown_key(p, seed)] = \
+                    np.flatnonzero(p.mask.bits)
+        self._grown = {}
+        for source, grown in jobs.items():
+            self._grown.update(zip(grown, fit_random_forests(
+                source.train_features, source.train_target, self.config,
+                [(key[1], columns) for key, columns in grown.items()],
+                source.feature_names)))
+        return super().fit_batch(problems, rng)
 
     handle = ModelNode.handle
 

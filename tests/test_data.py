@@ -93,6 +93,20 @@ def test_dataset_leaves_the_callers_arrays_writable():
     assert frozen.features.base is None  # converted once, not copied again
 
 
+def test_feature_mask_leaves_the_callers_bits_writable():
+    bits = np.array([True, False, True, False])
+    whole = np.zeros(9, dtype=bool)
+    for given in (bits, whole[::2], whole[1:5]):
+        mask = FeatureMask(given)
+        kept = mask.bits.copy()
+        assert given.flags.writeable
+        given[:] = ~given
+        assert mask.bits.tobytes() == kept.tobytes()
+        assert not mask.bits.flags.writeable
+    frozen = FeatureMask(np.array([True, False]))
+    assert FeatureMask(frozen.bits).bits is frozen.bits  # shared, not copied
+
+
 # ---------------------------------------------------------------------------
 # Apportionment and partitioning
 

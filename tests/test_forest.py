@@ -375,6 +375,86 @@ def test_split_scan_chunks_give_the_same_forest(monkeypatch):
             == [_tree_bytes(t) for t in whole.trees]
 
 
+@st.composite
+def _problems_and_jobs(draw):
+    X, y, config, seed = draw(_integer_or_fractional_problems())
+    d = X.shape[1]
+    columns = st.lists(st.integers(0, d - 1), min_size=1, max_size=d,
+                       unique=True)
+    jobs = draw(st.lists(st.tuples(st.integers(0, 2 ** 16), columns),
+                         min_size=1, max_size=5))
+    if draw(st.booleans()):
+        jobs.append(jobs[0])  # the same forest twice in one batch
+    return X, y, config, jobs
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_problems_and_jobs())
+def test_forests_grown_together_are_the_forests_grown_alone(case):
+    """Jobs of any columns, in any order, repeated or not, grow the bits
+    of fitting each job's columns alone."""
+    X, y, config, jobs = case
+    names = tuple(f"c{i}" for i in range(X.shape[1]))
+    together = forest.fit_random_forests(X, y, config, jobs, names)
+    assert len(together) == len(jobs)
+    for (seed, columns), got in zip(jobs, together):
+        alone = fit_random_forest(X[:, columns], y, config, seed,
+                                  tuple(names[i] for i in columns))
+        assert got.feature_names == alone.feature_names
+        assert [_tree_bytes(t) for t in got.trees] \
+            == [_tree_bytes(t) for t in alone.trees]
+
+
+def test_forests_grown_in_passes_are_the_forests_grown_together(
+        monkeypatch):
+    """A batch goes in passes of whole trees, as many as _PASS_ROWS and
+    the int64 keys of the split scan allow; every split gives the same
+    bits, and a design whose keys overflow at one tree is refused."""
+    X, y, config, seed = next(iter(_golden_cases()))
+    jobs = [(seed, range(X.shape[1])), (seed + 1, [0, 3]),
+            (seed + 2, [5, 1, 2])]
+    whole = forest.fit_random_forests(X, y, config, jobs)
+    n_boot = math.ceil(config.sample_ratio * X.shape[0])
+    row_bits = (X.shape[0] + 1).bit_length()
+    passes = []
+    grow_pass = forest._grow_pass
+
+    def counting(X, y, keys, shift, config, n_boot, rngs, *tables):
+        # every key, a rank of at most n above a position, fits
+        assert (X.shape[0] + 1) << shift <= 2 ** forest._KEY_BITS
+        passes.append(len(rngs))
+        return grow_pass(X, y, keys, shift, config, n_boot, rngs, *tables)
+
+    monkeypatch.setattr(forest, "_grow_pass", counting)
+    for name, limit, most in (
+            ("_PASS_ROWS", 1, 1), ("_PASS_ROWS", 5 * n_boot, 5),
+            ("_KEY_BITS", row_bits + (3 * n_boot).bit_length(), 5)):
+        passes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(forest, name, limit)
+            split = forest.fit_random_forests(X, y, config, jobs)
+        assert sum(passes) == 3 * config.n_trees
+        assert 1 < len(passes) and max(passes) <= most
+        assert [[_tree_bytes(t) for t in f.trees] for f in split] \
+            == [[_tree_bytes(t) for t in f.trees] for f in whole]
+    monkeypatch.setattr(forest, "_KEY_BITS",
+                        row_bits + n_boot.bit_length() - 1)
+    with pytest.raises(InvalidConfigError, match="overflow"):
+        forest.fit_random_forests(X, y, config, jobs)
+
+
+def test_forest_jobs_need_distinct_columns_of_the_design():
+    X, y = _step_data(seed=1, n=30)
+    X = np.hstack([X, X ** 2])
+    config = ForestConfig(n_trees=2)
+    assert forest.fit_random_forests(X, y, config, []) == []
+    with pytest.raises(EmptyInputError):
+        forest.fit_random_forests(X, y, config, [(0, [0]), (1, [])])
+    for bad in ([0, 0], [2], [-1], [[0, 1]]):
+        with pytest.raises(ShapeMismatchError):
+            forest.fit_random_forests(X, y, config, [(0, bad)])
+
+
 def test_a_midpoint_rounding_up_keeps_both_children():
     """Between adjacent floats whose midpoint rounds up to the upper
     one, the threshold is the lower value, so each child keeps its

@@ -501,6 +501,92 @@ def test_fit_batch_fits_alone_where_the_stacked_solve_fails(
     assert (batched.fits, batched.hits) == (alone.fits, alone.hits) == (3, 1)
 
 
+def _forest_fit_bits(fitted):
+    """A forest node's fit by its bits: every tree of a forest, or the
+    constant model of an empty mask."""
+    model = fitted.model
+    if isinstance(model, LinearModel):
+        return _fit_bits(fitted)
+    return ([(t.feature.tobytes(), t.threshold.tobytes(), t.left.tobytes(),
+              t.right.tobytes(), t.value.tobytes(), t.depth)
+             for t in model.trees], model.feature_names, model.config,
+            fitted.train_mae.hex(), fitted.validation_mae.hex(),
+            fitted.n_features, fitted.label)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(n_trees=st.integers(1, 4),
+       max_depth=st.one_of(st.none(), st.integers(0, 4)),
+       min_leaf_size=st.integers(1, 4),
+       feature_ratio=st.sampled_from([0.1, 0.4, 0.7, 1.0]),
+       sample_ratio=st.sampled_from([0.3, 0.8, 1.0]),
+       seed=st.integers(0, 2 ** 31 - 1), data=st.data())
+def test_forest_fit_batch_fits_as_each_problem_alone(
+        small_partitioned, n_trees, max_depth, min_leaf_size, feature_ratio,
+        sample_ratio, seed, data):
+    """Batches with the empty mask, one column, every column and repeats
+    get, bit for bit, the fits of one problem at a time on a fresh node,
+    and leave the node's stream and counters where that loop leaves
+    them."""
+    config = ForestConfig(n_trees=n_trees, sample_ratio=sample_ratio,
+                          feature_ratio=feature_ratio, max_depth=max_depth,
+                          min_leaf_size=min_leaf_size)
+    orchestrator = RegressionOrchestratorNode("o", small_partitioned)
+    d = orchestrator.n_features
+    pool = [(), (data.draw(st.integers(0, d - 1)),), tuple(range(d))] + [
+        tuple(sorted(s)) for s in data.draw(st.lists(
+            st.sets(st.integers(0, d - 1), min_size=1), max_size=4))]
+    batches = data.draw(st.lists(st.lists(
+        st.integers(0, len(pool) - 1), min_size=1, max_size=8),
+        min_size=1, max_size=3))
+    masks = [FeatureMask.from_indices(cols, d) for cols in pool]
+    batched, alone = (ForestModelNode(name, config) for name in "ab")
+    batched_rng, alone_rng = substream(seed, "m"), substream(seed, "m")
+    for picks in batches:
+        got = batched.fit_batch(
+            [orchestrator.make_problem(masks[i]) for i in picks],
+            batched_rng)
+        want = [alone.fit_problem(orchestrator.make_problem(masks[i]),
+                                  alone_rng) for i in picks]
+        assert list(map(_forest_fit_bits, got)) \
+            == list(map(_forest_fit_bits, want))
+    assert str(batched_rng.bit_generator.state) \
+        == str(alone_rng.bit_generator.state)
+    assert (batched.fits, batched.nodes_grown) \
+        == (alone.fits, alone.nodes_grown)
+    assert alone.fits == sum(map(len, batches))
+
+
+def test_forest_counters_count_fits_and_grown_nodes(small_partitioned):
+    orchestrator = RegressionOrchestratorNode("o", small_partitioned)
+    node = ForestModelNode("m", ForestConfig(n_trees=3))
+    fits = node.fit_batch([orchestrator.make_problem(
+        FeatureMask.from_indices(cols, 8)) for cols in ((), (1,), (0, 2))],
+        substream(0, "m"))
+    assert node.fits == 3
+    assert node.nodes_grown == sum(tree.n_nodes for fitted in fits[1:]
+                                   for tree in fitted.model.trees) > 6
+
+
+def test_a_forest_search_grows_alone_only_its_refit(small_partitioned):
+    """Every search-time forest of a forest-swap network is grown with
+    its batch; fit_random_forest, the per-forest path, grows only the
+    winner's refit, so a silent fall back to it fails here."""
+    calls = []
+    grow_alone = networks.fit_random_forest
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[1])
+        return grow_alone(*args, **kwargs)
+
+    with mock.patch.object(networks, "fit_random_forest", counting):
+        result = feature_selection_network(
+            small_partitioned, TINY_PARAMS, model=ForestConfig(
+                n_trees=5, sample_ratio=0.8, feature_ratio=0.7), seed=3)
+    assert result.best_mask.n_selected > 0
+    assert calls == [result.best_mask.n_selected]
+
+
 def test_refit_test_mae_is_an_independent_fit_ols(noisy_partitioned):
     """The winner's refit is an exact fit_ols on its columns, whatever
     the Gram solve scored during the search."""
