@@ -314,15 +314,14 @@ def _grow_forest(X, y, config, jobs):
     for j, (_, columns) in enumerate(jobs):
         design_column[j, :columns.size] = columns
         local_column[j, columns] = np.arange(columns.size)
-    trees = [(j, seed, i) for j, (seed, _) in enumerate(jobs)
-             for i in range(config.n_trees)]
+    job = np.repeat(np.arange(len(jobs)), config.n_trees)
+    rngs = [substream(seed, "tree", i) for seed, _ in jobs
+            for i in range(config.n_trees)]
     grown = []
-    for lo in range(0, len(trees), per_pass):
-        job, seeds, index = zip(*trees[lo:lo + per_pass])
-        grown += _grow_pass(
-            X, y, keys, shift, config, n_boot,
-            [substream(seed, "tree", i) for seed, i in zip(seeds, index)],
-            np.array(job), widths, n_candidates, design_column, local_column)
+    for lo in range(0, job.size, per_pass):
+        grown += _grow_pass(X, y, keys, shift, config, n_boot,
+                            rngs[lo:lo + per_pass], job[lo:lo + per_pass],
+                            widths, n_candidates, design_column, local_column)
     return [grown[lo:lo + config.n_trees]
             for lo in range(0, len(grown), config.n_trees)]
 
