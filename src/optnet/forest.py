@@ -204,7 +204,8 @@ def _best_splits(X, keys, shift, rows, y, start, count, candidates,
     Node i holds rows[start[i]:start[i] + count[i]] and candidates[i];
     rows and y end in one padding entry (row n of keys, target 0.0). A
     node with fewer candidates than k is padded with the constant
-    column of keys, past X's, where no cut is allowed."""
+    column of keys, past X's, where no cut is allowed; the scan skips
+    the padding a chunk's nodes all have."""
     m, k = candidates.shape
     feature = np.zeros(m, dtype=np.int64)
     threshold = np.zeros(m)
@@ -213,11 +214,16 @@ def _best_splits(X, keys, shift, rows, y, start, count, candidates,
     # a node of n rows goes in the bucket of width 2^ceil(log2 n),
     # padded after its own rows
     width = np.left_shift(1, np.ceil(np.log2(count)).astype(np.int64))
+    # a bucket's nodes go in order of their real candidate count, and a
+    # chunk scans only as many candidates as its nodes have at most
+    real = (candidates < keys.shape[1] - 1).sum(axis=1)
     for w in np.unique(width):
         bucket = np.flatnonzero(width == w)
+        bucket = bucket[real[bucket].argsort(kind="stable")]
         chunk = max(1, _SCAN_CELLS // (k * w))
         for c in range(0, bucket.size, chunk):
             nodes = bucket[c:c + chunk]
+            kk = real[nodes].max()
             at = np.arange(nodes.size)
             n = count[nodes][:, None]
             place = np.arange(w)
@@ -226,7 +232,8 @@ def _best_splits(X, keys, shift, rows, y, start, count, candidates,
             # sort of each (node, candidate) row gives the stable argsort
             # of its x values
             cell_key = np.sort(
-                keys[rows[cell][:, None, :], candidates[nodes][:, :, None]]
+                keys[rows[cell][:, None, :],
+                     candidates[nodes, :kk][:, :, None]]
                 + cell[:, None, :], axis=2)
             cell = cell_key & ((1 << shift) - 1)
             ys = y[cell]

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -389,13 +390,14 @@ def _problems_and_jobs(draw):
 
 
 @settings(max_examples=150, deadline=None, database=None)
-@given(_problems_and_jobs())
-def test_forests_grown_together_are_the_forests_grown_alone(case):
+@given(_problems_and_jobs(), st.sampled_from([1, 64, forest._SCAN_CELLS]))
+def test_forests_grown_together_are_the_forests_grown_alone(case, cells):
     """Jobs of any columns, in any order, repeated or not, grow the bits
-    of fitting each job's columns alone."""
+    of fitting each job's columns alone, whatever the scan's chunks."""
     X, y, config, jobs = case
     names = tuple(f"c{i}" for i in range(X.shape[1]))
-    together = forest.fit_random_forests(X, y, config, jobs, names)
+    with mock.patch.object(forest, "_SCAN_CELLS", cells):
+        together = forest.fit_random_forests(X, y, config, jobs, names)
     assert len(together) == len(jobs)
     for (seed, columns), got in zip(jobs, together):
         alone = fit_random_forest(X[:, columns], y, config, seed,
