@@ -153,26 +153,26 @@ class OlsGram:
     """G = [X 1]'[X 1] and m = [X 1]'y of one design, built once, for
     OLS fits on subsets of its columns.
 
-    solve(columns, names) fits y on X[:, columns] plus an intercept by
-    solving S w = m_S, where S is the (k+1) x (k+1) sub-matrix of G on
-    those columns and the intercept, at a fraction of fit_ols's cost.
-    The normal equations square the condition number of the
-    least-squares problem (Golub & Van Loan, Matrix Computations,
-    section 5.3), so solve returns None, and the caller fits with
-    fit_ols, whenever
+    solve_stacked(columns) fits y on X[:, columns[i]] plus an intercept
+    for every row i by solving S_i w = m_i, where S_i is the
+    (k+1) x (k+1) sub-matrix of G on those columns and the intercept, at
+    a fraction of fit_ols's cost. The normal equations square the
+    condition number of the least-squares problem (Golub & Van Loan,
+    Matrix Computations, section 5.3), so solve_stacked returns None,
+    and the caller fits with fit_ols, whenever
       - G or m is not finite (fit_ols then raises its InvalidConfigError
         for non-finite columns, or fits finite ones that overflowed);
       - G's condition number exceeds _GRAM_COND_LIMIT, or G is not
         positive definite;
-      - the factorization of S fails;
-      - columns is empty (fit_ols's constant model is exact and cheap).
-    The condition test is made once, on G's extreme eigenvalues, and is
-    sound for every subset: by Cauchy's interlacing theorem a principal
-    sub-matrix S of G is positive definite with a condition number no
-    larger than G's. So one LU solve per mask is as accurate as a
-    Cholesky solve, with one numpy call where Cholesky takes three. A
-    design with one collinear pair of columns is fitted by fit_ols for
-    every mask.
+      - the factorization of any S_i fails.
+    The caller fits the empty column set with fit_ols, whose constant
+    model is exact and cheap. The condition test is made once, on G's extreme
+    eigenvalues, and is sound for every subset: by Cauchy's interlacing
+    theorem a principal sub-matrix S of G is positive definite with a
+    condition number no larger than G's. So one LU solve per column set
+    is as accurate as a Cholesky solve, with one numpy call where
+    Cholesky takes three. A design with one collinear pair of columns is
+    fitted by fit_ols for every mask.
 
     A solved model is never rank_deficient and agrees with fit_ols up to
     rounding, not bit for bit.
@@ -192,22 +192,12 @@ class OlsGram:
             self.usable = bool(
                 eig[0] > 0 and eig[-1] <= _GRAM_COND_LIMIT * eig[0])
 
-    def solve(self, columns: np.ndarray,
-              feature_names: tuple[str, ...]) -> LinearModel | None:
-        """The OLS model on the given columns, or None where fit_ols
-        must fit it (see the class docstring)."""
-        if len(columns) == 0:
-            return None
-        coef = self.solve_stacked(np.asarray(columns)[None])
-        if coef is None:
-            return None
-        return LinearModel(coef[0, :-1], coef[0, -1], feature_names)
-
     def solve_stacked(self, columns: np.ndarray) -> np.ndarray | None:
-        """The coefficients, intercept last, of solve on every row of
-        columns, a (b, k) array of b column sets of one size k >= 1, in
-        one stacked solve: row i has the bits of solve(columns[i]).
-        None where solve refuses G or any of the b sub-systems."""
+        """The coefficients, intercept last, of the OLS fit on every row
+        of columns, a (b, k) array of b column sets of one size k >= 1,
+        in one stacked solve: row i has the bits of a two-dimensional
+        solve of its own sub-system. None where G or any of the b
+        sub-systems is refused (see the class docstring)."""
         if not self.usable:
             return None
         idx = np.column_stack((columns, np.full(len(columns), self._d)))

@@ -524,7 +524,8 @@ def data_spec_from_doc(doc, where: str = "data") -> DataSpec:
 
 def load_experiment_data(spec: DataSpec, default_seed: int = 0
                          ) -> tuple[PartitionedDataset, GroundTruth | None]:
-    """Materialize the dataset a config describes and partition it."""
+    """Materialize the dataset a config describes and partition it. A
+    CSV's ground-truth sidecar must name distinct columns of the CSV."""
     truth = None
     if spec.benchmark is not None:
         ds_seed = spec.benchmark_seed
@@ -535,6 +536,13 @@ def load_experiment_data(spec: DataSpec, default_seed: int = 0
         dataset = load_csv(spec.csv.path, spec.csv.target_column)
         if spec.csv.ground_truth is not None:
             truth = load_ground_truth(spec.csv.ground_truth)
+            idx, d = truth.true_indices, dataset.n_features
+            if len(set(idx)) < len(idx) \
+                    or not all(0 <= i < d for i in idx):
+                raise ConfigFileError(
+                    f"ground truth {spec.csv.ground_truth}: true_indices "
+                    f"must be distinct columns 0 to {d - 1} of the CSV, "
+                    f"got {list(idx)}")
     p_seed = spec.partition.seed
     if p_seed is None:
         p_seed = default_seed

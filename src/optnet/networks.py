@@ -19,12 +19,12 @@ its fit_problem.
 
 A search-time problem views the orchestrator's whole problem and gathers
 its columns only when a model node first reads them. The OLS node
-answers a repeated mask from its memo, reading no column, and solves a
-new one from the Gram matrix (linear.OlsGram) it builds for each
-orchestrator's first problem; no other node builds one. Its fit_batch
-solves a batch's new masks of one size in one stacked solve, with the
-bits of solving each alone. The forest node's fit_batch grows the
-forests of a batch's masks in one pass over the source's train rows
+answers a repeated mask from its memo, and solves a new one from the
+Gram matrix (linear.OlsGram) it builds for each orchestrator's first
+problem, reading no column either way; no other node builds one. Its
+fit_batch solves a batch's new masks of one size in one stacked solve,
+with the bits of solving each alone. The forest node's fit_batch grows
+the forests of a batch's masks in one pass over the source's train rows
 (forest.fit_random_forests), each from the seed fit_problem will draw
 for it, and fit_problem hands each out by that seed and its mask's bits.
 The winner's final refit is an exact fit_ols on its gathered columns,
@@ -238,22 +238,23 @@ class OlsModelNode(ModelNode):
     """Fits an ordinary least-squares model per problem.
 
     A problem of a new source (an orchestrator's whole problem) empties
-    the memo and builds the Gram matrix of the source's train rows. Each
-    search-time problem of that source is scored by OlsGram.solve, or by
-    fit_ols where the solve refuses the mask. The fit draws no
-    randomness, so the node keeps the fits of the last OLS_MEMO_SIZE
-    masks and hands a repeated mask its earlier ModelWithQuality before
-    any column is gathered. Any other problem, such as the final refit,
-    is fitted with fit_ols from its own arrays and never memoized. fits
-    counts the fits made and hits the fits reused.
+    the memo and builds the Gram matrix of the source's train rows. The
+    fit draws no randomness, so the node keeps the fits of the last
+    OLS_MEMO_SIZE masks and hands a repeated mask its earlier
+    ModelWithQuality before any column is gathered. A new non-empty mask
+    is solved from the Gram matrix (OlsGram.solve_stacked) and scored
+    from the source's transposed columns, again gathering none; the
+    empty mask, and every mask of a design whose Gram matrix or
+    sub-system is refused, is fitted with fit_ols and scored by quality.
+    Any other problem, such as the final refit, is fitted with fit_ols
+    from its own arrays and never memoized. fits counts the fits made
+    and hits the fits reused.
 
     fit_batch first solves the batch's distinct non-empty masks that
     the memo lacks together, each size's masks in one stacked solve,
-    and scores them from the source's transposed columns, with the bits
-    of solving and scoring each alone; fit_problem then takes such a
-    mask's fit where it would fit it, so fits, hits and the memo's order
-    are those of the per-problem loop. A mask the stacked solve refuses,
-    or one evicted and asked again within the batch, is fitted alone.
+    with the bits of solving each as a stack of one; fit_problem then
+    takes such a mask's fit where it would fit it, so fits, hits and the
+    memo's order are those of the per-problem loop.
     """
 
     def __init__(self, node_id: str):
@@ -286,8 +287,12 @@ class OlsModelNode(ModelNode):
                 self.hits += 1
                 return fitted
             fitted = self._solved.pop(key, None)
+            if fitted is None:
+                fitted = self._solve_stacked((problem,)).get(key)
         if fitted is None:
-            fitted = self._fit(problem)
+            fitted = quality(fit_ols(problem.train_features,
+                                     problem.train_target,
+                                     problem.feature_names), problem, "ols")
         self.fits += 1
         if key is not None:
             self._memo[key] = fitted
@@ -336,15 +341,6 @@ class OlsModelNode(ModelNode):
                 solved[key] = ModelWithQuality(model, t, v, n_features=size,
                                                label="ols")
         return solved
-
-    def _fit(self, problem: RegressionProblem) -> ModelWithQuality:
-        names = problem.feature_names
-        model = None if problem.source is None else self._gram.solve(
-            np.flatnonzero(problem.mask.bits), names)
-        if model is None:
-            model = fit_ols(problem.train_features, problem.train_target,
-                            names)
-        return quality(model, problem, "ols")
 
     # its own entry, like fit_problem: the benchmark's tracer wraps both
     # per model-node class
@@ -577,26 +573,26 @@ def feature_selection_direct(
         init_one_probability: float = 0.1) -> NetworkResult:
     """Plain-loop twin of feature_selection_network.
 
-    Uses the same node objects and the same stream derivations but no
-    message engine, so its NetworkResult must be bit-identical to the
-    network's for equal arguments.
+    Takes its nodes from build_feature_selection_topology and uses the
+    same stream derivations but no message engine, so its NetworkResult
+    must be bit-identical to the network's for equal arguments.
     """
     started = time.perf_counter()
     params = params or OsgaParams()
-    genome_spec = BinaryGenomeSpec(partitioned.base.n_features,
-                                   init_one_probability)
-    selector_rng = substream(seed, "node", "selector")
+    topo = build_feature_selection_topology(partitioned, params, fitness,
+                                            model, init_one_probability)
+    selector, orchestrator, model_node = map(
+        topo.node, ("selector", "orchestrator", "model"))
     model_rng = substream(seed, "node", "model")
-    orchestrator = RegressionOrchestratorNode("orchestrator", partitioned,
-                                              fitness)
-    model_node = _make_model_node(model)
 
     def evaluate(genome) -> float:
         problem = orchestrator.make_problem(FeatureMask(genome))
         return orchestrator.score(model_node.fit_problem(problem, model_rng))
 
     ga_result: RunResult = drive(
-        osga_stream(genome_spec, params, selector_rng), per_genome(evaluate))
+        osga_stream(selector.genome_spec, selector.params,
+                    substream(seed, "node", "selector")),
+        per_genome(evaluate))
     return _final_result(ga_result, orchestrator, model_node, model_rng,
                          partitioned, compute_test_mae, seed, started)
 

@@ -511,6 +511,33 @@ def test_malformed_ground_truth_exits_2_naming_the_file(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "analyze"])
+@pytest.mark.parametrize("indices", [[0, 500], [-1], [3, 3]],
+                         ids=["past-the-width", "negative", "repeated"])
+def test_ground_truth_outside_the_csv_exits_2_naming_the_file(
+        tmp_path, capsys, command, indices):
+    """A sidecar must name distinct columns of its CSV: an index past
+    the width, a negative one (which would free the last column) and a
+    repeated one are refused before any search runs."""
+    csv_path, truth_path, _ = cmd_generate(BenchmarkConfig(**TINY_BENCH),
+                                           tmp_path / "data.csv")
+    truth_path.write_text(json.dumps({"true_indices": indices,
+                                      "true_weights": [1.0] * len(indices),
+                                      "noise_sigma": 0.5}))
+    csv = {"csv": {"path": str(csv_path), "ground_truth": str(truth_path)}}
+    doc = {**RUN_DOC, "data": csv} if command == "run" else {
+        **ANALYZE_DOC, "datasets": [csv],
+        "task": {"targets": [10.0], "free_inputs": "true"}}
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main([command, "--config", str(config_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: ground truth {truth_path}: "
+                          "true_indices must be distinct columns 0 to 5")
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])

@@ -1,13 +1,16 @@
-"""The package's lower layers import only the layers below them, and
-only the data module reads the rows of a partitioned dataset directly.
+"""The package's lower layers import only the layers below them, it
+imports nothing outside the standard library and its declared
+dependencies, and only the data module reads the rows of a partitioned
+dataset directly.
 
 Payloads and the engine are generic: they carry problems and models
 without knowing how any model is fitted, so they must not import a
-model module. Each module's module-level relative imports are read with
-ast, without importing anything.
+model module. Each module's imports are read with ast, without
+importing anything.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,6 +55,38 @@ def test_relative_imports_reads_both_forms(tmp_path):
                     "from numpy import ndarray\n"
                     "def f():\n    from .osga import drive\n")
     assert relative_imports(path) == {"data", "linear", "forest"}
+
+
+#: The top-level modules the package may import besides the standard
+#: library: the dependencies pyproject.toml declares.
+DEPENDENCIES = {"numpy", "yaml"}
+
+
+def absolute_imports(path: Path) -> set[str]:
+    """The top-level modules path imports by absolute name, at any
+    depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_package_imports_only_the_standard_library_and_its_dependencies():
+    stray = {path.name: absolute_imports(path) - DEPENDENCIES
+             - sys.stdlib_module_names for path in sorted(SRC.glob("*.py"))}
+    assert not {name: sorted(mods) for name, mods in stray.items() if mods}
+
+
+def test_absolute_imports_reads_every_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import numpy as np, os.path\n"
+                    "from yaml import safe_load\n"
+                    "from . import linear\n"
+                    "def f():\n    import scipy.linalg\n")
+    assert absolute_imports(path) == {"numpy", "os", "yaml", "scipy"}
 
 
 def base_row_reads(path: Path) -> list[int]:

@@ -412,17 +412,29 @@ def test_ols_node_gives_the_empty_mask_the_constant_model(
     assert fitted.model == LinearModel(np.zeros(0), float(np.mean(y)), ())
 
 
-def test_memo_hit_gathers_no_column(small_partitioned):
+def test_memo_hit_gathers_no_column(small_partitioned,
+                                    collinear_partitioned):
+    """A hit and a miss solved from the Gram matrix gather no column; a
+    miss fitted by fit_ols, the empty mask's or any mask's of a design
+    whose Gram matrix is refused, gathers its own."""
+    gathered = {"train_features", "validation_features", "feature_names"}
     orchestrator = RegressionOrchestratorNode("o", small_partitioned)
     node = OlsModelNode("model")
     mask = FeatureMask.from_indices((1, 4), 8)
     first = orchestrator.make_problem(mask)
     node.fit_problem(first, None)
-    assert "train_features" in vars(first)
+    assert not gathered & set(vars(first))
     again = orchestrator.make_problem(mask)
     assert node.fit_problem(again, None) is node.fit_problem(first, None)
-    assert not {"train_features", "validation_features",
-                "feature_names"} & set(vars(again))
+    assert not gathered & set(vars(again))
+    empty = orchestrator.make_problem(FeatureMask(np.zeros(8, dtype=bool)))
+    node.fit_problem(empty, None)
+    assert "train_features" in vars(empty)
+    collinear = RegressionOrchestratorNode(
+        "c", collinear_partitioned).make_problem(
+            FeatureMask.from_indices((1, 4), 102))
+    OlsModelNode("model").fit_problem(collinear, None)
+    assert "train_features" in vars(collinear)
 
 
 @pytest.fixture(scope="module")
@@ -452,12 +464,18 @@ def test_fit_batch_fits_as_each_problem_alone(
     """Batches of masks with repeats, the empty mask, evictions within a
     batch, gathers of one mask at a time and a Gram matrix that refuses
     every mask get, bit for bit, the fits of one problem at a time on a
-    fresh node, and leave equal counters and memo order."""
+    fresh node, and leave equal counters and memo order. Every fit
+    scores as mae(predict(...)) on its gathered columns, and on a usable
+    Gram matrix each non-empty mask's model is a plain two-dimensional
+    solve of its own sub-system, bit for bit."""
     partitioned = {"small": small_partitioned,
                    "flagship": flagship_partitioned,
                    "collinear": collinear_partitioned}[design]
     orchestrator = RegressionOrchestratorNode("o", partitioned)
     d = orchestrator.n_features
+    (train_x, train_y), (val_x, val_y) = (partitioned.train_xy(),
+                                          partitioned.validation_xy())
+    gram = networks.OlsGram(train_x, train_y)
     pool = [()] + [tuple(sorted(s)) for s in data.draw(st.lists(
         st.sets(st.integers(0, d - 1), min_size=1, max_size=min(d, 40)),
         min_size=1, max_size=8))]
@@ -474,6 +492,20 @@ def test_fit_batch_fits_as_each_problem_alone(
             want = [alone.fit_problem(orchestrator.make_problem(masks[i]),
                                       None) for i in picks]
             assert list(map(_fit_bits, got)) == list(map(_fit_bits, want))
+            for i, fitted in zip(picks, got):
+                cols = list(pool[i])
+                assert fitted.train_mae.hex() == mae(
+                    predict(fitted.model, train_x[:, cols]), train_y).hex()
+                assert fitted.validation_mae.hex() == mae(
+                    predict(fitted.model, val_x[:, cols]), val_y).hex()
+                if gram.usable and cols:
+                    idx = cols + [d]
+                    coef = np.linalg.solve(gram.gram[np.ix_(idx, idx)],
+                                           gram.moment[idx])
+                    assert fitted.model.weights.tobytes() \
+                        == coef[:-1].tobytes()
+                    assert fitted.model.intercept.hex() == coef[-1].hex()
+                    assert not fitted.model.rank_deficient
     assert (batched.fits, batched.hits) == (alone.fits, alone.hits)
     assert list(batched._memo) == list(alone._memo)
 
