@@ -178,7 +178,11 @@ class FeatureMask:
     @classmethod
     def from_indices(cls, indices, n_features: int) -> "FeatureMask":
         bits = np.zeros(n_features, dtype=bool)
-        bits[list(indices)] = True
+        for i in indices:
+            if not 0 <= i < n_features:
+                raise ShapeMismatchError(
+                    f"mask index {i} is outside [0, {n_features})")
+            bits[i] = True
         return cls(bits)
 
     @classmethod

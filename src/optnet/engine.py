@@ -3,11 +3,12 @@
 A network is a set of nodes with typed input and output ports plus the
 connections between them. Execution proceeds in rounds: every node with
 pending input handles exactly one message per round (from its first
-non-empty input port, oldest message first), handlers may run on a
-thread pool, and all emitted messages are routed in a single merge step
-ordered by node declaration order. Because the merge order and the
-per-node random streams are independent of scheduling, a run produces
-bit-identical results for any worker count.
+non-empty input port, oldest message first), a round with more than
+one delivery runs its handlers on a thread pool when workers > 1, and
+all emitted messages are routed in a single merge step ordered by node
+declaration order. Because the merge order and the per-node random
+streams are independent of scheduling, a run produces bit-identical
+results for any worker count.
 
 Output ports left unconnected are sinks; whatever is emitted there is
 collected and returned. run_network is the one way a message enters,
@@ -49,11 +50,11 @@ class Node:
 
     Subclasses declare input_ports and output_ports (tuples of Port) and
     implement handle(port_name, payload, ctx). A node that must act
-    before any message arrives implements handle_entry(payload, ctx).
-    Handlers emit through ctx.emit(port_name, payload) and draw
-    randomness only from ctx.rng, never from module-level generators, so
-    a node's behavior depends only on its state, its messages, and its
-    own stream.
+    before any message arrives implements handle_entry(payload, ctx);
+    only such a node can be a run's entry. Handlers emit through
+    ctx.emit(port_name, payload) and draw randomness only from ctx.rng,
+    never from module-level generators, so a node's behavior depends
+    only on its state, its messages, and its own stream.
     """
 
     input_ports: tuple[Port, ...] = ()
@@ -99,10 +100,12 @@ class Connection:
 
 @dataclass(frozen=True)
 class TopologyError:
-    """A structural problem found by validate(); code names the rule."""
+    """A structural problem found by validate(): code names the rule,
+    connection is the index of the connection it concerns, if any."""
 
     code: str
     detail: str
+    connection: int | None = None
 
     def __str__(self):
         return f"{self.code}: {self.detail}"
@@ -131,6 +134,16 @@ class Topology:
                 return n
         raise KeyError(node_id)
 
+    def entry_node(self, node_id: str) -> Node:
+        """The node an entry payload goes to; InvalidConfigError unless
+        one is declared and its class overrides Node.handle_entry."""
+        node = next((n for n in self.nodes if n.id == node_id), None)
+        if node is None or type(node).handle_entry is Node.handle_entry:
+            raise InvalidConfigError(f"entry node {node_id!r} " + (
+                "is not in the topology" if node is None
+                else "takes no entry payload"))
+        return node
+
     def validate(self) -> list[TopologyError]:
         """Check structural rules; an empty list means the topology is
         runnable. Problems are returned, not raised, so callers can
@@ -153,34 +166,36 @@ class Topology:
                     errors.append(TopologyError(
                         "UnknownKind",
                         f"port {n.id}.{p.name} declares kind {p.kind!r}"))
-        writers: dict[tuple[str, str], Connection] = {}
-        for c in self.connections:
+        firsts: dict[tuple, int] = {}  # (side, node, port) -> connection
+        for i, c in enumerate(self.connections):
             src = by_id.get(c.src_node)
             dst = by_id.get(c.dst_node)
             if src is None or src.output_port(c.src_port) is None:
                 errors.append(TopologyError(
                     "MissingEndpoint",
-                    f"{c}: no output port {c.src_node}.{c.src_port}"))
+                    f"{c}: no output port {c.src_node}.{c.src_port}", i))
                 continue
             if dst is None or dst.input_port(c.dst_port) is None:
                 errors.append(TopologyError(
                     "MissingEndpoint",
-                    f"{c}: no input port {c.dst_node}.{c.dst_port}"))
+                    f"{c}: no input port {c.dst_node}.{c.dst_port}", i))
                 continue
             src_kind = src.output_port(c.src_port).kind
             dst_kind = dst.input_port(c.dst_port).kind
             if src_kind != dst_kind:
                 errors.append(TopologyError(
                     "KindMismatch",
-                    f"{c}: {src_kind!r} flows into {dst_kind!r}"))
-            key = (c.dst_node, c.dst_port)
-            if key in writers:
+                    f"{c}: {src_kind!r} flows into {dst_kind!r}", i))
+            first = firsts.setdefault(("in", c.dst_node, c.dst_port), i)
+            if first != i:
                 errors.append(TopologyError(
-                    "DuplicateWriter",
-                    f"input {c.dst_node}.{c.dst_port} fed by both "
-                    f"{writers[key]} and {c}"))
-            else:
-                writers[key] = c
+                    "DuplicateWriter", f"input {c.dst_node}.{c.dst_port} fed "
+                    f"by both {self.connections[first]} and {c}", i))
+            first = firsts.setdefault(("out", c.src_node, c.src_port), i)
+            if first != i:
+                errors.append(TopologyError(
+                    "DuplicateRoute", f"output {c.src_node}.{c.src_port} wired "
+                    f"to both {self.connections[first]} and {c}", i))
         return errors
 
 
@@ -286,11 +301,12 @@ def run_network(topology: Topology, termination,
     from its own stream derived from (seed, node id), so results do not
     depend on scheduling or worker count.
 
-    Raises InvalidConfigError for an invalid topology or a SinksEmitted
-    with no ports (it would stop before the entry is delivered),
-    UnconnectedPortError if SinksEmitted names a port that is not a
-    sink, DeadlockError if the network drains with the termination rule
-    unmet, and HandlerFailureError if a handler raises.
+    Raises InvalidConfigError for an invalid topology, an entry that
+    Topology.entry_node refuses or a SinksEmitted with no ports (it
+    would stop before the entry is delivered), UnconnectedPortError if
+    SinksEmitted names a port that is not a sink, DeadlockError if the
+    network drains with the termination rule unmet, and
+    HandlerFailureError if a handler raises.
     """
     problems = topology.validate()
     if problems:
@@ -351,11 +367,7 @@ def run_network(topology: Topology, termination,
     batch: list = []
     if entry is not None:
         entry_node, entry_payload = entry
-        try:
-            node = topology.node(entry_node)
-        except KeyError:
-            raise InvalidConfigError(
-                f"entry node {entry_node!r} is not in the topology") from None
+        node = topology.entry_node(entry_node)
         batch.append((node, contexts[node.id], None, (0, entry_payload)))
         entry_count = 1
 

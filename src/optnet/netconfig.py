@@ -367,10 +367,6 @@ class NodeKind:
     read: object  # (options, where) -> settings, or ConfigFileError
     args: object  # (settings, PartitionedDataset) -> arguments after node_id
 
-    def port_names(self, side: str) -> tuple[str, ...]:
-        """The names of the node's "input" or "output" ports."""
-        return tuple(p.name for p in getattr(self.node, f"{side}_ports"))
-
 
 NODE_KINDS: dict[str, NodeKind] = {
     "feature-selection": NodeKind(
@@ -415,6 +411,16 @@ class TopologySpec:
     nodes: dict[str, NodeSpec]
     connections: tuple[tuple[str, str, str, str], ...]
 
+    def declared(self) -> Topology:
+        """The network before any data is made: each node is its kind's
+        class carrying only its id, all that validate and entry_node read."""
+        topo = Topology()
+        for name, ns in self.nodes.items():
+            topo.add(object.__new__(NODE_KINDS[ns.kind].node)).id = name
+        for c in self.connections:
+            topo.connect(*c)
+        return topo
+
 
 def topology_spec_from_doc(doc, where: str = "network") -> TopologySpec:
     doc = _mapping(doc, where, ("nodes", "connections"))
@@ -440,29 +446,21 @@ def topology_spec_from_doc(doc, where: str = "network") -> TopologySpec:
                                                            node_where))
     raw_conns = doc.get("connections") or []
     if not isinstance(raw_conns, list):
-        raise ConfigFileError("must be a list",
-                              field=f"{where}.connections")
-    connections = tuple(parse_connection(c) for c in raw_conns)
-    for i, (src, src_port, dst, dst_port) in enumerate(connections):
-        conn_where = f"{where}.connections[{i}]"
-        _check_known((src, dst), nodes, conn_where, "declared nodes")
-        for node, port, side in ((src, src_port, "output"),
-                                 (dst, dst_port, "input")):
-            _check_known((port,),
-                         NODE_KINDS[nodes[node].kind].port_names(side),
-                         conn_where, f"{side} ports of {node}")
-    return TopologySpec(nodes, connections)
+        raise ConfigFileError("must be a list", field=f"{where}.connections")
+    spec = TopologySpec(nodes, tuple(parse_connection(c) for c in raw_conns))
+    for p in spec.declared().validate():
+        raise ConfigFileError(str(p), field=where if p.connection is None
+                              else f"{where}.connections[{p.connection}]")
+    return spec
 
 
 def build_topology(spec: TopologySpec,
                    partitioned: PartitionedDataset) -> Topology:
-    """Instantiate nodes through the registry and wire them up."""
-    topo = Topology()
-    for name, ns in spec.nodes.items():
+    """The declared network with its nodes made through the registry."""
+    topo = spec.declared()
+    for i, (name, ns) in enumerate(spec.nodes.items()):
         kind = NODE_KINDS[ns.kind]
-        topo.add(kind.node(name, *kind.args(ns.settings, partitioned)))
-    for src_node, src_port, dst_node, dst_port in spec.connections:
-        topo.connect(src_node, src_port, dst_node, dst_port)
+        topo.nodes[i] = kind.node(name, *kind.args(ns.settings, partitioned))
     return topo
 
 
@@ -592,8 +590,10 @@ def run_config_from_doc(doc) -> NetworkRunConfig:
     if "entry" not in net:
         raise ConfigFileError("missing 'entry'", field="network")
     entry = _typed(net["entry"], str, "network.entry")
-    _check_known((entry,), topo_spec.nodes, "network.entry",
-                 "declared nodes")
+    try:
+        topo_spec.declared().entry_node(entry)
+    except InvalidConfigError as exc:
+        raise ConfigFileError(str(exc), field="network.entry") from exc
     term = _read_block(TerminationSpec, net.get("termination"),
                        "network.termination")
     return _read(
@@ -718,11 +718,10 @@ class AnalysisSpec:
             workers=workers)
 
 
-def _check_known(given, known, where: str,
-                 what: str = "input names") -> None:
+def _check_known(given, known, where: str) -> None:
     unknown = sorted(set(given) - set(known))
     if unknown:
-        raise ConfigFileError(f"{unknown} are not {what}", field=where)
+        raise ConfigFileError(f"{unknown} are not input names", field=where)
 
 
 def _analysis_spec(doc: dict, where: str, task: dict, task_where: str,

@@ -13,6 +13,7 @@ from optnet.analysis import (
     ElasticNetRecipe,
     FeatureSelectionRecipe,
     ForestRecipe,
+    InputSearchNode,
     OlsRecipe,
     PoolEntry,
     build_model_pool,
@@ -449,6 +450,17 @@ def test_analysis_network_mismatched_datasets(small_partitioned):
     with pytest.raises(InvalidConfigError, match="datasets for"):
         optimization_analysis_network([small_partitioned, small_partitioned],
                                       recipes, 1, task, SMALL_SEARCH)
+
+
+def test_input_search_node_refuses_subsets_for_other_targets(
+        small_partitioned):
+    """The pipeline refuses the mismatch before any node runs; the node
+    checks it again for any other network that feeds it."""
+    task, _ = analysis_setup(small_partitioned)
+    node = InputSearchNode("optimizer", task, SMALL_SEARCH, seed=0)
+    with pytest.raises(InvalidConfigError,
+                       match="^2 datasets for 1 target outputs$"):
+        node.handle("subsets", [[], []], ctx=None)
 
 
 def test_analysis_network_oversized_subset(small_partitioned):

@@ -260,6 +260,18 @@ def test_generate_via_main(tmp_path, capsys):
     assert (tmp_path / "data" / "dataset.csv").exists()
 
 
+def test_generate_without_config_writes_the_default_benchmark(tmp_path,
+                                                              capsys):
+    assert main(["generate", "--seed", "2",
+                 "--out", str(tmp_path / "data.csv")]) == 0
+    dataset = load_csv(tmp_path / "data.csv")
+    assert (dataset.n_rows, dataset.n_features) == (
+        BenchmarkConfig().n_observations, BenchmarkConfig().n_features)
+    # a directory path that runs through a file cannot be made
+    assert main(["generate", "--out", str(tmp_path / "data.csv" / "d")]) == 3
+    assert capsys.readouterr().err.startswith("io error: ")
+
+
 # ---------------------------------------------------------------------------
 # benchmark
 
@@ -369,6 +381,12 @@ def test_benchmark_table_matches_its_pinned_csv():
             assert repr(got.test_mae) == repr(want.test_mae), got.method
 
 
+def test_oracle_ols_needs_ground_truth(small_partitioned):
+    with pytest.raises(InvalidConfigError,
+                       match="^oracle-ols needs ground truth$"):
+        METHODS["oracle-ols"](small_partitioned, None, small_experiment(), 0)
+
+
 def test_benchmark_via_main_writes_csv(tmp_path, capsys):
     config_path = tmp_path / "experiment.yaml"
     config_path.write_text(yaml.safe_dump({
@@ -457,11 +475,12 @@ def test_kind_mismatch_config_exits_2_with_code_name(tmp_path, capsys):
 
 def test_runtime_failure_exits_3(tmp_path, capsys):
     doc = yaml.safe_load(RUN_CONFIG_YAML)
-    doc["network"]["entry"] = "model"  # OLS node takes no entry stimulus
+    # qualities go to a sink, so the selector never finishes its search
+    doc["network"]["connections"].pop()
     config_path = tmp_path / "boom.yaml"
     config_path.write_text(yaml.safe_dump(doc, sort_keys=False))
     assert main(["run", "--config", str(config_path)]) == 3
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: network drained")
 
 
 BAD_SIDECARS = [
@@ -754,6 +773,26 @@ def _with(doc, path, value):
 BENCH_DOC = {"seeds": [0], "methods": ["full-ols"], "benchmark": TINY_BENCH}
 RUN_DOC = yaml.safe_load(RUN_CONFIG_YAML)
 
+_NET = RUN_DOC["network"]
+# networks the engine's wiring rules refuse: (network block, field, problem)
+WIRING_FAULTS = [
+    ({**_NET, "connections": _NET["connections"][:3]
+      + ["selector.result -> selector.quality"]},
+     "network.connections[3]", "KindMismatch: selector.result -> "
+     "selector.quality: 'run-result' flows into 'scalar-quality-batch'"),
+    ({**_NET, "connections": _NET["connections"]
+      + ["selector.mask -> orchestrator.mask"]},
+     "network.connections[4]", "DuplicateWriter: input orchestrator.mask"),
+    ({**_NET, "nodes": {**_NET["nodes"], "twin": {"kind": "ols-model"}},
+      "connections": _NET["connections"]
+      + ["orchestrator.problem -> twin.problem"]},
+     "network.connections[4]", "DuplicateRoute: output orchestrator.problem"),
+    ({**_NET, "entry": "nope"}, "network.entry",
+     "entry node 'nope' is not in the topology"),
+    ({**_NET, "entry": "orchestrator"}, "network.entry",
+     "entry node 'orchestrator' takes no entry payload"),
+]
+
 BAD_VALUES = [
     ("benchmark", BENCH_DOC, ("workers",), "abc", "workers"),
     ("benchmark", BENCH_DOC, ("seeds",), ["a"], "seeds[0]"),
@@ -905,6 +944,11 @@ BAD_VALUES = [
      + ["selector.nope -> orchestrator.mask"], "network.connections[4]"),
     ("run", RUN_DOC, ("network", "connections"),
      ["selector.mask -> orchestrator.nope"], "network.connections[0]"),
+    # a benchmark table needs a seed to have rows
+    ("benchmark", BENCH_DOC, ("seeds",), [], "seeds"),
+    # wiring that Topology.validate or Topology.entry_node refuses
+    *[("run", RUN_DOC, ("network",), network, field)
+      for network, field, _ in WIRING_FAULTS],
 ]
 
 
@@ -919,6 +963,21 @@ def test_wrong_typed_value_exits_2_naming_the_field(
     assert err.startswith("config error: ")
     assert f"{field}: " in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("network, field, problem", WIRING_FAULTS, ids=[
+    "kind mismatch", "duplicate writer", "output wired twice",
+    "undeclared entry", "entry without handle_entry"])
+def test_wiring_faults_stop_before_any_data_is_made(
+        tmp_path, capsys, monkeypatch, network, field, problem):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data was loaded")
+    monkeypatch.setattr(optnet.netconfig, "load_experiment_data", no_data)
+    config_path = tmp_path / "bad.yaml"
+    config_path.write_text(yaml.safe_dump({**RUN_DOC, "network": network}))
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: {problem}")
 
 
 @pytest.mark.parametrize("task, field", [
@@ -967,6 +1026,17 @@ def test_import_optnet_does_not_load_cli():
     out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_python_dash_m_optnet_runs_main(tmp_path):
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(optnet.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "optnet", "run", "--config",
+         str(tmp_path / "missing.yaml")], env=env, capture_output=True,
+        text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error: cannot read config")
 
 
 def _leaf_paths(doc, prefix=()):

@@ -29,6 +29,7 @@ from optnet.errors import (
 )
 from optnet.forest import ForestConfig, fit_random_forest, predict_forest
 from optnet.linear import fit_elastic_net, fit_ols, predict, predict_each_row
+from optnet.payloads import ParameterVector
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +285,24 @@ def test_mask_constructors_agree():
     assert FeatureMask.from_indices((0, 2), 4) == FeatureMask.from_string(
         "1010")
     assert FeatureMask.all_selected(3) == FeatureMask.from_string("111")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FeatureMask.from_indices([-1], 5),
+     r"mask index -1 is outside \[0, 5\)"),
+    (lambda: FeatureMask.from_indices([0, 7], 5),
+     r"mask index 7 is outside \[0, 5\)"),
+    (lambda: FeatureMask(np.zeros((2, 2), dtype=bool)),
+     "mask bits must be 1-d"),
+    (lambda: ParameterVector(np.zeros((1, 2)), ("a", "b")),
+     "parameter values must be 1-d"),
+    (lambda: ParameterVector(np.zeros(2), ("a",)),
+     "parameter names length mismatch"),
+], ids=["negative index", "index past the width", "2-d mask bits",
+        "2-d parameter values", "names for another width"])
+def test_payload_constructors_refuse_bad_shapes(make, message):
+    with pytest.raises(ShapeMismatchError, match=message):
+        make()
 
 
 def test_mask_equality_and_hash():

@@ -159,6 +159,79 @@ def test_duplicate_writer():
     assert codes(topo) == ["DuplicateWriter"]
 
 
+def test_duplicate_route():
+    """An output port has one route; a second connection from it would
+    silently replace the first, so validate() refuses it."""
+
+    class Stimulus(Producer):
+        def handle_entry(self, payload, ctx):
+            ctx.emit("out", payload)
+
+    topo = Topology()
+    topo.add(Stimulus("s"))
+    topo.add(Consumer("a"))
+    topo.add(Consumer("b"))
+    topo.connect("s", "out", "a", "in")
+    topo.connect("s", "out", "b", "in")
+    errors = topo.validate()
+    assert [(e.code, e.connection) for e in errors] == [("DuplicateRoute", 1)]
+    assert errors[0].detail == ("output s.out wired to both s.out -> a.in "
+                                "and s.out -> b.in")
+    with pytest.raises(InvalidConfigError, match="DuplicateRoute"):
+        run_network(topo, MessageBudget(2), entry=("s", 1.0))
+
+
+def test_connection_problems_carry_the_connection_index():
+    topo = Topology()
+    topo.add(Producer("p"))
+    topo.add(Producer("p"))  # a node problem concerns no connection
+    topo.add(Consumer("c"))
+    topo.connect("p", "out", "c", "in")
+    topo.connect("p", "nope", "c", "in")
+    topo.connect("p", "out", "c", "in")
+    assert [(e.code, e.connection) for e in topo.validate()] == [
+        ("DuplicateNodeId", None), ("MissingEndpoint", 1),
+        ("DuplicateWriter", 2), ("DuplicateRoute", 2)]
+
+
+def test_entry_node_must_take_an_entry_payload():
+    """A node whose class keeps Node.handle_entry is refused as the entry
+    before round 0, so no handler runs."""
+    handled = []
+
+    class Listener(Node):
+        input_ports = (Port("in", "scalar-quality"),)
+
+        def handle(self, port_name, payload, ctx):
+            handled.append(payload)
+
+    topo = echo_loop()
+    topo.add(Listener("l"))
+    assert topo.entry_node("echo") is topo.node("echo")
+    with pytest.raises(InvalidConfigError,
+                       match="^entry node 'l' takes no entry payload$"):
+        run_network(topo, MessageBudget(3), entry=("l", 0.0))
+    with pytest.raises(InvalidConfigError,
+                       match="^entry node 'ghost' is not in the topology$"):
+        topo.entry_node("ghost")
+    assert handled == []
+
+
+def test_message_to_a_node_without_handle_fails_the_run():
+    class Deaf(Node):
+        input_ports = (Port("in", "scalar-quality"),)
+
+    topo = Topology()
+    topo.add(Echo("e"))
+    topo.add(Deaf("d"))
+    topo.connect("e", "out", "d", "in")
+    with pytest.raises(HandlerFailureError) as info:
+        run_network(topo, MessageBudget(2), entry=("e", 0.0))
+    assert info.value.node_id == "d"
+    assert isinstance(info.value.original, NotImplementedError)
+    assert "does not handle input messages" in str(info.value)
+
+
 def test_network_rejects_invalid_topology():
     topo = Topology()
     topo.add(Producer("a"))
