@@ -144,6 +144,20 @@ class Topology:
                 else "takes no entry payload"))
         return node
 
+    def sinks(self, wanted=()) -> list[tuple[str, str]]:
+        """The output ports no connection leaves from, the sinks, as
+        (node id, port name) in declaration order; UnconnectedPortError
+        if a (node, port) of wanted is not one of them."""
+        wired = {(c.src_node, c.src_port) for c in self.connections}
+        sinks = [(n.id, p.name) for n in self.nodes for p in n.output_ports
+                 if (n.id, p.name) not in wired]
+        for want in wanted:
+            if tuple(want) not in sinks:
+                raise UnconnectedPortError(
+                    f"termination waits on {want[0]}.{want[1]}, which is "
+                    f"not an unconnected output port")
+        return sinks
+
     def validate(self) -> list[TopologyError]:
         """Check structural rules; an empty list means the topology is
         runnable. Problems are returned, not raised, so callers can
@@ -324,29 +338,24 @@ def run_network(topology: Topology, termination,
               for p in n.input_ports}
     route = {(c.src_node, c.src_port): queues[(c.dst_node, c.dst_port)]
              for c in topology.connections}
-    sinks = {(n.id, p.name): [] for n in topology.nodes
-             for p in n.output_ports if (n.id, p.name) not in route}
-    route.update(sinks)
     correlation = {(n.id, p.name): 0 for n in topology.nodes
                    for p in n.output_ports}
 
     # resolve the rule once: a message limit, or the sink lists to watch
     limit: int | None = None
-    watched: list[list] = []
+    wanted = ()
     if isinstance(termination, MessageBudget):
         limit = termination.limit
         if limit < 1:
             raise InvalidConfigError("message budget must be at least 1")
     else:
-        if not termination.ports:
+        wanted = tuple(map(tuple, termination.ports))
+        if not wanted:
             raise InvalidConfigError(
                 "sink termination needs at least one (node, port) sink")
-        for want in termination.ports:
-            if tuple(want) not in sinks:
-                raise UnconnectedPortError(
-                    f"termination waits on {want[0]}.{want[1]}, which is "
-                    f"not an unconnected output port")
-            watched.append(sinks[tuple(want)])
+    sinks = {port: [] for port in topology.sinks(wanted)}
+    route.update(sinks)
+    watched = [sinks[want] for want in wanted]
 
     handled = 0
     produced = 0

@@ -590,21 +590,29 @@ def run_config_from_doc(doc) -> NetworkRunConfig:
     if "entry" not in net:
         raise ConfigFileError("missing 'entry'", field="network")
     entry = _typed(net["entry"], str, "network.entry")
+    declared = topo_spec.declared()
     try:
-        topo_spec.declared().entry_node(entry)
+        declared.entry_node(entry)
     except InvalidConfigError as exc:
         raise ConfigFileError(str(exc), field="network.entry") from exc
     term = _read_block(TerminationSpec, net.get("termination"),
                        "network.termination")
+    if term.sinks is None:
+        termination = MessageBudget(term.budget)
+    else:
+        where = "network.termination.sinks"
+        termination = SinksEmitted(tuple(_parse_endpoint(s, where)
+                                         for s in term.sinks))
+        try:
+            declared.sinks(termination.ports)
+        except UnconnectedPortError as exc:
+            raise ConfigFileError(str(exc), field=where) from exc
     return _read(
         NetworkRunConfig, doc, "", ("seed", "workers"), _check_workers,
         data=data_spec_from_doc(doc["data"]),
         topology=topo_spec,
         entry=entry,
-        termination=MessageBudget(term.budget) if term.sinks is None
-        else SinksEmitted(tuple(
-            _parse_endpoint(s, "network.termination.sinks")
-            for s in term.sinks)))
+        termination=termination)
 
 
 def load_run_config(text: str) -> NetworkRunConfig:
@@ -997,12 +1005,8 @@ def run_configured(doc) -> ConfiguredRunReport:
     cfg = run_config_from_doc(doc)
     partitioned, _ = load_experiment_data(cfg.data, cfg.seed)
     topo = build_topology(cfg.topology, partitioned)
-    try:
-        run = run_network(topo, cfg.termination, entry=(cfg.entry, None),
-                          seed=cfg.seed, workers=cfg.workers)
-    except UnconnectedPortError as exc:
-        raise ConfigFileError(str(exc),
-                              field="network.termination.sinks") from exc
+    run = run_network(topo, cfg.termination, entry=(cfg.entry, None),
+                      seed=cfg.seed, workers=cfg.workers)
     result_doc = {
         "sinks": {
             f"{node}.{port}": [payload_doc(p) for p in payloads]

@@ -30,25 +30,33 @@ Draw rule. Every variation operator is its draws followed by a
 draw-free transform on the last axis; the public operators
 (binary_crossover, bitflip_mutation, real_crossover, gaussian_mutation)
 apply the transform to one genome. A batch draws each child's numbers
-in child order, in at most four calls: integers(population_size,
-size=4) for both binary tournaments, the single-point cut where that
-crossover draws one, one random(k) for the crossover's and the
+in child order, as numpy's calls integers(population_size, size=4) for
+both binary tournaments, integers(1, d) for the single-point cut where
+that crossover draws one, one random(k) for the crossover's and the
 mutation's uniforms, and standard_normal(d) for a real genome's
 mutation. On the counter-based Philox stream these calls give the
 values, and leave the state, of the per-operator calls they stand for
 (integers(n, size=4) those of four scalar calls, random(a + b) those of
-random(a) then random(b)). The batch's tournaments, crossovers,
-mutations and success thresholds are then computed once on the stacked
-draws. With a target fitness set any child might end the run, so a
-generation still breeds its whole batch ahead but yields one genome at
-a time; when a child reaches the target, the stream is put back to the
-batch's start and redraws up to that child, so it ends where the
-one-child-at-a-time search ends.
+random(a) then random(b)). The picks and uniforms are decoded from
+Philox's raw words with the calls' values and final state, and the
+calls draw the children the decode cannot stand for: other generators,
+a 32-bit half buffered at the batch's start, single-point plans, and
+every child from the first Lemire rejection on (see _decode_children).
+The decoder checks itself against the calls once per process and, if
+they disagree, leaves every child to them. The batch's tournaments,
+crossovers, mutations and success thresholds are then computed once on
+the stacked draws. With a target fitness set any child might end the
+run, so a generation still breeds its whole batch ahead but yields one
+genome at a time; when a child reaches the target, the stream is put
+back to the batch's start and redraws up to that child, so it ends
+where the one-child-at-a-time search ends.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -371,25 +379,138 @@ def _draw_plan(genome_spec, kind: str, pop_n: int) -> tuple:
 
 
 def _draw_children(rng, n, pop_n, d, cut, n_uniform, n_normal):
-    """The draws of n children in child order, one child's in at most
-    four calls: the picks of both binary tournaments, the single-point
-    cut when cut is set, the crossover's and the mutation's uniforms in
-    one call, and the mutation's n_normal Gaussians. On a Philox stream
-    each call gives the bits, and leaves the state, of the calls per
-    operator it stands for. Returns the draws stacked: (picks, cuts,
-    uniforms, normals)."""
-    picks = np.empty((n, 4), dtype=np.int64)
-    cuts = np.full(n, d)
-    u = np.empty((n, n_uniform))
-    z = np.empty((n, n_normal))
-    for i in range(n):
+    """The draws of n children in child order, stacked: (picks, cuts,
+    uniforms, normals), with the values and the final stream of a
+    child's calls by the module's draw rule, integers(pop_n, size=4),
+    integers(1, d) when cut is set, random(n_uniform) and, when
+    n_normal, standard_normal(n_normal). _decode_children decodes the
+    leading children it can from the stream's raw words, and the calls
+    draw the rest."""
+    draws = _empty_draws(n, d, n_uniform, n_normal)
+    decoded = _decode_children(rng, pop_n, draws) \
+        if n and not cut and _decoder_agrees() else 0
+    _call_children(rng, pop_n, d, cut, draws, decoded)
+    return draws
+
+
+def _empty_draws(n, d, n_uniform, n_normal):
+    """Room for the draws of n children, every cut d (none drawn)."""
+    return (np.empty((n, 4), dtype=np.int64), np.full(n, d),
+            np.empty((n, n_uniform)), np.empty((n, n_normal)))
+
+
+def _call_children(rng, pop_n, d, cut, draws, first):
+    """Draw children first, first + 1, ... of draws by numpy's calls."""
+    picks, cuts, u, z = draws
+    for i in range(first, len(picks)):
         picks[i] = rng.integers(pop_n, size=4)
         if cut:
             cuts[i] = rng.integers(1, d)
         rng.random(out=u[i])
-        if n_normal:
+        if z.shape[1]:
             rng.standard_normal(out=z[i])
-    return picks, cuts, u, z
+
+
+# Philox words per random_raw call of a binary batch, in whole children
+# (at least one), so a large batch's transient words stay bounded
+_RAW_WORDS = 1 << 15
+
+
+def _decode_children(rng, pop_n, draws):
+    """Draw the leading children of draws, drawing no cut, from Philox's
+    raw 64-bit words, and return how many.
+
+    Philox serves 32-bit draws from its words low half first, keeping the
+    high half buffered in the state's has_uint32 and uinteger, and a
+    64-bit draw takes a whole word. So with no half buffered at the start
+    a child's calls read 2 + k whole words: the four picks from the
+    halves of two, numpy's Lemire multiply-shift (u * pop_n) >> 32 on
+    each, and the k uniforms one word each, (w >> 11) * 2**-53. The
+    Gaussians stay numpy's, whose ziggurat reads a varying number of
+    words: a real genome's child reads its 2 + k words and then calls
+    standard_normal. After the batch the buffered half is the last
+    child's fourth pick, spent (uinteger set, has_uint32 0).
+
+    Returns 0 with the stream untouched where decoding cannot stand for
+    the calls: a bit generator other than Philox, a half already
+    buffered, or pop_n outside [2, 2**32). Lemire rejects a pick when
+    (u * pop_n) mod 2**32 < (2**32 - pop_n) mod pop_n and draws another
+    half; then the stream is put back to the batch's start, the words of
+    the children before the first rejecting one are read again, and
+    their count is returned.
+    """
+    bg = rng.bit_generator
+    if type(bg) is not np.random.Philox or not 2 <= pop_n < 2**32:
+        return 0
+    start = bg.state
+    if start["has_uint32"]:
+        return 0
+    picks, _, u, z = draws
+    n, width = len(picks), 2 + u.shape[1]
+    if z.shape[1]:
+        words = np.empty((n, width), dtype=np.uint64)
+        for i in range(n):
+            words[i] = bg.random_raw(width)
+            rng.standard_normal(out=z[i])
+        done = _decode(words, pop_n, picks, u)
+    else:
+        per = max(1, _RAW_WORDS // width)
+        for lo in range(0, n, per):
+            hi = min(n, lo + per)
+            words = bg.random_raw((hi - lo) * width).reshape(-1, width)
+            done = lo + _decode(words, pop_n, picks[lo:hi], u[lo:hi])
+            if done < hi:
+                break
+    if done < n:
+        bg.state = start
+        for i in range(done):
+            bg.random_raw(width, output=False)
+            if z.shape[1]:
+                rng.standard_normal(out=z[i])
+        return done
+    end = bg.state
+    end["uinteger"] = int(words[-1, 1] >> 32)
+    bg.state = end
+    return n
+
+
+def _decode(words, pop_n, picks, u):
+    """Fill picks and u from children's words, one row each, and return
+    how many leading rows have no rejected pick; see _decode_children."""
+    # the halves of the pick words, low half first ("<u8" is a no-op
+    # view on a little-endian host and byte-swaps on a big-endian one)
+    m = words[:, :2].astype("<u8", copy=False).view("<u4") \
+        * np.uint64(pop_n)
+    picks[...] = m >> 32
+    u[...] = words[:, 2:] >> 11
+    u *= 2.0 ** -53
+    threshold = (2**32 - pop_n) % pop_n
+    low = m.astype(np.uint32)
+    if low.min() >= threshold:
+        return len(words)
+    return int((low < threshold).any(axis=1).argmax())
+
+
+@functools.cache
+def _decoder_agrees() -> bool:
+    """Whether _decode_children decodes every child of a fixed Philox
+    stream, for a binary and a real plan, with the draws and the final
+    state of numpy's calls; checked once per process, and where it does
+    not, every child is drawn by the calls."""
+    for pop_n, d, n_uniform, n_normal in ((100, 100, 200, 0),
+                                          (50, 8, 24, 8)):
+        decoded, called = (np.random.Generator(np.random.Philox(2019))
+                           for _ in range(2))
+        drawn = _empty_draws(16, d, n_uniform, n_normal)
+        expected = _empty_draws(16, d, n_uniform, n_normal)
+        if _decode_children(decoded, pop_n, drawn) != 16:
+            return False
+        _call_children(called, pop_n, d, False, expected, 0)
+        if [a.tobytes() for a in drawn] != [a.tobytes() for a in expected] \
+                or pickle.dumps(decoded.bit_generator.state) \
+                != pickle.dumps(called.bit_generator.state):
+            return False
+    return True
 
 
 def _breed(genomes, fitness, genome_spec, params, mutation_rate, draws):

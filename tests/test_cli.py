@@ -980,6 +980,22 @@ def test_wiring_faults_stop_before_any_data_is_made(
     assert err.startswith(f"config error: {field}: {problem}")
 
 
+def test_a_wired_termination_sink_stops_before_any_data_is_made(
+        tmp_path, capsys, monkeypatch):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data was loaded")
+    monkeypatch.setattr(optnet.netconfig, "load_experiment_data", no_data)
+    config_path = tmp_path / "bad.yaml"
+    config_path.write_text(yaml.safe_dump(_with(
+        RUN_DOC, ("network", "termination", "sinks"),
+        ["orchestrator.quality"])))
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "config error: network.termination.sinks: termination waits on "
+        "orchestrator.quality, which is not an unconnected output port")
+
+
 @pytest.mark.parametrize("task, field", [
     ({"targets": [1.0, 2.0]}, "task.targets"),
     ({"targets": [1.0], "bounds": [[0.0, 1.0]]}, "task.bounds"),

@@ -10,12 +10,15 @@ not universal.
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from optnet import osga
+from optnet.data import BenchmarkConfig, generate_benchmark, partition
 from optnet.errors import (
     BudgetTooSmallError,
     InfeasibleBoundsError,
@@ -40,9 +43,13 @@ from optnet.osga import (
     real_crossover,
     resolve_mutation_rate,
     _breed,
+    _call_children,
+    _decode_children,
+    _decoder_agrees,
     _draw_children,
     _draw_plan,
 )
+from optnet.networks import FitnessConfig, feature_selection_network
 from optnet._rng import substream
 
 
@@ -864,6 +871,92 @@ def test_stacked_draws_breed_the_children_of_the_public_operators(case):
     assert [g.tobytes() for g in genomes] == expected
     assert thresholds == expected_thresholds
     assert _state(rng) == _state(twin)
+
+
+def _recording_decoder(decoded):
+    """_decode_children, appending what each call returns to decoded."""
+    def decode(*args):
+        decoded.append(_decode_children(*args))
+        return decoded[-1]
+    return decode
+
+
+@st.composite
+def _draw_cases(draw):
+    real = draw(st.booleans())
+    d = draw(st.integers(1, 12))
+    spec = RealGenomeSpec(np.array([[0.0, 1.0]] * d)) if real \
+        else BinaryGenomeSpec(d)
+    plan = _draw_plan(spec, draw(st.sampled_from(spec.crossover_kinds)),
+                      draw(st.sampled_from([2, 7, 100, 3 * 2**30 + 1,
+                                            2**31 + 1])))
+    return (plan, draw(st.integers(1, 120)),
+            draw(st.sampled_from(["Philox"] * 3 + ["PCG64", "MT19937"])),
+            draw(st.booleans()), draw(st.integers(1, 64)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=_draw_cases())
+def test_decoded_draws_are_the_calls(case):
+    """A batch's draws taken from raw Philox words, with every fallback
+    (other generators, a buffered 32-bit half, single-point cuts,
+    Lemire rejections) and raw draws chunked by a small word bound, have
+    the bytes and leave the stream of numpy's calls child by child."""
+    plan, n, bit_generator, buffered, chunk_words, seed = case
+    pop_n, d, cut, n_uniform, n_normal = plan
+    # the once-per-process self-check runs here, outside the patches
+    assert _decoder_agrees()
+
+    def stream():
+        rng = np.random.Generator(getattr(np.random, bit_generator)(seed))
+        if buffered:
+            rng.integers(1, 9)
+        return rng
+
+    rng, twin = stream(), stream()
+    decoded = []
+    with mock.patch.object(osga, "_RAW_WORDS", chunk_words), \
+            mock.patch.object(osga, "_decode_children",
+                              _recording_decoder(decoded)):
+        drawn = _draw_children(rng, n, *plan)
+    called = (np.empty((n, 4), dtype=np.int64), np.full(n, d),
+              np.empty((n, n_uniform)), np.empty((n, n_normal)))
+    _call_children(twin, pop_n, d, cut, called, 0)
+    assert [a.tobytes() for a in drawn] == [a.tobytes() for a in called]
+    assert _state(rng) == _state(twin)
+    if bit_generator != "Philox" or buffered or cut:
+        assert decoded in ([], [0])
+    elif pop_n <= 100:
+        # a rejection here has odds below 1e-7 per pick
+        assert decoded[0] > 0
+
+
+def test_the_decoder_checks_itself_against_numpy():
+    assert _decoder_agrees()
+
+
+def test_a_failed_self_check_draws_every_child_by_the_calls(monkeypatch):
+    """With the self-check failing, a flagship-shaped search draws by
+    numpy's calls alone and finds the very same result."""
+    dataset, _ = generate_benchmark(BenchmarkConfig(
+        n_observations=200, n_features=20, n_relevant=4), seed=3)
+    partitioned = partition(dataset, seed=3)
+
+    def search():
+        return feature_selection_network(
+            partitioned, OsgaParams(population_size=20, max_evaluations=300),
+            FitnessConfig(penalty_per_feature=0.05), seed=4, workers=2)
+
+    decoded = []
+    monkeypatch.setattr(osga, "_decode_children",
+                        _recording_decoder(decoded))
+    with_decoder = search()
+    assert decoded and all(decoded)
+    decoded.clear()
+    monkeypatch.setattr(osga, "_decoder_agrees", lambda: False)
+    assert search() == with_decoder
+    assert decoded == []
 
 
 def _batch_sizes(params, evaluate):
