@@ -34,7 +34,6 @@ from .data import (
     load_csv,
     load_ground_truth,
     partition,
-    project_features,
     save_csv,
     save_ground_truth,
 )
@@ -91,7 +90,6 @@ from .linear import (
 )
 from .netconfig import (
     NetworkRunConfig,
-    load_run_config,
     parse_connection,
     replay_report,
     run_configured,
@@ -119,13 +117,8 @@ from .osga import (
     OsgaParams,
     RealGenomeSpec,
     RunResult,
-    binary_crossover,
-    bitflip_mutation,
-    gaussian_mutation,
-    offspring_selection_step,
     osga_minimize,
     osga_stream,
-    real_crossover,
 )
 from .payloads import (
     PAYLOAD_KINDS,

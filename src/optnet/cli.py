@@ -240,17 +240,19 @@ METHODS = {
 
 def cmd_generate(bench: BenchmarkConfig, out_path,
                  seed: int = 0) -> list[Path]:
-    """Write dataset CSV, ground-truth sidecar, and a config echo."""
+    """Write dataset CSV, ground-truth sidecar, and a config echo: out
+    as <stem>.csv, <stem>.truth.json and <stem>.config.yaml when it names
+    a .csv file, else dataset.* inside the directory out."""
     out = Path(out_path)
     if out.suffix == ".csv":
-        base = out.with_suffix("")
+        folder, stem = out.parent, out.stem
     else:
         out.mkdir(parents=True, exist_ok=True)
-        base = out / "dataset"
+        folder, stem = out, "dataset"
     dataset, truth = generate_benchmark(bench, seed=seed)
-    csv_path = base.with_suffix(".csv")
-    truth_path = base.with_suffix(".truth.json")
-    echo_path = base.with_suffix(".config.yaml")
+    csv_path, truth_path, echo_path = (
+        folder / (stem + ext)
+        for ext in (".csv", ".truth.json", ".config.yaml"))
     save_csv(dataset, csv_path)
     save_ground_truth(truth, truth_path, seed=seed, config=bench)
     echo = {

@@ -337,16 +337,6 @@ def generate_benchmark(config: BenchmarkConfig | None = None,
     return dataset, truth
 
 
-def project_features(dataset: Dataset, mask: FeatureMask) -> Dataset:
-    """Restrict a dataset to the columns selected by the mask."""
-    if len(mask) != dataset.n_features:
-        raise ShapeMismatchError(
-            f"mask length {len(mask)} vs {dataset.n_features} features")
-    keep = np.flatnonzero(mask.bits)
-    return Dataset(dataset.features[:, keep], dataset.target,
-                   tuple(dataset.feature_names[i] for i in keep))
-
-
 # ---------------------------------------------------------------------------
 # CSV and sidecar I/O
 
@@ -370,6 +360,11 @@ def load_csv(path, target_column: str = "y") -> Dataset:
         if header is None:
             raise CsvParseError("file is empty", path=str(path))
         header = [h.strip() for h in header]
+        repeated = next((h for j, h in enumerate(header)
+                         if h in header[:j]), None)
+        if repeated is not None:
+            raise CsvParseError("header repeats a column", path=str(path),
+                                column=repeated)
         if target_column not in header:
             raise MissingTargetError(
                 f"target column {target_column!r} not in header",

@@ -374,16 +374,6 @@ class GridSearchResult:
     validation_mae: float
     test_mae: float | None
 
-    def cells_csv(self) -> str:
-        lines = ["penalty,l1_ratio,validation_mae,n_selected,converged,error"]
-        for c in self.cells:
-            err = "" if c.error is None else c.error.replace("\n", " ")
-            if "," in err or '"' in err:
-                err = '"' + err.replace('"', '""') + '"'
-            lines.append(f"{c.penalty!r},{c.l1_ratio!r},{c.validation_mae!r},"
-                         f"{c.n_selected},{int(c.converged)},{err}")
-        return "\n".join(lines) + "\n"
-
 
 def _fit_cells(features, target, configs,
                feature_names) -> list[LinearModel | str]:

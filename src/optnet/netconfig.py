@@ -615,11 +615,6 @@ def run_config_from_doc(doc) -> NetworkRunConfig:
         termination=termination)
 
 
-def load_run_config(text: str) -> NetworkRunConfig:
-    """Parse a YAML run config from a string."""
-    return run_config_from_doc(config_doc_from_yaml(text))
-
-
 # ---------------------------------------------------------------------------
 # Experiment configs (optnet benchmark / generate)
 

@@ -20,16 +20,15 @@ from and the random stream, so each batch holds every child the
 sequential search would evaluate next in any outcome, drawn in the same
 order; a caller can score a batch in one vectorized call and still get
 the sequential run bit for bit. drive runs a stream against a batch
-fitness callable; osga_minimize and offspring_selection_step (one
-generation) are built on it with a per-genome evaluator (per_genome
-adapts one to drive), while network nodes step the stream with advance,
-one batch out and its fitnesses back per message, so a message-passing
-network evaluates candidates remotely on this exact code path.
+fitness callable, and osga_minimize is built on it with a per-genome
+evaluator (per_genome adapts one to drive), while network nodes step the
+stream with advance, one batch out and its fitnesses back per message,
+so a message-passing network evaluates candidates remotely on this
+exact code path.
 
-Draw rule. Every variation operator is its draws followed by a
-draw-free transform on the last axis; the public operators
-(binary_crossover, bitflip_mutation, real_crossover, gaussian_mutation)
-apply the transform to one genome. A batch draws each child's numbers
+Draw rule. Every variation operator is its draws followed by a draw-free
+transform on the last axis, so a genome spec's breed makes a whole batch
+of children from their stacked draws. A batch draws each child's numbers
 in child order, as numpy's calls integers(population_size, size=4) for
 both binary tournaments, integers(1, d) for the single-point cut where
 that crossover draws one, one random(k) for the crossover's and the
@@ -38,18 +37,18 @@ mutation. On the counter-based Philox stream these calls give the
 values, and leave the state, of the per-operator calls they stand for
 (integers(n, size=4) those of four scalar calls, random(a + b) those of
 random(a) then random(b)). The picks and uniforms are decoded from
-Philox's raw words with the calls' values and final state, and the
-calls draw the children the decode cannot stand for: other generators,
-a 32-bit half buffered at the batch's start, single-point plans, and
-every child from the first Lemire rejection on (see _decode_children).
-The decoder checks itself against the calls once per process and, if
-they disagree, leaves every child to them. The batch's tournaments,
+Philox's raw words with the calls' values and final state, and the calls
+draw the children the decode cannot stand for: other generators, a
+32-bit half buffered at the batch's start, single-point plans, and every
+child from the first Lemire rejection on (see _decode_children). The
+decoder checks itself against the calls once per process and, if they
+disagree, leaves every child to them. The batch's tournaments,
 crossovers, mutations and success thresholds are then computed once on
 the stacked draws. With a target fitness set any child might end the
 run, so a generation still breeds its whole batch ahead but yields one
 genome at a time; when a child reaches the target, the stream is put
-back to the batch's start and redraws up to that child, so it ends
-where the one-child-at-a-time search ends.
+back to the batch's start and redraws up to that child, so it ends where
+the one-child-at-a-time search ends.
 """
 
 from __future__ import annotations
@@ -73,8 +72,8 @@ from .errors import (
 # Variation operators
 #
 # Each operator is its draws followed by a draw-free transform on the last
-# axis. The public operators below apply the transforms to one genome;
-# a genome spec's breed applies the same transforms to a stacked batch.
+# axis; a genome spec's breed applies the transforms to a stacked batch,
+# whose draws _draw_children makes by the module's draw rule.
 
 def _draws_cut(kind: str, d: int) -> bool:
     """Whether a crossover of kind draws a cut, from [1, d); a
@@ -90,7 +89,11 @@ def _crossover_uniforms(kind: str, d: int) -> int:
 
 def _crossover(a, b, kind, cut, u, spread=2.0):
     """Children of parents a and b from their crossover draws: cut (a
-    single-point cut per child) and u (the crossover's uniforms)."""
+    single-point cut per child) and u (the crossover's uniforms).
+    "uniform" picks each component from either parent, "arithmetic"
+    blends the whole vectors with one weight, and "simulated-binary"
+    samples each component around the parents, the closer the larger
+    spread is."""
     if kind == "single-point":
         return np.where(np.arange(a.shape[-1]) < np.expand_dims(cut, -1),
                         a, b)
@@ -113,66 +116,12 @@ def _bitflip(genome, u, rate):
 
 
 def _gaussian(genome, u, z, bounds, rate, sigma_fraction):
+    # bounds are trusted: osga_stream has RealGenomeSpec.validate check
+    # them once, since they stay fixed for a whole search
     lo = bounds[:, 0]
     hi = bounds[:, 1]
     noise = z * (sigma_fraction * (hi - lo))
     return np.clip(np.where(u < rate, genome + noise, genome), lo, hi)
-
-
-def _one_crossover(a, b, kind, rng, genome: str, kinds, spread=2.0):
-    """One child of parents a and b by a crossover of kind, one of the
-    kinds a genome of that name takes: its draws, then its transform."""
-    if a.shape != b.shape:
-        raise ShapeMismatchError("parent genomes differ in length")
-    if kind not in kinds:
-        raise InvalidConfigError(f"unknown {genome} crossover kind {kind!r}")
-    d = a.shape[0]
-    cut = rng.integers(1, d) if _draws_cut(kind, d) else d
-    return _crossover(a, b, kind, cut,
-                      rng.random(_crossover_uniforms(kind, d)), spread)
-
-
-def binary_crossover(a: np.ndarray, b: np.ndarray, kind: str,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Combine two bit vectors; kind is "uniform" or "single-point"."""
-    return _one_crossover(a, b, kind, rng, "binary",
-                          BinaryGenomeSpec.crossover_kinds)
-
-
-def bitflip_mutation(genome: np.ndarray, rate: float,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit independently with probability rate."""
-    return _bitflip(genome, rng.random(genome.shape[0]), rate)
-
-
-def real_crossover(a: np.ndarray, b: np.ndarray, kind: str,
-                   rng: np.random.Generator, spread: float = 2.0) -> np.ndarray:
-    """Combine two real vectors.
-
-    Kinds: "uniform" picks each component from either parent,
-    "arithmetic" blends the whole vectors with one random weight,
-    "simulated-binary" samples each component from a distribution
-    centered on the parents whose width shrinks as they converge
-    (larger spread concentrates children closer to the parents).
-    """
-    return _one_crossover(a, b, kind, rng, "real",
-                          RealGenomeSpec.crossover_kinds, spread)
-
-
-def gaussian_mutation(genome: np.ndarray, bounds: np.ndarray, rate: float,
-                      sigma_fraction: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Perturb each component with probability rate by Gaussian noise whose
-    scale is sigma_fraction of that component's bound width, clipping the
-    result back into the bounds.
-
-    The bounds must be finite with lo <= hi; they are not checked here,
-    since they stay fixed for a whole search: RealGenomeSpec.validate
-    checks them once, and osga_stream and offspring_selection_step call
-    it before the first genome is drawn."""
-    d = genome.shape[0]
-    return _gaussian(genome, rng.random(d), rng.standard_normal(d), bounds,
-                     rate, sigma_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +148,6 @@ class BinaryGenomeSpec:
 
     def random(self, rng: np.random.Generator) -> np.ndarray:
         return rng.random(self.length) < self.init_one_probability
-
-    def crossover(self, a, b, kind, rng):
-        return binary_crossover(a, b, kind, rng)
-
-    def mutate(self, genome, rate, rng):
-        return bitflip_mutation(genome, rate, rng)
 
     def normals(self) -> int:
         """Gaussian draws per child."""
@@ -252,13 +195,6 @@ class RealGenomeSpec:
         lo = self.bounds[:, 0]
         hi = self.bounds[:, 1]
         return lo + rng.random(self.length) * (hi - lo)
-
-    def crossover(self, a, b, kind, rng):
-        return real_crossover(a, b, kind, rng, spread=self.spread)
-
-    def mutate(self, genome, rate, rng):
-        return gaussian_mutation(genome, self.bounds, rate,
-                                 self.sigma_fraction, rng)
 
     def normals(self) -> int:
         """Gaussian draws per child."""
@@ -676,21 +612,15 @@ def _stream(genome_spec, params, mutation_rate, rng):
                      tuple(population), nonfinite)
 
 
-def check_crossover_kind(genome_spec, kind: str) -> None:
-    """Raise InvalidConfigError unless genome_spec, a genome spec or its
-    class, takes crossover kind."""
-    if kind not in genome_spec.crossover_kinds:
-        raise InvalidConfigError(
-            f"crossover_kind must be one of {list(genome_spec.crossover_kinds)}"
-            f", got {kind!r}")
-
-
 def check_search(genome_spec, params: OsgaParams) -> None:
     """Raise InvalidConfigError unless params validate, genome_spec (a
     genome spec or its class) takes their crossover kind, and their
     budget covers the initial population (else BudgetTooSmallError)."""
     params.validate()
-    check_crossover_kind(genome_spec, params.crossover_kind)
+    kinds, kind = genome_spec.crossover_kinds, params.crossover_kind
+    if kind not in kinds:
+        raise InvalidConfigError(
+            f"crossover_kind must be one of {list(kinds)}, got {kind!r}")
     if params.max_evaluations < params.population_size:
         raise BudgetTooSmallError(
             f"budget {params.max_evaluations} cannot evaluate the initial "
@@ -765,33 +695,3 @@ def osga_minimize(evaluator, genome_spec, params: OsgaParams | None = None,
         rng = substream(seed, "osga")
     return drive(osga_stream(genome_spec, params, rng),
                  per_genome(evaluator))
-
-
-def offspring_selection_step(population, genome_spec, params: OsgaParams,
-                             evaluator, rng: np.random.Generator):
-    """Advance an existing population one generation.
-
-    Returns (next_population, StepStats). The step creates at most
-    params.max_evaluations children. That budget, the pressure cap or a
-    configured target fitness can cut the step short, in which case the
-    input population comes back unchanged and stats.stop_reason says
-    why; so a step in which no child succeeds ends even when its cap
-    never fires. Every genome of population must have genome_spec's
-    length.
-    """
-    params.validate()
-    genome_spec.validate()
-    if len(population) != params.population_size:
-        raise InvalidConfigError(
-            f"population has {len(population)} members, params say "
-            f"{params.population_size}")
-    if any(ind.genome.shape != (genome_spec.length,) for ind in population):
-        raise ShapeMismatchError(
-            f"population genomes must have length {genome_spec.length}")
-    check_crossover_kind(genome_spec, params.crossover_kind)
-    gen = _generation(population, genome_spec, params,
-                      resolve_mutation_rate(genome_spec, params), rng,
-                      params.max_evaluations,
-                      min(population, key=lambda ind: ind.fitness))
-    next_population, stats, _, _ = drive(gen, per_genome(evaluator))
-    return next_population, stats

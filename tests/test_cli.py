@@ -242,11 +242,13 @@ def test_generate_into_directory(tmp_path):
 
 
 def test_generate_with_csv_suffix(tmp_path):
-    paths = cmd_generate(BenchmarkConfig(**TINY_BENCH),
-                         tmp_path / "mydata.csv", seed=0)
-    assert [p.name for p in paths] == ["mydata.csv", "mydata.truth.json",
-                                      "mydata.config.yaml"]
-    assert all(p.parent == tmp_path for p in paths)
+    # the whole stem names the files, dots and all
+    for stem in ("mydata", "seed.7"):
+        paths = cmd_generate(BenchmarkConfig(**TINY_BENCH),
+                             tmp_path / f"{stem}.csv", seed=0)
+        assert [p.name for p in paths] == [f"{stem}.csv", f"{stem}.truth.json",
+                                          f"{stem}.config.yaml"]
+        assert all(p.parent == tmp_path and p.exists() for p in paths)
 
 
 def test_generate_via_main(tmp_path, capsys):
@@ -528,6 +530,19 @@ def test_malformed_ground_truth_exits_2_naming_the_file(
     assert err.startswith(f"config error: ground truth {truth_path}: ")
     assert fault in err
     assert not (tmp_path / "out").exists()
+
+
+def test_csv_with_a_repeated_column_exits_3_naming_it(tmp_path, capsys):
+    csv_path = tmp_path / "repeated.csv"
+    csv_path.write_text("a,a,y\n1.0,2.0,3.0\n")
+    doc = {**RUN_DOC, "data": {"csv": {"path": str(csv_path)}}}
+    config_path = tmp_path / "run.yaml"
+    config_path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["run", "--config", str(config_path),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: header repeats a column")
+    assert str(csv_path) in err and "column 'a'" in err
 
 
 @pytest.mark.parametrize("command", ["run", "analyze"])

@@ -14,7 +14,6 @@ from optnet.data import (
     load_csv,
     load_ground_truth,
     partition,
-    project_features,
     save_csv,
     save_ground_truth,
     generate_benchmark,
@@ -313,36 +312,6 @@ def test_mask_equality_and_hash():
     assert a != c
 
 
-def test_project_identity(toy_dataset):
-    projected = project_features(toy_dataset,
-                                 FeatureMask.all_selected(3))
-    assert projected == toy_dataset
-
-
-def test_project_subset(toy_dataset):
-    projected = project_features(toy_dataset, FeatureMask.from_string("101"))
-    assert projected.feature_names == ("a", "c")
-    assert np.array_equal(projected.features, toy_dataset.features[:, [0, 2]])
-    assert np.array_equal(projected.target, toy_dataset.target)
-
-
-def test_project_empty_mask(toy_dataset):
-    projected = project_features(toy_dataset, FeatureMask.from_string("000"))
-    assert projected.n_features == 0
-    assert projected.n_rows == toy_dataset.n_rows
-
-
-def test_project_idempotent(toy_dataset):
-    once = project_features(toy_dataset, FeatureMask.from_string("110"))
-    twice = project_features(once, FeatureMask.all_selected(2))
-    assert twice == once
-
-
-def test_project_length_mismatch(toy_dataset):
-    with pytest.raises(ShapeMismatchError):
-        project_features(toy_dataset, FeatureMask.from_string("1100"))
-
-
 # ---------------------------------------------------------------------------
 # CSV and sidecar I/O
 
@@ -366,6 +335,19 @@ def test_csv_missing_target(tmp_path, toy_dataset):
     with pytest.raises(MissingTargetError) as exc:
         load_csv(path, target_column="nope")
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("header", ["a,a,y", "a,y,y"],
+                         ids=["feature", "target"])
+def test_csv_repeated_column_is_named(tmp_path, header):
+    path = tmp_path / "repeated.csv"
+    path.write_text(f"{header}\n1.0,2.0,3.0\n")
+    repeated = header.split(",")[1]
+    with pytest.raises(CsvParseError) as exc:
+        load_csv(path)
+    assert exc.value.path == str(path)
+    assert exc.value.column == repeated
+    assert str(path) in str(exc.value) and repr(repeated) in str(exc.value)
 
 
 def test_csv_non_numeric_cell_location(tmp_path):

@@ -10,6 +10,7 @@ importing anything.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -116,3 +117,42 @@ def test_base_row_reads_finds_either_column_kind(tmp_path):
                     "c = q.base.target\n"
                     "d = p.features\n")
     assert base_row_reads(path) == [1, 3]
+
+
+
+ROOT = SRC.parents[1]
+
+
+def uses(text: str, name: str) -> bool:
+    """Whether text names name outside a def or class line defining it."""
+    name = re.escape(name)
+    defining = re.compile(rf"^\s*(?:def|class)\s+{name}\b.*$", re.MULTILINE)
+    return re.search(rf"\b{name}\b", defining.sub("", text)) is not None
+
+
+def export_users(name: str) -> list[str]:
+    """The files outside the tests that use name: the src/optnet modules
+    other than __init__.py, the demos, the benchmark harness and
+    README.md."""
+    paths = [path for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"]
+    paths += sorted((ROOT / "demos").glob("*.py"))
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    paths.append(ROOT / "README.md")
+    return [str(path.relative_to(ROOT)) for path in paths
+            if uses(path.read_text(encoding="utf-8"), name)]
+
+
+def test_every_export_has_a_user_outside_the_tests():
+    """A name the package exports is library, demo or documented API, not
+    an oracle only the tests call."""
+    import optnet
+
+    assert [name for name in optnet.__all__ if not export_users(name)] == []
+
+
+def test_uses_ignores_the_line_that_defines_the_name():
+    text = "def fit(x):\n    return x\n\nclass Model:\n    pass\n"
+    assert not uses(text, "fit") and not uses(text, "Model")
+    assert uses(text + "model = Model()\n", "Model")
+    assert not uses("def refit():\n    fitted = 1\n", "fit")

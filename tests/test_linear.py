@@ -559,11 +559,12 @@ def test_grid_search_cells_csv(small_partitioned):
                                      penalty_grid=(-1.0, 0.1),
                                      l1_ratio_grid=(0.5,),
                                      compute_test_mae=False)
-    csv_text = result.cells_csv()
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "penalty,l1_ratio,validation_mae,n_selected,converged,error"
-    assert len(lines) == 3
-    assert lines[1].endswith("inf,0,0,penalty must be non-negative")
+    assert len(result.cells) == 2
+    flagged = result.cells[0]
+    assert flagged.error == "penalty must be non-negative"
+    assert flagged.validation_mae == float("inf")
+    assert flagged.n_selected == 0
+    assert not flagged.converged
 
 
 def test_grid_search_rejects_empty_grid(small_partitioned):

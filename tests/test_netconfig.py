@@ -19,10 +19,10 @@ from optnet.netconfig import (
     InnerGridSearch,
     InnerOsgaSearch,
     build_topology,
+    config_doc_from_yaml,
     data_spec_from_doc,
     inner_search_from_options,
     load_config_doc,
-    load_run_config,
     parse_connection,
     payload_doc,
     replay_report,
@@ -304,12 +304,14 @@ network:
   termination:
     sinks: [selector.result]
 """
-    assert load_run_config(text) == run_config_from_doc(make_run_doc())
+    assert run_config_from_doc(config_doc_from_yaml(text)) \
+        == run_config_from_doc(make_run_doc())
 
 
 def test_load_run_config_reports_yaml_error_line():
     with pytest.raises(ConfigFileError, match="invalid YAML at line"):
-        load_run_config("seed: 1\nnetwork: [unclosed\ndata: {}\n  bad")
+        run_config_from_doc(config_doc_from_yaml(
+            "seed: 1\nnetwork: [unclosed\ndata: {}\n  bad"))
 
 
 def test_load_run_config_file_missing(tmp_path):

@@ -77,16 +77,20 @@ def test_fitness_explicit_penalty_and_score(small_partitioned):
 
 
 def test_orchestrator_projects_problems(small_partitioned):
+    """A mask keeps every row and its own columns, none or all of them."""
     orchestrator = RegressionOrchestratorNode("o", small_partitioned)
-    mask = FeatureMask.from_indices((1, 4), 8)
-    problem = orchestrator.make_problem(mask)
     train_x, train_y = small_partitioned.train_xy()
-    assert np.array_equal(problem.train_features, train_x[:, [1, 4]])
-    assert np.array_equal(problem.train_target, train_y)
-    assert problem.feature_names == ("x1", "x4")
-    assert problem.mask == mask
     val_x, _ = small_partitioned.validation_xy()
-    assert np.array_equal(problem.validation_features, val_x[:, [1, 4]])
+    for keep in ((1, 4), (), tuple(range(8))):
+        mask = FeatureMask.from_indices(keep, 8)
+        problem = orchestrator.make_problem(mask)
+        assert problem.train_features.shape == (len(train_y), len(keep))
+        assert np.array_equal(problem.train_features, train_x[:, list(keep)])
+        assert np.array_equal(problem.train_target, train_y)
+        assert problem.feature_names == tuple(f"x{i}" for i in keep)
+        assert problem.mask == mask
+        assert np.array_equal(problem.validation_features,
+                              val_x[:, list(keep)])
     with pytest.raises(ShapeMismatchError):
         orchestrator.make_problem(FeatureMask.from_indices((1,), 7))
 

@@ -33,14 +33,11 @@ from optnet.osga import (
     RunResult,
     StepStats,
     advance,
-    binary_crossover,
     check_search,
-    bitflip_mutation,
-    gaussian_mutation,
-    offspring_selection_step,
+    drive,
     osga_minimize,
     osga_stream,
-    real_crossover,
+    per_genome,
     resolve_mutation_rate,
     _breed,
     _call_children,
@@ -76,12 +73,53 @@ SPHERE_PARAMS = OsgaParams(population_size=30, max_evaluations=3000,
 
 # ---------------------------------------------------------------------------
 # Variation operators
+#
+# The one-genome operators are the oracle of the stacked breeding path:
+# each makes its numpy calls in the draw rule's order, then applies osga's
+# own draw-free transform. They check nothing; osga_stream does.
+
+def crossover(a, b, kind, rng, spread=2.0):
+    d = a.shape[0]
+    cut = rng.integers(1, d) if osga._draws_cut(kind, d) else d
+    return osga._crossover(a, b, kind, cut,
+                           rng.random(osga._crossover_uniforms(kind, d)),
+                           spread)
+
+
+def bitflip_mutation(genome, rate, rng):
+    return osga._bitflip(genome, rng.random(genome.shape[0]), rate)
+
+
+def gaussian_mutation(genome, bounds, rate, sigma_fraction, rng):
+    d = genome.shape[0]
+    return osga._gaussian(genome, rng.random(d), rng.standard_normal(d),
+                          bounds, rate, sigma_fraction)
+
+
+def _child(spec, a, b, kind, rate, rng):
+    """spec's child of parents a and b, drawn operator by operator."""
+    if isinstance(spec, RealGenomeSpec):
+        return gaussian_mutation(crossover(a, b, kind, rng, spec.spread),
+                                 spec.bounds, rate, spec.sigma_fraction, rng)
+    return bitflip_mutation(crossover(a, b, kind, rng), rate, rng)
+
+
+def offspring_selection_step(population, spec, params, evaluator, rng):
+    """One generation of population by osga's own generation step,
+    evaluated genome by genome: (next_population, StepStats)."""
+    gen = osga._generation(population, spec, params,
+                           resolve_mutation_rate(spec, params), rng,
+                           params.max_evaluations,
+                           min(population, key=lambda ind: ind.fitness))
+    next_population, stats, _, _ = drive(gen, per_genome(evaluator))
+    return next_population, stats
+
 
 def test_binary_crossover_of_identical_parents():
     rng = substream(0, "t")
     a = np.array([True, False, True, True, False])
     for kind in ("uniform", "single-point"):
-        child = binary_crossover(a, a.copy(), kind, rng)
+        child = crossover(a, a.copy(), kind, rng)
         assert np.array_equal(child, a)
 
 
@@ -89,7 +127,7 @@ def test_binary_crossover_mixes_parents():
     rng = substream(1, "t")
     a = np.zeros(64, dtype=bool)
     b = np.ones(64, dtype=bool)
-    child = binary_crossover(a, b, "uniform", rng)
+    child = crossover(a, b, "uniform", rng)
     assert 0 < child.sum() < 64
 
 
@@ -97,7 +135,7 @@ def test_single_point_crossover_structure():
     rng = substream(2, "t")
     a = np.zeros(10, dtype=bool)
     b = np.ones(10, dtype=bool)
-    child = binary_crossover(a, b, "single-point", rng)
+    child = crossover(a, b, "single-point", rng)
     # prefix from a, suffix from b: 0..0 1..1 with one switch
     switches = np.count_nonzero(np.diff(child.astype(int)))
     assert switches == 1
@@ -107,22 +145,8 @@ def test_single_point_crossover_structure():
 def test_single_point_crossover_length_one():
     rng = substream(3, "t")
     a = np.array([True])
-    child = binary_crossover(a, np.array([False]), "single-point", rng)
+    child = crossover(a, np.array([False]), "single-point", rng)
     assert np.array_equal(child, a)
-
-
-def test_crossover_errors():
-    rng = substream(4, "t")
-    with pytest.raises(ShapeMismatchError):
-        binary_crossover(np.zeros(3, dtype=bool), np.zeros(4, dtype=bool),
-                         "uniform", rng)
-    with pytest.raises(InvalidConfigError):
-        binary_crossover(np.zeros(3, dtype=bool), np.zeros(3, dtype=bool),
-                         "nope", rng)
-    with pytest.raises(ShapeMismatchError):
-        real_crossover(np.zeros(3), np.zeros(4), "uniform", rng)
-    with pytest.raises(InvalidConfigError):
-        real_crossover(np.zeros(3), np.zeros(3), "nope", rng)
 
 
 @pytest.mark.parametrize("spec", [BINARY_SPEC, SPHERE_SPEC])
@@ -130,7 +154,7 @@ def test_every_listed_crossover_kind_has_an_operator(spec):
     rng = substream(4, "kinds")
     a, b = spec.random(rng), spec.random(rng)
     for kind in spec.crossover_kinds:
-        assert spec.crossover(a, b, kind, rng).shape == a.shape
+        assert crossover(a, b, kind, rng).shape == a.shape
 
 
 @pytest.mark.parametrize("spec, kind", [(BINARY_SPEC, "arithmetic"),
@@ -143,9 +167,6 @@ def test_kind_outside_the_genome_is_rejected_before_any_genome(spec, kind):
     with pytest.raises(InvalidConfigError,
                        match=f"crossover_kind must be one of .*'{kind}'"):
         osga_stream(spec, params, rng)
-    population = [Individual(spec.random(rng), 1.0) for _ in range(4)]
-    with pytest.raises(InvalidConfigError, match="crossover_kind"):
-        offspring_selection_step(population, spec, params, sphere, rng)
 
 
 def test_bitflip_mutation_rate_extremes():
@@ -160,7 +181,7 @@ def test_arithmetic_crossover_stays_between_parents():
     a = np.array([0.0, 10.0, -5.0])
     b = np.array([1.0, 20.0, 5.0])
     for _ in range(20):
-        child = real_crossover(a, b, "arithmetic", rng)
+        child = crossover(a, b, "arithmetic", rng)
         assert np.all(child >= np.minimum(a, b) - 1e-12)
         assert np.all(child <= np.maximum(a, b) + 1e-12)
 
@@ -168,7 +189,7 @@ def test_arithmetic_crossover_stays_between_parents():
 def test_simulated_binary_crossover_identical_parents():
     rng = substream(7, "t")
     a = np.array([1.0, -2.0, 3.0])
-    child = real_crossover(a, a.copy(), "simulated-binary", rng)
+    child = crossover(a, a.copy(), "simulated-binary", rng)
     assert np.allclose(child, a)
 
 
@@ -176,7 +197,7 @@ def test_uniform_real_crossover_picks_components():
     rng = substream(8, "t")
     a = np.zeros(50)
     b = np.ones(50)
-    child = real_crossover(a, b, "uniform", rng)
+    child = crossover(a, b, "uniform", rng)
     assert set(np.unique(child)) <= {0.0, 1.0}
     assert 0 < child.sum() < 50
 
@@ -207,15 +228,14 @@ def test_gaussian_mutation_clips_to_bounds():
      InvalidConfigError),
 ], ids=["lo-above-hi", "infinite-bound", "zero-sigma"])
 def test_step_checks_the_real_genome_before_any_evaluation(spec, error):
-    """gaussian_mutation trusts its bounds, so the step checks the spec
-    once, as osga_stream does; a zero sigma_fraction used to run."""
-    population = [Individual(np.array([0.5, 0.5]), 1.0) for _ in range(4)]
+    """The Gaussian mutation trusts its bounds, so osga_stream checks the
+    spec once, before the first genome; a zero sigma_fraction used to
+    run."""
     evaluated = []
     with pytest.raises(error):
-        offspring_selection_step(population, spec,
-                                 OsgaParams(population_size=4),
-                                 lambda g: evaluated.append(g) or 0.0,
-                                 substream(11, "t"))
+        drive(osga_stream(spec, OsgaParams(population_size=4),
+                          substream(11, "t")),
+              per_genome(lambda g: evaluated.append(g) or 0.0))
     assert evaluated == []
 
 
@@ -592,9 +612,8 @@ def _oracle_generation(population, genome_spec, params, mutation_rate, rng,
             break
         p1 = _oracle_tournament(population, rng)
         p2 = _oracle_tournament(population, rng)
-        genome = genome_spec.crossover(p1.genome, p2.genome,
-                                       params.crossover_kind, rng)
-        genome = genome_spec.mutate(genome, mutation_rate, rng)
+        genome = _child(genome_spec, p1.genome, p2.genome,
+                        params.crossover_kind, mutation_rate, rng)
         fitness = _oracle_as_fitness((yield genome))
         evals += 1
         created += 1
@@ -807,17 +826,16 @@ def test_batched_step_is_the_sequential_generation(search):
 
 
 def _twin_children(population, spec, params, rng, n):
-    """n children and their thresholds made one at a time by the public
-    operators, as _oracle_generation makes them."""
+    """n children and their thresholds made one at a time by the
+    one-genome operators, as _oracle_generation makes them."""
     rate = resolve_mutation_rate(spec, params)
     cf = params.comparison_factor
     genomes, thresholds = [], []
     for _ in range(n):
         p1 = _oracle_tournament(population, rng)
         p2 = _oracle_tournament(population, rng)
-        genome = spec.crossover(p1.genome, p2.genome, params.crossover_kind,
-                                rng)
-        genomes.append(spec.mutate(genome, rate, rng).tobytes())
+        genomes.append(_child(spec, p1.genome, p2.genome,
+                              params.crossover_kind, rate, rng).tobytes())
         better = min(p1.fitness, p2.fitness)
         worse = max(p1.fitness, p2.fitness)
         thresholds.append(better if cf == 1.0 else worse if cf == 0.0
@@ -854,7 +872,7 @@ def _breeding(draw):
 def test_stacked_draws_breed_the_children_of_the_public_operators(case):
     """One batch's draws in child order and one pass of the transforms
     over them give the bytes, the thresholds and the final stream of
-    breeding child by child with the public 1-d operators."""
+    breeding child by child with the one-genome operators."""
     spec, params, fitness, n, seed = case
     spec.validate()
     start = substream(seed, "population")
@@ -1097,29 +1115,6 @@ def test_step_comparison_factor_semantics():
     assert same_pop is population
 
 
-def test_step_rejects_population_size_mismatch():
-    population = [Individual(np.zeros(3, dtype=bool), 1.0)]
-    with pytest.raises(InvalidConfigError):
-        offspring_selection_step(population, BinaryGenomeSpec(3),
-                                 OsgaParams(population_size=4),
-                                 zeros_count, substream(0, "x"))
-
-
-@pytest.mark.parametrize("lengths", [(4, 4, 4, 4), (5, 5, 4, 5)],
-                         ids=["all-short", "one-short"])
-def test_step_refuses_genomes_of_another_length(lengths):
-    """The step breeds its batch as one matrix of the spec's width, so a
-    population of other lengths is refused before any evaluation."""
-    population = [Individual(np.zeros(n, dtype=bool), 1.0) for n in lengths]
-    evaluated = []
-    with pytest.raises(ShapeMismatchError, match="length 5"):
-        offspring_selection_step(population, BinaryGenomeSpec(5),
-                                 OsgaParams(population_size=4),
-                                 lambda g: evaluated.append(g) or 0.0,
-                                 substream(0, "x"))
-    assert evaluated == []
-
-
 @pytest.mark.parametrize("cap", [math.nan, math.inf, 1e308])
 def test_step_refuses_a_cap_that_never_fires(cap):
     """With no child succeeding, a cap that never fires leaves the step's
@@ -1141,8 +1136,8 @@ def test_step_refuses_a_cap_that_never_fires(cap):
     if math.isnan(cap):
         with pytest.raises(InvalidConfigError,
                            match="max_selection_pressure"):
-            offspring_selection_step(population, BinaryGenomeSpec(3), params,
-                                     constant, substream(0, "x"))
+            drive(osga_stream(BinaryGenomeSpec(3), params, substream(0, "x")),
+                  per_genome(constant))
         assert calls == 0
         return
     same_pop, stats = offspring_selection_step(
