@@ -165,21 +165,18 @@ def build_model_pool(partitioned: PartitionedDataset, recipes,
     return entries
 
 
-def select_model_subset(pool: list[PoolEntry], k: int,
-                        criterion=None) -> list[PoolEntry]:
-    """Pick the k best pool entries.
+def select_model_subset(pool: list[PoolEntry], k: int) -> list[PoolEntry]:
+    """Pick the k pool entries of lowest validation MAE.
 
-    criterion maps a ModelWithQuality to a sortable value; the default
-    is validation MAE. Ties fall back to fewer features, then to recipe
-    order. Failed entries never qualify.
+    Ties fall back to fewer features, then to recipe order. Failed
+    entries never qualify.
     """
     usable = [e for e in pool if e.ok]
     if not 1 <= k <= len(usable):
         raise InvalidSubsetSizeError(
             f"k={k} not satisfiable from {len(usable)} usable pool entries")
-    crit = criterion or (lambda r: r.validation_mae)
     order = sorted(range(len(usable)),
-                   key=lambda i: (crit(usable[i].result),
+                   key=lambda i: (usable[i].result.validation_mae,
                                   usable[i].result.n_features, i))
     return [usable[i] for i in order[:k]]
 
@@ -467,12 +464,9 @@ def optimization_analysis_network(datasets, recipes, k: int,
     """Run pool construction, subset selection, and input search as a
     three-node pipeline.
 
-    datasets is one PartitionedDataset per target output (a single
-    dataset is accepted for one-output tasks). The report ranks the
-    tried model combinations by residual, best first.
+    datasets is one PartitionedDataset per target output. The report
+    ranks the tried model combinations by residual, best first.
     """
-    if isinstance(datasets, PartitionedDataset):
-        datasets = [datasets]
     datasets = list(datasets)
     if len(datasets) != len(task.target_outputs):
         raise InvalidConfigError(

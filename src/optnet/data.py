@@ -185,16 +185,6 @@ class FeatureMask:
             bits[i] = True
         return cls(bits)
 
-    @classmethod
-    def all_selected(cls, n_features: int) -> "FeatureMask":
-        return cls(np.ones(n_features, dtype=bool))
-
-    @classmethod
-    def from_string(cls, s: str) -> "FeatureMask":
-        if set(s) - {"0", "1"}:
-            raise InvalidConfigError(f"mask string must be 0/1 only, got {s!r}")
-        return cls(np.frombuffer(s.encode("ascii"), dtype=np.uint8) == ord("1"))
-
     def to_string(self) -> str:
         return "".join("1" if b else "0" for b in self.bits)
 
@@ -340,26 +330,31 @@ def generate_benchmark(config: BenchmarkConfig | None = None,
 # ---------------------------------------------------------------------------
 # CSV and sidecar I/O
 
-def save_csv(dataset: Dataset, path, target_name: str = "y") -> None:
-    """Write the dataset as a header CSV with the target as the last column."""
+def save_csv(dataset: Dataset, path) -> None:
+    """Write the dataset as a header CSV, the target last and named y."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + [target_name])
+        writer.writerow(list(dataset.feature_names) + ["y"])
         for i in range(dataset.n_rows):
             writer.writerow([repr(float(v)) for v in dataset.features[i]]
                             + [repr(float(dataset.target[i]))])
 
 
 def load_csv(path, target_column: str = "y") -> Dataset:
-    """Read a header CSV into a Dataset, using target_column as the target."""
+    """Read a header CSV into a Dataset, using target_column as the target.
+    A UTF-8 byte-order mark before the header is dropped."""
     path = Path(path)
-    with path.open("r", newline="") as fh:
+    with path.open("r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise CsvParseError("file is empty", path=str(path))
         header = [h.strip() for h in header]
+        if "" in header:
+            raise CsvParseError(
+                f"header column {header.index('') + 1} has no name",
+                path=str(path))
         repeated = next((h for j, h in enumerate(header)
                          if h in header[:j]), None)
         if repeated is not None:

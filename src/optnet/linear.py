@@ -397,7 +397,7 @@ def _fit_cells(features, target, configs,
 
 
 def grid_search_elastic_net(partitioned, penalty_grid=None, l1_ratio_grid=None,
-                            tolerance: float = 1e-6, max_sweeps: int = 1000,
+                            max_sweeps: int = 1000,
                             compute_test_mae: bool = True) -> GridSearchResult:
     """Fit every (penalty, l1_ratio) combination on the training part and
     pick the cell with the lowest validation MAE.
@@ -424,7 +424,7 @@ def grid_search_elastic_net(partitioned, penalty_grid=None, l1_ratio_grid=None,
     names = partitioned.base.feature_names
 
     configs = [ElasticNetConfig(penalty=float(penalty), l1_ratio=float(ratio),
-                                tolerance=tolerance, max_sweeps=max_sweeps)
+                                max_sweeps=max_sweeps)
                for penalty in penalties for ratio in ratios]
     cells: list[GridCell] = []
     models: list[LinearModel | None] = []

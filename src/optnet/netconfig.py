@@ -45,7 +45,8 @@ is a YAML key/value tree with four top-level sections:
 Unknown keys, values of the wrong type, numbers that are not finite or
 exceed the largest float (1e300 is a cap that never fires), workers
 below 1, and values a block's validate() rejects (a budget below the
-population) raise ConfigFileError naming the field, before anything runs.
+population) raise ConfigFileError naming the field, before anything runs;
+a mapping that repeats a key is invalid YAML, named with its line.
 """
 
 from __future__ import annotations
@@ -108,9 +109,6 @@ from .osga import (
 )
 from .payloads import ModelWithQuality, ParameterVector, RegressionProblem
 
-_ARROWS = ("->", "→")
-
-
 # ---------------------------------------------------------------------------
 # Connection strings
 
@@ -118,12 +116,9 @@ def parse_connection(text: str) -> tuple[str, str, str, str]:
     """Split "srcNode.srcPort -> dstNode.dstPort" into its four parts."""
     if not isinstance(text, str):
         raise ConfigFileError(f"connection must be a string, got {text!r}")
-    for arrow in _ARROWS:
-        if arrow in text:
-            left, _, right = text.partition(arrow)
-            break
-    else:
+    if "->" not in text:
         raise ConfigFileError(f"connection {text!r} lacks an '->' arrow")
+    left, _, right = text.partition("->")
     return (*_parse_endpoint(left.strip(), "connection source"),
             *_parse_endpoint(right.strip(), "connection destination"))
 
@@ -138,10 +133,27 @@ def _parse_endpoint(text: str, where: str) -> tuple[str, str]:
 # ---------------------------------------------------------------------------
 # YAML files
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A SafeLoader that refuses a repeated key; << merges may override."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)
+        seen = set()
+        for key_node in keys:
+            key = self.construct_object(key_node, deep=True)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return mapping
+
+
 def config_doc_from_yaml(text: str) -> dict:
-    """Parse YAML text into a config mapping (None parses to {})."""
+    """Parse YAML text into a config mapping (None parses to {}); a
+    mapping that repeats a key at any depth is invalid YAML."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}" if mark is not None else ""
@@ -422,16 +434,16 @@ class TopologySpec:
         return topo
 
 
-def topology_spec_from_doc(doc, where: str = "network") -> TopologySpec:
-    doc = _mapping(doc, where, ("nodes", "connections"))
-    nodes_doc = _mapping(doc.get("nodes"), f"{where}.nodes")
+def topology_spec_from_doc(doc) -> TopologySpec:
+    doc = _mapping(doc, "network", ("nodes", "connections"))
+    nodes_doc = _mapping(doc.get("nodes"), "network.nodes")
     if not nodes_doc:
         raise ConfigFileError("at least one node required",
-                              field=f"{where}.nodes")
+                              field="network.nodes")
     nodes: dict[str, NodeSpec] = {}
     for name, node_doc in nodes_doc.items():
-        _typed(name, str, f"{where}.nodes")
-        node_where = f"{where}.nodes.{name}"
+        _typed(name, str, "network.nodes")
+        node_where = f"network.nodes.{name}"
         node_doc = _mapping(node_doc, node_where)
         if "kind" not in node_doc:
             raise ConfigFileError("missing 'kind'", field=node_where)
@@ -446,11 +458,11 @@ def topology_spec_from_doc(doc, where: str = "network") -> TopologySpec:
                                                            node_where))
     raw_conns = doc.get("connections") or []
     if not isinstance(raw_conns, list):
-        raise ConfigFileError("must be a list", field=f"{where}.connections")
+        raise ConfigFileError("must be a list", field="network.connections")
     spec = TopologySpec(nodes, tuple(parse_connection(c) for c in raw_conns))
     for p in spec.declared().validate():
-        raise ConfigFileError(str(p), field=where if p.connection is None
-                              else f"{where}.connections[{p.connection}]")
+        raise ConfigFileError(str(p), field="network" if p.connection is None
+                              else f"network.connections[{p.connection}]")
     return spec
 
 
@@ -970,9 +982,6 @@ class ConfiguredRunReport:
 
     def __post_init__(self):
         self.result_doc = strict_json_doc(self.result_doc)
-
-    def result_json(self) -> str:
-        return json.dumps(self.result_doc, indent=2, sort_keys=True)
 
     def to_doc(self) -> dict:
         return {

@@ -451,7 +451,7 @@ class _SingleProblemNode(ModelNode):
 # Feature-selection network and its plain-loop twin
 
 def _make_model_node(model) -> ModelNode:
-    if model == "ols" or model is None:
+    if model == "ols":
         return OlsModelNode("model")
     if isinstance(model, ForestConfig):
         return ForestModelNode("model", model)

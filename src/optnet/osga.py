@@ -87,13 +87,13 @@ def _crossover_uniforms(kind: str, d: int) -> int:
             "simulated-binary": 2 * d}[kind]
 
 
-def _crossover(a, b, kind, cut, u, spread=2.0):
+def _crossover(a, b, kind, cut, u):
     """Children of parents a and b from their crossover draws: cut (a
     single-point cut per child) and u (the crossover's uniforms).
     "uniform" picks each component from either parent, "arithmetic"
     blends the whole vectors with one weight, and "simulated-binary"
-    samples each component around the parents, the closer the larger
-    spread is."""
+    samples each component around the parents with distribution
+    index 2 (Deb & Agrawal 1995)."""
     if kind == "single-point":
         return np.where(np.arange(a.shape[-1]) < np.expand_dims(cut, -1),
                         a, b)
@@ -102,7 +102,7 @@ def _crossover(a, b, kind, cut, u, spread=2.0):
     if kind == "arithmetic":
         return u * a + (1.0 - u) * b
     d = a.shape[-1]
-    exponent = 1.0 / (spread + 1.0)
+    exponent = 1.0 / (2.0 + 1.0)
     u, v = u[..., :d], u[..., d:]
     beta = np.where(u <= 0.5,
                     (2.0 * u) ** exponent,
@@ -142,10 +142,6 @@ class BinaryGenomeSpec:
         if not 0.0 <= self.init_one_probability <= 1.0:
             raise InvalidConfigError("init_one_probability must lie in [0, 1]")
 
-    @property
-    def default_mutation_rate(self) -> float:
-        return 1.0 / self.length
-
     def random(self, rng: np.random.Generator) -> np.ndarray:
         return rng.random(self.length) < self.init_one_probability
 
@@ -167,7 +163,6 @@ class RealGenomeSpec:
 
     bounds: np.ndarray
     sigma_fraction: float = 0.1
-    spread: float = 2.0
 
     def __post_init__(self):
         b = np.ascontiguousarray(np.asarray(self.bounds, dtype=np.float64))
@@ -187,10 +182,6 @@ class RealGenomeSpec:
     def length(self) -> int:
         return self.bounds.shape[0]
 
-    @property
-    def default_mutation_rate(self) -> float:
-        return 1.0 / self.bounds.shape[0]
-
     def random(self, rng: np.random.Generator) -> np.ndarray:
         lo = self.bounds[:, 0]
         hi = self.bounds[:, 1]
@@ -203,7 +194,7 @@ class RealGenomeSpec:
     def breed(self, a, b, kind, rate, cut, u_cross, u_mutate, z):
         """Children of parents a and b (stacked on the leading axes) from
         their crossover's and mutation's draws; see _breed."""
-        return _gaussian(_crossover(a, b, kind, cut, u_cross, self.spread),
+        return _gaussian(_crossover(a, b, kind, cut, u_cross),
                          u_mutate, z, self.bounds, rate, self.sigma_fraction)
 
 
@@ -630,7 +621,7 @@ def check_search(genome_spec, params: OsgaParams) -> None:
 def resolve_mutation_rate(genome_spec, params: OsgaParams) -> float:
     if params.mutation_rate is not None:
         return params.mutation_rate
-    return genome_spec.default_mutation_rate
+    return 1.0 / genome_spec.length
 
 
 def osga_stream(genome_spec, params: OsgaParams, rng: np.random.Generator):
@@ -681,17 +672,14 @@ def per_genome(evaluator):
 
 
 def osga_minimize(evaluator, genome_spec, params: OsgaParams | None = None,
-                  seed: int = 0,
-                  rng: np.random.Generator | None = None) -> RunResult:
+                  seed: int = 0) -> RunResult:
     """Minimize evaluator(genome) over the genome space.
 
     evaluator maps a genome array to a float fitness, lower better; it
     is called once per genome, in the search's order. All randomness
-    comes from one stream derived from the seed, so equal seeds give
-    equal runs.
+    comes from the stream substream(seed, "osga"), so equal seeds give
+    equal runs; to search on another stream, drive osga_stream.
     """
     params = params or OsgaParams()
-    if rng is None:
-        rng = substream(seed, "osga")
-    return drive(osga_stream(genome_spec, params, rng),
+    return drive(osga_stream(genome_spec, params, substream(seed, "osga")),
                  per_genome(evaluator))

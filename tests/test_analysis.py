@@ -33,7 +33,8 @@ from optnet.engine import Node, Port
 from optnet._rng import substream
 from optnet.forest import ForestConfig, fit_random_forest
 from optnet.linear import LinearModel, fit_ols, mae
-from optnet.osga import OsgaParams, RealGenomeSpec, osga_minimize
+from optnet.osga import (OsgaParams, RealGenomeSpec, drive, osga_stream,
+                         per_genome)
 from optnet.payloads import ModelWithQuality
 
 SMALL_SEARCH = OsgaParams(population_size=20, max_evaluations=2000,
@@ -146,8 +147,8 @@ def test_pool_requires_recipes(small_partitioned):
 # ---------------------------------------------------------------------------
 # Subset selection
 
-def quality(validation_mae, n_features, train_mae=0.0):
-    return ModelWithQuality(None, train_mae=train_mae,
+def quality(validation_mae, n_features):
+    return ModelWithQuality(None, train_mae=0.0,
                             validation_mae=validation_mae,
                             n_features=n_features)
 
@@ -168,13 +169,6 @@ def test_subset_selection_tie_falls_back_to_order():
             PoolEntry("second", quality(0.3, 2))]
     assert [e.label for e in select_model_subset(pool, 2)] \
         == ["first", "second"]
-
-
-def test_subset_selection_custom_criterion():
-    pool = [PoolEntry("a", quality(0.1, 1, train_mae=0.9)),
-            PoolEntry("b", quality(0.9, 1, train_mae=0.1))]
-    picked = select_model_subset(pool, 1, criterion=lambda r: r.train_mae)
-    assert picked[0].label == "b"
 
 
 def test_subset_selection_skips_failures_and_checks_size():
@@ -372,10 +366,10 @@ def test_input_search_scores_each_batch_with_one_forest_call(
         assert searched == [1] * result.evaluations
 
     monkeypatch.setattr(networks, "predict_forest", predict_forest)
-    reference = osga_minimize(
-        _one_row_residual(models, task),
-        RealGenomeSpec(task.bounds, sigma_fraction=0.05), search,
-        rng=substream(4, "input-search"))
+    reference = drive(
+        osga_stream(RealGenomeSpec(task.bounds, sigma_fraction=0.05), search,
+                    substream(4, "input-search")),
+        per_genome(_one_row_residual(models, task)))
     assert result.residual == reference.best.fitness
     assert list(result.inputs.values()) == reference.best.genome.tolist()
     assert result.evaluations == reference.evaluations
@@ -399,7 +393,7 @@ def analysis_setup(partitioned):
 
 def test_analysis_network_report(small_partitioned):
     task, recipes = analysis_setup(small_partitioned)
-    report = optimization_analysis_network(small_partitioned, recipes, 2,
+    report = optimization_analysis_network([small_partitioned], recipes, 2,
                                            task, SMALL_SEARCH, seed=0)
     assert [[e.ok for e in pool] for pool in report.pools] == [[True, True]]
     assert len(report.ranked) == 2
@@ -416,9 +410,9 @@ def test_analysis_network_report(small_partitioned):
 
 def test_analysis_network_is_deterministic(small_partitioned):
     task, recipes = analysis_setup(small_partitioned)
-    first = optimization_analysis_network(small_partitioned, recipes, 1,
+    first = optimization_analysis_network([small_partitioned], recipes, 1,
                                           task, SMALL_SEARCH, seed=3)
-    second = optimization_analysis_network(small_partitioned, recipes, 1,
+    second = optimization_analysis_network([small_partitioned], recipes, 1,
                                            task, SMALL_SEARCH, seed=3)
     assert first.to_json() == second.to_json()
 
@@ -437,7 +431,7 @@ def test_ols_forest_analysis_matches_golden_digest(small_partitioned):
     task, _ = analysis_setup(small_partitioned)
     recipes = (OlsRecipe(), ForestRecipe(ForestConfig(n_trees=5,
                                                       max_depth=4)))
-    report = optimization_analysis_network(small_partitioned, recipes, 2,
+    report = optimization_analysis_network([small_partitioned], recipes, 2,
                                            task, SMALL_SEARCH, seed=0)
     assert [[e.label for e in combo] for combo, _ in report.ranked] == [
         ["ols"], ["random-forest"]]
@@ -466,7 +460,7 @@ def test_input_search_node_refuses_subsets_for_other_targets(
 def test_analysis_network_oversized_subset(small_partitioned):
     task, recipes = analysis_setup(small_partitioned)
     with pytest.raises(HandlerFailureError) as info:
-        optimization_analysis_network(small_partitioned, recipes, 5, task,
+        optimization_analysis_network([small_partitioned], recipes, 5, task,
                                       SMALL_SEARCH, seed=0)
     assert isinstance(info.value.original, InvalidSubsetSizeError)
 
@@ -479,7 +473,7 @@ def test_failed_pool_entries_render_in_report(small_partitioned):
     task = AnalysisTask(small_partitioned.base.feature_names, bounds,
                        (float(np.mean(y_train)),))
     recipes = (OlsRecipe(), ElasticNetRecipe(penalties=(-1.0,)))
-    report = optimization_analysis_network(small_partitioned, recipes, 1,
+    report = optimization_analysis_network([small_partitioned], recipes, 1,
                                            task, SMALL_SEARCH, seed=0)
     doc = report.to_json_dict()
     assert doc["pools"][0][1].keys() == {"label", "error"}

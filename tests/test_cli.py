@@ -48,6 +48,7 @@ from optnet.netconfig import (
 )
 from optnet.networks import FitnessConfig
 from optnet.osga import OsgaParams
+from test_netconfig import result_json
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -450,7 +451,7 @@ def test_overrides_are_written_into_the_embedded_document(tmp_path,
     report = json.loads(out_path.read_text())
     assert report["config"] == {**doc, "seed": 4, "workers": 2}
     replayed = replay_report(report)
-    assert json.loads(replayed.result_json()) == report["result"]
+    assert json.loads(result_json(replayed)) == report["result"]
 
 
 def test_run_via_main_exit_codes(tmp_path, capsys):
@@ -543,6 +544,19 @@ def test_csv_with_a_repeated_column_exits_3_naming_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: header repeats a column")
     assert str(csv_path) in err and "column 'a'" in err
+
+
+def test_csv_with_an_unnamed_column_exits_3_naming_it(tmp_path, capsys):
+    csv_path = tmp_path / "unnamed.csv"
+    csv_path.write_text("a,,y\n1.0,2.0,3.0\n")
+    doc = {**RUN_DOC, "data": {"csv": {"path": str(csv_path)}}}
+    config_path = tmp_path / "run.yaml"
+    config_path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    assert main(["run", "--config", str(config_path),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: header column 2 has no name")
+    assert str(csv_path) in err
 
 
 @pytest.mark.parametrize("command", ["run", "analyze"])
@@ -663,7 +677,7 @@ def test_replay_reproduces_an_analyze_report_byte_for_byte(tmp_path):
     config_path.write_text(yaml.safe_dump(ANALYZE_DOC))
     report = json.loads(cmd_analyze(config_path).read_text())
     assert report["config"] == ANALYZE_DOC
-    assert replay_report(report).result_json() \
+    assert result_json(replay_report(report)) \
         == json.dumps(report["result"], indent=2, sort_keys=True)
 
 
@@ -1043,6 +1057,22 @@ def test_truncated_yaml_reports_its_line(tmp_path, capsys, command, doc):
     config_path.write_text(text[:len(text) // 2])
     assert main([command, "--config", str(config_path)]) == 2
     assert "config error: invalid YAML at line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line, key", [
+    ("seed: 1\n" + RUN_CONFIG_YAML, 2, "seed"),
+    (RUN_CONFIG_YAML.replace("    model:\n      kind: ols-model\n",
+                             "    model:\n      kind: ols-model\n" * 2),
+     22, "model"),
+], ids=["top level", "network.nodes"])
+def test_a_repeated_yaml_key_is_refused_with_its_line(tmp_path, capsys, text,
+                                                      line, key):
+    config_path = tmp_path / "repeated.yaml"
+    config_path.write_text(text)
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: invalid YAML at line {line}: " in err
+    assert f"duplicate key {key!r}" in err
 
 
 def test_method_table_covers_every_method_name():

@@ -267,23 +267,22 @@ def test_generate_rejects_bad_config():
 # ---------------------------------------------------------------------------
 # Feature masks and projection
 
+def mask_from_string(bits: str) -> FeatureMask:
+    """The mask a 0/1 string spells, "1" for a selected column."""
+    return FeatureMask(np.array([b == "1" for b in bits], dtype=bool))
+
+
 def test_mask_string_round_trip():
-    mask = FeatureMask.from_string("10011")
+    mask = mask_from_string("10011")
     assert mask.to_string() == "10011"
     assert mask.n_selected == 3
     assert mask.indices == (0, 3, 4)
     assert len(mask) == 5
 
 
-def test_mask_rejects_non_binary_string():
-    with pytest.raises(InvalidConfigError):
-        FeatureMask.from_string("10x1")
-
-
 def test_mask_constructors_agree():
-    assert FeatureMask.from_indices((0, 2), 4) == FeatureMask.from_string(
-        "1010")
-    assert FeatureMask.all_selected(3) == FeatureMask.from_string("111")
+    assert FeatureMask.from_indices((0, 2), 4) == mask_from_string("1010")
+    assert FeatureMask.from_indices(range(3), 3) == mask_from_string("111")
 
 
 @pytest.mark.parametrize("make, message", [
@@ -305,9 +304,9 @@ def test_payload_constructors_refuse_bad_shapes(make, message):
 
 
 def test_mask_equality_and_hash():
-    a = FeatureMask.from_string("101")
-    b = FeatureMask.from_string("101")
-    c = FeatureMask.from_string("100")
+    a = mask_from_string("101")
+    b = mask_from_string("101")
+    c = mask_from_string("100")
     assert a == b and hash(a) == hash(b)
     assert a != c
 
@@ -324,7 +323,9 @@ def test_csv_round_trip(tmp_path, toy_dataset):
 
 def test_csv_custom_target_column(tmp_path, toy_dataset):
     path = tmp_path / "data.csv"
-    save_csv(toy_dataset, path, target_name="outcome")
+    save_csv(toy_dataset, path)
+    header, rows = path.read_text().split("\n", 1)
+    path.write_text(header.rsplit(",", 1)[0] + ",outcome\n" + rows)
     loaded = load_csv(path, target_column="outcome")
     assert loaded == toy_dataset
 
@@ -348,6 +349,28 @@ def test_csv_repeated_column_is_named(tmp_path, header):
     assert exc.value.path == str(path)
     assert exc.value.column == repeated
     assert str(path) in str(exc.value) and repr(repeated) in str(exc.value)
+
+
+@pytest.mark.parametrize("header", ["a,y", "y,a"],
+                         ids=["target last", "target first"])
+def test_csv_byte_order_mark_is_dropped(tmp_path, header):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + f"{header}\n1.0,2.0\n".encode())
+    loaded = load_csv(path)
+    assert loaded.feature_names == ("a",)
+    assert loaded.target.tolist() == [2.0 if header == "a,y" else 1.0]
+
+
+@pytest.mark.parametrize("header, position", [("a,,y", 2), ("a,y,", 3)],
+                         ids=["inner", "trailing comma"])
+def test_csv_unnamed_column_is_refused(tmp_path, header, position):
+    path = tmp_path / "unnamed.csv"
+    path.write_text(f"{header}\n1.0,2.0,3.0\n")
+    with pytest.raises(CsvParseError) as exc:
+        load_csv(path)
+    assert exc.value.path == str(path)
+    assert str(path) in str(exc.value)
+    assert f"column {position} has no name" in str(exc.value)
 
 
 def test_csv_non_numeric_cell_location(tmp_path):

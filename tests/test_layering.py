@@ -130,16 +130,20 @@ def uses(text: str, name: str) -> bool:
     return re.search(rf"\b{name}\b", defining.sub("", text)) is not None
 
 
-def export_users(name: str) -> list[str]:
-    """The files outside the tests that use name: the src/optnet modules
-    other than __init__.py, the demos, the benchmark harness and
-    README.md."""
+def outside_the_tests() -> list[Path]:
+    """The src/optnet modules other than __init__.py, the demos, the
+    benchmark harness and README.md."""
     paths = [path for path in sorted(SRC.glob("*.py"))
              if path.name != "__init__.py"]
     paths += sorted((ROOT / "demos").glob("*.py"))
     paths += sorted((ROOT / "perfbench").glob("*.py"))
     paths.append(ROOT / "README.md")
-    return [str(path.relative_to(ROOT)) for path in paths
+    return paths
+
+
+def export_users(name: str) -> list[str]:
+    """The files outside the tests that use name."""
+    return [str(path.relative_to(ROOT)) for path in outside_the_tests()
             if uses(path.read_text(encoding="utf-8"), name)]
 
 
@@ -149,6 +153,39 @@ def test_every_export_has_a_user_outside_the_tests():
     import optnet
 
     assert [name for name in optnet.__all__ if not export_users(name)] == []
+
+
+def public_methods(path: Path) -> list[str]:
+    """Class.name for each public method, property or classmethod that a
+    class of path's module defines."""
+    return [f"{cls.name}.{item.name}"
+            for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef)
+            and not item.name.startswith("_")]
+
+
+def test_every_public_method_has_a_user_outside_the_tests():
+    """A public method is called, or read as a property, as .name by the
+    library, a demo, the benchmark harness or README, not only by the
+    tests."""
+    text = "\n".join(path.read_text(encoding="utf-8")
+                     for path in outside_the_tests())
+    methods = [m for path in sorted(SRC.glob("*.py"))
+               for m in public_methods(path)]
+    assert [m for m in methods
+            if not re.search(rf"\.{m.split('.')[1]}\b", text)] == []
+
+
+def test_public_methods_lists_each_kind_of_method(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("class A:\n    x = 1\n    def f(self): pass\n"
+                    "    @property\n    def p(self): pass\n"
+                    "    @classmethod\n    def c(cls): pass\n"
+                    "    def _private(self): pass\n"
+                    "def g(): pass\n")
+    assert public_methods(path) == ["A.f", "A.p", "A.c"]
 
 
 def test_uses_ignores_the_line_that_defines_the_name():

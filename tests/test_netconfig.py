@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optnet.data import FeatureMask
 from optnet.forest import ForestConfig, fit_random_forest
 from optnet.errors import ConfigFileError
 from optnet.linear import fit_ols
@@ -41,6 +40,12 @@ from optnet.payloads import (
     ParameterVector,
     RegressionProblem,
 )
+from test_data import mask_from_string
+
+
+def result_json(report) -> str:
+    """The result section of a run or analyze report as JSON text."""
+    return json.dumps(report.result_doc, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -48,15 +53,16 @@ from optnet.payloads import (
 
 def test_parse_connection_variants():
     assert parse_connection("a.out -> b.in") == ("a", "out", "b", "in")
-    assert parse_connection("a.out→b.in") == ("a", "out", "b", "in")
+    assert parse_connection("a.out->b.in") == ("a", "out", "b", "in")
     assert parse_connection("  a.out  ->  b.in  ") == ("a", "out", "b", "in")
 
 
 def test_parse_connection_errors():
     with pytest.raises(ConfigFileError, match="must be a string"):
         parse_connection(7)
-    with pytest.raises(ConfigFileError, match="arrow"):
-        parse_connection("a.out b.in")
+    for arrowless in ("a.out b.in", "a.out → b.in"):
+        with pytest.raises(ConfigFileError, match="arrow"):
+            parse_connection(arrowless)
     for bad in ("aout -> b.in", "a.out -> bin", "a. -> b.in",
                 "a.out -> b.in.extra"):
         with pytest.raises(ConfigFileError, match="node.port"):
@@ -314,6 +320,15 @@ def test_load_run_config_reports_yaml_error_line():
             "seed: 1\nnetwork: [unclosed\ndata: {}\n  bad"))
 
 
+def test_a_yaml_merge_key_may_override_a_key_it_merges():
+    text = "base: &b {p: 1, q: 2}\nuse:\n  <<: *b\n  p: 3\n"
+    assert config_doc_from_yaml(text) == {"base": {"p": 1, "q": 2},
+                                          "use": {"p": 3, "q": 2}}
+    with pytest.raises(ConfigFileError,
+                       match="^invalid YAML at line 5: duplicate key 'p'"):
+        config_doc_from_yaml(text + "  p: 4\n")
+
+
 def test_load_run_config_file_missing(tmp_path):
     with pytest.raises(ConfigFileError, match="cannot read config"):
         load_config_doc(tmp_path / "absent.yaml")
@@ -331,7 +346,7 @@ def test_run_configured_produces_report():
     assert results[0]["type"] == "run-result"
     assert results[0]["evaluations"] <= 80
     assert report.wall_time > 0.0
-    assert "wall_time" not in json.loads(report.result_json())
+    assert "wall_time" not in json.loads(result_json(report))
 
 
 def test_run_configured_budget_termination():
@@ -344,7 +359,7 @@ def test_run_configured_budget_termination():
 def test_replay_reproduces_result_bytes():
     report = run_configured(make_run_doc())
     replayed = replay_report(json.loads(report.to_json()))
-    assert replayed.result_json() == report.result_json()
+    assert result_json(replayed) == result_json(report)
 
 
 def test_replay_requires_embedded_config():
@@ -357,13 +372,13 @@ def test_report_embeds_the_document_as_given():
     doc = make_run_doc(budget=30)
     del doc["workers"]
     doc["network"]["connections"] = [
-        c.replace(" -> ", "→") for c in FS_CONNECTIONS]
+        c.replace(" -> ", "->") for c in FS_CONNECTIONS]
     given_doc = copy.deepcopy(doc)
     report = run_configured(doc)
     assert report.config_doc == given_doc
     assert "workers" not in json.loads(report.to_json())["config"]
     replayed = replay_report(json.loads(report.to_json()))
-    assert replayed.result_json() == report.result_json()
+    assert result_json(replayed) == result_json(report)
 
 
 _SELECTOR_OPTIONS = st.fixed_dictionaries({}, optional={
@@ -386,7 +401,7 @@ def run_documents(draw):
                     **draw(st.fixed_dictionaries({}, optional={
                         "penalty_per_feature": st.sampled_from([0.0, 0.05]),
                     }))}
-    arrow = draw(st.sampled_from([" -> ", "→", "->"]), label="arrow")
+    arrow = draw(st.sampled_from([" -> ", "  ->  ", "->"]), label="arrow")
     benchmark = {"n_observations": 40, "n_features": 5, "n_relevant": 2,
                  **draw(st.fixed_dictionaries({}, optional={
                      "seed": st.integers(0, 3),
@@ -424,7 +439,7 @@ def test_any_run_document_is_embedded_as_given_and_replays(doc, budgeted,
     assert report.config_doc == given_doc
     replayed = replay_report(json.loads(report.to_json()))
     assert replayed.config_doc == given_doc
-    assert replayed.result_json() == report.result_json()
+    assert result_json(replayed) == result_json(report)
 
 
 def test_report_save_and_shape(tmp_path):
@@ -444,7 +459,7 @@ def test_payload_doc_scalars_and_arrays():
     assert payload_doc(None) is None
     assert payload_doc(3) == 3
     assert payload_doc(np.float64(2.5)) == 2.5
-    assert payload_doc(FeatureMask.from_string("0101")) == "0101"
+    assert payload_doc(mask_from_string("0101")) == "0101"
     assert payload_doc(np.array([True, False])) == "10"
     assert payload_doc(np.array([1.0, 2.0])) == [1.0, 2.0]
     assert payload_doc({"k": (1, 2)}) == {"k": [1, 2]}
@@ -517,14 +532,14 @@ def _rendering_samples() -> list:
     real = Individual(np.array([0.25, 0.5]), math.inf)
     run = RunResult(best, 12, 2, "pressure", (3.0, 2.0, 1.5), (1.5, 2.25),
                     (best, best))
-    network = NetworkResult(FeatureMask.from_string("101"), quality,
+    network = NetworkResult(mask_from_string("101"), quality,
                             np.float64(1.5), 12, 2, "budget", 0.05, 7,
                             (3.0, 1.5), (2.0,), wall_time=9.9)
     problem = RegressionProblem(np.zeros((4, 2)), np.zeros(4),
                                 np.zeros((3, 2)), np.zeros(3), ("a", "b"),
-                                FeatureMask.from_string("11"))
+                                mask_from_string("11"))
     return [linear, forest, quality, vector, best, real, run, network,
-            problem, FeatureMask.from_string("0110"),
+            problem, mask_from_string("0110"),
             np.array([True, False]), np.array([1.0, 2.5]),
             np.array([[1, 2], [3, 4]]), np.float64(2.5), np.int64(3),
             np.bool_(True), None, True, 4, 0.5, "s",

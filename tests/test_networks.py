@@ -110,15 +110,15 @@ def test_replaced_problem_is_fitted_from_its_own_arrays(small_partitioned):
 
 def test_make_model_node_variants():
     assert isinstance(_make_model_node("ols"), OlsModelNode)
-    assert isinstance(_make_model_node(None), OlsModelNode)
     config = ForestConfig(n_trees=3)
     forest_node = _make_model_node(config)
     assert isinstance(forest_node, ForestModelNode)
     assert forest_node.config is config
     custom = OlsModelNode("model")
     assert _make_model_node(custom) is custom
-    with pytest.raises(InvalidConfigError):
-        _make_model_node(42)
+    for bad in (42, None):
+        with pytest.raises(InvalidConfigError):
+            _make_model_node(bad)
 
 
 class HandleOnlyNode(Node):

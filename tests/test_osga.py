@@ -78,12 +78,11 @@ SPHERE_PARAMS = OsgaParams(population_size=30, max_evaluations=3000,
 # each makes its numpy calls in the draw rule's order, then applies osga's
 # own draw-free transform. They check nothing; osga_stream does.
 
-def crossover(a, b, kind, rng, spread=2.0):
+def crossover(a, b, kind, rng):
     d = a.shape[0]
     cut = rng.integers(1, d) if osga._draws_cut(kind, d) else d
     return osga._crossover(a, b, kind, cut,
-                           rng.random(osga._crossover_uniforms(kind, d)),
-                           spread)
+                           rng.random(osga._crossover_uniforms(kind, d)))
 
 
 def bitflip_mutation(genome, rate, rng):
@@ -99,7 +98,7 @@ def gaussian_mutation(genome, bounds, rate, sigma_fraction, rng):
 def _child(spec, a, b, kind, rate, rng):
     """spec's child of parents a and b, drawn operator by operator."""
     if isinstance(spec, RealGenomeSpec):
-        return gaussian_mutation(crossover(a, b, kind, rng, spec.spread),
+        return gaussian_mutation(crossover(a, b, kind, rng),
                                  spec.bounds, rate, spec.sigma_fraction, rng)
     return bitflip_mutation(crossover(a, b, kind, rng), rate, rng)
 
@@ -248,7 +247,7 @@ def test_binary_spec_validation_and_defaults():
     with pytest.raises(InvalidConfigError):
         BinaryGenomeSpec(5, init_one_probability=1.2).validate()
     spec = BinaryGenomeSpec(20)
-    assert spec.default_mutation_rate == pytest.approx(0.05)
+    assert resolve_mutation_rate(spec, OsgaParams()) == pytest.approx(0.05)
 
 
 def test_binary_spec_random_respects_probability():
@@ -268,7 +267,7 @@ def test_real_spec_validation():
         RealGenomeSpec(np.array([[0.0, 1.0]]), sigma_fraction=0.0).validate()
     spec = RealGenomeSpec(np.array([[0.0, 1.0], [2.0, 3.0]]))
     assert spec.length == 2
-    assert spec.default_mutation_rate == pytest.approx(0.5)
+    assert resolve_mutation_rate(spec, OsgaParams()) == pytest.approx(0.5)
 
 
 def test_real_spec_random_within_bounds():
@@ -417,8 +416,8 @@ def test_seed_determinism_and_rng_override():
     assert a.best.fitness == b.best.fitness
     assert a.evaluations == b.evaluations
     assert a.best_history == b.best_history
-    c = osga_minimize(zeros_count, BINARY_SPEC, BINARY_PARAMS,
-                      rng=substream(6, "osga"))
+    c = drive(osga_stream(BINARY_SPEC, BINARY_PARAMS, substream(6, "osga")),
+              per_genome(zeros_count))
     assert c.evaluations == a.evaluations  # the seed path is documented
 
 
@@ -775,7 +774,7 @@ def test_batched_minimize_is_the_sequential_search(search):
     real = isinstance(spec, RealGenomeSpec)
     rng = substream(seed, "osga")
     seen = _Scripted(answers, real)
-    result = osga_minimize(seen, spec, params, rng=rng)
+    result = drive(osga_stream(spec, params, rng), per_genome(seen))
 
     oracle_rng = substream(seed, "osga")
     oracle_seen = _Scripted(answers, real)
@@ -851,8 +850,7 @@ def _breeding(draw):
         lo = draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d))
         width = draw(st.lists(st.floats(0.0, 3.0), min_size=d, max_size=d))
         spec = RealGenomeSpec(np.array([[a, a + w] for a, w in zip(lo, width)]),
-                              sigma_fraction=draw(st.sampled_from([0.05, 2.0])),
-                              spread=draw(st.sampled_from([0.5, 2.0, 20.0])))
+                              sigma_fraction=draw(st.sampled_from([0.05, 2.0])))
     else:
         spec = BinaryGenomeSpec(d)
     pop = draw(st.integers(2, 7))
