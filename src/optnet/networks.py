@@ -27,6 +27,7 @@ with the bits of solving each alone. The forest node's fit_batch grows
 the forests of a batch's masks in one pass over the source's train rows
 (forest.fit_random_forests), each from the seed fit_problem will draw
 for it, and fit_problem hands each out by that seed and its mask's bits.
+A search-time fit is scored on its validation rows alone (train_mae None).
 The winner's final refit is an exact fit_ols on its gathered columns,
 and with_test_mae scores it on the test rows of the columns the search
 selected, whatever names the model carries. Both scorers predict
@@ -243,12 +244,12 @@ class OlsModelNode(ModelNode):
     OLS_MEMO_SIZE masks and hands a repeated mask its earlier
     ModelWithQuality before any column is gathered. A new non-empty mask
     is solved from the Gram matrix (OlsGram.solve_stacked) and scored
-    from the source's transposed columns, again gathering none; the
-    empty mask, and every mask of a design whose Gram matrix or
-    sub-system is refused, is fitted with fit_ols and scored by quality.
-    Any other problem, such as the final refit, is fitted with fit_ols
-    from its own arrays and never memoized. fits counts the fits made
-    and hits the fits reused.
+    from the source's transposed validation columns, again gathering
+    none; the empty mask, and every mask of a design whose Gram matrix
+    or sub-system is refused, is fitted with fit_ols and scored by
+    quality. Any other problem, such as the final refit, is fitted with
+    fit_ols from its own arrays and never memoized. fits counts the fits
+    made and hits the fits reused.
 
     fit_batch first solves the batch's distinct non-empty masks that
     the memo lacks together, each size's masks in one stacked solve,
@@ -264,7 +265,7 @@ class OlsModelNode(ModelNode):
         self._memo: OrderedDict[bytes, ModelWithQuality] = OrderedDict()
         self._memo_source: RegressionProblem | None = None
         self._gram: OlsGram | None = None
-        self._columns_t = None  # the source's columns, transposed
+        self._columns_t = None  # the source's validation columns, transposed
         self._solved: dict[bytes, ModelWithQuality] = {}
 
     def _use_source(self, source: RegressionProblem) -> None:
@@ -272,7 +273,8 @@ class OlsModelNode(ModelNode):
             self._gram = OlsGram(source.train_features, source.train_target)
             self._memo.clear()
             self._memo_source = source
-            self._columns_t = None
+            self._columns_t = np.ascontiguousarray(
+                source.validation_features.T)
             self._solved = {}
 
     def fit_problem(self, problem: RegressionProblem,
@@ -310,8 +312,8 @@ class OlsModelNode(ModelNode):
 
     def _solve_stacked(self, problems) -> dict[bytes, ModelWithQuality]:
         """The fits of the distinct non-empty masks of problems that the
-        memo lacks, each size's masks in one stacked solve; a size whose
-        solve is refused is left out."""
+        memo lacks, each size's masks in one stacked solve and scored on
+        the validation rows; a size whose solve is refused is left out."""
         by_size: dict[int, dict[bytes, np.ndarray]] = {}
         for p in problems:
             key = p.mask.bits.tobytes()
@@ -325,21 +327,15 @@ class OlsModelNode(ModelNode):
             coef = self._gram.solve_stacked(columns)
             if coef is None:
                 continue
-            if self._columns_t is None:
-                self._columns_t = (
-                    np.ascontiguousarray(source.train_features.T),
-                    np.ascontiguousarray(source.validation_features.T))
             weights, intercepts = coef[:, :-1], coef[:, -1]
-            train, validation = (
-                _stacked_mae(x_t, columns, weights, intercepts, y)
-                for x_t, y in zip(self._columns_t, (
-                    source.train_target, source.validation_target)))
-            names = source.feature_names
-            for key, cols, w, b, t, v in zip(masks, columns, weights,
-                                             intercepts, train, validation):
-                model = LinearModel(w, b, tuple(names[i] for i in cols))
-                solved[key] = ModelWithQuality(model, t, v, n_features=size,
-                                               label="ols")
+            validation = _stacked_mae(self._columns_t, columns, weights,
+                                      intercepts, source.validation_target)
+            name = source.feature_names.__getitem__
+            for key, cols, w, b, v in zip(masks, columns.tolist(), weights,
+                                          intercepts, validation):
+                model = LinearModel(w, b, tuple(map(name, cols)))
+                solved[key] = ModelWithQuality(model, None, v,
+                                               n_features=size, label="ols")
         return solved
 
     # its own entry, like fit_problem: the benchmark's tracer wraps both
@@ -498,12 +494,13 @@ def predict_any(model, features: np.ndarray,
 
 def quality(model, problem: RegressionProblem,
             label: str) -> ModelWithQuality:
-    """model's train and validation MAE on problem, as a search sees it;
-    n_features is the number of columns model reads."""
+    """model's validation MAE on problem, and its train MAE unless problem
+    is a search-time one (source set); n_features is the number of
+    columns model reads."""
     return ModelWithQuality(
         model,
-        train_mae=mae(predict_any(model, problem.train_features),
-                      problem.train_target),
+        train_mae=None if problem.source is not None else mae(
+            predict_any(model, problem.train_features), problem.train_target),
         validation_mae=mae(predict_any(model, problem.validation_features),
                            problem.validation_target),
         n_features=len(problem.feature_names),

@@ -89,13 +89,15 @@ class RegressionProblem:
 class ModelWithQuality:
     """A fitted model bundled with its error measurements.
 
-    test_mae is None while a search is still running; it is only filled
-    in by networks.with_test_mae after the search. flags carries non-fatal conditions such
-    as "budget-exhausted" from an inner search that was cut short.
+    train_mae is None on a search-time fit (of a problem whose source is
+    set), whose fitness reads only validation_mae; test_mae is None until
+    networks.with_test_mae scores a search's result. flags carries
+    non-fatal conditions such as "budget-exhausted" from an inner search
+    that was cut short.
     """
 
     model: object
-    train_mae: float
+    train_mae: float | None
     validation_mae: float
     test_mae: float | None = None
     n_features: int = 0

@@ -68,6 +68,19 @@ def test_pool_covers_all_recipe_families(small_partitioned):
         assert np.isfinite(entry.result.validation_mae)
 
 
+def test_pool_fits_carry_their_exact_train_mae(small_partitioned):
+    """Recipe fits are not search-time fits: the OLS, forest and
+    elastic-net entries score the train rows of every column, bit for
+    bit as predicting them does."""
+    recipes = (OlsRecipe(), ForestRecipe(ForestConfig(n_trees=3)),
+               ElasticNetRecipe(penalties=(0.001, 0.01), l1_ratios=(0.5,)))
+    train_x, train_y = small_partitioned.train_xy()
+    for entry in build_model_pool(small_partitioned, recipes, seed=0):
+        assert entry.ok and entry.result.train_mae is not None, entry.label
+        assert entry.result.train_mae.hex() == mae(networks.predict_any(
+            entry.result.model, train_x), train_y).hex(), entry.label
+
+
 def test_pool_records_failures_and_continues(small_partitioned):
     recipes = (ElasticNetRecipe(penalties=(-1.0,)), OlsRecipe())
     pool = build_model_pool(small_partitioned, recipes, seed=0)

@@ -448,12 +448,17 @@ def flagship_partitioned():
     return partition(dataset, seed=3)
 
 
+def _hex(value):
+    """A float by its bits; None, a search-time fit's train MAE, as is."""
+    return None if value is None else value.hex()
+
+
 def _fit_bits(fitted):
     """A fit's values, every float by its bits."""
     model = fitted.model
     return (model.weights.tobytes(), model.intercept.hex(),
             model.feature_names, model.rank_deficient,
-            fitted.train_mae.hex(), fitted.validation_mae.hex(),
+            _hex(fitted.train_mae), fitted.validation_mae.hex(),
             fitted.n_features, fitted.label)
 
 
@@ -469,9 +474,10 @@ def test_fit_batch_fits_as_each_problem_alone(
     batch, gathers of one mask at a time and a Gram matrix that refuses
     every mask get, bit for bit, the fits of one problem at a time on a
     fresh node, and leave equal counters and memo order. Every fit
-    scores as mae(predict(...)) on its gathered columns, and on a usable
-    Gram matrix each non-empty mask's model is a plain two-dimensional
-    solve of its own sub-system, bit for bit."""
+    scores as mae(predict(...)) on its gathered validation columns, with
+    no train MAE, and on a usable Gram matrix each non-empty mask's
+    model is a plain two-dimensional solve of its own sub-system, bit
+    for bit."""
     partitioned = {"small": small_partitioned,
                    "flagship": flagship_partitioned,
                    "collinear": collinear_partitioned}[design]
@@ -498,8 +504,7 @@ def test_fit_batch_fits_as_each_problem_alone(
             assert list(map(_fit_bits, got)) == list(map(_fit_bits, want))
             for i, fitted in zip(picks, got):
                 cols = list(pool[i])
-                assert fitted.train_mae.hex() == mae(
-                    predict(fitted.model, train_x[:, cols]), train_y).hex()
+                assert fitted.train_mae is None
                 assert fitted.validation_mae.hex() == mae(
                     predict(fitted.model, val_x[:, cols]), val_y).hex()
                 if gram.usable and cols:
@@ -537,6 +542,33 @@ def test_fit_batch_fits_alone_where_the_stacked_solve_fails(
     assert (batched.fits, batched.hits) == (alone.fits, alone.hits) == (3, 1)
 
 
+def test_ols_fit_batch_scores_only_the_validation_rows(flagship_partitioned):
+    """A batch's stacked solves score each size once, on the source's
+    validation rows, and the node keeps no transposed train rows."""
+    orchestrator = RegressionOrchestratorNode("o", flagship_partitioned)
+    (train_x, _), (val_x, _) = (flagship_partitioned.train_xy(),
+                                flagship_partitioned.validation_xy())
+    problems = [orchestrator.make_problem(FeatureMask.from_indices(cols, 100))
+                for cols in ((0,), (1, 2), (3,), (4, 5, 6), (1, 2))]
+    validation_target = problems[0].source.validation_target
+    calls, stacked_mae = [], networks._stacked_mae
+
+    def recording(columns_t, columns, weights, intercepts, target):
+        calls.append((columns.shape[1], target))
+        return stacked_mae(columns_t, columns, weights, intercepts, target)
+
+    node = OlsModelNode("model")
+    with mock.patch.object(networks, "_stacked_mae", recording):
+        fits = node.fit_batch(problems, None)
+    assert sorted(size for size, _ in calls) == [1, 2, 3]
+    assert all(target is validation_target for _, target in calls)
+    assert all(fitted.train_mae is None for fitted in fits)
+    assert np.array_equal(node._columns_t, val_x.T)
+    assert not any(isinstance(value, np.ndarray)
+                   and value.shape == train_x.T.shape
+                   for value in vars(node).values())
+
+
 def _forest_fit_bits(fitted):
     """A forest node's fit by its bits: every tree of a forest, or the
     constant model of an empty mask."""
@@ -546,7 +578,7 @@ def _forest_fit_bits(fitted):
     return ([(t.feature.tobytes(), t.threshold.tobytes(), t.left.tobytes(),
               t.right.tobytes(), t.value.tobytes(), t.depth)
              for t in model.trees], model.feature_names, model.config,
-            fitted.train_mae.hex(), fitted.validation_mae.hex(),
+            _hex(fitted.train_mae), fitted.validation_mae.hex(),
             fitted.n_features, fitted.label)
 
 
@@ -846,6 +878,31 @@ def test_nested_network_reports_search_shape(small_partitioned):
     assert result.evaluations <= 40
     assert len(result.best_history) >= 1
     assert result.best_mask.n_selected >= 1
+
+
+def test_every_refit_carries_its_exact_train_mae(small_partitioned):
+    """Only search-time fits go without a train MAE: the winner's refit,
+    of the network and its twin, with OLS and with a forest, and the
+    nested tuning refit each score the train rows of the selected
+    columns, bit for bit as predicting them does."""
+    forest = ForestConfig(n_trees=3)
+    inner = InnerGridSearch(sample_ratios=(0.7,), feature_ratios=(0.5,),
+                            n_trees_options=(3,), budget=1)
+    results = [
+        run(small_partitioned, TINY_PARAMS, model=model, seed=1)
+        for run in (feature_selection_network, feature_selection_direct)
+        for model in ("ols", forest)]
+    results.append(nested_tuning_network(
+        small_partitioned, OsgaParams(population_size=6, max_evaluations=24,
+                                      max_selection_pressure=10.0),
+        inner=inner, seed=0))
+    train_x, train_y = small_partitioned.train_xy()
+    for result in results:
+        fitted = result.best_model
+        assert fitted.train_mae is not None, fitted.label
+        columns = np.flatnonzero(result.best_mask.bits)
+        assert fitted.train_mae.hex() == mae(networks.predict_any(
+            fitted.model, train_x[:, columns]), train_y).hex(), fitted.label
 
 
 # Forest settings: ForestConfig.validate is the one rule, checked up front
