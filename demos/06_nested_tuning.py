@@ -6,12 +6,14 @@ The tuning model node runs a second, inner search every time it is
 asked to fit a candidate feature subset: it picks the forest's sample
 ratio, feature ratio, and tree count before fitting the model whose
 error becomes the outer fitness. Optimization networks nest without any
-special support because an inner search is just another node behavior.
+special support because an inner search is just another node behavior:
+the outer network is the feature-selection network with this node as
+its model node.
 """
 
 from optnet.data import BenchmarkConfig, generate_benchmark, partition
 from optnet.networks import (FitnessConfig, InnerGridSearch, InnerOsgaSearch,
-                             nested_tuning_network)
+                             InnerTuningModelNode, feature_selection_network)
 from optnet.osga import OsgaParams
 
 # Every outer fitness evaluation now costs an entire inner search, so
@@ -29,9 +31,9 @@ outer = OsgaParams(population_size=6, max_evaluations=60,
 grid_inner = InnerGridSearch(sample_ratios=(0.6, 0.9),
                              feature_ratios=(0.4, 0.8),
                              n_trees_options=(3, 6), budget=4)
-grid_run = nested_tuning_network(
+grid_run = feature_selection_network(
     partitioned, outer, FitnessConfig(penalty_per_feature=0.05),
-    inner=grid_inner, seed=4)
+    model=InnerTuningModelNode("model", grid_inner), seed=4)
 print("grid-tuned run")
 print("  mask:", grid_run.best_mask.to_string())
 print("  model:", grid_run.best_model.label)
@@ -44,9 +46,9 @@ osga_inner = InnerOsgaSearch(
                       max_selection_pressure=10.0,
                       crossover_kind="arithmetic"),
     budget=12)
-osga_run = nested_tuning_network(
+osga_run = feature_selection_network(
     partitioned, outer, FitnessConfig(penalty_per_feature=0.05),
-    inner=osga_inner, seed=4)
+    model=InnerTuningModelNode("model", osga_inner), seed=4)
 print("search-tuned run")
 print("  mask:", osga_run.best_mask.to_string())
 print("  model:", osga_run.best_model.label)

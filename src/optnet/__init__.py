@@ -108,7 +108,6 @@ from .networks import (
     build_feature_selection_topology,
     feature_selection_direct,
     feature_selection_network,
-    nested_tuning_network,
     predict_any,
 )
 from .osga import (

@@ -118,7 +118,7 @@ class ForestRecipe(Recipe):
 @dataclass
 class FeatureSelectionRecipe(Recipe):
     """A mask search; model is what feature_selection_network takes: "ols",
-    a ForestConfig or a model node."""
+    a ForestConfig or a ModelNode."""
 
     params: OsgaParams = field(default_factory=OsgaParams)
     fitness: FitnessConfig = field(default_factory=FitnessConfig)

@@ -14,11 +14,10 @@ Output ports left unconnected are sinks; whatever is emitted there is
 collected and returned. run_network is the one way a message enters,
 moves through and leaves a network, and it owns the routing tables of a
 run: input queues, routes, sinks, and correlation ids that count each
-output port's messages from 0. An entry payload, when given, is the
-whole of round 0 (one node's handle_entry, before any queue holds a
-message), which kicks off networks whose flow starts from a stimulus
-rather than external input. Each node gets one context per run, holding
-its random stream and its emit buffer.
+output port's messages from 0. Every run starts from an entry payload:
+round 0 is one node's handle_entry alone, before any queue holds a
+message. Each node gets one context per run, holding its random stream
+and its emit buffer. A termination rule checks itself when it is built.
 """
 
 from __future__ import annotations
@@ -216,17 +215,27 @@ class Topology:
 @dataclass(frozen=True)
 class MessageBudget:
     """Stop once exactly this many messages have been handled (the entry
-    payload counts as one)."""
+    payload counts as one); at least one."""
 
     limit: int
+
+    def __post_init__(self):
+        if self.limit < 1:
+            raise InvalidConfigError("message budget must be at least 1")
 
 
 @dataclass(frozen=True)
 class SinksEmitted:
     """Stop once every listed (node, port) sink has collected at least
-    one payload."""
+    one payload; at least one is listed, or the run would stop before
+    its entry is delivered."""
 
     ports: tuple[tuple[str, str], ...]
+
+    def __post_init__(self):
+        if not self.ports:
+            raise InvalidConfigError(
+                "sink termination needs at least one (node, port) sink")
 
 
 @dataclass(frozen=True)
@@ -244,9 +253,9 @@ class NetworkRun:
     """Everything a finished run reports.
 
     sink_outputs maps each unconnected output port to the payloads
-    emitted there, in emission order. Message conservation holds:
-    entry_count + messages_produced == messages_handled +
-    messages_remaining + total sink payloads. rngs maps each node id to
+    emitted there, in emission order. Message conservation holds, the
+    entry payload counting one: 1 + messages_produced == messages_handled
+    + messages_remaining + total sink payloads. rngs maps each node id to
     the random stream its handlers drew from, left where the run ended,
     so follow-up work can continue a node's stream.
     """
@@ -256,7 +265,6 @@ class NetworkRun:
     messages_handled: int
     messages_produced: int
     messages_remaining: int
-    entry_count: int
     stopped_by: str  # "budget" or "sinks"
     node_message_counts: dict[str, int]
     rngs: dict[str, np.random.Generator]
@@ -305,22 +313,21 @@ def _invoke(delivery) -> None:
 
 
 def run_network(topology: Topology, termination,
-                entry: tuple[str, object] | None = None, seed: int = 0,
+                entry: tuple[str, object], seed: int = 0,
                 workers: int = 1, trace: bool = False) -> NetworkRun:
     """Execute a validated topology until the termination rule fires.
 
-    termination is a MessageBudget or SinksEmitted instance. entry, when
-    given, is (node_id, payload): round 0 is that node's handle_entry
-    alone, and later rounds move messages. Each node draws randomness
-    from its own stream derived from (seed, node id), so results do not
-    depend on scheduling or worker count.
+    termination is a MessageBudget or SinksEmitted instance. entry is
+    (node_id, payload): round 0 is that node's handle_entry alone, and
+    later rounds move messages. Each node draws randomness from its own
+    stream derived from (seed, node id), so results do not depend on
+    scheduling or worker count.
 
-    Raises InvalidConfigError for an invalid topology, an entry that
-    Topology.entry_node refuses or a SinksEmitted with no ports (it
-    would stop before the entry is delivered), UnconnectedPortError if
-    SinksEmitted names a port that is not a sink, DeadlockError if the
-    network drains with the termination rule unmet, and
-    HandlerFailureError if a handler raises.
+    Raises InvalidConfigError for an invalid topology or an entry that
+    Topology.entry_node refuses, UnconnectedPortError if SinksEmitted
+    names a port that is not a sink, DeadlockError if the network drains
+    with the termination rule unmet, and HandlerFailureError if a
+    handler raises.
     """
     problems = topology.validate()
     if problems:
@@ -346,20 +353,14 @@ def run_network(topology: Topology, termination,
     wanted = ()
     if isinstance(termination, MessageBudget):
         limit = termination.limit
-        if limit < 1:
-            raise InvalidConfigError("message budget must be at least 1")
     else:
         wanted = tuple(map(tuple, termination.ports))
-        if not wanted:
-            raise InvalidConfigError(
-                "sink termination needs at least one (node, port) sink")
     sinks = {port: [] for port in topology.sinks(wanted)}
     route.update(sinks)
     watched = [sinks[want] for want in wanted]
 
     handled = 0
     produced = 0
-    entry_count = 0
     rounds = 0
     events: list[TraceEvent] = []
     node_counts = {n.id: 0 for n in topology.nodes}
@@ -373,12 +374,9 @@ def run_network(topology: Topology, termination,
              for p in (*n.input_ports, *n.output_ports)}
 
     # round 0 is the entry delivery alone: every queue starts empty
-    batch: list = []
-    if entry is not None:
-        entry_node, entry_payload = entry
-        node = topology.entry_node(entry_node)
-        batch.append((node, contexts[node.id], None, (0, entry_payload)))
-        entry_count = 1
+    entry_node, entry_payload = entry
+    node = topology.entry_node(entry_node)
+    batch = [(node, contexts[node.id], None, (0, entry_payload))]
 
     def met() -> str | None:
         if limit is not None:
@@ -393,7 +391,7 @@ def run_network(topology: Topology, termination,
                 return NetworkRun(
                     {k: [p for _, p in v] for k, v in sinks.items()}, rounds,
                     handled, produced, sum(len(q) for q in queues.values()),
-                    entry_count, reason, node_counts, rngs, events)
+                    reason, node_counts, rngs, events)
 
             if rounds:
                 # pick at most one message per node, in canonical order

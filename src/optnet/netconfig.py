@@ -563,22 +563,6 @@ def load_experiment_data(spec: DataSpec, default_seed: int = 0
 # Whole run configs
 
 @dataclass
-class TerminationSpec:
-    """A network.termination block: exactly one of sinks / budget."""
-
-    sinks: tuple[str, ...] | None = None
-    budget: int | None = None
-
-    def validate(self) -> None:
-        if (self.sinks is None) == (self.budget is None):
-            raise InvalidConfigError("exactly one of sinks/budget required")
-        if self.sinks == ():
-            raise InvalidConfigError("sinks must be a non-empty list")
-        if self.budget is not None and self.budget < 1:
-            raise InvalidConfigError("budget must be at least 1")
-
-
-@dataclass
 class NetworkRunConfig:
     """Everything needed to execute one configured network."""
 
@@ -588,6 +572,29 @@ class NetworkRunConfig:
     termination: MessageBudget | SinksEmitted
     seed: int = 0
     workers: int = 1
+
+
+def _termination(doc, declared: Topology) -> MessageBudget | SinksEmitted:
+    """The engine's rule of a network.termination block, which holds
+    exactly one of sinks (node.port sinks of declared) and budget."""
+    where = "network.termination"
+    block = _mapping(doc, where, ("sinks", "budget"))
+    sinks = _typed(block.get("sinks"), tuple[str, ...] | None,
+                   f"{where}.sinks")
+    budget = _typed(block.get("budget"), int | None, f"{where}.budget")
+    if (sinks is None) == (budget is None):
+        raise ConfigFileError("exactly one of sinks/budget required",
+                              field=where)
+    try:
+        rule = MessageBudget(budget) if sinks is None else SinksEmitted(
+            tuple(_parse_endpoint(s, f"{where}.sinks") for s in sinks))
+    except InvalidConfigError as exc:
+        raise ConfigFileError(str(exc), field=where) from exc
+    try:
+        declared.sinks(() if sinks is None else rule.ports)
+    except UnconnectedPortError as exc:
+        raise ConfigFileError(str(exc), field=f"{where}.sinks") from exc
+    return rule
 
 
 def run_config_from_doc(doc) -> NetworkRunConfig:
@@ -607,18 +614,7 @@ def run_config_from_doc(doc) -> NetworkRunConfig:
         declared.entry_node(entry)
     except InvalidConfigError as exc:
         raise ConfigFileError(str(exc), field="network.entry") from exc
-    term = _read_block(TerminationSpec, net.get("termination"),
-                       "network.termination")
-    if term.sinks is None:
-        termination = MessageBudget(term.budget)
-    else:
-        where = "network.termination.sinks"
-        termination = SinksEmitted(tuple(_parse_endpoint(s, where)
-                                         for s in term.sinks))
-        try:
-            declared.sinks(termination.ports)
-        except UnconnectedPortError as exc:
-            raise ConfigFileError(str(exc), field=where) from exc
+    termination = _termination(net.get("termination"), declared)
     return _read(
         NetworkRunConfig, doc, "", ("seed", "workers"), _check_workers,
         data=data_spec_from_doc(doc["data"]),

@@ -11,11 +11,10 @@ Swapping the model node switches the learning algorithm without
 touching the rest; replacing it with a node that internally runs a
 second network gives nested hyperparameter tuning.
 
-Every built-in model node is a ModelNode: fit_batch answers a batch,
-by default with fit_problem once per problem in order, and fit_problem
-alone serves the winner's refit and the twin. A user node written
-against the single-problem ports is wrapped into a ModelNode that calls
-its fit_problem.
+The model node is a ModelNode, built in or supplied by the user, and
+is wired under its own id: fit_batch answers a batch, by default with
+fit_problem once per problem in order, and fit_problem alone serves the
+winner's refit and the twin.
 
 A search-time problem views the orchestrator's whole problem and gathers
 its columns only when a model node first reads them. The OLS node
@@ -434,15 +433,6 @@ class ForestModelNode(ModelNode):
     handle = ModelNode.handle
 
 
-class _SingleProblemNode(ModelNode):
-    """A model node written against single-problem ports, on the batch
-    ports: its fit_problem fits every problem of a batch in turn."""
-
-    def __init__(self, node: Node):
-        super().__init__(node.id)
-        self.fit_problem = node.fit_problem
-
-
 # ---------------------------------------------------------------------------
 # Feature-selection network and its plain-loop twin
 
@@ -451,30 +441,29 @@ def _make_model_node(model) -> ModelNode:
         return OlsModelNode("model")
     if isinstance(model, ForestConfig):
         return ForestModelNode("model", model)
-    if isinstance(model, Node):
-        if not callable(getattr(model, "fit_problem", None)):
-            raise InvalidConfigError(
-                f"model node {model.id!r} has no fit_problem(problem, rng)")
-        return model if isinstance(model, ModelNode) \
-            else _SingleProblemNode(model)
+    if isinstance(model, ModelNode) \
+            and callable(getattr(model, "fit_problem", None)):
+        return model
     raise InvalidConfigError(
-        f"model must be 'ols', a ForestConfig, or a Node, got {model!r}")
+        "model must be 'ols', a ForestConfig, or a ModelNode with "
+        f"fit_problem(problem, rng), got {model!r}")
 
 
 def build_feature_selection_topology(
         partitioned: PartitionedDataset, params: OsgaParams,
         fitness: FitnessConfig | None = None, model="ols",
         init_one_probability: float = 0.1) -> Topology:
-    """Wire selector, orchestrator, and model node into the search loop."""
+    """Wire selector, orchestrator, and model node, under its own id,
+    into the search loop."""
     genome_spec = BinaryGenomeSpec(partitioned.base.n_features,
                                    init_one_probability)
     topo = Topology()
     topo.add(FeatureSelectionNode("selector", genome_spec, params))
     topo.add(RegressionOrchestratorNode("orchestrator", partitioned, fitness))
-    topo.add(_make_model_node(model))
+    model_id = topo.add(_make_model_node(model)).id
     topo.connect("selector", "mask", "orchestrator", "mask")
-    topo.connect("orchestrator", "problem", "model", "problem")
-    topo.connect("model", "model", "orchestrator", "model")
+    topo.connect("orchestrator", "problem", model_id, "problem")
+    topo.connect(model_id, "model", "orchestrator", "model")
     topo.connect("orchestrator", "quality", "selector", "quality")
     return topo
 
@@ -542,11 +531,11 @@ def feature_selection_network(
         init_one_probability: float = 0.1) -> NetworkResult:
     """Run the mask-search network to completion.
 
-    model is "ols" (or None), a ForestConfig, or a model Node with
-    fit_problem(problem, rng): a ModelNode, whose fit_batch must answer
-    a batch as fit_problem answers each problem in turn, or a node with
-    single-problem ports, which is wrapped into one. The refit of the
-    winner and the plain-loop twin call fit_problem directly.
+    model is "ols", a ForestConfig, or a ModelNode with
+    fit_problem(problem, rng), whose fit_batch must answer a batch as
+    fit_problem answers each problem in turn; it runs under its own id
+    and stream. The refit of the winner and the plain-loop twin call
+    fit_problem directly.
 
     The test partition is read exactly once, after the search, to score
     the winning model; pass compute_test_mae=False to skip even that.
@@ -558,8 +547,9 @@ def feature_selection_network(
     run = run_network(topo, SinksEmitted((("selector", "result"),)),
                       entry=("selector", None), seed=seed, workers=workers)
     ga_result: RunResult = run.sink("selector", "result")[0]
-    return _final_result(ga_result, topo.node("orchestrator"),
-                         topo.node("model"), run.rngs["model"], partitioned,
+    _, orchestrator, model_node = topo.nodes
+    return _final_result(ga_result, orchestrator, model_node,
+                         run.rngs[model_node.id], partitioned,
                          compute_test_mae, seed, started)
 
 
@@ -578,9 +568,8 @@ def feature_selection_direct(
     params = params or OsgaParams()
     topo = build_feature_selection_topology(partitioned, params, fitness,
                                             model, init_one_probability)
-    selector, orchestrator, model_node = map(
-        topo.node, ("selector", "orchestrator", "model"))
-    model_rng = substream(seed, "node", "model")
+    selector, orchestrator, model_node = topo.nodes
+    model_rng = substream(seed, "node", model_node.id)
 
     def evaluate(genome) -> float:
         problem = orchestrator.make_problem(FeatureMask(genome))
@@ -785,17 +774,3 @@ class InnerTuningModelNode(ModelNode):
                           entry=("search", None), seed=inner_seed)
         return run.sink("search", "result")[0]
 
-
-def nested_tuning_network(
-        partitioned: PartitionedDataset, params: OsgaParams | None = None,
-        fitness: FitnessConfig | None = None,
-        inner: InnerGridSearch | InnerOsgaSearch | None = None, seed: int = 0,
-        workers: int = 1, compute_test_mae: bool = True,
-        init_one_probability: float = 0.1) -> NetworkResult:
-    """Feature-selection network whose model node tunes forest settings
-    through an inner network for every mask it receives."""
-    return feature_selection_network(
-        partitioned, params, fitness,
-        model=InnerTuningModelNode("model", inner), seed=seed,
-        workers=workers, compute_test_mae=compute_test_mae,
-        init_one_probability=init_one_probability)

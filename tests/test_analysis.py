@@ -29,7 +29,6 @@ from optnet.errors import (
     ModelInputMismatchError,
 )
 from optnet import networks
-from optnet.engine import Node, Port
 from optnet._rng import substream
 from optnet.forest import ForestConfig, fit_random_forest
 from optnet.linear import LinearModel, fit_ols, mae
@@ -107,12 +106,9 @@ def test_recipe_fit_counts_evaluations_and_scores_like_the_network(
     assert enet.fit(small_partitioned, 0)[1] == 1
 
 
-class NamelessModelNode(Node):
+class NamelessModelNode(networks.ModelNode):
     """A user model node whose models keep the default names x0, x1, ...
     of the columns they were fitted on, not the dataset's names."""
-
-    input_ports = (Port("problem", "regression-problem"),)
-    output_ports = (Port("model", "model-with-quality"),)
 
     def __init__(self, forest: bool):
         super().__init__("model")
@@ -130,9 +126,6 @@ class NamelessModelNode(Node):
             model, mae(networks.predict_any(model, X), y),
             mae(networks.predict_any(model, val_x), val_y),
             n_features=X.shape[1])
-
-    def handle(self, port_name, payload, ctx):
-        ctx.emit("model", self.fit_problem(payload, ctx.rng))
 
 
 @pytest.mark.parametrize("forest", [False, True])

@@ -237,7 +237,7 @@ def test_network_rejects_invalid_topology():
     topo.add(Producer("a"))
     topo.add(Producer("a"))
     with pytest.raises(InvalidConfigError, match="DuplicateNodeId"):
-        run_network(topo, MessageBudget(1))
+        run_network(topo, MessageBudget(1), entry=("a", None))
 
 
 def test_topology_node_lookup():
@@ -309,6 +309,25 @@ def test_sinks_termination_needs_a_port():
     assert entered == []
 
 
+def test_termination_rules_check_themselves():
+    """A rule no run could meet is refused where it is built, with the
+    wording a run would give."""
+    for limit in (0, -2):
+        with pytest.raises(InvalidConfigError,
+                           match="^message budget must be at least 1$"):
+            MessageBudget(limit)
+    with pytest.raises(InvalidConfigError, match=r"^sink termination needs "
+                       r"at least one \(node, port\) sink$"):
+        SinksEmitted(())
+    assert MessageBudget(1).limit == 1
+    assert SinksEmitted((("a", "out"),)).ports == (("a", "out"),)
+
+
+def test_every_run_has_an_entry():
+    with pytest.raises(TypeError, match="entry"):
+        run_network(echo_loop(), MessageBudget(3))
+
+
 # ---------------------------------------------------------------------------
 # Execution semantics
 
@@ -319,7 +338,6 @@ def test_echo_loop_budget_accounting():
     assert run.messages_handled == 5
     assert run.messages_produced == 5
     assert run.messages_remaining == 1
-    assert run.entry_count == 1
     assert run.node_message_counts == {"echo": 5}
     # entry + produced == handled + remaining + sunk
     assert 1 + 5 == 5 + 1 + 0
@@ -365,7 +383,7 @@ def test_budget_puts_batch_overflow_back():
     assert run.messages_produced == 5
     assert run.messages_remaining == 2
     assert run.rounds == 3
-    assert (run.entry_count + run.messages_produced
+    assert (1 + run.messages_produced
             == run.messages_handled + run.messages_remaining)
 
 
@@ -386,7 +404,7 @@ def test_sinks_termination_and_collection():
     assert run.sink("d", "absent") == []
     assert run.messages_remaining == 0
     # conservation with one sunk payload
-    assert (run.entry_count + run.messages_produced
+    assert (1 + run.messages_produced
             == run.messages_handled + run.messages_remaining + 1)
 
 
@@ -536,13 +554,14 @@ def test_first_nonempty_input_port_wins():
 # Pinned behaviour of the routing and termination tables
 
 def _run_digest(run):
-    """SHA-256 over every trace event and the run's counters."""
+    """SHA-256 over every trace event and the run's counters; the 1
+    stands for the entry payload, which every run has."""
     h = hashlib.sha256()
     for e in run.trace:
         h.update(repr((e.round_index, e.event, e.node, e.port, e.kind,
                        e.correlation_id)).encode())
     h.update(repr((run.rounds, run.messages_handled, run.messages_produced,
-                   run.messages_remaining, run.entry_count, run.stopped_by,
+                   run.messages_remaining, 1, run.stopped_by,
                    sorted(run.node_message_counts.items()))).encode())
     return h.hexdigest()
 
@@ -709,12 +728,12 @@ def test_random_topologies_keep_the_scheduling_invariants(network):
         return
     assert pooled.trace == solo.trace
     for counter in ("rounds", "messages_handled", "messages_produced",
-                    "messages_remaining", "entry_count", "stopped_by",
+                    "messages_remaining", "stopped_by",
                     "node_message_counts", "sink_outputs"):
         assert getattr(pooled, counter) == getattr(solo, counter)
 
     sunk = sum(len(v) for v in solo.sink_outputs.values())
-    assert (solo.entry_count + solo.messages_produced
+    assert (1 + solo.messages_produced
             == solo.messages_handled + solo.messages_remaining + sunk)
     deliveries = [e for e in solo.trace if e.event == "deliver"]
     assert (sum(solo.node_message_counts.values()) == solo.messages_handled

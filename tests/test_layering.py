@@ -120,6 +120,46 @@ def test_base_row_reads_finds_either_column_kind(tmp_path):
 
 
 
+def fit_problem_outside_model_nodes(paths) -> list[str]:
+    """The classes of paths' modules that define fit_problem but do not
+    derive from ModelNode through classes those modules define: a second
+    kind of model node, which the mask search would not wire."""
+    bases, fitting = {}, []
+    for path in paths:
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases[cls.name] = [getattr(b, "attr", getattr(b, "id", None))
+                               for b in cls.bases]
+            defined = [item.name for item in cls.body
+                       if isinstance(item, ast.FunctionDef)]
+            defined += [t.id for item in cls.body
+                        if isinstance(item, ast.Assign)
+                        for t in item.targets if isinstance(t, ast.Name)]
+            if "fit_problem" in defined:
+                fitting.append(cls.name)
+
+    def model_node(name) -> bool:
+        return name == "ModelNode" or any(map(model_node, bases.get(name, ())))
+
+    return [name for name in fitting if not model_node(name)]
+
+
+def test_every_fit_problem_is_a_model_node():
+    assert fit_problem_outside_model_nodes(sorted(SRC.glob("*.py"))) == []
+
+
+def test_fit_problem_outside_model_nodes_follows_the_bases(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("class A(Node):\n    def fit_problem(self): pass\n"
+                    "class B(networks.ModelNode):\n"
+                    "    def fit_problem(self): pass\n"
+                    "class C(B):\n    fit_problem = A.fit_problem\n"
+                    "class D(A):\n    fit_problem = B.fit_problem\n"
+                    "class E(Node):\n    def handle(self): pass\n")
+    assert fit_problem_outside_model_nodes([path]) == ["A", "D"]
+
+
 ROOT = SRC.parents[1]
 
 

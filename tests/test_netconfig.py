@@ -266,7 +266,7 @@ def test_run_config_rejections():
         run_config_from_doc(bad)
     bad = make_run_doc()
     bad["network"]["termination"] = {"sinks": []}
-    with pytest.raises(ConfigFileError, match="non-empty list"):
+    with pytest.raises(ConfigFileError, match="at least one"):
         run_config_from_doc(bad)
     bad = make_run_doc()
     bad["unknown_section"] = 1

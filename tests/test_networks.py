@@ -16,7 +16,8 @@ from optnet.data import (
     generate_benchmark,
     partition,
 )
-from optnet.engine import Node, NodeContext
+from optnet.analysis import FeatureSelectionRecipe
+from optnet.engine import Node, NodeContext, Port
 from optnet.errors import InvalidConfigError, ShapeMismatchError
 from optnet.forest import ForestConfig, ForestModel
 from optnet.linear import LinearModel, fit_ols, mae, predict
@@ -31,9 +32,9 @@ from optnet.networks import (
     OlsModelNode,
     RegressionOrchestratorNode,
     _make_model_node,
+    build_feature_selection_topology,
     feature_selection_direct,
     feature_selection_network,
-    nested_tuning_network,
 )
 from optnet.osga import OsgaParams
 from optnet.payloads import ModelWithQuality, ParameterVector
@@ -121,6 +122,41 @@ def test_make_model_node_variants():
             _make_model_node(bad)
 
 
+class DrawRecordingNode(OlsModelNode):
+    """An OLS node that records one draw of its stream per fit."""
+
+    def __init__(self, node_id):
+        super().__init__(node_id)
+        self.draws = []
+
+    def fit_problem(self, problem, rng):
+        self.draws.append(rng.random())
+        return super().fit_problem(problem, rng)
+
+
+def test_model_node_runs_under_its_own_id(small_partitioned):
+    """The mask search wires a model node by its id and hands it the
+    stream of that id, so a node named "model" draws what it always
+    drew, and a node that draws nothing finds what "ols" finds."""
+    topo = build_feature_selection_topology(
+        small_partitioned, TINY_PARAMS, model=OlsModelNode("fitter"))
+    assert list(map(str, topo.connections)) == [
+        "selector.mask -> orchestrator.mask",
+        "orchestrator.problem -> fitter.problem",
+        "fitter.model -> orchestrator.model",
+        "orchestrator.quality -> selector.quality"]
+    for node_id in ("model", "fitter"):
+        node = DrawRecordingNode(node_id)
+        feature_selection_network(small_partitioned, TINY_PARAMS,
+                                  model=node, seed=1)
+        stream = substream(1, "node", node_id)
+        assert node.draws == [stream.random() for _ in node.draws]
+    assert feature_selection_network(
+        small_partitioned, TINY_PARAMS, model=OlsModelNode("fitter"),
+        seed=1) == feature_selection_network(small_partitioned, TINY_PARAMS,
+                                             seed=1)
+
+
 class HandleOnlyNode(Node):
     """A model node with a handler but no fit_problem for the refit."""
 
@@ -137,6 +173,30 @@ def test_model_node_without_fit_problem_is_refused_before_the_search(
         small_partitioned, run):
     with pytest.raises(InvalidConfigError, match="fit_problem"):
         run(small_partitioned, TINY_PARAMS, model=HandleOnlyNode("model"))
+
+
+class PlainFitNode(Node):
+    """A plain node with single-problem ports and a fit_problem: not a
+    ModelNode, so the mask search has no batch ports to wire it by."""
+
+    input_ports = (Port("problem", "regression-problem"),)
+    output_ports = (Port("model", "model-with-quality"),)
+
+    def fit_problem(self, problem, rng):
+        raise AssertionError("the search must not start")
+
+    handle = HandleOnlyNode.handle
+
+
+@pytest.mark.parametrize("run", [
+    feature_selection_network, feature_selection_direct,
+    lambda p, params, model: FeatureSelectionRecipe(params, model=model).fit(
+        p, 0)], ids=["network", "twin", "recipe"])
+def test_plain_node_with_fit_problem_is_refused_before_the_search(
+        small_partitioned, run):
+    with pytest.raises(InvalidConfigError,
+                       match=r"ModelNode with fit_problem\(problem, rng\)"):
+        run(small_partitioned, TINY_PARAMS, model=PlainFitNode("model"))
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +288,19 @@ class ExtraDrawForestNode(ForestModelNode):
         return super().fit_problem(problem, rng)
 
 
+TINY_INNER = InnerGridSearch(sample_ratios=(0.7,), feature_ratios=(0.5,),
+                             n_trees_options=(2, 3), budget=2)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("make_node", [
     lambda: JitteredOlsNode("model"),
     lambda: ExtraDrawForestNode("model", ForestConfig(n_trees=3)),
-], ids=["ols-subclass", "forest-subclass"])
+    lambda: OlsModelNode("fitter"),
+    lambda: ExtraDrawForestNode("trees", ForestConfig(n_trees=3)),
+    lambda: InnerTuningModelNode("tuner", TINY_INNER),
+], ids=["ols-subclass", "forest-subclass", "ols-as-fitter",
+        "forest-subclass-as-trees", "nested-as-tuner"])
 @settings(max_examples=4, deadline=None, database=None)
 @given(seed=st.integers(0, 2 ** 31 - 1))
 @example(seed=3)
@@ -241,7 +309,7 @@ def test_user_model_node_drawing_randomness_matches_twin(
     """The refit continues the model node's live stream, and a node
     that overrides only fit_problem is called once per problem, in
     order, so the twin property holds over seeds for nodes the network
-    knows nothing about."""
+    knows nothing about, wired under whatever id they carry."""
     net = feature_selection_network(small_partitioned, TINY_PARAMS,
                                     model=make_node(), seed=seed,
                                     workers=workers)
@@ -858,8 +926,9 @@ def test_nested_network_matches_direct_twin(small_partitioned):
     params = OsgaParams(population_size=6, max_evaluations=60,
                         max_selection_pressure=15.0)
     for inner in (grid, osga):
-        net = nested_tuning_network(small_partitioned, params, inner=inner,
-                                    seed=2)
+        net = feature_selection_network(
+            small_partitioned, params,
+            model=InnerTuningModelNode("model", inner), seed=2)
         direct = feature_selection_direct(
             small_partitioned, params,
             model=InnerTuningModelNode("model", inner), seed=2)
@@ -872,8 +941,9 @@ def test_nested_network_reports_search_shape(small_partitioned):
                             n_trees_options=(3,), budget=4)
     params = OsgaParams(population_size=6, max_evaluations=40,
                         max_selection_pressure=12.0)
-    result = nested_tuning_network(small_partitioned, params, inner=inner,
-                                   seed=0)
+    result = feature_selection_network(
+        small_partitioned, params, model=InnerTuningModelNode("model", inner),
+        seed=0)
     assert isinstance(result, NetworkResult)
     assert result.evaluations <= 40
     assert len(result.best_history) >= 1
@@ -892,10 +962,10 @@ def test_every_refit_carries_its_exact_train_mae(small_partitioned):
         run(small_partitioned, TINY_PARAMS, model=model, seed=1)
         for run in (feature_selection_network, feature_selection_direct)
         for model in ("ols", forest)]
-    results.append(nested_tuning_network(
+    results.append(feature_selection_network(
         small_partitioned, OsgaParams(population_size=6, max_evaluations=24,
                                       max_selection_pressure=10.0),
-        inner=inner, seed=0))
+        model=InnerTuningModelNode("model", inner), seed=0))
     train_x, train_y = small_partitioned.train_xy()
     for result in results:
         fitted = result.best_model
