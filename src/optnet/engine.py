@@ -211,6 +211,13 @@ class Topology:
                     f"to both {self.connections[first]} and {c}", i))
         return errors
 
+    def check_valid(self) -> None:
+        """Raise InvalidConfigError naming every problem validate finds."""
+        problems = self.validate()
+        if problems:
+            raise InvalidConfigError(
+                "topology is invalid: " + "; ".join(str(p) for p in problems))
+
 
 @dataclass(frozen=True)
 class MessageBudget:
@@ -329,10 +336,7 @@ def run_network(topology: Topology, termination,
     with the termination rule unmet, and HandlerFailureError if a
     handler raises.
     """
-    problems = topology.validate()
-    if problems:
-        raise InvalidConfigError(
-            "topology is invalid: " + "; ".join(str(p) for p in problems))
+    topology.check_valid()
     if workers < 1:
         raise InvalidConfigError("workers must be at least 1")
     if not isinstance(termination, (MessageBudget, SinksEmitted)):

@@ -14,9 +14,12 @@ column. Each forest has the bits of fit_random_forest on its job's
 columns alone: the design's column ranks are computed once, each tree
 draws among its job's d columns by the rule below, and its features are
 numbered within those columns. A large batch grows in passes of whole
-trees, which moves no bit. Nodes are numbered in level order: the
-root is 0, and each level's nodes follow the previous level's, children
-in their parents' order, left child first.
+trees, which moves no bit. Each level scans one row per (node, candidate
+column) pair, the pairs in order of their node's row count and in runs
+of at most _SCAN_CELLS cells, each run as wide as its largest node; which
+run a pair lands in moves no bit either. Nodes are numbered in level
+order: the root is 0, and each level's nodes follow the previous
+level's, children in their parents' order, left child first.
 
 Split rule: a node splits only if it is shallower than max_depth, holds
 at least 2 * min_leaf_size rows and its targets are not all equal.
@@ -165,10 +168,10 @@ class ForestModel:
                 and self.trees == other.trees)
 
 
-# the split scan handles at most this many (node, candidate, row) cells
-# at once; a bucket of larger nodes goes in node chunks, which bounds
-# memory on large inputs
-_SCAN_CELLS = 1 << 14
+# the split scan reads at most this many (node, candidate, row) cells
+# at once, or one (node, candidate) pair's, which bounds memory on large
+# inputs; of 2^11 to 2^15, 2^13 replayed forest-swap's scans fastest
+_SCAN_CELLS = 1 << 13
 
 # a pass grows at most this many bootstrap rows at once, at least one
 # tree's; larger batches go in passes of whole trees, which bounds memory
@@ -182,111 +185,120 @@ _KEY_BITS = 63
 
 def _rank_keys(X, shift):
     """Each cell's dense rank within its column, shifted left by shift
-    bits, with one padding row of rank n below X and one constant column
-    right of it, all of whose cuts are ties. Equal x values share a rank,
-    so sorting by rank is sorting by x."""
+    bits, with one padding row of rank n below X. Equal x values share a
+    rank, so sorting by rank is sorting by x, and no cut between padding
+    cells is allowed."""
     n, d = X.shape
     order = X.argsort(axis=0, kind="stable")
     xs = np.take_along_axis(X, order, axis=0)
     steps = np.zeros((n, d), dtype=np.int64)
     steps[1:] = xs[1:] != xs[:-1]
-    ranks = np.full((n + 1, d + 1), n, dtype=np.int64)
-    ranks[:n, d] = 0
-    np.put_along_axis(ranks[:n, :d], order, steps.cumsum(axis=0), axis=0)
+    ranks = np.full((n + 1, d), n, dtype=np.int64)
+    np.put_along_axis(ranks[:n], order, steps.cumsum(axis=0), axis=0)
     return ranks << shift
 
 
-def _best_splits(X, keys, shift, rows, y, start, count, candidates,
-                 min_leaf):
-    """Score every cut of every candidate column of every node; return
-    each node's column and threshold, and whether it has an allowed cut.
+def _scan_runs(count):
+    """The order the split scan reads pairs in, given each pair's node
+    count, and the bounds of its runs in that order. The pairs go by
+    count, ties in their own order; each run is the longest stretch from
+    where the last one ended whose length times its largest count is at
+    most _SCAN_CELLS, and holds at least one pair."""
+    order = count.argsort(kind="stable")
+    count = count[order]
+    bounds = [0]
+    while bounds[-1] < count.size:
+        lo = bounds[-1]
+        ahead = count[lo:lo + max(1, _SCAN_CELLS // int(count[lo]))]
+        fits = np.arange(1, ahead.size + 1) * ahead <= _SCAN_CELLS
+        bounds.append(lo + max(1, int(np.count_nonzero(fits))))
+    return order, bounds
 
-    Node i holds rows[start[i]:start[i] + count[i]] and candidates[i];
-    rows and y end in one padding entry (row n of keys, target 0.0). A
-    node with fewer candidates than k is padded with the constant
-    column of keys, past X's, where no cut is allowed; the scan skips
-    the padding a chunk's nodes all have."""
-    m, k = candidates.shape
+
+def _best_splits(X, keys, shift, rows, y, start, count, node, column,
+                 min_leaf):
+    """Score every cut of every (node, candidate) pair; return each
+    node's column and threshold, and whether it has an allowed cut.
+
+    Node i holds rows[start[i]:start[i] + count[i]]; pair p is column[p]
+    of node node[p], and each node's pairs lie together in its candidate
+    order. rows and y end in one padding entry (row n of keys, target
+    0.0). The pairs are scanned in order of their node's count, in the
+    runs of _scan_runs, each padded to its largest count after every
+    pair's own rows; which run a pair lands in moves no bit."""
+    m = start.size
+    pad = rows.size - 1
+    lo = min_leaf - 1
+    order, bounds = _scan_runs(count[node])
+    pair_count = count[node[order]]
+    # each pair's least cost, and the cells either side of its cut
+    pair_cost = np.empty(node.size)
+    pair_cell = np.empty((node.size, 2), dtype=np.int64)
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        pairs = order[a:b]
+        w = int(pair_count[b - 1])
+        at = np.arange(b - a)
+        n = pair_count[a:b, None]
+        place = np.arange(w)
+        cell = np.where(place < n, start[node[pairs]][:, None] + place, pad)
+        # a key packs a cell's rank above its place in rows, so one sort
+        # of each pair's row gives the stable argsort of its x values
+        cell_key = np.sort(keys[rows[cell], column[pairs][:, None]] + cell,
+                           axis=1)
+        cell = cell_key & ((1 << shift) - 1)
+        ys = y[cell]
+        # summed squared error of every prefix/suffix; cumsum adds in
+        # sequence along each row, so a pair's costs do not depend on
+        # its run
+        csum = ys.cumsum(axis=1)
+        csq = np.square(ys, out=ys).cumsum(axis=1)
+        total_sum = csum[at, n[:, 0] - 1][:, None]
+        total_sq = csq[at, n[:, 0] - 1][:, None]
+        # cut c puts sorted rows 0..c left; only the cuts that leave
+        # min_leaf rows on each side of a full run row are scored
+        cuts = slice(lo, w - min_leaf)
+        # sizes as floats divide like the integers they hold
+        sizes = np.arange(min_leaf, w - lo, dtype=np.float64)
+        rest = n - sizes
+        left_sum = csum[:, cuts]
+        left_sq = csq[:, cuts]
+        # (left_sq - left_sum**2 / sizes)
+        #     + ((total_sq - left_sq) - right_sum**2 / rest), in place
+        cost = np.square(left_sum)
+        cost /= sizes
+        np.subtract(left_sq, cost, out=cost)
+        right = np.subtract(total_sum, left_sum)
+        np.square(right, out=right)
+        right /= np.maximum(rest, 1.0)
+        right_sse = np.subtract(total_sq, left_sq)
+        right_sse -= right
+        cost += right_sse
+        # a padded row's right side keeps fewer than min_leaf rows,
+        # and no threshold separates tied x values
+        rank = cell_key >> shift
+        barred = rank[:, cuts] == rank[:, lo + 1:w - lo]
+        barred |= rest < min_leaf
+        np.putmask(cost, barred, np.inf)
+        best = cost.argmin(axis=1)  # the smallest cut of least cost
+        pair_cost[pairs] = cost[at, best]
+        pair_cell[pairs] = cell[at[:, None], best[:, None] + (lo, lo + 1)]
+    # each node takes its earliest pair of least cost: with each pair's
+    # smallest cut, the candidate-major argmin over the node's cuts
+    first = np.searchsorted(node, np.arange(m))
+    least = np.minimum.reduceat(pair_cost, first)
+    found = least < np.inf
+    tied = np.where(pair_cost == least[node], np.arange(node.size), node.size)
+    best = np.minimum.reduceat(tied, first)[found]
+    feat = column[best]
+    below = X[rows[pair_cell[best, 0]], feat]
+    above = X[rows[pair_cell[best, 1]], feat]
+    mid = (below + above) / 2.0
     feature = np.zeros(m, dtype=np.int64)
     threshold = np.zeros(m)
-    found = np.zeros(m, dtype=bool)
-    pad = rows.size - 1
-    # a node of n rows goes in the bucket of width 2^ceil(log2 n),
-    # padded after its own rows
-    width = np.left_shift(1, np.ceil(np.log2(count)).astype(np.int64))
-    # a bucket's nodes go in order of their real candidate count, and a
-    # chunk scans only as many candidates as its nodes have at most
-    real = (candidates < keys.shape[1] - 1).sum(axis=1)
-    for w in np.unique(width):
-        bucket = np.flatnonzero(width == w)
-        bucket = bucket[real[bucket].argsort(kind="stable")]
-        chunk = max(1, _SCAN_CELLS // (k * w))
-        for c in range(0, bucket.size, chunk):
-            nodes = bucket[c:c + chunk]
-            kk = real[nodes].max()
-            at = np.arange(nodes.size)
-            n = count[nodes][:, None]
-            place = np.arange(w)
-            cell = np.where(place < n, start[nodes][:, None] + place, pad)
-            # a key packs a cell's rank above its place in rows, so one
-            # sort of each (node, candidate) row gives the stable argsort
-            # of its x values
-            cell_key = np.sort(
-                keys[rows[cell][:, None, :],
-                     candidates[nodes, :kk][:, :, None]]
-                + cell[:, None, :], axis=2)
-            cell = cell_key & ((1 << shift) - 1)
-            ys = y[cell]
-            # summed squared error of every prefix/suffix; cumsum adds in
-            # sequence along each row, so a node's costs do not depend on
-            # its bucket
-            csum = ys.cumsum(axis=2)
-            csq = np.square(ys, out=ys).cumsum(axis=2)
-            total_sum = csum[at, :, n[:, 0] - 1][:, :, None]
-            total_sq = csq[at, :, n[:, 0] - 1][:, :, None]
-            # cut c puts sorted rows 0..c left; only the cuts that leave
-            # min_leaf rows on each side of a full bucket row are scored
-            lo = min_leaf - 1
-            cuts = slice(lo, w - min_leaf)
-            # sizes as floats divide like the integers they hold
-            sizes = np.arange(min_leaf, w - lo, dtype=np.float64)
-            rest = n[:, :, None] - sizes
-            left_sum = csum[:, :, cuts]
-            left_sq = csq[:, :, cuts]
-            # (left_sq - left_sum**2 / sizes)
-            #     + ((total_sq - left_sq) - right_sum**2 / rest), in place
-            cost = np.square(left_sum)
-            cost /= sizes
-            np.subtract(left_sq, cost, out=cost)
-            right = np.subtract(total_sum, left_sum)
-            np.square(right, out=right)
-            right /= np.maximum(rest, 1.0)
-            right_sse = np.subtract(total_sq, left_sq)
-            right_sse -= right
-            cost += right_sse
-            # a padded row's right side keeps fewer than min_leaf rows,
-            # and no threshold separates tied x values
-            rank = cell_key >> shift
-            barred = rank[:, :, cuts] == rank[:, :, lo + 1:w - lo]
-            barred |= rest < min_leaf
-            np.putmask(cost, barred, np.inf)
-            # candidate-major argmin: the earliest candidate, then the
-            # smallest cut
-            flat = cost.reshape(nodes.size, -1)
-            best = flat.argmin(axis=1)
-            ok = flat[at, best] < np.inf
-            at, nodes, best = at[ok], nodes[ok], best[ok]
-            j, cut = np.divmod(best, sizes.size)
-            cut += lo
-            feat = candidates[nodes, j]
-            below = X[rows[cell[at, j, cut]], feat]
-            above = X[rows[cell[at, j, cut + 1]], feat]
-            mid = (below + above) / 2.0
-            found[nodes] = True
-            feature[nodes] = feat
-            # between adjacent floats the midpoint may round up to the
-            # upper value, which would send both sides left
-            threshold[nodes] = np.where(mid < above, mid, below)
+    feature[found] = feat
+    # between adjacent floats the midpoint may round up to the upper
+    # value, which would send both sides left
+    threshold[found] = np.where(mid < above, mid, below)
     return feature, threshold, found
 
 
@@ -311,13 +323,13 @@ def _grow_forest(X, y, config, jobs):
             "forest design too large: its split keys overflow int64")
     shift = (per_pass * n_boot).bit_length()
     keys = _rank_keys(X, shift)
-    # design_column[j] lists job j's columns, padded with the constant
-    # column d, and local_column[j] numbers them within the job
+    # design_column[j] starts with job j's columns, and local_column[j]
+    # numbers them within the job
     widths = np.array([columns.size for _, columns in jobs])
     n_candidates = np.array([min(w, max(1, math.ceil(config.feature_ratio
                                                      * w))) for w in widths])
-    design_column = np.full((len(jobs), widths.max()), d)
-    local_column = np.zeros((len(jobs), d + 1), dtype=np.int64)
+    design_column = np.zeros((len(jobs), widths.max()), dtype=np.int64)
+    local_column = np.zeros((len(jobs), d), dtype=np.int64)
     for j, (_, columns) in enumerate(jobs):
         design_column[j, :columns.size] = columns
         local_column[j, columns] = np.arange(columns.size)
@@ -337,7 +349,7 @@ def _grow_pass(X, y, keys, shift, config, n_boot, rngs, job, widths,
                n_candidates, design_column, local_column):
     """Grow the trees of one pass level by level, all at once; tree t
     draws from rngs[t] among the columns of job[t]."""
-    n, d = X.shape
+    n = X.shape[0]
     n_trees = len(rngs)
     min_leaf = config.min_leaf_size
     max_depth = math.inf if config.max_depth is None else config.max_depth
@@ -375,12 +387,14 @@ def _grow_pass(X, y, keys, shift, config, n_boot, rngs, job, widths,
                 np.concatenate([rngs[t].random(per_tree[t] * widths[job[t]])
                                 for t in np.flatnonzero(per_tree)])
             local = draws.argsort(axis=1, kind="stable")[:, :k]
-            candidates = np.where(
-                np.arange(k) < n_candidates[node_job][:, None],
-                design_column[node_job[:, None], local], d)
+            # one (node, candidate) pair for each of a node's first
+            # n_candidates columns, node after node
+            real = np.arange(k) < n_candidates[node_job][:, None]
+            node = np.nonzero(real)[0]
             feat, thr, found = _best_splits(
                 X, keys, shift, np.append(rows, n), np.append(yr, 0.0),
-                start[split], count[split], candidates, min_leaf)
+                start[split], count[split], node,
+                design_column[node_job[node], local[real]], min_leaf)
             split = split[found]
             feature[split] = feat[found]
             threshold[split] = thr[found]
@@ -407,14 +421,17 @@ def _grow_pass(X, y, keys, shift, config, n_boot, rngs, job, widths,
     tree, feature, threshold, left, value, level = (
         np.concatenate(a) for a in zip(*levels))
     feature = np.where(feature < 0, -1, local_column[job[tree], feature])
-    # a stable sort on the tree puts each tree's nodes in index order
+    # a stable sort on the tree puts each tree's nodes in index order,
+    # so each tree is one slice of these arrays
     order = tree.argsort(kind="stable")
-    bounds = np.cumsum(n_nodes)[:-1]
-    pieces = [np.split(a[order], bounds)
-              for a in (feature, threshold, left, value, level)]
-    return [RegressionTree(f, t, l, np.where(l < 0, -1, l + 1), v,
-                           int(lv[-1]))
-            for f, t, l, v, lv in zip(*pieces)]
+    feature, threshold, left, value, level = (
+        a[order] for a in (feature, threshold, left, value, level))
+    right = np.where(left < 0, -1, left + 1)
+    end = np.cumsum(n_nodes)
+    return [RegressionTree(feature[a:b], threshold[a:b], left[a:b],
+                           right[a:b], value[a:b], depth)
+            for a, b, depth in zip((end - n_nodes).tolist(), end.tolist(),
+                                   level[end - 1].tolist())]
 
 
 def fit_random_forests(features: np.ndarray, target: np.ndarray,

@@ -562,12 +562,14 @@ def feature_selection_direct(
 
     Takes its nodes from build_feature_selection_topology and uses the
     same stream derivations but no message engine, so its NetworkResult
-    must be bit-identical to the network's for equal arguments.
+    must be bit-identical to the network's for equal arguments. It
+    refuses, before its search, the topologies run_network refuses.
     """
     started = time.perf_counter()
     params = params or OsgaParams()
     topo = build_feature_selection_topology(partitioned, params, fitness,
                                             model, init_one_probability)
+    topo.check_valid()
     selector, orchestrator, model_node = topo.nodes
     model_rng = substream(seed, "node", model_node.id)
 

@@ -365,15 +365,67 @@ def test_larger_forest_reuses_smaller_as_prefix(problem, extra):
 
 
 def test_split_scan_chunks_give_the_same_forest(monkeypatch):
-    """Buckets are scanned in node chunks of at most _SCAN_CELLS cells;
-    every chunk size gives the same bits."""
-    X, y, config, seed = next(iter(_golden_cases()))
-    whole = fit_random_forest(X, y, config, seed=seed)
-    for cells in (1, 500):
-        monkeypatch.setattr(forest, "_SCAN_CELLS", cells)
-        chunked = fit_random_forest(X, y, config, seed=seed)
-        assert [_tree_bytes(t) for t in chunked.trees] \
-            == [_tree_bytes(t) for t in whole.trees]
+    """The split scan reads (node, candidate) pairs in runs of at most
+    _SCAN_CELLS cells; every run size gives the same bits. On the
+    duplicate-column case, 360 cells (three root pairs) puts a run
+    boundary between two pairs of one node whose columns are copies, so
+    their tied costs meet only after the scan."""
+    cases = list(_golden_cases())
+    scan_runs = forest._scan_runs
+    best_splits = forest._best_splits
+    for (X, y, config, seed), sizes, copies in (
+            (cases[0], (1, 500), False), (cases[1], (1, 360), True)):
+        whole = fit_random_forest(X, y, config, seed=seed)
+        for cells in sizes:
+            pairs, runs = [], []
+
+            def recording_splits(*args):
+                pairs.append(args[7:9])  # node, column
+                return best_splits(*args)
+
+            def recording_runs(count):
+                runs.append(scan_runs(count))  # order, bounds
+                return runs[-1]
+
+            monkeypatch.setattr(forest, "_SCAN_CELLS", cells)
+            monkeypatch.setattr(forest, "_best_splits", recording_splits)
+            monkeypatch.setattr(forest, "_scan_runs", recording_runs)
+            scanned = fit_random_forest(X, y, config, seed=seed)
+            assert [_tree_bytes(t) for t in scanned.trees] \
+                == [_tree_bytes(t) for t in whole.trees]
+            # pairs of one node on either side of a run boundary whose
+            # columns hold the same values
+            split_ties = [
+                (p, q) for (node, column), (order, bounds) in zip(pairs, runs)
+                for p, q in zip(order[np.array(bounds[1:-1], dtype=int) - 1],
+                                order[bounds[1:-1]])
+                if node[p] == node[q]
+                and np.array_equal(X[:, column[p]], X[:, column[q]])]
+            assert bool(split_ties) == copies
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.integers(1, 30), max_size=60), st.integers(1, 200))
+def test_scan_runs_take_every_pair_once_in_maximal_runs(counts, cells):
+    """The runs cover every pair exactly once, in count order, ties in
+    pair order; a run of more than one pair reads at most _SCAN_CELLS
+    cells, its length times its largest count, and no run could take the
+    next pair within that bound."""
+    count = np.array(counts, dtype=np.int64)
+    with mock.patch.object(forest, "_SCAN_CELLS", cells):
+        order, bounds = forest._scan_runs(count)
+    assert np.array_equal(np.sort(order), np.arange(count.size))
+    ordered = count[order]
+    assert np.all(ordered[1:] >= ordered[:-1])
+    tie = ordered[1:] == ordered[:-1]
+    assert np.all(order[1:][tie] > order[:-1][tie])
+    assert bounds[0] == 0 and bounds[-1] == count.size
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        assert a < b
+        if b - a > 1:
+            assert (b - a) * ordered[b - 1] <= cells
+        if b < count.size:
+            assert (b + 1 - a) * ordered[b] > cells
 
 
 @st.composite
@@ -393,7 +445,7 @@ def _problems_and_jobs(draw):
 @given(_problems_and_jobs(), st.sampled_from([1, 64, forest._SCAN_CELLS]))
 def test_forests_grown_together_are_the_forests_grown_alone(case, cells):
     """Jobs of any columns, in any order, repeated or not, grow the bits
-    of fitting each job's columns alone, whatever the scan's chunks."""
+    of fitting each job's columns alone, whatever the scan's runs."""
     X, y, config, jobs = case
     names = tuple(f"c{i}" for i in range(X.shape[1]))
     with mock.patch.object(forest, "_SCAN_CELLS", cells):

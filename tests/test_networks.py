@@ -157,6 +157,35 @@ def test_model_node_runs_under_its_own_id(small_partitioned):
                                              seed=1)
 
 
+def _outcome(run, *args, **kwargs):
+    """run's result, or the type and text of the InvalidConfigError it
+    raises."""
+    try:
+        return run(*args, **kwargs)
+    except InvalidConfigError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(node_id=st.one_of(
+           st.sampled_from(["selector", "orchestrator", "model"]),
+           st.text(max_size=6)),
+       drawing=st.booleans(), seed=st.integers(0, 2 ** 16))
+@example(node_id="selector", drawing=False, seed=0)
+def test_network_and_twin_run_or_refuse_the_same_model_node_ids(
+        small_partitioned, node_id, drawing, seed):
+    """Under any id, the built-in ones included, the network and its
+    plain-loop twin return equal results or raise the same error."""
+    make = DrawRecordingNode if drawing else OlsModelNode
+    outcomes = [_outcome(run, small_partitioned, TINY_PARAMS,
+                         model=make(node_id), seed=seed)
+                for run in (feature_selection_network,
+                            feature_selection_direct)]
+    assert outcomes[0] == outcomes[1]
+    refused = node_id in ("selector", "orchestrator")
+    assert isinstance(outcomes[0], tuple) == refused
+
+
 class HandleOnlyNode(Node):
     """A model node with a handler but no fit_problem for the refit."""
 
