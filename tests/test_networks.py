@@ -19,7 +19,8 @@ from optnet.data import (
 from optnet.analysis import FeatureSelectionRecipe
 from optnet.engine import Node, NodeContext, Port
 from optnet.errors import InvalidConfigError, ShapeMismatchError
-from optnet.forest import ForestConfig, ForestModel
+from optnet.forest import ForestConfig, ForestModel, fit_random_forest, \
+    predict_forest
 from optnet.linear import LinearModel, fit_ols, mae, predict
 from optnet.networks import (
     FitnessConfig,
@@ -36,7 +37,7 @@ from optnet.networks import (
     feature_selection_direct,
     feature_selection_network,
 )
-from optnet.osga import OsgaParams
+from optnet.osga import OsgaParams, drive
 from optnet.payloads import ModelWithQuality, ParameterVector
 from optnet.payloads import RegressionProblem
 from optnet._rng import substream
@@ -963,6 +964,90 @@ def test_nested_network_matches_direct_twin(small_partitioned):
             model=InnerTuningModelNode("model", inner), seed=2)
         assert net == direct, type(inner).__name__
         assert net.best_model.label.startswith("tuned-forest(")
+
+
+def inner_tuning_oracle(search, problem, rng) -> ModelWithQuality:
+    """InnerTuningModelNode.fit_problem as a plain loop: the search's
+    stream, on the inner search node's stream, answered by growing each
+    cell's forest in order on the inner builder's stream; the first
+    candidate with the lowest validation MAE wins, flagged when the
+    budget cut the search short."""
+    inner_seed = int(rng.integers(np.iinfo(np.int64).max))
+    builder_rng = substream(inner_seed, "node", "builder")
+    best = None
+
+    def evaluate(batch):
+        nonlocal best
+        maes = []
+        for r, m, t in batch:
+            config = ForestConfig(n_trees=int(round(float(t))),
+                                  sample_ratio=float(r),
+                                  feature_ratio=float(m))
+            seed = int(builder_rng.integers(np.iinfo(np.int64).max))
+            model = fit_random_forest(problem.train_features,
+                                      problem.train_target, config, seed,
+                                      problem.feature_names)
+            train_mae = None if problem.source is not None else mae(
+                predict_forest(model, problem.train_features),
+                problem.train_target)
+            fitted = ModelWithQuality(
+                model, train_mae,
+                mae(predict_forest(model, problem.validation_features),
+                    problem.validation_target),
+                n_features=len(problem.feature_names),
+                label=f"tuned-forest(sample_ratio={config.sample_ratio:.2f},"
+                      f"feature_ratio={config.feature_ratio:.2f},"
+                      f"n_trees={config.n_trees})")
+            if best is None or fitted.validation_mae < best.validation_mae:
+                best = fitted
+            maes.append(fitted.validation_mae)
+        return maes
+
+    truncated = drive(search.stream(substream(inner_seed, "node", "search")),
+                      evaluate)
+    return replace(best, flags=("budget-exhausted",) if truncated else ())
+
+
+@st.composite
+def inner_searches(draw):
+    """A small inner grid, its budget below or above its cell count, or
+    a small inner OSGA search cut short or not by its budget."""
+    if draw(st.booleans()):
+        axis = lambda values: tuple(draw(st.lists(  # noqa: E731
+            st.sampled_from(values), min_size=1, max_size=2, unique=True)))
+        grid = InnerGridSearch(sample_ratios=axis((0.5, 0.8, 1.0)),
+                               feature_ratios=axis((0.4, 1.0)),
+                               n_trees_options=axis((1, 2, 3)), budget=1)
+        cells = len(list(grid.cells()))
+        return replace(grid, budget=draw(st.integers(1, cells + 2)))
+    return InnerOsgaSearch(  # selection pressure stops most at 12
+        params=OsgaParams(population_size=4, max_evaluations=12,
+                          crossover_kind="arithmetic",
+                          max_selection_pressure=1.5),
+        n_trees_bounds=(1, 3), budget=draw(st.integers(4, 12)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@example(search=InnerOsgaSearch(  # stopped by selection pressure
+    params=OsgaParams(population_size=4, max_evaluations=12,
+                      crossover_kind="arithmetic", max_selection_pressure=1.5),
+    n_trees_bounds=(1, 3), budget=12), seed=0, columns={0, 1, 5},
+    sourceless=False)
+@given(search=inner_searches(), seed=st.integers(0, 2 ** 32 - 1),
+       columns=st.sets(st.integers(0, 7), min_size=1),
+       sourceless=st.booleans())
+def test_inner_network_matches_a_plain_loop(small_partitioned, search, seed,
+                                            columns, sourceless):
+    """The inner network's result is the plain loop's, bit for bit, on a
+    search-time problem and on a hand-built one alike."""
+    orchestrator = RegressionOrchestratorNode("o", small_partitioned)
+    problem = orchestrator.make_problem(FeatureMask.from_indices(columns, 8))
+    if sourceless:
+        problem = replace(problem)
+    fitted = InnerTuningModelNode("model", search).fit_problem(
+        problem, substream(seed, "x"))
+    assert fitted == inner_tuning_oracle(search, problem,
+                                         substream(seed, "x"))
 
 
 def test_nested_network_reports_search_shape(small_partitioned):
