@@ -383,9 +383,11 @@ def _grow_pass(X, y, keys, shift, config, n_boot, rngs, job, widths,
             # each node's row of draws, padded after its job's width with
             # 2.0, which sorts after every draw
             draws = np.full((split.size, design_column.shape[1]), 2.0)
+            drawing = np.flatnonzero(per_tree)
+            sizes = per_tree[drawing] * widths[job[drawing]]
             draws[np.arange(draws.shape[1]) < widths[node_job][:, None]] = \
-                np.concatenate([rngs[t].random(per_tree[t] * widths[job[t]])
-                                for t in np.flatnonzero(per_tree)])
+                np.concatenate([rngs[t].random(size) for t, size in
+                                zip(drawing.tolist(), sizes.tolist())])
             local = draws.argsort(axis=1, kind="stable")[:, :k]
             # one (node, candidate) pair for each of a node's first
             # n_candidates columns, node after node

@@ -1,15 +1,16 @@
 """Concrete optimization networks built from the generic engine.
 
-The central network couples three nodes in a loop: a feature-selection
-node runs a genetic search over masks, an orchestrator turns each mask
-into a projected regression problem and scores fitted models into a
-scalar fitness (validation error plus a per-feature penalty), and a
-model node fits whatever regressor it wraps and scores it with quality.
-Each step of the search stream is one message on every edge of the
-loop: a batch of masks, of problems, of fitted models and of fitnesses.
-Swapping the model node switches the learning algorithm without
-touching the rest; replacing it with a node that internally runs a
-second network gives nested hyperparameter tuning.
+The central network couples three nodes in a loop: a search node
+(SearchNode) steps a genetic search over masks, an orchestrator turns
+each mask into a projected regression problem and scores fitted models
+into a scalar fitness (validation error plus a per-feature penalty),
+and a model node fits whatever regressor it wraps and scores it with
+quality. Each step of the search stream is one message on every edge
+of the loop: a batch of masks, of problems, of fitted models and of
+fitnesses. Swapping the model node switches the learning algorithm
+without touching the rest; replacing it with a node that internally
+runs a second network, a search node over forest settings and a forest
+builder that scores them, gives nested hyperparameter tuning.
 
 The model node is a ModelNode, built in or supplied by the user, and
 is wired under its own id: fit_batch answers a batch, by default with
@@ -121,16 +122,35 @@ class NetworkResult:
 # ---------------------------------------------------------------------------
 # Nodes
 
-class FeatureSelectionNode(Node):
-    """Runs the genetic mask search, one evaluation round-trip per step
-    of the search stream: each batch goes out as one message.
-
-    Emits each batch's masks on "mask", receives their fitnesses, in
-    order, on "quality", and emits the final RunResult on "result" when
-    the search terminates.
+class SearchNode(Node):
+    """Steps the evaluation stream self.stream(ctx.rng), started on
+    entry, one round-trip per batch: the batch goes out as
+    self.encode(batch) on the first output port, and its fitnesses come
+    back, in order, on "quality". The stream's return value goes out on
+    "result". A subclass declares its output ports, stream and encode.
     """
 
     input_ports = (Port("quality", "scalar-quality-batch"),)
+
+    def handle_entry(self, payload, ctx) -> None:
+        self._stream = self.stream(ctx.rng)
+        self._step(ctx, None)
+
+    def handle(self, port_name: str, payload, ctx) -> None:
+        self._step(ctx, payload)
+
+    def _step(self, ctx, fitnesses) -> None:
+        batch, result = advance(self._stream, fitnesses)
+        if batch is None:
+            ctx.emit("result", result)
+        else:
+            ctx.emit(self.output_ports[0].name, self.encode(batch))
+
+
+class FeatureSelectionNode(SearchNode):
+    """Runs the genetic mask search: emits each batch's masks on "mask"
+    and the final RunResult on "result"."""
+
     output_ports = (Port("mask", "feature-mask-batch"),
                     Port("result", "run-result"))
 
@@ -139,21 +159,15 @@ class FeatureSelectionNode(Node):
         super().__init__(node_id)
         self.genome_spec = genome_spec
         self.params = params
-        self._stream = None
 
-    def handle_entry(self, payload, ctx) -> None:
-        self._stream = osga_stream(self.genome_spec, self.params, ctx.rng)
-        self._advance(ctx, None)
+    def stream(self, rng: np.random.Generator):
+        return osga_stream(self.genome_spec, self.params, rng)
 
-    def handle(self, port_name: str, payload, ctx) -> None:
-        self._advance(ctx, payload)
+    def encode(self, batch) -> tuple[FeatureMask, ...]:
+        return tuple(map(FeatureMask, batch))
 
-    def _advance(self, ctx, fitnesses) -> None:
-        batch, result = advance(self._stream, fitnesses)
-        if batch is None:
-            ctx.emit("result", result)
-        else:
-            ctx.emit("mask", tuple(map(FeatureMask, batch)))
+    # its own entries: the benchmark's tracer wraps both per class
+    handle_entry, handle = SearchNode.handle_entry, SearchNode.handle
 
 
 class RegressionOrchestratorNode(Node):
@@ -578,8 +592,7 @@ def feature_selection_direct(
         return orchestrator.score(model_node.fit_problem(problem, model_rng))
 
     ga_result: RunResult = drive(
-        osga_stream(selector.genome_spec, selector.params,
-                    substream(seed, "node", "selector")),
+        selector.stream(substream(seed, "node", "selector")),
         per_genome(evaluate))
     return _final_result(ga_result, orchestrator, model_node, model_rng,
                          partitioned, compute_test_mae, seed, started)
@@ -677,72 +690,48 @@ class InnerOsgaSearch:
         return run.terminated_by == "budget"
 
 
-class ForestParamSearchNode(Node):
-    """Inner-network search node: proposes forest settings, receives the
-    fitted candidates back, and finally emits the one with the lowest
-    validation MAE, flagged "budget-exhausted" if the budget cut the
-    search short. It reads nothing of a candidate's model.
+class ForestParamSearchNode(SearchNode):
+    """Inner-network search node: emits search.stream's batches of forest
+    settings on "params", and on "result" whether its budget cut it
+    short."""
 
-    The settings come from search.stream(rng), an evaluation stream
-    stepped one batch per message: its batches hold (sample_ratio,
-    feature_ratio, n_trees) value arrays, it takes the candidates'
-    validation MAEs back in order, and it finishes with whether its
-    budget cut it short.
-    """
-
-    input_ports = (Port("candidate", "model-with-quality-batch"),)
     output_ports = (Port("params", "parameter-vector-batch"),
-                    Port("result", "model-with-quality"))
-
-    _NAMES = ("sample_ratio", "feature_ratio", "n_trees")
+                    Port("result", "run-result"))
 
     def __init__(self, node_id: str, search):
         super().__init__(node_id)
-        self.search = search
-        self.best: ModelWithQuality | None = None
-        self._stream = None
+        self.stream = search.stream
 
-    def handle_entry(self, payload, ctx) -> None:
-        self._stream = self.search.stream(ctx.rng)
-        self._advance(ctx, None)
-
-    def handle(self, port_name: str, payload, ctx) -> None:
-        for fitted in payload:
-            if self.best is None \
-                    or fitted.validation_mae < self.best.validation_mae:
-                self.best = fitted
-        self._advance(ctx, [fitted.validation_mae for fitted in payload])
-
-    def _advance(self, ctx, fitnesses) -> None:
-        batch, truncated = advance(self._stream, fitnesses)
-        if batch is None:
-            flags = ("budget-exhausted",) if truncated else ()
-            ctx.emit("result", replace(self.best,
-                                       flags=self.best.flags + flags))
-        else:
-            ctx.emit("params", tuple(ParameterVector(values, self._NAMES)
-                                     for values in batch))
+    def encode(self, batch) -> tuple[ParameterVector, ...]:
+        names = ("sample_ratio", "feature_ratio", "n_trees")
+        return tuple(ParameterVector(values, names) for values in batch)
 
 
 class ForestBuilderNode(Node):
     """Inner-network worker: builds one forest per (sample_ratio,
-    feature_ratio, n_trees) parameter vector of a batch, in order, each
-    from a seed drawn from the node's stream and labelled with its
-    settings; ForestConfig.validate refuses bad settings, and __init__ a
+    feature_ratio, n_trees) vector of a batch, in order, each from a seed
+    drawn from the node's stream and labelled with its settings, replies
+    with their validation MAEs, and keeps the first with the lowest as
+    best. ForestConfig.validate refuses bad settings, and __init__ a
     problem with no column."""
 
     input_ports = (Port("params", "parameter-vector-batch"),)
-    output_ports = (Port("fitted", "model-with-quality-batch"),)
+    output_ports = (Port("quality", "scalar-quality-batch"),)
 
     def __init__(self, node_id: str, problem: RegressionProblem):
         super().__init__(node_id)
         if problem.train_features.shape[1] == 0:
             raise InvalidConfigError("a forest needs at least one column")
         self.problem = problem
+        self.best: ModelWithQuality | None = None
 
     def handle(self, port_name: str, payload, ctx) -> None:
-        ctx.emit("fitted", tuple(self._build(params.values, ctx.rng)
-                                 for params in payload))
+        built = [self._build(params.values, ctx.rng) for params in payload]
+        for fitted in built:
+            if self.best is None \
+                    or fitted.validation_mae < self.best.validation_mae:
+                self.best = fitted
+        ctx.emit("quality", tuple(fitted.validation_mae for fitted in built))
 
     def _build(self, values, rng) -> ModelWithQuality:
         c = _forest_config(values)
@@ -753,7 +742,10 @@ class ForestBuilderNode(Node):
 
 
 class InnerTuningModelNode(ModelNode):
-    """Model node whose fit runs an entire inner network per problem."""
+    """Model node whose fit runs an entire inner network per problem, a
+    search node and a forest builder in a loop: the builder's best
+    forest, flagged "budget-exhausted" if the budget cut the search
+    short."""
 
     def __init__(self, node_id: str,
                  search: InnerGridSearch | InnerOsgaSearch | None = None):
@@ -769,10 +761,11 @@ class InnerTuningModelNode(ModelNode):
             return quality(model, problem, "ols")
         topo = Topology()
         topo.add(ForestParamSearchNode("search", self.search))
-        topo.add(ForestBuilderNode("builder", problem))
+        builder = topo.add(ForestBuilderNode("builder", problem))
         topo.connect("search", "params", "builder", "params")
-        topo.connect("builder", "fitted", "search", "candidate")
+        topo.connect("builder", "quality", "search", "quality")
         run = run_network(topo, SinksEmitted((("search", "result"),)),
                           entry=("search", None), seed=inner_seed)
-        return run.sink("search", "result")[0]
-
+        if run.sink("search", "result")[0]:
+            return replace(builder.best, flags=("budget-exhausted",))
+        return builder.best

@@ -10,8 +10,9 @@ tuple of payloads of that kind, each element checked. The mask-search
 loop and the nested forest search send one batch per search step on
 every edge, so a step costs one message per edge, not one per genome.
 
-One kind is unchecked: "run-result" accepts any object. The
-feature-selection node sends its final RunResult through it, and the
+One kind is unchecked: "run-result" accepts any object. A search node
+sends its stream's return value through it (the feature-selection
+node's RunResult, the inner forest search's budget flag), and the
 analysis pipeline its model pools, subsets and ranked report, so those
 ports are typed in name only.
 """

@@ -160,6 +160,53 @@ def test_fit_problem_outside_model_nodes_follows_the_bases(tmp_path):
     assert fit_problem_outside_model_nodes([path]) == ["A", "D"]
 
 
+def advance_callers(paths) -> list[str]:
+    """module.Class for each call of osga's advance in paths' modules,
+    under whatever name it was imported, with module.<module> for a call
+    outside any class: each place that steps an evaluation stream."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 for alias in node.names if alias.name == "advance"}
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.Call) and (
+                        getattr(child.func, "id", None) in names
+                        or getattr(child.func, "attr", None) == "advance"):
+                    found.append(f"{path.stem}.{owner}")
+                visit(child, child.name if isinstance(child, ast.ClassDef)
+                      else owner)
+
+        visit(tree, "<module>")
+    return found
+
+
+def test_only_the_search_node_steps_a_stream():
+    """Outside osga, SearchNode alone steps an evaluation stream, so a
+    new search node subclasses it instead of stepping its own."""
+    paths = [path for path in sorted(SRC.glob("*.py"))
+             if path.name != "osga.py"]
+    assert advance_callers(paths) == ["networks.SearchNode"]
+
+
+def test_advance_callers_finds_every_spelling(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("from .osga import advance as step, drive\n"
+                    "from . import osga\n"
+                    "class A(Node):\n"
+                    "    def handle(self):\n"
+                    "        step(self.s, None)\n"
+                    "class B(A):\n"
+                    "    def f(self):\n"
+                    "        return [osga.advance(s) for s in self.s]\n"
+                    "def g(s):\n    return drive(s, len)\n"
+                    "osga.advance(s)\n")
+    assert advance_callers([path]) == ["m.A", "m.B", "m.<module>"]
+
+
 ROOT = SRC.parents[1]
 
 

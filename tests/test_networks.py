@@ -1013,8 +1013,10 @@ def inner_searches(draw):
     """A small inner grid, its budget below or above its cell count, or
     a small inner OSGA search cut short or not by its budget."""
     if draw(st.booleans()):
-        axis = lambda values: tuple(draw(st.lists(  # noqa: E731
-            st.sampled_from(values), min_size=1, max_size=2, unique=True)))
+        def axis(values):
+            return tuple(draw(st.lists(st.sampled_from(values), min_size=1,
+                                       max_size=2, unique=True)))
+
         grid = InnerGridSearch(sample_ratios=axis((0.5, 0.8, 1.0)),
                                feature_ratios=axis((0.4, 1.0)),
                                n_trees_options=axis((1, 2, 3)), budget=1)
