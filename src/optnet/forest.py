@@ -36,6 +36,17 @@ cut. A node with no allowed cut stays a leaf.
 
 A node's rows keep their bootstrap order, and its value is the
 sequential sum of its targets in that order divided by their count.
+
+Draws are read in bulk, with the streams and the bits of the calls
+above. A batch's stream keys are hashed at once (_rng.stream_keys); each
+pass reads every tree's bootstrap words and its first _CHUNK uniforms'
+words in one raw-word read per tree, and _rng's decoders give the
+calls' values for the whole pass; a tree that takes more uniforms draws
+them by random() on its own stream, which goes on from those words
+(see _PassDraws). A tree whose bootstrap draw meets a Lemire rejection
+is drawn by the calls, and where _rng.draws_agree, a once-per-process
+check against substream and the calls, fails, every tree draws by
+substream and the calls.
 """
 
 from __future__ import annotations
@@ -45,7 +56,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import (draws_agree, lemire_halves, philox_stream, philox_words,
+                   stream_keys, substream, uniforms)
 from .data import checked_design, checked_width
 from .errors import EmptyInputError, InvalidConfigError, ShapeMismatchError
 
@@ -177,6 +189,12 @@ _SCAN_CELLS = 1 << 13
 # tree's; larger batches go in passes of whole trees, which bounds memory
 # whatever the batch
 _PASS_ROWS = 1 << 18
+
+# each tree reads its bootstrap words and at most this many split
+# uniforms' words in one philox_words call, and draws the rest by
+# random() on its own stream; forest-swap's trees take 79 uniforms on
+# average and 208 at most
+_CHUNK = 192
 
 # a split-scan key packs a rank of at most n above a position in a
 # level's rows into this many bits of an int64
@@ -334,29 +352,105 @@ def _grow_forest(X, y, config, jobs):
         design_column[j, :columns.size] = columns
         local_column[j, columns] = np.arange(columns.size)
     job = np.repeat(np.arange(len(jobs)), config.n_trees)
-    rngs = [substream(seed, "tree", i) for seed, _ in jobs
-            for i in range(config.n_trees)]
+    # tree i of a job draws from substream(seed, "tree", i): its Philox
+    # key, or where the bulk draws disagree with numpy, the Generator
+    if draws_agree():
+        streams = stream_keys([(seed, "tree") for seed, _ in jobs],
+                              config.n_trees)
+    else:
+        streams = [substream(seed, "tree", i) for seed, _ in jobs
+                   for i in range(config.n_trees)]
     grown = []
     for lo in range(0, job.size, per_pass):
         grown += _grow_pass(X, y, keys, shift, config, n_boot,
-                            rngs[lo:lo + per_pass], job[lo:lo + per_pass],
+                            streams[lo:lo + per_pass], job[lo:lo + per_pass],
                             widths, n_candidates, design_column, local_column)
     return [grown[lo:lo + config.n_trees]
             for lo in range(0, len(grown), config.n_trees)]
 
 
-def _grow_pass(X, y, keys, shift, config, n_boot, rngs, job, widths,
+class _PassDraws:
+    """The draws of one pass's trees, each from its own stream: its
+    bootstrap rows, integers(0, n, size=n_boot), then its split
+    uniforms, random() draws in the order the levels take them.
+
+    streams holds each tree's Philox key, or its Generator where the
+    bulk draws disagree with numpy. From keys, one philox_words call
+    reads every tree's bootstrap words and its first chunk of uniforms'
+    words, and lemire_halves and uniforms decode them; a tree whose
+    bootstrap halves hold a Lemire rejection, or every tree when n is
+    outside [2, 2**32), draws both by numpy's calls on its
+    philox_stream. A tree that takes more uniforms than its chunk draws
+    the rest by random() on its stream, past the words read."""
+
+    def __init__(self, streams, n, n_boot):
+        n_trees = len(streams)
+        # the chunk keeps a pass's uniforms within _PASS_ROWS cells
+        chunk = max(1, min(_CHUNK, _PASS_ROWS // n_trees))
+        boot_words = (n_boot + 1) // 2
+        self.keys = streams if isinstance(streams, np.ndarray) else None
+        self.n_read = boot_words + chunk
+        self.taken = np.zeros(n_trees, dtype=np.int64)
+        # the Generators of the trees drawn by the calls, each past the
+        # uniforms its tree has taken or holds in its chunk
+        self.rngs = {}
+        if self.keys is not None and 2 <= n < 2**32:
+            words = philox_words(self.keys, self.n_read)
+            rows, accepted = lemire_halves(words[:, :boot_words], n)
+            self.rows = rows[:, :n_boot].astype(np.int64)
+            self.chunk = uniforms(words[:, boot_words:])
+            called = np.flatnonzero(~accepted[:, :n_boot].all(axis=1))
+        else:
+            self.rows = np.empty((n_trees, n_boot), dtype=np.int64)
+            self.chunk = np.empty((n_trees, chunk))
+            called = range(n_trees)
+        for t in called:
+            rng = self.rngs[t] = streams[t] if self.keys is None \
+                else philox_stream(self.keys[t])
+            self.rows[t] = rng.integers(0, n, size=n_boot)
+            rng.random(out=self.chunk[t])
+
+    def take(self, trees, sizes):
+        """The next sizes[i] uniforms of each tree trees[i], one after
+        the other."""
+        chunk = self.chunk.shape[1]
+        start = self.taken[trees]
+        end = start + sizes
+        self.taken[trees] = end
+        at = np.cumsum(sizes) - sizes
+        # read along each tree's chunk row; places past a row's end
+        # read on into the next and are drawn again below
+        drawn = self.chunk.take(
+            np.repeat(trees * chunk + start - at, sizes)
+            + np.arange(at[-1] + sizes[-1]), mode="clip")
+        for i in np.flatnonzero(end > chunk).tolist():
+            past = max(chunk, start[i])
+            drawn[at[i] + past - start[i]:at[i] + sizes[i]] = \
+                self._rng(int(trees[i])).random(int(end[i] - past))
+        return drawn
+
+    def _rng(self, t):
+        """Tree t's Generator, past the uniforms it has taken."""
+        if t not in self.rngs:
+            self.rngs[t] = philox_stream(self.keys[t])
+            self.rngs[t].bit_generator.random_raw(self.n_read, output=False)
+        return self.rngs[t]
+
+
+def _grow_pass(X, y, keys, shift, config, n_boot, streams, job, widths,
                n_candidates, design_column, local_column):
     """Grow the trees of one pass level by level, all at once; tree t
-    draws from rngs[t] among the columns of job[t]."""
+    draws from streams[t] (see _PassDraws) among the columns of
+    job[t]."""
     n = X.shape[0]
-    n_trees = len(rngs)
+    n_trees = len(streams)
     min_leaf = config.min_leaf_size
     max_depth = math.inf if config.max_depth is None else config.max_depth
     k = n_candidates[job].max()
     # the live level: its nodes in tree order, then level order; rows
     # holds each node's rows in turn, count how many
-    rows = np.concatenate([rng.integers(0, n, size=n_boot) for rng in rngs])
+    drawn = _PassDraws(streams, n, n_boot)
+    rows = drawn.rows.ravel()
     tree = np.arange(n_trees)
     count = np.full(n_trees, n_boot)
     n_nodes = np.ones(n_trees, dtype=np.int64)
@@ -384,10 +478,8 @@ def _grow_pass(X, y, keys, shift, config, n_boot, rngs, job, widths,
             # 2.0, which sorts after every draw
             draws = np.full((split.size, design_column.shape[1]), 2.0)
             drawing = np.flatnonzero(per_tree)
-            sizes = per_tree[drawing] * widths[job[drawing]]
             draws[np.arange(draws.shape[1]) < widths[node_job][:, None]] = \
-                np.concatenate([rngs[t].random(size) for t, size in
-                                zip(drawing.tolist(), sizes.tolist())])
+                drawn.take(drawing, per_tree[drawing] * widths[job[drawing]])
             local = draws.argsort(axis=1, kind="stable")[:, :k]
             # one (node, candidate) pair for each of a node's first
             # n_candidates columns, node after node

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import lemire_halves, substream, uniforms
 from .errors import (
     BudgetTooSmallError,
     InfeasibleBoundsError,
@@ -351,20 +351,19 @@ def _decode_children(rng, pop_n, draws):
     high half buffered in the state's has_uint32 and uinteger, and a
     64-bit draw takes a whole word. So with no half buffered at the start
     a child's calls read 2 + k whole words: the four picks from the
-    halves of two, numpy's Lemire multiply-shift (u * pop_n) >> 32 on
-    each, and the k uniforms one word each, (w >> 11) * 2**-53. The
-    Gaussians stay numpy's, whose ziggurat reads a varying number of
-    words: a real genome's child reads its 2 + k words and then calls
-    standard_normal. After the batch the buffered half is the last
-    child's fourth pick, spent (uinteger set, has_uint32 0).
+    halves of two, decoded by lemire_halves, and the k uniforms one word
+    each, decoded by uniforms. The Gaussians stay numpy's, whose
+    ziggurat reads a varying number of words: a real genome's child
+    reads its 2 + k words and then calls standard_normal. After the batch
+    the buffered half is the last child's fourth pick, spent (uinteger
+    set, has_uint32 0).
 
     Returns 0 with the stream untouched where decoding cannot stand for
     the calls: a bit generator other than Philox, a half already
-    buffered, or pop_n outside [2, 2**32). Lemire rejects a pick when
-    (u * pop_n) mod 2**32 < (2**32 - pop_n) mod pop_n and draws another
-    half; then the stream is put back to the batch's start, the words of
-    the children before the first rejecting one are read again, and
-    their count is returned.
+    buffered, or pop_n outside [2, 2**32). Where Lemire rejects a pick,
+    numpy draws another half; then the stream is put back to the batch's
+    start, the words of the children before the first rejecting one are
+    read again, and their count is returned.
     """
     bg = rng.bit_generator
     if type(bg) is not np.random.Philox or not 2 <= pop_n < 2**32:
@@ -404,18 +403,11 @@ def _decode_children(rng, pop_n, draws):
 def _decode(words, pop_n, picks, u):
     """Fill picks and u from children's words, one row each, and return
     how many leading rows have no rejected pick; see _decode_children."""
-    # the halves of the pick words, low half first ("<u8" is a no-op
-    # view on a little-endian host and byte-swaps on a big-endian one)
-    m = words[:, :2].astype("<u8", copy=False).view("<u4") \
-        * np.uint64(pop_n)
-    picks[...] = m >> 32
-    u[...] = words[:, 2:] >> 11
-    u *= 2.0 ** -53
-    threshold = (2**32 - pop_n) % pop_n
-    low = m.astype(np.uint32)
-    if low.min() >= threshold:
+    picks[...], accepted = lemire_halves(words[:, :2], pop_n)
+    u[...] = uniforms(words[:, 2:])
+    if accepted.all():
         return len(words)
-    return int((low < threshold).any(axis=1).argmax())
+    return int((~accepted).any(axis=1).argmax())
 
 
 @functools.cache

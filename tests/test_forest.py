@@ -8,11 +8,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optnet import forest
-from optnet._rng import substream
+from optnet._rng import stream_keys, substream
+from optnet.data import BenchmarkConfig, generate_benchmark, partition
 from optnet.errors import (
     EmptyInputError,
     InvalidConfigError,
@@ -26,6 +27,8 @@ from optnet.forest import (
     predict_forest,
 )
 from optnet.linear import fit_ols, mae, predict
+from optnet.networks import FitnessConfig, feature_selection_network
+from optnet.osga import OsgaParams
 
 
 def _step_data(seed, n):
@@ -687,3 +690,95 @@ def test_predictions_match_golden_digests():
                                            dtype="<f8")
         digests.append(hashlib.sha256(predictions.tobytes()).hexdigest())
     assert tuple(digests) == _GOLDEN_PREDICTIONS
+
+
+# seeds of one and two entropy words, at the edges of each, and negative
+# seeds, which substream takes modulo 2**64
+_SEEDS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**63, 2**64 - 1]),
+                   st.integers(0, 2**64 - 1), st.integers(-2**64, -1))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(_SEEDS, min_size=1, max_size=3), st.integers(1, 4),
+       st.sampled_from([2, 256, 300, 3 * 2**30 + 1]), st.integers(1, 30),
+       st.integers(1, 12),
+       st.lists(st.lists(st.integers(0, 9), min_size=12, max_size=12),
+                max_size=6))
+@example([0, 2**64 - 1, -3], 4, 3 * 2**30 + 1, 25, 3,
+         [[9] * 12, [0, 5] * 6, [7] * 12])
+def test_bulk_draws_are_the_calls(seeds, n_trees, n, n_boot, chunk, levels):
+    """A pass's bootstrap rows and split uniforms, decoded from raw
+    Philox words with a chunk small enough to force refills, are the
+    draws of each tree's substream calls, integers(0, n, size=n_boot) and
+    then random() level by level; at n = 3 * 2**30 + 1 Lemire rejects
+    about one half in four, and the trees it rejects in are drawn by the
+    calls."""
+    keys = stream_keys([(seed, "tree") for seed in seeds], n_trees)
+    rngs = [substream(seed, "tree", i) for seed in seeds
+            for i in range(n_trees)]
+    with mock.patch.object(forest, "_CHUNK", chunk):
+        drawn = forest._PassDraws(keys, n, n_boot)
+    expected = np.array([rng.integers(0, n, size=n_boot) for rng in rngs])
+    assert drawn.rows.tobytes() == expected.tobytes()
+    if n & (n - 1) == 0:
+        # Lemire never rejects a power of two, so every tree is decoded
+        assert not drawn.rngs
+    for level in levels:
+        sizes = np.array(level[:len(rngs)])
+        trees = np.flatnonzero(sizes)
+        if trees.size:
+            expected = np.concatenate([rngs[t].random(sizes[t])
+                                       for t in trees.tolist()])
+            assert drawn.take(trees, sizes[trees]).tobytes() \
+                == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_integer_or_fractional_problems(),
+       st.lists(_SEEDS, min_size=1, max_size=3), st.integers(1, 8))
+def test_bulk_grown_forests_are_the_forests_of_the_calls(problem, seeds,
+                                                         chunk):
+    """Forests grown from raw Philox words, with refills forced by a
+    small chunk, are the forests grown by substream and numpy's calls."""
+    X, y, config, _ = problem
+    jobs = [(seed, range(X.shape[1])) for seed in seeds]
+    read = []
+    philox_words = forest.philox_words
+    with mock.patch.object(forest, "_CHUNK", chunk), \
+            mock.patch.object(forest, "philox_words",
+                              lambda *a: read.append(1) or philox_words(*a)):
+        bulk = forest.fit_random_forests(X, y, config, jobs)
+        assert read
+        read.clear()
+        with mock.patch.object(forest, "draws_agree", lambda: False):
+            called = forest.fit_random_forests(X, y, config, jobs)
+        assert not read
+    assert [[_tree_bytes(t) for t in f.trees] for f in bulk] \
+        == [[_tree_bytes(t) for t in f.trees] for f in called]
+
+
+def test_a_failed_self_check_grows_every_tree_by_the_calls(monkeypatch):
+    """With the bulk draws' self-check failing, a forest-swap-shaped mask
+    search (fs-network-rf) reads no raw words, grows every tree by
+    substream and numpy's calls and finds the very same result."""
+    dataset, _ = generate_benchmark(BenchmarkConfig(
+        n_observations=150, n_features=10, n_relevant=3), seed=5)
+    partitioned = partition(dataset, seed=5)
+
+    def search():
+        return feature_selection_network(
+            partitioned, OsgaParams(population_size=8, max_evaluations=24),
+            FitnessConfig(penalty_per_feature=0.05),
+            model=ForestConfig(n_trees=6, sample_ratio=0.8,
+                               feature_ratio=0.7), seed=6, workers=2)
+
+    read = []
+    philox_words = forest.philox_words
+    monkeypatch.setattr(forest, "philox_words",
+                        lambda *a: read.append(len(a[0])) or philox_words(*a))
+    with_decoder = search()
+    assert read and all(read)
+    read.clear()
+    monkeypatch.setattr(forest, "draws_agree", lambda: False)
+    assert search() == with_decoder
+    assert read == []

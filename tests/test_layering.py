@@ -280,3 +280,56 @@ def test_uses_ignores_the_line_that_defines_the_name():
     assert not uses(text, "fit") and not uses(text, "Model")
     assert uses(text + "model = Model()\n", "Model")
     assert not uses("def refit():\n    fitted = 1\n", "fit")
+
+
+def _int_value(node):
+    """node's value where it is an int literal or a power or left shift
+    of two of them (2**32, 1 << 32), else None."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return node.value
+    if isinstance(node, ast.BinOp) and isinstance(node.op,
+                                                  (ast.Pow, ast.LShift)):
+        a, b = _int_value(node.left), _int_value(node.right)
+        if a is not None and b is not None:
+            return a ** b if isinstance(node.op, ast.Pow) else a << b
+    return None
+
+
+def raw_word_decodes(path: Path) -> list[int]:
+    """The lines of path's code that decode raw 64-bit words by hand:
+    Lemire's rejection threshold (2**32 - n) % n, and a right shift by
+    11, the top 53 bits of a uniform."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) \
+                and isinstance(node.left, ast.BinOp) \
+                and isinstance(node.left.op, ast.Sub) \
+                and _int_value(node.left.left) == 2**32:
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.RShift) \
+                and _int_value(getattr(node, "right", None)
+                               or node.value) == 11:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_raw_philox_words_are_decoded_only_in_the_rng_module():
+    """osga's child draws and forest's tree draws decode raw words with
+    _rng's lemire_halves and uniforms, one copy of numpy's arithmetic."""
+    by_hand = {path.name: raw_word_decodes(path)
+               for path in sorted(SRC.glob("*.py")) if path.name != "_rng.py"}
+    assert not {name: lines for name, lines in by_hand.items() if lines}
+    assert len(raw_word_decodes(SRC / "_rng.py")) == 2
+
+
+def test_raw_word_decodes_finds_each_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("t = (2**32 - n) % n\n"
+                    "t = ((1 << 32) - pop_n) % pop_n\n"
+                    "u = (w >> 11) * 2.0 ** -53\n"
+                    "u >>= 11\n"
+                    "v = (2**31 - n) % n\n"
+                    "v = w >> 12\n"
+                    "v = n % (2**32 - n)\n")
+    assert raw_word_decodes(path) == [1, 2, 3, 4]

@@ -1,8 +1,11 @@
 """Random-stream derivation: determinism, independence, stability."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from optnet._rng import seed_sequence, stream_seed, substream
+from optnet._rng import (draws_agree, philox_stream, seed_sequence,
+                         stream_keys, stream_seed, substream)
 
 
 def test_same_path_same_stream():
@@ -52,3 +55,27 @@ def test_seed_sequence_entropy_differs_by_depth():
     s1 = seed_sequence(0, "a").generate_state(4)
     s2 = seed_sequence(0, "a", "a").generate_state(4)
     assert not np.array_equal(s1, s2)
+
+
+_TAGS = st.one_of(st.integers(-2**70, 2**70), st.text(max_size=4))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.lists(_TAGS, min_size=1, max_size=4), min_size=1,
+                max_size=4), st.integers(0, 6))
+def test_stream_keys_are_the_seed_sequence_keys(paths, count):
+    """Paths of any entropy word count, hashed together, get the keys
+    SeedSequence gives each stream alone, and those keys start the
+    streams substream starts."""
+    keys = stream_keys(paths, count)
+    assert keys.shape == (len(paths) * count, 2)
+    expected = [seed_sequence(*path, i).generate_state(2, np.uint64)
+                for path in paths for i in range(count)]
+    assert keys.tolist() == [k.tolist() for k in expected]
+    if count:
+        assert np.array_equal(philox_stream(keys[-1]).random(4),
+                              substream(*paths[-1], count - 1).random(4))
+
+
+def test_the_bulk_draws_check_themselves_against_numpy():
+    assert draws_agree()
